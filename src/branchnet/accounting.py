@@ -1,4 +1,4 @@
-"""Exact cost accounting: shapes, parameter counts, multiply-accumulates.
+"""Exact cost accounting: parameter counts and multiply-accumulates.
 
 Costs are reported per sample (batch size one). The headline number is the
 multiply-accumulate count of convolutions and fully connected layers; the
@@ -12,51 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
-from .graph import INPUT_NAME, GraphSpec
+from .graph import NODE_KINDS, GraphSpec, compute_shapes
 from .params import param_owner, param_shapes
-
-
-def compute_shapes(graph: GraphSpec) -> dict:
-    """Per-sample output shape of every node, keyed by name.
-
-    Convolutional shapes are (c, h, w); fully connected and head outputs
-    are (m,). Includes "input" -> graph.input_shape.
-    """
-    shapes = {INPUT_NAME: tuple(graph.input_shape)}
-    for node in graph.nodes:
-        ins = [shapes[src] for src in node.inputs]
-        a = node.attrs
-        if node.kind == "conv":
-            c, h, w = ins[0]
-            oh = ops.conv_output_size(h, a["k"], a["stride"], a["pad"])
-            ow = ops.conv_output_size(w, a["k"], a["stride"], a["pad"])
-            if oh < 1 or ow < 1:
-                raise ValueError(f"node {node.name!r} produces empty output "
-                                 f"{oh}x{ow} from input {h}x{w}")
-            shapes[node.name] = (a["out"], oh, ow)
-        elif node.kind in ("batchnorm", "relu"):
-            shapes[node.name] = ins[0]
-        elif node.kind == "maxpool":
-            c, h, w = ins[0]
-            if h % 2 or w % 2:
-                raise ValueError(f"node {node.name!r} pools odd extents {h}x{w}")
-            shapes[node.name] = (c, h // 2, w // 2)
-        elif node.kind == "avgpool":
-            c, h, w = ins[0]
-            shapes[node.name] = (c, 1, 1)
-        elif node.kind == "add":
-            if ins[0] != ins[1]:
-                raise ValueError(f"node {node.name!r} adds mismatched shapes "
-                                 f"{ins[0]} and {ins[1]}")
-            shapes[node.name] = ins[0]
-        elif node.kind == "fc":
-            shapes[node.name] = (a["out"],)
-        elif node.kind in ("softmax-head", "sigmoid-head"):
-            shapes[node.name] = ins[0]
-        else:
-            raise ValueError(f"cannot size node kind {node.kind!r}")
-    return shapes
 
 
 def count_params(graph: GraphSpec):
@@ -88,34 +45,14 @@ def count_flops(graph: GraphSpec) -> CostReport:
     shapes = compute_shapes(graph)
     per_node = {}
     aux = {}
-
-    def bump(kind, n):
-        aux[kind] = aux.get(kind, 0) + int(n)
-
     for node in graph.nodes:
-        a = node.attrs
-        out = shapes[node.name]
-        if node.kind == "conv":
-            c_out, oh, ow = out
-            per_node[node.name] = a["k"] * a["k"] * a["in"] * c_out * oh * ow
-            if a.get("bias"):
-                bump("bias", c_out * oh * ow)
-        elif node.kind == "fc":
-            per_node[node.name] = a["in"] * a["out"]
-            bump("bias", a["out"])
-        elif node.kind == "batchnorm":
-            bump("batchnorm", np.prod(out))
-        elif node.kind == "relu":
-            bump("relu", np.prod(out))
-        elif node.kind == "add":
-            bump("add", np.prod(out))
-        elif node.kind == "maxpool":
-            bump("maxpool", np.prod(out))
-        elif node.kind == "avgpool":
-            c, h, w = shapes[node.inputs[0]]
-            bump("avgpool", c * h * w)
-        elif node.kind in ("softmax-head", "sigmoid-head"):
-            bump("head", np.prod(out))
+        ins = [shapes[src] for src in node.inputs]
+        macs, elements = NODE_KINDS[node.kind].cost(node.attrs, ins,
+                                                     shapes[node.name])
+        if macs is not None:
+            per_node[node.name] = macs
+        for key, n in elements.items():
+            aux[key] = aux.get(key, 0) + n
     return CostReport(per_node, sum(per_node.values()), aux)
 
 

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .accounting import count_flops, count_params, format_cost_table
+from .accounting import format_cost_table
 from .config import load_config, merged, parse_assignments
 from .dataio import (Manifest, SynthSpec, generate_synthetic, load_batch,
                      read_tensor, split_ids)
@@ -49,7 +49,7 @@ def _dataset(manifest_path, label_column, split, num_classes=None):
 
 def cmd_arch_resolve(args):
     mapping = _load_mapping(args.constraints, args.set)
-    constraints = Constraints.from_mapping(mapping) if mapping else Constraints()
+    constraints = Constraints.from_mapping(mapping)
     resolution = resolve_architecture(constraints)
     report = format_resolution_report(resolution)
     if args.report:
@@ -88,7 +88,7 @@ def cmd_train_base(args):
 
 def cmd_finetune(args):
     mapping = _load_mapping(args.config, args.set)
-    cfg = TrainConfig.from_mapping(mapping) if mapping else TrainConfig.desk()
+    cfg = TrainConfig.from_mapping(mapping, base=TrainConfig.desk())
     graph, store = load_checkpoint(args.trunk)
     field = args.field or args.task
     dataset, _ = _dataset(args.data, field, args.split,
@@ -127,7 +127,7 @@ def _parse_tasks_file(path):
 
 def cmd_branch_grid(args):
     mapping = _load_mapping(args.config, args.set)
-    cfg = TrainConfig.from_mapping(mapping) if mapping else TrainConfig.desk()
+    cfg = TrainConfig.from_mapping(mapping, base=TrainConfig.desk())
     graph, store = load_checkpoint(args.trunk)
     tasks = _parse_tasks_file(args.tasks)
     train_sets, val_sets = {}, {}
@@ -239,7 +239,7 @@ def cmd_probe(args):
 
 def cmd_synth(args):
     mapping = _load_mapping(args.spec, args.set)
-    spec = SynthSpec.from_mapping(mapping) if mapping else SynthSpec()
+    spec = SynthSpec.from_mapping(mapping)
     manifest = generate_synthetic(spec, args.out)
     print(f"wrote {len(manifest.ids)} samples under {args.out}")
     return 0

@@ -23,10 +23,6 @@ def checksum64(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()[:8]
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def derive_seed(master_seed, *tags) -> int:
     """Stable integer sub-seed for (master_seed, tags...)."""
     return int(derive_rng(master_seed, *tags).integers(2 ** 63))

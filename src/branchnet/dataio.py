@@ -21,11 +21,12 @@ factor is perfectly aligned with identity.
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .common import checksum64, derive_rng
+from .config import fields_from_mapping
 
 TENSOR_MAGIC = b"TNSR"
 TENSOR_VERSION = 1
@@ -221,17 +222,7 @@ class SynthSpec:
 
     @classmethod
     def from_mapping(cls, mapping):
-        kw = {}
-        for key, raw in mapping.items():
-            if key in ("flip_prob", "noise_std"):
-                kw[key] = float(raw)
-            elif key in ("num_identities", "samples_per_identity", "image_size",
-                         "nuisance_levels", "multilabel_classes", "min_active",
-                         "max_active", "seed"):
-                kw[key] = int(raw)
-            else:
-                raise ValueError(f"unknown synthetic-spec key {key!r}")
-        return cls(**kw)
+        return fields_from_mapping(cls(), mapping, "", "synthetic-spec")
 
 
 def _bilinear_upsample(small, size):

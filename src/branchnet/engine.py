@@ -14,8 +14,13 @@ Partial execution supports fine-tuning and shared-trunk evaluation:
 
 import numpy as np
 
-from . import ops
-from .graph import INPUT_NAME, GraphSpec
+from .graph import INPUT_NAME, NODE_KINDS, GraphSpec
+
+
+def _node_params(store, node):
+    """The node's parameter arrays by suffix ("w", "b", "gamma", "beta")."""
+    return {suffix: store.arrays[f"{node.name}/{suffix}"]
+            for suffix in NODE_KINDS[node.kind].params(node.attrs)}
 
 
 def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
@@ -43,37 +48,12 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
         except KeyError as exc:
             raise ValueError(f"node {node.name!r} needs activation {exc.args[0]!r} "
                              f"which is not available") from None
-        a = node.attrs
-        if node.kind == "conv":
-            bias = store.arrays.get(f"{node.name}/b") if a.get("bias") else None
-            out = ops.conv2d_forward(ins[0], store.arrays[f"{node.name}/w"],
-                                     bias, a["stride"], a["pad"])
-        elif node.kind == "batchnorm":
-            node_mode = "train" if (mode == "train" and index >= train_from) else "infer"
-            out, new_stats = ops.batchnorm(
-                ins[0], store.arrays[f"{node.name}/gamma"],
-                store.arrays[f"{node.name}/beta"],
-                running=store.running.get(node.name), mode=node_mode,
-                eps=a.get("eps", ops.BN_EPS))
-            if node_mode == "train":
-                bn_updates[node.name] = new_stats
-        elif node.kind == "relu":
-            out = ops.relu(ins[0])
-        elif node.kind == "maxpool":
-            out = ops.maxpool2x2(ins[0])
-        elif node.kind == "avgpool":
-            out = ops.avgpool_global(ins[0])
-        elif node.kind == "add":
-            out = ops.elementwise_add(ins[0], ins[1])
-        elif node.kind == "fc":
-            out = ops.fully_connected(ins[0], store.arrays[f"{node.name}/w"],
-                                      store.arrays[f"{node.name}/b"])
-        elif node.kind == "softmax-head":
-            out = ops.softmax(ins[0])
-        elif node.kind == "sigmoid-head":
-            out = ops.sigmoid(ins[0])
-        else:
-            raise ValueError(f"cannot execute node kind {node.kind!r}")
+        node_mode = "train" if (mode == "train" and index >= train_from) else "infer"
+        out, stats = NODE_KINDS[node.kind].forward(
+            node.attrs, _node_params(store, node), ins,
+            store.running.get(node.name), node_mode)
+        if stats is not None:
+            bn_updates[node.name] = stats
         acts[node.name] = out
     return acts, bn_updates
 
@@ -101,55 +81,18 @@ def backward_pass(graph: GraphSpec, store, acts, out_grads, stop=0):
         gy = grads.pop(node.name, None)
         if gy is None:
             continue
-        a = node.attrs
-        x_in = acts[node.inputs[0]] if node.inputs else None
-        if node.kind == "conv":
-            bias = store.arrays.get(f"{node.name}/b") if a.get("bias") else None
-            lg = ops.conv2d_backward(x_in, store.arrays[f"{node.name}/w"], bias,
-                                     gy, a["stride"], a["pad"])
-            for pname, pg in lg.param_grads.items():
-                param_grads[f"{node.name}/{pname}"] = pg
-            in_grads = {node.inputs[0]: lg.input_grad}
-        elif node.kind == "batchnorm":
-            lg = ops.batchnorm_backward(x_in, store.arrays[f"{node.name}/gamma"],
-                                        store.arrays[f"{node.name}/beta"], gy,
-                                        eps=a.get("eps", ops.BN_EPS))
-            for pname, pg in lg.param_grads.items():
-                param_grads[f"{node.name}/{pname}"] = pg
-            in_grads = {node.inputs[0]: lg.input_grad}
-        elif node.kind == "relu":
-            in_grads = {node.inputs[0]: ops.relu_backward(x_in, gy)}
-        elif node.kind == "maxpool":
-            in_grads = {node.inputs[0]: ops.maxpool2x2_backward(x_in, gy)}
-        elif node.kind == "avgpool":
-            in_grads = {node.inputs[0]: ops.avgpool_global_backward(x_in, gy)}
-        elif node.kind == "add":
-            ga, gb = ops.elementwise_add_backward(gy)
-            in_grads = {}
-            for src, g in zip(node.inputs, (ga, gb)):
-                in_grads[src] = in_grads.get(src, 0) + g
-        elif node.kind == "fc":
-            lg = ops.fully_connected_backward(x_in, store.arrays[f"{node.name}/w"], gy)
-            for pname, pg in lg.param_grads.items():
-                param_grads[f"{node.name}/{pname}"] = pg
-            in_grads = {node.inputs[0]: lg.input_grad}
-        elif node.kind in ("softmax-head", "sigmoid-head"):
+        kind = NODE_KINDS[node.kind]
+        if kind.backward is None:
             raise ValueError(f"cannot differentiate through {node.kind}; seed the "
                              f"loss gradient at its input logits instead")
-        else:
-            raise ValueError(f"cannot differentiate node kind {node.kind!r}")
-
-        for src, g in in_grads.items():
-            if src in grads:
-                grads[src] = grads[src] + g
-            else:
-                grads[src] = g
+        in_grads, node_grads = kind.backward(
+            node.attrs, _node_params(store, node),
+            [acts[src] for src in node.inputs], gy)
+        for suffix, pg in node_grads.items():
+            param_grads[f"{node.name}/{suffix}"] = pg
+        for src, g in zip(node.inputs, in_grads):
+            grads[src] = grads[src] + g if src in grads else g
 
     input_grad = grads.get(INPUT_NAME) if stop == 0 else None
     return param_grads, input_grad
 
-
-def predict(graph: GraphSpec, store, x):
-    """Inference forward; returns the final node's activation."""
-    acts, _ = forward_pass(graph, store, x, mode="infer")
-    return acts[graph.nodes[-1].name]

@@ -1,4 +1,4 @@
-"""Evaluation protocols: verification, plain accuracy, operating points.
+"""Evaluation protocols: verification and operating points.
 
 Verification follows a 10-split leave-one-out scheme: for each held-out
 split, the decision threshold is the one maximizing accuracy on the other
@@ -109,16 +109,6 @@ def verify(pairs) -> VerifyResult:
         acc = float((pred == labels[held]).mean())
         results.append(SplitResult(int(s), t, acc, int(held.sum())))
     return VerifyResult(results)
-
-
-def accuracy(predictions, truth) -> float:
-    predictions = np.asarray(predictions)
-    truth = np.asarray(truth)
-    if predictions.shape != truth.shape:
-        raise ValueError(f"length mismatch: {predictions.shape} vs {truth.shape}")
-    if predictions.size == 0:
-        raise ValueError("cannot score zero predictions")
-    return float((predictions == truth).mean())
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
-"""Network structure: architecture configs, the trunk builder, serialization.
+"""Network structure: node kinds, architecture configs, the trunk builder,
+serialization.
 
 A GraphSpec is an ordered list of LayerNodes wired by name. The reserved
 upstream name "input" refers to the network input; no node may use it.
 Node evaluation order is the list order, which is a topological order by
 construction.
+
+Everything a node kind means is defined once, in its NODE_KINDS record:
+the integer attributes it requires, the parameters it owns, its output
+shape, its cost, and its forward and backward passes. The engine, the
+accounting and the parameter store are loops over that table.
 
 Canonical trunk naming: the stem convolution is conv1, block i contributes
 conv{2i} (the 1x1) and conv{2i+1} (the 3x3), shortcut projections are
@@ -13,12 +19,13 @@ are the intersection of {conv17, conv19, conv21, conv22, conv-bn320, fc}
 with the nodes present.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import ops
+from .config import fields_from_mapping, fields_to_mapping
 
-NODE_KINDS = ("conv", "batchnorm", "relu", "maxpool", "avgpool", "add",
-              "fc", "softmax-head", "sigmoid-head")
 BRANCH_POINT_NAMES = ("conv17", "conv19", "conv21", "conv22", "conv-bn320", "fc")
 INPUT_NAME = "input"
 
@@ -27,6 +34,140 @@ INPUT_NAME = "input"
 # lexicographic order per the deterministic ranking rule.
 CANONICAL_STAGE_REPEATS = (1, 1, 5, 4)
 CANONICAL_STAGE_CHANNELS = ((32, 64), (64, 128), (128, 256), (256, 512))
+
+
+@dataclass(frozen=True, kw_only=True)
+class NodeKind:
+    """What one node kind means, in terms of its attribute dict `a`.
+
+    required  integer attributes every node of the kind carries
+    params    a -> {suffix: shape} of the parameters the node owns
+    shape     (a, input shapes) -> per-sample output shape; raises
+              ValueError (without the node name) on inconsistent inputs
+    cost      (a, input shapes, output shape) -> (multiply-accumulates, or
+              None for element-wise kinds, {aux key: element count})
+    forward   (a, params, inputs, running, mode) -> (output, new running
+              statistics or None); mode is the node's own "train"/"infer"
+    backward  (a, params, inputs, output grad) -> (one gradient per input,
+              {suffix: parameter gradient}); None where the kind cannot be
+              differentiated
+    """
+
+    required: tuple = ()
+    params: Callable = lambda a: {}
+    shape: Callable = lambda a, ins: ins[0]
+    cost: Callable
+    forward: Callable
+    backward: Callable | None = None
+
+
+def _elementwise(key):
+    return lambda a, ins, out: (None, {key: math.prod(out)})
+
+
+def _unary(fn):
+    return lambda a, p, ins, running, mode: (fn(ins[0]), None)
+
+
+def _unary_backward(fn):
+    return lambda a, p, ins, gy: ((fn(ins[0], gy),), {})
+
+
+def _grads(lg):
+    return (lg.input_grad,), lg.param_grads
+
+
+def _conv_params(a):
+    shapes = {"w": (a["out"], a["in"], a["k"], a["k"])}
+    if a.get("bias"):
+        shapes["b"] = (a["out"],)
+    return shapes
+
+
+def _conv_shape(a, ins):
+    c, h, w = ins[0]
+    oh = ops.conv_output_size(h, a["k"], a["stride"], a["pad"])
+    ow = ops.conv_output_size(w, a["k"], a["stride"], a["pad"])
+    if oh < 1 or ow < 1:
+        raise ValueError(f"produces empty output {oh}x{ow} from input {h}x{w}")
+    return (a["out"], oh, ow)
+
+
+def _conv_cost(a, ins, out):
+    c_out, oh, ow = out
+    macs = a["k"] * a["k"] * a["in"] * c_out * oh * ow
+    return macs, ({"bias": c_out * oh * ow} if a.get("bias") else {})
+
+
+def _batchnorm_forward(a, p, ins, running, mode):
+    out, stats = ops.batchnorm(ins[0], p["gamma"], p["beta"], running=running,
+                               mode=mode, eps=a.get("eps", ops.BN_EPS))
+    return out, (stats if mode == "train" else None)
+
+
+def _maxpool_shape(a, ins):
+    c, h, w = ins[0]
+    if h % 2 or w % 2:
+        raise ValueError(f"pools odd extents {h}x{w}")
+    return (c, h // 2, w // 2)
+
+
+def _avgpool_shape(a, ins):
+    c, h, w = ins[0]
+    return (c, 1, 1)
+
+
+def _add_shape(a, ins):
+    if ins[0] != ins[1]:
+        raise ValueError(f"adds mismatched shapes {ins[0]} and {ins[1]}")
+    return ins[0]
+
+
+NODE_KINDS = {
+    "conv": NodeKind(
+        required=("in", "out", "k", "stride", "pad"), params=_conv_params,
+        shape=_conv_shape, cost=_conv_cost,
+        forward=lambda a, p, ins, running, mode: (ops.conv2d_forward(
+            ins[0], p["w"], p.get("b"), a["stride"], a["pad"]), None),
+        backward=lambda a, p, ins, gy: _grads(ops.conv2d_backward(
+            ins[0], p["w"], p.get("b"), gy, a["stride"], a["pad"]))),
+    "batchnorm": NodeKind(
+        required=("ch",),
+        params=lambda a: {"gamma": (a["ch"],), "beta": (a["ch"],)},
+        cost=_elementwise("batchnorm"), forward=_batchnorm_forward,
+        backward=lambda a, p, ins, gy: _grads(ops.batchnorm_backward(
+            ins[0], p["gamma"], p["beta"], gy, eps=a.get("eps", ops.BN_EPS)))),
+    "relu": NodeKind(
+        cost=_elementwise("relu"), forward=_unary(ops.relu),
+        backward=_unary_backward(ops.relu_backward)),
+    "maxpool": NodeKind(
+        shape=_maxpool_shape, cost=_elementwise("maxpool"),
+        forward=_unary(ops.maxpool2x2),
+        backward=_unary_backward(ops.maxpool2x2_backward)),
+    "avgpool": NodeKind(
+        shape=_avgpool_shape,
+        cost=lambda a, ins, out: (None, {"avgpool": math.prod(ins[0])}),
+        forward=_unary(ops.avgpool_global),
+        backward=_unary_backward(ops.avgpool_global_backward)),
+    "add": NodeKind(
+        shape=_add_shape, cost=_elementwise("add"),
+        forward=lambda a, p, ins, running, mode: (
+            ops.elementwise_add(ins[0], ins[1]), None),
+        backward=lambda a, p, ins, gy: (ops.elementwise_add_backward(gy), {})),
+    "fc": NodeKind(
+        required=("in", "out"),
+        params=lambda a: {"w": (a["in"], a["out"]), "b": (a["out"],)},
+        shape=lambda a, ins: (a["out"],),
+        cost=lambda a, ins, out: (a["in"] * a["out"], {"bias": a["out"]}),
+        forward=lambda a, p, ins, running, mode: (
+            ops.fully_connected(ins[0], p["w"], p["b"]), None),
+        backward=lambda a, p, ins, gy: _grads(
+            ops.fully_connected_backward(ins[0], p["w"], gy))),
+    "softmax-head": NodeKind(cost=_elementwise("head"),
+                             forward=_unary(ops.softmax)),
+    "sigmoid-head": NodeKind(cost=_elementwise("head"),
+                             forward=_unary(ops.sigmoid)),
+}
 
 
 @dataclass(frozen=True)
@@ -39,6 +180,10 @@ class LayerNode:
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown node kind {self.kind!r} for {self.name!r}")
+        for key in NODE_KINDS[self.kind].required:
+            if not isinstance(self.attrs.get(key), int):
+                raise ValueError(f"{self.kind} node {self.name!r} needs an integer "
+                                 f"attribute {key!r}, got {self.attrs.get(key)!r}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
 
 
@@ -51,8 +196,8 @@ class ArchConfig:
     """
 
     stem_channels: int = 32
-    stage_repeats: tuple = CANONICAL_STAGE_REPEATS
-    stage_channels: tuple = CANONICAL_STAGE_CHANNELS
+    stage_repeats: tuple[int, ...] = CANONICAL_STAGE_REPEATS
+    stage_channels: tuple[tuple[int, int], ...] = CANONICAL_STAGE_CHANNELS
     embedding_dim: int = 320
     num_identities: int = 10_000
     in_channels: int = 3
@@ -109,39 +254,11 @@ class ArchConfig:
                    scale_factor=0.25)
 
     def to_mapping(self, prefix="arch."):
-        m = {
-            "stem_channels": self.stem_channels,
-            "stage_repeats": ",".join(str(r) for r in self.stage_repeats),
-            "stage_channels": ";".join(f"{b},{e}" for b, e in self.stage_channels),
-            "embedding_dim": self.embedding_dim,
-            "num_identities": self.num_identities,
-            "in_channels": self.in_channels,
-            "input_size": self.input_size,
-            "scale_factor": self.scale_factor,
-        }
-        return {prefix + k: str(v) for k, v in m.items()}
+        return fields_to_mapping(self, prefix)
 
     @classmethod
     def from_mapping(cls, mapping, prefix="arch."):
-        cfg = cls()
-        kwargs = {}
-        for key, raw in mapping.items():
-            if not key.startswith(prefix):
-                continue
-            name = key[len(prefix):]
-            if name == "stage_repeats":
-                kwargs[name] = tuple(int(p) for p in raw.split(","))
-            elif name == "stage_channels":
-                kwargs[name] = tuple(tuple(int(x) for x in pair.split(","))
-                                     for pair in raw.split(";"))
-            elif name == "scale_factor":
-                kwargs[name] = float(raw)
-            elif name in ("stem_channels", "embedding_dim", "num_identities",
-                          "in_channels", "input_size"):
-                kwargs[name] = int(raw)
-            else:
-                raise ValueError(f"unknown architecture key {key!r}")
-        return replace(cfg, **kwargs)
+        return fields_from_mapping(cls(), mapping, prefix, "architecture")
 
 
 @dataclass(frozen=True)
@@ -245,35 +362,38 @@ def _parse_attr(raw):
         return raw
 
 
+def compute_shapes(graph: GraphSpec) -> dict:
+    """Per-sample output shape of every node, keyed by name.
+
+    Convolutional shapes are (c, h, w); fully connected and head outputs
+    are (m,). Includes "input" -> graph.input_shape.
+    """
+    shapes = {INPUT_NAME: tuple(graph.input_shape)}
+    for node in graph.nodes:
+        ins = [shapes[src] for src in node.inputs]
+        try:
+            shapes[node.name] = NODE_KINDS[node.kind].shape(node.attrs, ins)
+        except ValueError as exc:
+            raise ValueError(f"node {node.name!r} {exc}") from None
+    return shapes
+
+
 def build_trunk(config: ArchConfig) -> GraphSpec:
     """Materialize the residual identity trunk for a configuration.
 
-    Shapes are tracked while building; any inconsistency (including a
-    resolution driven to zero by too many stride-2 stages) is rejected with
-    the offending stage named.
+    The finished graph is sized once through compute_shapes, so any
+    inconsistency (an odd stem output, a resolution driven to zero by too
+    many stride-2 stages) is rejected with the offending node named.
     """
     nodes = []
-    size = config.eff_input_size
     stem = config.eff_stem_channels
-
-    def check_size(s, where):
-        if s < 1:
-            raise ValueError(f"non-positive spatial size at {where} "
-                             f"(input {config.eff_input_size}, scale {config.scale_factor})")
-
     nodes.append(LayerNode("conv1", "conv",
                            {"in": config.in_channels, "out": stem, "k": 7,
                             "stride": 2, "pad": 3, "bias": 0},
                            (INPUT_NAME,)))
-    size = ops.conv_output_size(size, 7, 2, 3)
-    check_size(size, "conv1")
     nodes.append(LayerNode("bn1", "batchnorm", {"ch": stem, "eps": ops.BN_EPS}, ("conv1",)))
     nodes.append(LayerNode("relu1", "relu", {}, ("bn1",)))
-    if size % 2 != 0:
-        raise ValueError(f"stem output size {size} is odd; maxpool2x2 needs even extents")
     nodes.append(LayerNode("pool1", "maxpool", {"k": 2, "stride": 2}, ("relu1",)))
-    size //= 2
-    check_size(size, "pool1")
 
     prev_name = "pool1"
     prev_ch = stem
@@ -298,8 +418,6 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
                                    {"in": bott, "out": expa, "k": 3,
                                     "stride": stride, "pad": 1, "bias": 0},
                                    (f"relu{2 * block}",)))
-            out_size = ops.conv_output_size(size, 3, stride, 1)
-            check_size(out_size, f"stage {stage} block {j} ({cb})")
             nodes.append(LayerNode(f"bn{2 * block + 1}", "batchnorm",
                                    {"ch": expa, "eps": ops.BN_EPS}, (cb,)))
             skip_name = block_in
@@ -309,22 +427,12 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
                                        {"in": prev_ch, "out": expa, "k": 1,
                                         "stride": stride, "pad": 0, "bias": 0},
                                        (block_in,)))
-                proj_size = ops.conv_output_size(size, 1, stride, 0)
-                if proj_size != out_size:
-                    raise ValueError(
-                        f"shape mismatch at stage {stage} block {j}: main path "
-                        f"{out_size}x{out_size}, shortcut {proj_size}x{proj_size}")
-            elif stride != 1:
-                raise ValueError(
-                    f"shape mismatch at stage {stage} block {j}: stride-2 main "
-                    f"path cannot add to an unprojected input")
             nodes.append(LayerNode(f"add{block}", "add", {},
                                    (f"bn{2 * block + 1}", skip_name)))
             nodes.append(LayerNode(f"relu{2 * block + 1}", "relu", {},
                                    (f"add{block}",)))
             prev_name = f"relu{2 * block + 1}"
             prev_ch = expa
-            size = out_size
 
     nodes.append(LayerNode("avgpool", "avgpool", {"global": 1}, (prev_name,)))
     emb = config.eff_embedding_dim
@@ -343,12 +451,12 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
                if any(n.name == name for n in nodes)]
     spec = GraphSpec(tuple(nodes), (config.in_channels, config.eff_input_size,
                                     config.eff_input_size), tuple(present))
+    compute_shapes(spec)
     return spec
 
 
 def resolution_trace(graph: GraphSpec):
     """Spatial extents after the stem conv, the pool, and each stride-2 conv."""
-    from .accounting import compute_shapes
     shapes = compute_shapes(graph)
     trace = [shapes["conv1"][1], shapes["pool1"][1]]
     for node in graph.nodes:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ops
 from .common import checksum64
-from .graph import GraphSpec
+from .graph import NODE_KINDS, GraphSpec
 
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
@@ -36,20 +36,9 @@ CHECKPOINT_VERSION = 1
 
 def param_shapes(graph: GraphSpec) -> dict:
     """Parameter name -> shape, derived from node attributes."""
-    shapes = {}
-    for node in graph.nodes:
-        a = node.attrs
-        if node.kind == "conv":
-            shapes[f"{node.name}/w"] = (a["out"], a["in"], a["k"], a["k"])
-            if a.get("bias"):
-                shapes[f"{node.name}/b"] = (a["out"],)
-        elif node.kind == "batchnorm":
-            shapes[f"{node.name}/gamma"] = (a["ch"],)
-            shapes[f"{node.name}/beta"] = (a["ch"],)
-        elif node.kind == "fc":
-            shapes[f"{node.name}/w"] = (a["in"], a["out"])
-            shapes[f"{node.name}/b"] = (a["out"],)
-    return shapes
+    return {f"{node.name}/{suffix}": shape
+            for node in graph.nodes
+            for suffix, shape in NODE_KINDS[node.kind].params(node.attrs).items()}
 
 
 def batchnorm_nodes(graph: GraphSpec):
@@ -83,9 +72,6 @@ class ParamStore:
     def param_count(self, names=None):
         names = self.arrays if names is None else names
         return sum(self.arrays[n].size for n in names)
-
-    def trainable_param_count(self):
-        return sum(v.size for k, v in self.arrays.items() if self.trainable.get(k))
 
 
 def frozen_names(graph: GraphSpec, branch_index: int):

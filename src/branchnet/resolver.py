@@ -13,11 +13,12 @@ documents every survivor and the residuals, which are informational rather
 than asserted.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from .accounting import (branch_trainable_params, count_flops, count_params,
                          format_cost_table, suffix_macs)
+from .config import fields_from_mapping
 from .graph import ArchConfig, build_trunk
 
 # The four attribute heads used for the combined-cost figure: task name,
@@ -38,33 +39,15 @@ class SoftTarget:
 @dataclass(frozen=True)
 class Constraints:
     conv_count: int = 24
-    params_window: tuple = (8_500_000, 10_500_000)
-    cost_window: tuple = (800_000_000, 1_000_000_000)
+    params_window: tuple[int, int] = (8_500_000, 10_500_000)
+    cost_window: tuple[int, int] = (800_000_000, 1_000_000_000)
     max_repeat: int = 8
-    soft_targets: tuple = (SoftTarget("conv19", 7, 1_018_055),
-                           SoftTarget("conv22", 14, 889_230))
+    soft_targets: tuple[SoftTarget, ...] = (SoftTarget("conv19", 7, 1_018_055),
+                                            SoftTarget("conv22", 14, 889_230))
 
     @classmethod
     def from_mapping(cls, mapping):
-        c = cls()
-        kw = {}
-        for key, raw in mapping.items():
-            if key == "conv_count":
-                kw["conv_count"] = int(raw)
-            elif key == "params_window":
-                kw["params_window"] = tuple(int(v) for v in raw.split(","))
-            elif key == "cost_window":
-                kw["cost_window"] = tuple(int(v) for v in raw.split(","))
-            elif key == "max_repeat":
-                kw["max_repeat"] = int(raw)
-            elif key == "soft_targets":
-                kw["soft_targets"] = tuple(
-                    SoftTarget(p.split(":")[0], int(p.split(":")[1]),
-                               int(p.split(":")[2]))
-                    for p in raw.split(",") if p)
-            else:
-                raise ValueError(f"unknown constraint key {key!r}")
-        return replace(c, **kw)
+        return fields_from_mapping(cls(), mapping, "", "constraint")
 
 
 @dataclass(frozen=True)

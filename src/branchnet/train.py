@@ -11,12 +11,13 @@ shared with the donor store by reference, which both saves memory and makes
 any accidental mutation visible to checksum tests.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
 from .common import derive_rng
+from .config import fields_from_mapping, fields_to_mapping
 from .engine import backward_pass, forward_pass
 from .graph import GraphSpec, LayerNode
 from .params import ParamStore, batchnorm_nodes, param_owner, param_shapes
@@ -51,29 +52,13 @@ class TrainConfig:
         return cls(**base)
 
     def to_mapping(self, prefix="train."):
-        m = {
-            "lr0": self.lr0, "lr_decay_factor": self.lr_decay_factor,
-            "lr_decay_every": self.lr_decay_every,
-            "momentum_coeff": self.momentum_coeff,
-            "batch_size": self.batch_size, "init_std": self.init_std,
-            "max_minibatches": self.max_minibatches, "seed": self.seed,
-        }
-        return {prefix + k: str(v) for k, v in m.items()}
+        return fields_to_mapping(self, prefix)
 
     @classmethod
-    def from_mapping(cls, mapping, prefix="train."):
-        kw = {}
-        for key, raw in mapping.items():
-            if not key.startswith(prefix):
-                continue
-            name = key[len(prefix):]
-            if name in ("lr0", "lr_decay_factor", "momentum_coeff", "init_std"):
-                kw[name] = float(raw)
-            elif name in ("lr_decay_every", "batch_size", "max_minibatches", "seed"):
-                kw[name] = int(raw)
-            else:
-                raise ValueError(f"unknown training key {key!r}")
-        return cls(**kw)
+    def from_mapping(cls, mapping, prefix="train.", base=None):
+        """base (default: the full-scale schedule) with the mapping's
+        prefixed keys applied."""
+        return fields_from_mapping(base or cls(), mapping, prefix, "training")
 
 
 def lr_at(t: int, config: TrainConfig) -> float:
@@ -88,23 +73,29 @@ def init_params(graph: GraphSpec, config: TrainConfig) -> ParamStore:
     zero, batchnorm scales one, velocities zero, everything trainable."""
     store = ParamStore()
     for name, shape in sorted(param_shapes(graph).items()):
-        kind = name.rpartition("/")[2]
-        if kind == "w":
-            rng = derive_rng(config.seed, "init", name)
-            arr = rng.normal(0.0, config.init_std, size=shape).astype(np.float32) \
-                if config.init_std > 0 else np.zeros(shape, dtype=np.float32)
-        elif kind == "gamma":
-            arr = np.ones(shape, dtype=np.float32)
-        else:  # b, beta
-            arr = np.zeros(shape, dtype=np.float32)
-        store.arrays[name] = arr
+        store.arrays[name] = _fresh_param(name, shape, config.init_std,
+                                          config.seed, "init")
         store.momentum[name] = np.zeros(shape, dtype=np.float32)
         store.trainable[name] = True
     for bn in batchnorm_nodes(graph):
-        ch = graph.node(bn).attrs["ch"]
-        store.running[bn] = ops.RunningStats(np.zeros(ch, dtype=np.float32),
-                                             np.ones(ch, dtype=np.float32), 0)
+        store.running[bn] = _fresh_stats(graph, bn)
     return store
+
+
+def _fresh_param(name, shape, init_std, seed, *tags):
+    """Weights ("w") N(0, init_std^2) from derive_rng(seed, *tags, name),
+    batchnorm scales one, biases and shifts zero."""
+    suffix = name.rpartition("/")[2]
+    if suffix == "w" and init_std > 0:
+        rng = derive_rng(seed, *tags, name)
+        return rng.normal(0.0, init_std, size=shape).astype(np.float32)
+    return np.full(shape, 1.0 if suffix == "gamma" else 0.0, dtype=np.float32)
+
+
+def _fresh_stats(graph, bn):
+    ch = graph.node(bn).attrs["ch"]
+    return ops.RunningStats(np.zeros(ch, dtype=np.float32),
+                            np.ones(ch, dtype=np.float32), 0)
 
 
 def sgd_momentum_step(store: ParamStore, grads: dict, rate: float,
@@ -294,18 +285,11 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
             continue
         store.trainable[name] = True
         store.momentum[name] = np.zeros(shape, dtype=np.float32)
-        kind = name.rpartition("/")[2]
         if warm and owner != "fc":
             store.arrays[name] = trunk_store.arrays[name].copy()
-        elif kind == "w":
-            rng = derive_rng(seed, "branch", branch_layer, name)
-            store.arrays[name] = rng.normal(0.0, init_std, size=shape) \
-                .astype(np.float32) if init_std > 0 \
-                else np.zeros(shape, dtype=np.float32)
-        elif kind == "gamma":
-            store.arrays[name] = np.ones(shape, dtype=np.float32)
         else:
-            store.arrays[name] = np.zeros(shape, dtype=np.float32)
+            store.arrays[name] = _fresh_param(name, shape, init_std, seed,
+                                              "branch", branch_layer)
     for bn in batchnorm_nodes(graph):
         if graph.index(bn) < bidx:
             store.running[bn] = trunk_store.running[bn]
@@ -314,9 +298,7 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
             store.running[bn] = ops.RunningStats(rs.mean.copy(), rs.var.copy(),
                                                  rs.count)
         else:
-            ch = graph.node(bn).attrs["ch"]
-            store.running[bn] = ops.RunningStats(np.zeros(ch, dtype=np.float32),
-                                                 np.ones(ch, dtype=np.float32), 0)
+            store.running[bn] = _fresh_stats(graph, bn)
     return Branch(graph, store, branch_layer, num_classes, loss, trunk_store)
 
 

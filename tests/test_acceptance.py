@@ -376,3 +376,18 @@ def test_10_learning_rate_schedule():
     verdict(10, "learning-rate schedule", ok,
             f"t=0/10000/25000 -> {values}")
     assert values == (0.1, 0.025, 0.00625)
+
+
+def test_desk_study_reproduces_committed_reports(study):
+    result, _ = study
+    reports = os.path.join(os.path.dirname(__file__), "..", "reports")
+
+    def read(path):
+        with open(path, "rb") as f:
+            return f.read()
+
+    assert read(result.report_paths["grid_table"]) == \
+        read(os.path.join(reports, "branch_grid.txt"))
+    # the committed study report also carries the probe table
+    assert read(os.path.join(reports, "desk_study.txt")).startswith(
+        read(result.report_paths["study"]))

@@ -4,8 +4,11 @@ import pytest
 from branchnet.accounting import (branch_trainable_params, compute_shapes,
                                   count_flops, count_params, format_cost_table,
                                   suffix_macs, trunk_macs)
+from branchnet.engine import forward_pass
 from branchnet.graph import ArchConfig, GraphSpec, LayerNode, build_trunk
+from branchnet.graph import NODE_KINDS
 from branchnet.train import TrainConfig, init_params
+from branchnet.train import make_branch
 
 CANONICAL = build_trunk(ArchConfig.canonical())
 
@@ -145,3 +148,19 @@ def test_cost_table_mentions_totals_and_both_conventions():
     assert "810,595,328" in text
     assert "1,621,190,656" in text
     assert "conv-bn320" in text and "fc" in text
+
+
+def test_forward_shapes_match_compute_shapes_for_every_kind(desk_graph,
+                                                           desk_store):
+    branch = make_branch(desk_graph, desk_store, "conv22", 3,
+                         loss="sigmoid-multilabel")
+    x = np.random.default_rng(5).standard_normal((2, 1, 56, 56)) \
+        .astype(np.float32)
+    kinds = set()
+    for graph, store in ((desk_graph, desk_store), (branch.graph, branch.store)):
+        acts, _ = forward_pass(graph, store, x, mode="train")
+        shapes = compute_shapes(graph)
+        for node in graph.nodes:
+            assert acts[node.name].shape == (2,) + shapes[node.name], node.name
+            kinds.add(node.kind)
+    assert kinds == set(NODE_KINDS)

@@ -329,3 +329,29 @@ def test_unknown_flag_raises_usage_error(capsys):
         main(["flops", "--bogus"])
     assert exc.value.code != 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["soft_targets=fc:2", "params_window=1"])
+def test_arch_resolve_wrong_arity_exits_two(capsys, value):
+    rc, out, err = run_cli(capsys, "arch-resolve", "--set", value)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert value.split("=")[0] in err
+
+
+def test_finetune_override_keeps_desk_schedule(capsys, tmp_path, corpus,
+                                               trunk_ckpt):
+    out = str(tmp_path / "bundle")
+    rc, _, err = run_cli(capsys, "finetune", "--trunk", trunk_ckpt,
+                         "--branch", "fc", "--task", "binary",
+                         "--classes", "2", "--data", corpus, "--out", out,
+                         "--set", "train.max_minibatches=2",
+                         "--set", "train.seed=4")
+    assert rc == 0, err
+    with open(os.path.join(out, "binary.log.tsv")) as f:
+        header = [line for line in f.read().splitlines()
+                  if line.startswith("# ")]
+    assert "# lr_decay_every=500" in header
+    assert "# batch_size=32" in header
+    assert "# seed=4" in header

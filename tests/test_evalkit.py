@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchnet.evalkit import (OperatingPoint, VerificationPair, accuracy,
+from branchnet.evalkit import (OperatingPoint, VerificationPair,
                                best_threshold, cosine_similarity,
                                format_operating_point_report,
                                format_verify_report, select_operating_point,
@@ -144,14 +144,6 @@ def test_mean_accuracy_is_arithmetic_over_splits():
     result = verify(pairs_from_sims(sims, labels, splits))
     assert result.mean_accuracy == pytest.approx(
         np.mean([s.accuracy for s in result.splits]))
-
-
-def test_plain_accuracy_helper():
-    assert accuracy([1, 2, 3], [1, 0, 3]) == pytest.approx(2 / 3)
-    with pytest.raises(ValueError, match="mismatch"):
-        accuracy([1], [1, 2])
-    with pytest.raises(ValueError, match="zero"):
-        accuracy([], [])
 
 
 # operating-point selection

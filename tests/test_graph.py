@@ -151,3 +151,16 @@ def test_canonical_forward_produces_probability_rows():
     assert probs.shape == (2, 10_000)
     assert np.all(probs >= 0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+
+def test_missing_or_non_integer_attribute_is_rejected_at_load():
+    good = ("graph input_shape=1,8,8 branch_points=\n"
+            "c conv bias=0 in=1 k=3 out=2 pad=1 stride=1 inputs=input\n")
+    assert GraphSpec.parse(good).node("c").attrs["k"] == 3
+    for old, new in (("k=3 ", ""), ("stride=1 ", ""), ("k=3", "k=abc")):
+        with pytest.raises(ValueError, match="integer attribute"):
+            GraphSpec.parse(good.replace(old, new))
+    with pytest.raises(ValueError, match="'ch'"):
+        LayerNode("b", "batchnorm", {"eps": 1e-5}, ("input",))
+    with pytest.raises(ValueError, match="'out'"):
+        LayerNode("f", "fc", {"in": 4, "out": 2.0}, ("input",))

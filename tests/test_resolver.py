@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -102,3 +103,19 @@ def test_report_documents_the_selection():
     assert "mac" in report
     assert "1,018,055" in report and "889,230" in report
     assert "1,061,411,840" in report
+
+
+def test_default_report_matches_committed_file():
+    path = os.path.join(os.path.dirname(__file__), "..", "reports",
+                        "arch_resolution.txt")
+    with open(path) as f:
+        assert format_resolution_report(resolve_architecture()) == f.read()
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("soft_targets", "fc:2"), ("soft_targets", "fc:2:3:4"),
+    ("params_window", "1"), ("cost_window", "1,2,3"),
+    ("conv_count", "x")])
+def test_constraint_values_are_checked_against_their_field(key, raw):
+    with pytest.raises(ValueError, match=key):
+        Constraints.from_mapping({key: raw})
