@@ -9,7 +9,11 @@ Partial execution supports fine-tuning and shared-trunk evaluation:
   train_from   first node index trained; batchnorm nodes before it run in
                inference mode even when mode == "train"
   start/cache  begin execution at a node index, reading earlier activations
-               from a cached dict instead of recomputing them
+               from a cached dict instead of recomputing them; train() resumes
+               each fine-tune step from its cached frozen prefix this way, and
+               multihead resumes every head from one shared trunk pass
+  end          stop before a node index; train() computes the frozen prefix
+               [0, train_from) once per call with it
 """
 
 import numpy as np
@@ -24,8 +28,9 @@ def _node_params(store, node):
 
 
 def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
-                 start=0, cache=None):
-    """Run nodes [start, end) over input x (or a cached prefix).
+                 start=0, cache=None, end=None):
+    """Run nodes [start, end) over input x (or a cached prefix); end=None
+    runs to the last node.
 
     Returns (activations, bn_updates): activations maps node name -> output
     (plus "input" -> x when start == 0), bn_updates maps batchnorm node
@@ -41,8 +46,7 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
         acts = dict(cache)
     bn_updates = {}
 
-    for index in range(start, len(graph.nodes)):
-        node = graph.nodes[index]
+    for index, node in enumerate(graph.nodes[start:end], start):
         try:
             ins = [acts[src] for src in node.inputs]
         except KeyError as exc:

@@ -131,16 +131,18 @@ class ProbeResult:
     seed: int
 
 
-def _pooled_features(graph, store, inputs, layer, batch_size=128):
-    if layer != "input" and layer not in graph:
-        raise ValueError(f"unknown probe layer {layer!r}")
-    feats = []
+def _pooled_features(graph, store, inputs, layers, batch_size=128):
+    """{layer: activations pooled to one value per channel} for every
+    requested layer, from one forward pass per chunk of inputs."""
+    feats = {layer: [] for layer in layers}
     for lo in range(0, len(inputs), batch_size):
         acts, _ = forward_pass(graph, store, inputs[lo:lo + batch_size],
                                mode="infer")
-        a = acts[layer]
-        feats.append(a.mean(axis=(2, 3)) if a.ndim == 4 else a)
-    return np.concatenate(feats, axis=0)
+        for layer, parts in feats.items():
+            a = acts[layer]
+            parts.append(a.mean(axis=(2, 3)) if a.ndim == 4 else a)
+    return {layer: np.concatenate(parts, axis=0)
+            for layer, parts in feats.items()}
 
 
 def _train_linear_probe(feats, labels, num_classes, seed, budget, batch, rate):
@@ -165,13 +167,19 @@ def invariance_probe(graph: GraphSpec, store, layers, factors,
 
     factors maps factor name -> number of classes; train_labels/val_labels
     map factor name -> integer label arrays. Activations are pooled to one
-    value per channel, so a probe sees only channel statistics.
+    value per channel, so a probe sees only channel statistics. Every
+    requested layer is read from the same forward pass over each chunk of
+    inputs, so the trunk runs once per split, not once per layer.
     """
+    for layer in layers:
+        if layer != "input" and layer not in graph:
+            raise ValueError(f"unknown probe layer {layer!r}")
+    train_feats = _pooled_features(graph, store, train_inputs, layers)
+    val_feats = _pooled_features(graph, store, val_inputs, layers)
     cells = {}
     for layer in layers:
-        ftr = _pooled_features(graph, store, train_inputs, layer)
-        fva = _pooled_features(graph, store, val_inputs, layer)
-        ftr64, fva64 = ftr.astype(np.float64), fva.astype(np.float64)
+        ftr64 = train_feats[layer].astype(np.float64)
+        fva64 = val_feats[layer].astype(np.float64)
         for factor, num_classes in factors.items():
             probe_seed = derive_seed(seed, "probe", layer, factor)
             w, b = _train_linear_probe(ftr64, train_labels[factor], num_classes,

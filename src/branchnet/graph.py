@@ -40,7 +40,9 @@ CANONICAL_STAGE_CHANNELS = ((32, 64), (64, 128), (128, 256), (256, 512))
 class NodeKind:
     """What one node kind means, in terms of its attribute dict `a`.
 
-    required  integer attributes every node of the kind carries
+    required  integer attributes every node of the kind carries, each >= 1
+              except "pad", which is >= 0
+    arity     number of inputs every node of the kind reads
     params    a -> {suffix: shape} of the parameters the node owns
     shape     (a, input shapes) -> per-sample output shape; raises
               ValueError (without the node name) on inconsistent inputs
@@ -54,6 +56,7 @@ class NodeKind:
     """
 
     required: tuple = ()
+    arity: int = 1
     params: Callable = lambda a: {}
     shape: Callable = lambda a, ins: ins[0]
     cost: Callable
@@ -84,7 +87,14 @@ def _conv_params(a):
     return shapes
 
 
+def _check_channels(a, key, shape):
+    if a[key] != shape[0]:
+        raise ValueError(f"declares {key}={a[key]} but its input has "
+                         f"{shape[0]} channels")
+
+
 def _conv_shape(a, ins):
+    _check_channels(a, "in", ins[0])
     c, h, w = ins[0]
     oh = ops.conv_output_size(h, a["k"], a["stride"], a["pad"])
     ow = ops.conv_output_size(w, a["k"], a["stride"], a["pad"])
@@ -105,6 +115,11 @@ def _batchnorm_forward(a, p, ins, running, mode):
     return out, (stats if mode == "train" else None)
 
 
+def _batchnorm_shape(a, ins):
+    _check_channels(a, "ch", ins[0])
+    return ins[0]
+
+
 def _maxpool_shape(a, ins):
     c, h, w = ins[0]
     if h % 2 or w % 2:
@@ -123,6 +138,13 @@ def _add_shape(a, ins):
     return ins[0]
 
 
+def _fc_shape(a, ins):
+    if a["in"] != math.prod(ins[0]):
+        raise ValueError(f"declares in={a['in']} but its input {ins[0]} has "
+                         f"{math.prod(ins[0])} elements")
+    return (a["out"],)
+
+
 NODE_KINDS = {
     "conv": NodeKind(
         required=("in", "out", "k", "stride", "pad"), params=_conv_params,
@@ -134,7 +156,8 @@ NODE_KINDS = {
     "batchnorm": NodeKind(
         required=("ch",),
         params=lambda a: {"gamma": (a["ch"],), "beta": (a["ch"],)},
-        cost=_elementwise("batchnorm"), forward=_batchnorm_forward,
+        shape=_batchnorm_shape, cost=_elementwise("batchnorm"),
+        forward=_batchnorm_forward,
         backward=lambda a, p, ins, gy: _grads(ops.batchnorm_backward(
             ins[0], p["gamma"], p["beta"], gy, eps=a.get("eps", ops.BN_EPS)))),
     "relu": NodeKind(
@@ -150,14 +173,14 @@ NODE_KINDS = {
         forward=_unary(ops.avgpool_global),
         backward=_unary_backward(ops.avgpool_global_backward)),
     "add": NodeKind(
-        shape=_add_shape, cost=_elementwise("add"),
+        arity=2, shape=_add_shape, cost=_elementwise("add"),
         forward=lambda a, p, ins, running, mode: (
             ops.elementwise_add(ins[0], ins[1]), None),
         backward=lambda a, p, ins, gy: (ops.elementwise_add_backward(gy), {})),
     "fc": NodeKind(
         required=("in", "out"),
         params=lambda a: {"w": (a["in"], a["out"]), "b": (a["out"],)},
-        shape=lambda a, ins: (a["out"],),
+        shape=_fc_shape,
         cost=lambda a, ins, out: (a["in"] * a["out"], {"bias": a["out"]}),
         forward=lambda a, p, ins, running, mode: (
             ops.fully_connected(ins[0], p["w"], p["b"]), None),
@@ -180,11 +203,20 @@ class LayerNode:
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown node kind {self.kind!r} for {self.name!r}")
-        for key in NODE_KINDS[self.kind].required:
-            if not isinstance(self.attrs.get(key), int):
+        kind = NODE_KINDS[self.kind]
+        for key in kind.required:
+            value = self.attrs.get(key)
+            if not isinstance(value, int):
                 raise ValueError(f"{self.kind} node {self.name!r} needs an integer "
-                                 f"attribute {key!r}, got {self.attrs.get(key)!r}")
+                                 f"attribute {key!r}, got {value!r}")
+            least = 0 if key == "pad" else 1
+            if value < least:
+                raise ValueError(f"{self.kind} node {self.name!r} needs attribute "
+                                 f"{key!r} >= {least}, got {value}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
+        if len(self.inputs) != kind.arity:
+            raise ValueError(f"{self.kind} node {self.name!r} takes {kind.arity} "
+                             f"input(s), got {len(self.inputs)}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ Branching replaces the identity head with a task head and freezes every
 parameter owned by a node before the branch layer. Frozen parameters are
 shared with the donor store by reference, which both saves memory and makes
 any accidental mutation visible to checksum tests.
+
+The frozen prefix runs in inference mode on fixed weights, so each sample's
+output from it never changes: train() computes it once per call over the
+whole dataset and every step gathers its minibatch rows from there. No
+prefix node mixes samples, so those rows are bitwise equal to a per-step
+forward from node 0.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +29,7 @@ from .graph import GraphSpec, LayerNode
 from .params import ParamStore, batchnorm_nodes, param_owner, param_shapes
 
 LOSS_KINDS = ("softmax", "sigmoid-multilabel")
+LOGITS_NODE = "fc"
 
 
 @dataclass(frozen=True)
@@ -167,6 +174,21 @@ def _loss_and_grad(logits, labels, loss):
     return value, grad, acc
 
 
+def _frozen_prefix(graph, store, inputs, train_from, batch_size):
+    """Every sample's outputs of nodes [0, train_from) that a later node
+    reads, plus the logits if they lie there. Runs in inference mode in
+    chunks of batch_size, so a chunk holds no more than one step does."""
+    keep = {src for node in graph.nodes[train_from:] for src in node.inputs}
+    keep.add(LOGITS_NODE)
+    parts = {}
+    for lo in range(0, len(inputs), batch_size):
+        acts, _ = forward_pass(graph, store, inputs[lo:lo + batch_size],
+                               mode="infer", end=train_from)
+        for name in keep & acts.keys():
+            parts.setdefault(name, []).append(acts[name])
+    return {name: np.concatenate(chunks) for name, chunks in parts.items()}
+
+
 def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
           config: TrainConfig, loss: str = "softmax",
           train_from: int = 0) -> TrainLog:
@@ -182,19 +204,27 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
     n = len(dataset)
     if n == 0 and config.max_minibatches > 0:
         raise ValueError("cannot train on an empty dataset")
-    logits_node = "fc"
+    prefix = None
+    if train_from > 0:
+        prefix = _frozen_prefix(graph, store, dataset.inputs, train_from,
+                                config.batch_size)
     for t in range(config.max_minibatches):
         rate = lr_at(t, config)
         idx = _batch_indices(n, t, config)
-        xb = dataset.inputs[idx]
         yb = dataset.labels[idx]
-        acts, bn_updates = forward_pass(graph, store, xb, mode="train",
-                                        train_from=train_from)
+        if prefix is None:
+            acts, bn_updates = forward_pass(graph, store, dataset.inputs[idx],
+                                            mode="train")
+        else:
+            acts, bn_updates = forward_pass(
+                graph, store, None, mode="train", train_from=train_from,
+                start=train_from,
+                cache={name: a[idx] for name, a in prefix.items()})
         store.running.update(bn_updates)
-        value, logit_grad, acc = _loss_and_grad(acts[logits_node], yb, loss)
+        value, logit_grad, acc = _loss_and_grad(acts[LOGITS_NODE], yb, loss)
         if not np.isfinite(value):
             raise ValueError(f"non-finite loss at minibatch {t}; training aborted")
-        grads, _ = backward_pass(graph, store, acts, {logits_node: logit_grad},
+        grads, _ = backward_pass(graph, store, acts, {LOGITS_NODE: logit_grad},
                                  stop=train_from)
         sgd_momentum_step(store, grads, rate, config.momentum_coeff)
         log.rows.append((t, rate, value, acc))
@@ -210,7 +240,7 @@ def evaluate_accuracy(graph: GraphSpec, store: ParamStore, dataset: Dataset,
         xb = dataset.inputs[lo:lo + batch_size]
         yb = np.asarray(dataset.labels[lo:lo + batch_size])
         acts, _ = forward_pass(graph, store, xb, mode="infer")
-        logits = acts["fc"]
+        logits = acts[LOGITS_NODE]
         if loss == "softmax":
             hits = (logits.argmax(axis=1) == yb)
         elif loss == "sigmoid-multilabel":

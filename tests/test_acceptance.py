@@ -44,7 +44,7 @@ def verdict(num, name, ok, detail):
 def study(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_study")
     t0 = time.perf_counter()
-    result = run_desk_study(str(out))
+    result = run_desk_study(str(out), include_probe=True)
     return result, time.perf_counter() - t0
 
 
@@ -388,6 +388,7 @@ def test_desk_study_reproduces_committed_reports(study):
 
     assert read(result.report_paths["grid_table"]) == \
         read(os.path.join(reports, "branch_grid.txt"))
-    # the committed study report also carries the probe table
-    assert read(os.path.join(reports, "desk_study.txt")).startswith(
-        read(result.report_paths["study"]))
+    assert read(result.report_paths["probe_table"]) == \
+        read(os.path.join(reports, "invariance_probe.txt"))
+    assert read(result.report_paths["study"]) == \
+        read(os.path.join(reports, "desk_study.txt"))

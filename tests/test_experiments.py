@@ -134,3 +134,22 @@ def test_probe_matrix_format(desk_graph, warm_desk_store):
     assert [l.split("\t")[0] for l in lines[2:]] == ["input", "fc"]
     for line in lines[2:]:
         assert 0.0 <= float(line.split("\t")[1]) <= 1.0
+
+
+def test_probe_over_many_layers_equals_one_layer_at_a_time(desk_graph,
+                                                           warm_desk_store):
+    rng = np.random.default_rng(6)
+    xt, xv = desk_inputs(rng, 10), desk_inputs(rng, 6)
+    labels = {"f": rng.integers(0, 3, 10), "g": rng.integers(0, 2, 10)}
+    val_labels = {"f": rng.integers(0, 3, 6), "g": rng.integers(0, 2, 6)}
+    factors = {"f": 3, "g": 2}
+    layers = ("input", "conv17", "conv22", "avgpool", "fc")
+    many = invariance_probe(desk_graph, warm_desk_store, layers, factors, xt,
+                            labels, xv, val_labels, seed=8, budget=20, batch=4)
+    assert set(many.cells) == {(l, f) for l in layers for f in factors}
+    for layer in layers:
+        one = invariance_probe(desk_graph, warm_desk_store, [layer], factors,
+                               xt, labels, xv, val_labels, seed=8, budget=20,
+                               batch=4)
+        for factor in factors:
+            assert one.cells[(layer, factor)] == many.cells[(layer, factor)]

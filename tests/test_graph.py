@@ -3,7 +3,8 @@ import pytest
 
 from branchnet.engine import forward_pass
 from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, GraphSpec,
-                             LayerNode, build_trunk, resolution_trace)
+                             LayerNode, build_trunk, compute_shapes,
+                             resolution_trace)
 from branchnet.train import TrainConfig, init_params
 
 
@@ -98,7 +99,7 @@ def test_graph_validation_errors():
     with pytest.raises(ValueError, match="not\\s+defined earlier"):
         GraphSpec((LayerNode("r", "relu", {}, ("missing",)),), (1, 4, 4))
     with pytest.raises(ValueError, match="reserved"):
-        GraphSpec((LayerNode("input", "relu", {}, ()),), (1, 4, 4))
+        GraphSpec((LayerNode("input", "relu", {}, ("input",)),), (1, 4, 4))
     with pytest.raises(ValueError, match="unknown node kind"):
         LayerNode("x", "dropout", {}, ())
 
@@ -164,3 +165,41 @@ def test_missing_or_non_integer_attribute_is_rejected_at_load():
         LayerNode("b", "batchnorm", {"eps": 1e-5}, ("input",))
     with pytest.raises(ValueError, match="'out'"):
         LayerNode("f", "fc", {"in": 4, "out": 2.0}, ("input",))
+
+
+ONE_CONV = ("graph input_shape=1,8,8 branch_points=\n"
+            "c conv bias=0 in=1 k=3 out=2 pad=1 stride=1 inputs=input\n")
+
+
+def test_non_positive_integer_attribute_is_rejected_at_load():
+    assert GraphSpec.parse(ONE_CONV.replace("pad=1", "pad=0"))
+    for old, new in (("stride=1", "stride=0"), ("k=3", "k=0"),
+                     ("in=1", "in=-1"), ("pad=1", "pad=-1")):
+        key = new.partition("=")[0]
+        with pytest.raises(ValueError, match=f"'c' needs attribute '{key}' >= "):
+            GraphSpec.parse(ONE_CONV.replace(old, new))
+    with pytest.raises(ValueError, match="'b' needs attribute 'ch' >= 1, got 0"):
+        LayerNode("b", "batchnorm", {"ch": 0}, ("input",))
+
+
+def test_wrong_input_count_is_rejected_at_load():
+    header = "graph input_shape=1,8,8 branch_points=\n"
+    with pytest.raises(ValueError, match="add node 'a' takes 2 input"):
+        GraphSpec.parse(header + "a add inputs=input\n")
+    with pytest.raises(ValueError, match="relu node 'r' takes 1 input"):
+        GraphSpec.parse(header + "r relu inputs=\n")
+
+
+def test_declared_channels_must_match_the_input():
+    with pytest.raises(ValueError, match="node 'c' declares in=2 but its "
+                                         "input has 1 channels"):
+        compute_shapes(GraphSpec.parse(ONE_CONV.replace("in=1", "in=2")))
+    with pytest.raises(ValueError, match="node 'b' declares ch=3 but its "
+                                         "input has 2 channels"):
+        compute_shapes(GraphSpec.parse(ONE_CONV + "b batchnorm ch=3 inputs=c\n"))
+    with pytest.raises(ValueError, match=r"node 'f' declares in=64 but its "
+                                         r"input \(2, 8, 8\) has 128 elements"):
+        compute_shapes(GraphSpec.parse(ONE_CONV + "f fc in=64 out=3 inputs=c\n"))
+    shapes = compute_shapes(GraphSpec.parse(
+        ONE_CONV + "b batchnorm ch=2 inputs=c\nf fc in=128 out=3 inputs=b\n"))
+    assert shapes["f"] == (3,)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from branchnet.engine import forward_pass
-from branchnet.graph import ArchConfig, GraphSpec, LayerNode, build_trunk
+from branchnet.engine import backward_pass, forward_pass
+from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, GraphSpec,
+                             LayerNode, build_trunk)
 from branchnet.params import ParamStore, frozen_checksum
-from branchnet.train import (Dataset, TrainConfig, evaluate_accuracy, finetune,
+from branchnet.train import (Dataset, TrainConfig, _batch_indices,
+                             _loss_and_grad, evaluate_accuracy, finetune,
                              init_params, lr_at, make_branch, sgd_momentum_step,
                              train)
 
@@ -390,6 +392,44 @@ def test_training_with_everything_frozen_changes_nothing(trunk):
     assert len(log.rows) == 3
     for k, v in br.store.arrays.items():
         np.testing.assert_array_equal(v, before[k])
+
+
+def full_forward_finetune(branch, dataset, config):
+    """finetune() as a loop that runs the whole forward from node 0 on every
+    minibatch; returns the log rows."""
+    graph, store, stop = branch.graph, branch.store, branch.branch_index
+    rows = []
+    for t in range(config.max_minibatches):
+        idx = _batch_indices(len(dataset), t, config)
+        acts, updates = forward_pass(graph, store, dataset.inputs[idx],
+                                     mode="train", train_from=stop)
+        store.running.update(updates)
+        value, logit_grad, acc = _loss_and_grad(acts["fc"], dataset.labels[idx],
+                                                branch.loss)
+        grads, _ = backward_pass(graph, store, acts, {"fc": logit_grad},
+                                 stop=stop)
+        rate = lr_at(t, config)
+        sgd_momentum_step(store, grads, rate, config.momentum_coeff)
+        rows.append((t, rate, value, acc))
+    return rows
+
+
+@pytest.mark.parametrize("layer", BRANCH_POINT_NAMES)
+def test_cached_prefix_finetune_is_bitwise_equal_to_full_forward(trunk, layer):
+    # conv17 and conv22 read a residual skip from the frozen prefix too
+    graph, store = trunk
+    data = branch_dataset(n=20, seed=5)  # not a multiple of the batch size
+    cfg = TrainConfig.desk(batch_size=8, max_minibatches=4, seed=17)
+    cached = make_branch(graph, store, layer, 3, seed=11)
+    full = make_branch(graph, store, layer, 3, seed=11)
+    log = finetune(cached, data, cfg)
+    assert log.rows == full_forward_finetune(full, data, cfg)
+    assert stores_equal(cached.store, full.store)
+    assert cached.store.running.keys() == full.store.running.keys()
+    for bn, rs in full.store.running.items():
+        np.testing.assert_array_equal(cached.store.running[bn].mean, rs.mean)
+        np.testing.assert_array_equal(cached.store.running[bn].var, rs.var)
+        assert cached.store.running[bn].count == rs.count
 
 
 def test_evaluate_accuracy_multilabel_elementwise():
