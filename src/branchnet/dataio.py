@@ -55,6 +55,9 @@ def parse_tensor(data: bytes, name="tensor") -> np.ndarray:
     version, rank = struct.unpack_from("<BB", data, 4)
     if version != TENSOR_VERSION:
         raise ValueError(f"{name}: unsupported container version {version}")
+    if len(data) < 6 + 4 * rank + 8:
+        raise ValueError(f"{name}: {len(data)} bytes cannot hold the dims of "
+                         f"a rank-{rank} tensor")
     dims = struct.unpack_from(f"<{rank}I", data, 6)
     off = 6 + 4 * rank
     count = int(np.prod(dims)) if rank else 1

@@ -49,10 +49,17 @@ class NodeKind:
     cost      (a, input shapes, output shape) -> (multiply-accumulates, or
               None for element-wise kinds, {aux key: element count})
     forward   (a, params, inputs, running, mode) -> (output, new running
-              statistics or None); mode is the node's own "train"/"infer"
-    backward  (a, params, inputs, output grad) -> (one gradient per input,
-              {suffix: parameter gradient}); None where the kind cannot be
-              differentiated
+              statistics or None, saved context or None); mode is the
+              node's own "train"/"infer"
+    backward  (a, params, inputs, output grad, saved context or None) ->
+              (one gradient per input, {suffix: parameter gradient}); None
+              where the kind cannot be differentiated
+
+    The saved context is what a forward keeps for its own backward so the
+    backward need not recompute it. Only a train-mode batchnorm keeps one:
+    its per-channel batch mean and std (ops.BatchStats), a few KB. An
+    inference-mode forward keeps nothing, and every backward accepts None
+    and then recomputes what it needs from its inputs, to the same bits.
     """
 
     required: tuple = ()
@@ -69,11 +76,11 @@ def _elementwise(key):
 
 
 def _unary(fn):
-    return lambda a, p, ins, running, mode: (fn(ins[0]), None)
+    return lambda a, p, ins, running, mode: (fn(ins[0]), None, None)
 
 
 def _unary_backward(fn):
-    return lambda a, p, ins, gy: ((fn(ins[0], gy),), {})
+    return lambda a, p, ins, gy, saved: ((fn(ins[0], gy),), {})
 
 
 def _grads(lg):
@@ -110,9 +117,12 @@ def _conv_cost(a, ins, out):
 
 
 def _batchnorm_forward(a, p, ins, running, mode):
-    out, stats = ops.batchnorm(ins[0], p["gamma"], p["beta"], running=running,
-                               mode=mode, eps=a.get("eps", ops.BN_EPS))
-    return out, (stats if mode == "train" else None)
+    eps = a.get("eps", ops.BN_EPS)
+    if mode == "train":
+        return ops.batchnorm_train(ins[0], p["gamma"], p["beta"], running, eps)
+    out, _ = ops.batchnorm(ins[0], p["gamma"], p["beta"], running=running,
+                           mode=mode, eps=eps)
+    return out, None, None
 
 
 def _batchnorm_shape(a, ins):
@@ -150,16 +160,17 @@ NODE_KINDS = {
         required=("in", "out", "k", "stride", "pad"), params=_conv_params,
         shape=_conv_shape, cost=_conv_cost,
         forward=lambda a, p, ins, running, mode: (ops.conv2d_forward(
-            ins[0], p["w"], p.get("b"), a["stride"], a["pad"]), None),
-        backward=lambda a, p, ins, gy: _grads(ops.conv2d_backward(
+            ins[0], p["w"], p.get("b"), a["stride"], a["pad"]), None, None),
+        backward=lambda a, p, ins, gy, saved: _grads(ops.conv2d_backward(
             ins[0], p["w"], p.get("b"), gy, a["stride"], a["pad"]))),
     "batchnorm": NodeKind(
         required=("ch",),
         params=lambda a: {"gamma": (a["ch"],), "beta": (a["ch"],)},
         shape=_batchnorm_shape, cost=_elementwise("batchnorm"),
         forward=_batchnorm_forward,
-        backward=lambda a, p, ins, gy: _grads(ops.batchnorm_backward(
-            ins[0], p["gamma"], p["beta"], gy, eps=a.get("eps", ops.BN_EPS)))),
+        backward=lambda a, p, ins, gy, saved: _grads(ops.batchnorm_backward(
+            ins[0], p["gamma"], p["beta"], gy, eps=a.get("eps", ops.BN_EPS),
+            saved=saved))),
     "relu": NodeKind(
         cost=_elementwise("relu"), forward=_unary(ops.relu),
         backward=_unary_backward(ops.relu_backward)),
@@ -175,16 +186,17 @@ NODE_KINDS = {
     "add": NodeKind(
         arity=2, shape=_add_shape, cost=_elementwise("add"),
         forward=lambda a, p, ins, running, mode: (
-            ops.elementwise_add(ins[0], ins[1]), None),
-        backward=lambda a, p, ins, gy: (ops.elementwise_add_backward(gy), {})),
+            ops.elementwise_add(ins[0], ins[1]), None, None),
+        backward=lambda a, p, ins, gy, saved: (
+            ops.elementwise_add_backward(gy), {})),
     "fc": NodeKind(
         required=("in", "out"),
         params=lambda a: {"w": (a["in"], a["out"]), "b": (a["out"],)},
         shape=_fc_shape,
         cost=lambda a, ins, out: (a["in"] * a["out"], {"bias": a["out"]}),
         forward=lambda a, p, ins, running, mode: (
-            ops.fully_connected(ins[0], p["w"], p["b"]), None),
-        backward=lambda a, p, ins, gy: _grads(
+            ops.fully_connected(ins[0], p["w"], p["b"]), None, None),
+        backward=lambda a, p, ins, gy, saved: _grads(
             ops.fully_connected_backward(ins[0], p["w"], gy))),
     "softmax-head": NodeKind(cost=_elementwise("head"),
                              forward=_unary(ops.softmax)),

@@ -8,7 +8,22 @@ Convolution is evaluated as im2col plus one matrix product. Patch columns
 are materialized channel-major, then kernel row, then kernel column, matching
 the declared accumulation order; the inner summation itself is delegated to
 BLAS, so comparisons against the naive loop oracle use the relaxed 1e-5
-relative tolerance rather than bit equality.
+relative tolerance rather than bit equality. A stride-1, unpadded 1x1
+convolution is already a matrix product over the input's own memory: the
+window view of a contiguous x is x itself, so np.ascontiguousarray makes no
+copy, and its input gradient is the column gradient reshaped, with no zero
+buffer or scatter.
+
+Max pooling takes np.maximum over the four strided views x[:, :, i::2, j::2]
+of the 2x2 windows. Its backward routes each window's gradient by equality
+with that maximum, trying the positions in row-major window order, so ties
+go to the first maximum and a window holding a NaN to its first NaN, as
+argmax would.
+
+Train-mode batchnorm centres its input once and takes the variance from
+that, which is bitwise np.var. Its per-channel batch mean and std are
+handed back as BatchStats, so the backward need not reduce over the batch
+again.
 """
 
 from dataclasses import dataclass
@@ -26,6 +41,15 @@ class RunningStats:
     mean: np.ndarray
     var: np.ndarray
     count: int = 0
+
+
+@dataclass(frozen=True)
+class BatchStats:
+    """A train-mode batchnorm forward's per-channel batch mean and
+    std = sqrt(var + eps): what its backward needs besides the input."""
+
+    mean: np.ndarray
+    std: np.ndarray
 
 
 @dataclass
@@ -112,6 +136,8 @@ def conv2d_backward(x, weights, bias, output_grad, stride=1, padding=0):
     grads["w"] = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
 
     gcols = np.matmul(weights.reshape(c_out, -1).T, gy)
+    if k == 1 and stride == 1 and padding == 0:  # the columns are x itself
+        return LayerGrad(gcols.reshape(x.shape), grads)
     g6 = gcols.reshape(n, c, k, k, oh, ow)
     hp, wp = h + 2 * padding, w + 2 * padding
     gx_pad = np.zeros((n, c, hp, wp), dtype=x.dtype)
@@ -128,7 +154,8 @@ def maxpool2x2(x):
     n, c, h, w = x.shape
     _require(h % 2 == 0 and w % 2 == 0,
              f"maxpool2x2 needs even spatial extents, got {h}x{w}")
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+    return np.maximum(np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
+                      np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
 
 
 def maxpool2x2_backward(x, output_grad):
@@ -141,12 +168,20 @@ def maxpool2x2_backward(x, output_grad):
     _require(output_grad.shape == (n, c, h2, w2),
              f"output_grad shape {output_grad.shape} does not match pooled "
              f"shape ({n}, {c}, {h2}, {w2})")
-    # Window positions flattened row-major: (0,0), (0,1), (1,0), (1,1).
-    flat = x.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    idx = flat.argmax(axis=-1)
-    g = np.zeros_like(flat)
-    np.put_along_axis(g, idx[..., None], output_grad[..., None], axis=-1)
-    return g.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+    top = maxpool2x2(x)
+    zero = x.dtype.type(0)
+    gx = np.empty_like(x)
+    free = np.ones(top.shape, dtype=bool)  # windows not yet routed
+    # Window positions in row-major order; (1, 1) takes the windows left over.
+    for i, j in ((0, 0), (0, 1), (1, 0)):
+        xv = x[:, :, i::2, j::2]
+        hit = xv == top
+        hit |= np.isnan(xv)  # a NaN window's maximum is NaN, equal to nothing
+        hit &= free
+        free ^= hit
+        gx[:, :, i::2, j::2] = np.where(hit, output_grad, zero)
+    gx[:, :, 1::2, 1::2] = np.where(free, output_grad, zero)
+    return gx
 
 
 def avgpool_global(x):
@@ -162,32 +197,63 @@ def avgpool_global_backward(x, output_grad):
     return np.broadcast_to(output_grad / (h * w), x.shape).astype(x.dtype, copy=True)
 
 
-def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS,
-              momentum=BN_MOMENTUM):
-    """Per-channel batch normalization over the (n, h, w) axes.
+_BN_AXES = (0, 2, 3)
 
-    Train mode normalizes with biased batch statistics and returns updated
-    running statistics (EMA, the first batch seeding them directly). Inference
-    mode uses the running statistics and requires count > 0.
-    Returns (output, RunningStats).
-    """
+
+def _per_channel(v):
+    return v[None, :, None, None]
+
+
+def _batch_moments(x, eps):
+    """(mean, biased var, std, x - mean) over the (n, h, w) axes. The
+    variance is summed from the centred input, as np.var does, and equals
+    it bitwise."""
+    mean = x.mean(axis=_BN_AXES)
+    d = x - _per_channel(mean)
+    var = (d * d).sum(axis=_BN_AXES) / (x.size // x.shape[1])
+    return mean, var, np.sqrt(var + eps), d
+
+
+def _check_batchnorm(x, gamma, beta):
     _check_nchw(x)
     c = x.shape[1]
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match {c} channels")
+
+
+def batchnorm_train(x, gamma, beta, running=None, eps=BN_EPS,
+                    momentum=BN_MOMENTUM):
+    """Train-mode batchnorm: normalizes with biased batch statistics.
+
+    Returns (output, updated RunningStats, BatchStats). The running
+    statistics are an EMA, the first batch seeding them directly; the
+    BatchStats are what batchnorm_backward needs to skip its reductions.
+    """
+    _check_batchnorm(x, gamma, beta)
+    mean, var, std, xhat = _batch_moments(x, eps)
+    np.divide(xhat, _per_channel(std), out=xhat)
+    y = _per_channel(gamma) * xhat
+    y += _per_channel(beta)
+    if running is None or running.count == 0:
+        new = RunningStats(mean.copy(), var.copy(), 1)
+    else:
+        new = RunningStats(momentum * running.mean + (1 - momentum) * mean,
+                           momentum * running.var + (1 - momentum) * var,
+                           running.count + 1)
+    return y, new, BatchStats(mean, std)
+
+
+def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS,
+              momentum=BN_MOMENTUM):
+    """Per-channel batch normalization over the (n, h, w) axes.
+
+    Train mode is batchnorm_train. Inference mode uses the running
+    statistics and requires count > 0. Returns (output, RunningStats).
+    """
     if mode == "train":
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))  # biased
-        xhat = (x - mean[None, :, None, None]) / np.sqrt(var + eps)[None, :, None, None]
-        y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-        if running is None or running.count == 0:
-            new = RunningStats(mean.copy(), var.copy(), 1)
-        else:
-            new = RunningStats(momentum * running.mean + (1 - momentum) * mean,
-                               momentum * running.var + (1 - momentum) * var,
-                               running.count + 1)
-        return y, new
+        return batchnorm_train(x, gamma, beta, running, eps, momentum)[:2]
     if mode == "infer":
+        _check_batchnorm(x, gamma, beta)
         _require(running is not None and running.count > 0,
                  "inference-mode batchnorm with uninitialized running statistics")
         inv = 1.0 / np.sqrt(running.var + eps)
@@ -197,23 +263,27 @@ def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS,
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 
-def batchnorm_backward(x, gamma, beta, output_grad, eps=BN_EPS):
-    """Train-mode batchnorm gradients (batch statistics recomputed from x)."""
+def batchnorm_backward(x, gamma, beta, output_grad, eps=BN_EPS, saved=None):
+    """Train-mode batchnorm gradients. saved is the forward's BatchStats;
+    without it the batch statistics are recomputed from x, to the same bits."""
     _check_nchw(x)
     _require(output_grad.shape == x.shape,
              f"output_grad shape {output_grad.shape} does not match input {x.shape}")
-    axes = (0, 2, 3)
-    mean = x.mean(axis=axes)
-    var = x.var(axis=axes)
-    std = np.sqrt(var + eps)[None, :, None, None]
-    xhat = (x - mean[None, :, None, None]) / std
+    axes = _BN_AXES
+    if saved is None:
+        _, _, std, xhat = _batch_moments(x, eps)
+    else:
+        std, xhat = saved.std, x - _per_channel(saved.mean)
+    std = _per_channel(std)
+    np.divide(xhat, std, out=xhat)
     gy = output_grad
     dgamma = (gy * xhat).sum(axis=axes)
     dbeta = gy.sum(axis=axes)
-    dxhat = gy * gamma[None, :, None, None]
-    dx = (dxhat
-          - dxhat.mean(axis=axes, keepdims=True)
-          - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True)) / std
+    dxhat = gy * _per_channel(gamma)
+    dx = dxhat - dxhat.mean(axis=axes, keepdims=True)
+    xhat *= (dxhat * xhat).mean(axis=axes, keepdims=True)
+    dx -= xhat
+    dx /= std
     return LayerGrad(dx, {"gamma": dgamma, "beta": dbeta})
 
 

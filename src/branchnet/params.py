@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ops
 from .common import checksum64
-from .graph import NODE_KINDS, GraphSpec
+from .graph import NODE_KINDS, GraphSpec, compute_shapes
 
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
@@ -163,6 +163,7 @@ def parse_checkpoint(data: bytes):
     (glen,) = struct.unpack_from("<Q", data, off)
     off += 8
     graph = GraphSpec.parse(data[off:off + glen].decode())
+    compute_shapes(graph)  # a graph that cannot run fails here, naming the node
     off += glen
     end = len(data) - 8
 

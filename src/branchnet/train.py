@@ -208,24 +208,26 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
     if train_from > 0:
         prefix = _frozen_prefix(graph, store, dataset.inputs, train_from,
                                 config.batch_size)
+    saved = {}  # contexts from each step's forward, emptied by its backward
     for t in range(config.max_minibatches):
         rate = lr_at(t, config)
         idx = _batch_indices(n, t, config)
         yb = dataset.labels[idx]
         if prefix is None:
             acts, bn_updates = forward_pass(graph, store, dataset.inputs[idx],
-                                            mode="train")
+                                            mode="train", saved=saved)
         else:
             acts, bn_updates = forward_pass(
                 graph, store, None, mode="train", train_from=train_from,
                 start=train_from,
-                cache={name: a[idx] for name, a in prefix.items()})
+                cache={name: a[idx] for name, a in prefix.items()},
+                saved=saved)
         store.running.update(bn_updates)
         value, logit_grad, acc = _loss_and_grad(acts[LOGITS_NODE], yb, loss)
         if not np.isfinite(value):
             raise ValueError(f"non-finite loss at minibatch {t}; training aborted")
         grads, _ = backward_pass(graph, store, acts, {LOGITS_NODE: logit_grad},
-                                 stop=train_from)
+                                 stop=train_from, saved=saved)
         sgd_momentum_step(store, grads, rate, config.momentum_coeff)
         log.rows.append((t, rate, value, acc))
     return log

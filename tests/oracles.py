@@ -35,6 +35,10 @@ def conv2d_loops(x, w, bias=None, stride=1, padding=0):
 
 
 def maxpool2x2_scan(x):
+    """Scans each window in row-major order. A NaN, once met, is the
+    result, as in np.max. A value equal to the running maximum replaces it,
+    which shows only in the sign of a zero: np.maximum returns its second
+    operand on ties, so a window of -0.0 then +0.0 pools to +0.0."""
     n, c, h, w = x.shape
     out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
     for b in range(n):
@@ -42,12 +46,17 @@ def maxpool2x2_scan(x):
             for i in range(h // 2):
                 for j in range(w // 2):
                     win = x[b, ch, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
-                    out[b, ch, i, j] = max(win[0, 0], win[0, 1], win[1, 0], win[1, 1])
+                    best = win[0, 0]
+                    for v in (win[0, 1], win[1, 0], win[1, 1]):
+                        if not np.isnan(best) and (np.isnan(v) or v >= best):
+                            best = v
+                    out[b, ch, i, j] = best
     return out
 
 
 def maxpool2x2_backward_scan(x, output_grad):
-    """Routes each gradient to the first maximum in row-major window order."""
+    """Routes each gradient to the first maximum in row-major window order;
+    a window holding a NaN routes to its first NaN, as argmax does."""
     n, c, h, w = x.shape
     gx = np.zeros_like(x)
     for b in range(n):
@@ -58,7 +67,8 @@ def maxpool2x2_backward_scan(x, output_grad):
                     best, bi, bj = win[0, 0], 0, 0
                     for u in range(2):
                         for v in range(2):
-                            if win[u, v] > best:
+                            if not np.isnan(best) and (np.isnan(win[u, v])
+                                                       or win[u, v] > best):
                                 best, bi, bj = win[u, v], u, v
                     gx[b, ch, 2 * i + bi, 2 * j + bj] += output_grad[b, ch, i, j]
     return gx

@@ -51,6 +51,18 @@ def test_tensor_version_gate():
         parse_tensor(fixed + checksum64(fixed))
 
 
+@pytest.mark.parametrize("rank", [5, 6, 255])
+def test_tensor_rank_beyond_the_body_is_a_value_error(rank):
+    # A re-sealed 18-byte body declaring more dims than it can hold; from
+    # rank 6 on the dims run past the end of the whole container.
+    from branchnet.common import checksum64
+    body = bytearray(tensor_bytes(np.zeros(2, dtype=np.float32))[:-8])
+    assert len(body) == 18
+    body[5] = rank
+    with pytest.raises(ValueError, match=f"cannot hold the dims of a rank-{rank}"):
+        parse_tensor(bytes(body) + checksum64(bytes(body)))
+
+
 def test_read_tensor_names_the_file_in_errors(tmp_path):
     path = tmp_path / "broken.tnsr"
     path.write_bytes(b"JUNKJUNKJUNKJUNK")

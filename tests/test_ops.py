@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,11 @@ from oracles import (avgpool_scan, batchnorm_train_loops, conv2d_loops,
 def rel_err(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # convolution
@@ -85,6 +91,48 @@ def test_conv_rejects_undersized_input():
         ops.conv2d_forward(x, w, None, 1, 0)
 
 
+def strided_pointwise_conv(x, w, b, gy):
+    """A stride-1 1x1 conv done the general im2col way: a contiguous copy of
+    the strided windows as columns, and the input gradient scattered into a
+    zero buffer. Returns (output, input grad, weight grad, bias grad)."""
+    n, c, h, wd = x.shape
+    c_out = w.shape[0]
+    sn, sc, sh, sw = x.strides
+    cols = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, 1, 1, h, wd), strides=(sn, sc, sh, sw, sh, sw))
+    ).reshape(n, c, h * wd)
+    wmat = w.reshape(c_out, c)
+    y = np.matmul(wmat, cols).reshape(n, c_out, h, wd) + b[None, :, None, None]
+    g = gy.reshape(n, c_out, h * wd)
+    gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gx = np.zeros_like(x)
+    gx += np.matmul(wmat.T, g).reshape(x.shape)
+    return y, gx, gw, gy.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(32, 32, 7, 7), (2, 5, 3, 4), (1, 64, 14, 14)])
+def test_pointwise_conv_is_bitwise_the_strided_im2col_path(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape).astype(dtype)
+    w = rng.standard_normal((9, shape[1], 1, 1)).astype(dtype)
+    b = rng.standard_normal(9).astype(dtype)
+    gy = rng.standard_normal((shape[0], 9) + shape[2:]).astype(dtype)
+    gy[:, :, ::2] = -0.0  # whole spatial rows with no gradient
+    y, gx, gw, gb = strided_pointwise_conv(x, w, b, gy)
+    # the columns are x itself, not a copy
+    assert np.shares_memory(ops._im2col(x, 1, 1, 0, *shape[2:]), x)
+    assert bitwise_equal(ops.conv2d_forward(x, w, b, 1, 0), y)
+    grad = ops.conv2d_backward(x, w, b, gy, 1, 0)
+    assert bitwise_equal(grad.input_grad, gx)
+    assert bitwise_equal(grad.param_grads["w"], gw)
+    assert bitwise_equal(grad.param_grads["b"], gb)
+    # a non-contiguous input gives the same bits as its contiguous copy
+    xt = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    assert bitwise_equal(ops.conv2d_forward(xt, w, b, 1, 0), y)
+    assert bitwise_equal(ops.conv2d_backward(xt, w, b, gy, 1, 0).input_grad, gx)
+
+
 # pooling
 
 
@@ -129,6 +177,29 @@ def test_maxpool_dominates_window(seed):
         for j in range(2):
             assert np.all(y[:, :, i, j][..., None, None]
                           >= x[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2] - 1e-12)
+
+
+EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_is_bitwise_the_scan_oracle_on_edge_windows(dtype):
+    # Every 2x2 window over seven values (7**4 = 49 x 49 windows): ties,
+    # +-0, +-inf and NaN in each window position.
+    windows = np.array(list(itertools.product(EDGE_VALUES, repeat=4)), dtype=dtype)
+    x = windows.reshape(49, 49, 2, 2).transpose(0, 2, 1, 3).reshape(1, 1, 98, 98)
+    x = np.concatenate([x, x[:, :, ::-1, ::-1]], axis=1)  # windows reversed
+    gy = np.arange(1, x.size // 4 + 1, dtype=dtype).reshape(1, 2, 49, 49)
+    assert bitwise_equal(ops.maxpool2x2(x), maxpool2x2_scan(x))
+    assert bitwise_equal(ops.maxpool2x2_backward(x, gy),
+                         maxpool2x2_backward_scan(x, gy))
+
+
+def test_maxpool_backward_routes_a_nan_window_to_its_first_nan():
+    x = np.array([[[[1.0, np.nan], [np.nan, 5.0]]]])
+    gx = ops.maxpool2x2_backward(x, np.full((1, 1, 1, 1), 2.0))
+    assert bitwise_equal(gx[0, 0], np.array([[0.0, 2.0], [0.0, 0.0]]))
+    assert np.isnan(ops.maxpool2x2(x)[0, 0, 0, 0])
 
 
 def test_avgpool_matches_scan_oracle():
@@ -209,6 +280,48 @@ def test_batchnorm_infer_requires_initialized_stats():
 def test_batchnorm_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         ops.batchnorm(np.zeros((1, 1, 2, 2)), np.ones(1), np.zeros(1), mode="test")
+
+
+def batchnorm_var_reference(x, gamma, beta, gy, eps=ops.BN_EPS):
+    """Train-mode batchnorm and its backward from x.mean and np.var, each
+    reducing over the batch on its own. Returns (output, var, dx, dgamma,
+    dbeta)."""
+    axes = (0, 2, 3)
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    std = np.sqrt(var + eps)[None, :, None, None]
+    xhat = (x - mean[None, :, None, None]) / std
+    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    dxhat = gy * gamma[None, :, None, None]
+    dx = (dxhat
+          - dxhat.mean(axis=axes, keepdims=True)
+          - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True)) / std
+    return y, var, dx, (gy * xhat).sum(axis=axes), gy.sum(axis=axes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(32, 8, 28, 28), (32, 64, 4, 4), (32, 80, 1, 1),
+                                   (1, 32, 112, 112), (1, 256, 14, 14),
+                                   (3, 5, 7, 2)])
+def test_batchnorm_train_is_bitwise_the_np_var_formulation(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    c = shape[1]
+    x = (rng.uniform(0.1, 5.0, c)[None, :, None, None] * rng.standard_normal(shape)
+         + rng.uniform(-3.0, 3.0, c)[None, :, None, None]).astype(dtype)
+    gamma = rng.standard_normal(c).astype(dtype)
+    beta = rng.standard_normal(c).astype(dtype)
+    gy = rng.standard_normal(shape).astype(dtype)
+    y, var, dx, dgamma, dbeta = batchnorm_var_reference(x, gamma, beta, gy)
+    out, stats, saved = ops.batchnorm_train(x, gamma, beta)
+    assert bitwise_equal(out, y)
+    assert bitwise_equal(stats.var, var)
+    assert bitwise_equal(ops.batchnorm(x, gamma, beta, mode="train")[0], y)
+    assert saved.mean.shape == saved.std.shape == (c,)
+    for context in (saved, None):
+        grad = ops.batchnorm_backward(x, gamma, beta, gy, saved=context)
+        assert bitwise_equal(grad.input_grad, dx)
+        assert bitwise_equal(grad.param_grads["gamma"], dgamma)
+        assert bitwise_equal(grad.param_grads["beta"], dbeta)
 
 
 # relu and add

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from branchnet.graph import ArchConfig, build_trunk
+from branchnet.engine import forward_pass
+from branchnet.graph import ArchConfig, GraphSpec, build_trunk
 from branchnet.ops import RunningStats
 from branchnet.params import (checkpoint_bytes, frozen_checksum, frozen_names,
                               load_checkpoint, param_owner, param_shapes,
@@ -118,3 +119,19 @@ def test_checkpoint_rejects_element_count_mismatch():
     store.arrays["fc/b"] = np.zeros(3, dtype=np.float32)  # graph expects 5
     with pytest.raises(ValueError, match="elements"):
         parse_checkpoint(checkpoint_bytes(GRAPH, store))
+
+
+def test_checkpoint_whose_graph_cannot_run_is_rejected_at_load():
+    # A conv declaring 2 input channels on a 1-channel input: the store is
+    # consistent with the declared shapes, only the graph itself is not.
+    text = ("graph input_shape=1,8,8 branch_points=\n"
+            "c conv bias=0 in={} k=3 out=2 pad=1 stride=1 inputs=input\n")
+    good = GraphSpec.parse(text.format(1))
+    graph, store = parse_checkpoint(checkpoint_bytes(
+        good, init_params(good, TrainConfig.desk(seed=1))))
+    x = np.zeros((1, 1, 8, 8), dtype=np.float32)
+    assert forward_pass(graph, store, x, mode="infer")[0]["c"].shape == (1, 2, 8, 8)
+    bad = GraphSpec.parse(text.format(2))
+    data = checkpoint_bytes(bad, init_params(bad, TrainConfig.desk(seed=1)))
+    with pytest.raises(ValueError, match="node 'c' declares in=2"):
+        parse_checkpoint(data)

@@ -4,7 +4,8 @@ import pytest
 from branchnet.engine import backward_pass, forward_pass
 from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, GraphSpec,
                              LayerNode, build_trunk)
-from branchnet.params import ParamStore, frozen_checksum
+from branchnet.ops import BatchStats
+from branchnet.params import ParamStore, checkpoint_bytes, frozen_checksum
 from branchnet.train import (Dataset, TrainConfig, _batch_indices,
                              _loss_and_grad, evaluate_accuracy, finetune,
                              init_params, lr_at, make_branch, sgd_momentum_step,
@@ -442,3 +443,53 @@ def test_evaluate_accuracy_multilabel_elementwise():
     # row 2 predicts [1,1,1] vs [1,1,0]: 5 of 6 cells agree
     acc = evaluate_accuracy(graph, store, data, loss="sigmoid-multilabel")
     assert acc == pytest.approx(5 / 6)
+
+
+# saved-for-backward contexts
+
+
+def test_saved_contexts_give_the_same_gradients_and_are_freed(trunk):
+    graph, store = trunk
+    x = branch_dataset(n=8, seed=9).inputs
+    saved = {}
+    acts, _ = forward_pass(graph, store, x, mode="train", saved=saved)
+    bn_names = [n.name for n in graph.nodes if n.kind == "batchnorm"]
+    assert sorted(saved) == sorted(bn_names)
+    assert all(isinstance(c, BatchStats) for c in saved.values())
+    gy = np.random.default_rng(3).standard_normal(acts["fc"].shape).astype(np.float32)
+    with_ctx, gx_ctx = backward_pass(graph, store, acts, {"fc": gy}, saved=saved)
+    assert saved == {}
+    without, gx = backward_pass(graph, store, acts, {"fc": gy})
+    assert with_ctx.keys() == without.keys()
+    for name, g in without.items():
+        assert g.tobytes() == with_ctx[name].tobytes(), name
+    assert gx.tobytes() == gx_ctx.tobytes()
+
+
+def test_inference_passes_keep_no_context(trunk):
+    graph, store = trunk
+    x = branch_dataset(n=4, seed=9).inputs
+    saved = {}
+    forward_pass(graph, store, x, mode="infer", saved=saved)
+    assert saved == {}
+    # a frozen prefix runs in inference mode even in a train-mode pass
+    stop = graph.index("conv19")
+    forward_pass(graph, store, x, mode="train", train_from=stop, saved=saved)
+    assert saved and all(graph.index(name) >= stop for name in saved)
+
+
+def test_train_with_contexts_matches_a_context_free_loop(trunk):
+    graph, trained = trunk
+    data = branch_dataset(n=20, seed=6, classes=6)
+    cfg = TrainConfig.desk(batch_size=8, max_minibatches=3, seed=13)
+    store = trained.copy()
+    train(graph, store, data, cfg)
+    loop = trained.copy()
+    for t in range(cfg.max_minibatches):
+        idx = _batch_indices(len(data), t, cfg)
+        acts, updates = forward_pass(graph, loop, data.inputs[idx], mode="train")
+        loop.running.update(updates)
+        _, logit_grad, _ = _loss_and_grad(acts["fc"], data.labels[idx], "softmax")
+        grads, _ = backward_pass(graph, loop, acts, {"fc": logit_grad})
+        sgd_momentum_step(loop, grads, lr_at(t, cfg), cfg.momentum_coeff)
+    assert checkpoint_bytes(graph, store) == checkpoint_bytes(graph, loop)
