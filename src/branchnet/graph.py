@@ -42,6 +42,7 @@ class NodeKind:
 
     required  integer attributes every node of the kind carries, each >= 1
               except "pad", which is >= 0
+    optional  attribute -> AttrType of the attributes a node may carry
     arity     number of inputs every node of the kind reads
     params    a -> {suffix: shape} of the parameters the node owns
     shape     (a, input shapes) -> per-sample output shape; raises
@@ -63,12 +64,28 @@ class NodeKind:
     """
 
     required: tuple = ()
+    optional: dict = field(default_factory=dict)
     arity: int = 1
     params: Callable = lambda a: {}
     shape: Callable = lambda a, ins: ins[0]
     cost: Callable
     forward: Callable
     backward: Callable | None = None
+
+
+@dataclass(frozen=True)
+class AttrType:
+    """What an optional attribute's value must be: `what` says it in words
+    and `accepts` checks it."""
+
+    what: str
+    accepts: Callable
+
+
+FLAG = AttrType("0 or 1", lambda v: isinstance(v, int) and v in (0, 1))
+POSITIVE = AttrType("a positive finite number", lambda v: (
+    isinstance(v, (int, float)) and not isinstance(v, bool)
+    and math.isfinite(v) and v > 0))
 
 
 def _elementwise(key):
@@ -157,14 +174,15 @@ def _fc_shape(a, ins):
 
 NODE_KINDS = {
     "conv": NodeKind(
-        required=("in", "out", "k", "stride", "pad"), params=_conv_params,
+        required=("in", "out", "k", "stride", "pad"), optional={"bias": FLAG},
+        params=_conv_params,
         shape=_conv_shape, cost=_conv_cost,
         forward=lambda a, p, ins, running, mode: (ops.conv2d_forward(
             ins[0], p["w"], p.get("b"), a["stride"], a["pad"]), None, None),
         backward=lambda a, p, ins, gy, saved: _grads(ops.conv2d_backward(
             ins[0], p["w"], p.get("b"), gy, a["stride"], a["pad"]))),
     "batchnorm": NodeKind(
-        required=("ch",),
+        required=("ch",), optional={"eps": POSITIVE},
         params=lambda a: {"gamma": (a["ch"],), "beta": (a["ch"],)},
         shape=_batchnorm_shape, cost=_elementwise("batchnorm"),
         forward=_batchnorm_forward,
@@ -179,7 +197,7 @@ NODE_KINDS = {
         forward=_unary(ops.maxpool2x2),
         backward=_unary_backward(ops.maxpool2x2_backward)),
     "avgpool": NodeKind(
-        shape=_avgpool_shape,
+        optional={"global": FLAG}, shape=_avgpool_shape,
         cost=lambda a, ins, out: (None, {"avgpool": math.prod(ins[0])}),
         forward=_unary(ops.avgpool_global),
         backward=_unary_backward(ops.avgpool_global_backward)),
@@ -225,6 +243,11 @@ class LayerNode:
             if value < least:
                 raise ValueError(f"{self.kind} node {self.name!r} needs attribute "
                                  f"{key!r} >= {least}, got {value}")
+        for key, attr_type in kind.optional.items():
+            if key in self.attrs and not attr_type.accepts(self.attrs[key]):
+                raise ValueError(f"{self.kind} node {self.name!r} needs attribute "
+                                 f"{key!r} to be {attr_type.what}, got "
+                                 f"{self.attrs[key]!r}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if len(self.inputs) != kind.arity:
             raise ValueError(f"{self.kind} node {self.name!r} takes {kind.arity} "

@@ -5,9 +5,19 @@ the cached activation at its branch point. Because a head's frozen prefix
 holds the very same arrays as the trunk and both run in inference mode,
 the cached resume is bitwise identical to running the head standalone.
 
+add_head enforces that sharing. A head's prefix (its nodes before the
+branch layer) must match the trunk's nodes, and each prefix parameter and
+batchnorm running statistic must equal the trunk's bit for bit; a mismatch
+raises ValueError. The head's store then refers to the trunk's objects, so
+a model holds every prefix byte once, whether its heads came from
+make_branch or from separate checkpoint files.
+
 Bundle layout on disk: a directory with trunk.ckpt, one <task>.ckpt per
 head, and heads.txt carrying one line per head:
     task branch_layer num_classes loss
+Each checkpoint holds weights only: trainable flags, parameters and
+running statistics, no momentum, which serving never reads. load_bundle
+also drops momentum that a bundle written with it carries.
 """
 
 import os
@@ -19,7 +29,8 @@ from . import ops
 from .accounting import count_flops, suffix_macs
 from .engine import forward_pass
 from .graph import GraphSpec
-from .params import ParamStore, load_checkpoint, save_checkpoint
+from .params import (ParamStore, batchnorm_nodes, frozen_names,
+                     load_checkpoint, save_checkpoint)
 
 HEADS_FILE = "heads.txt"
 TRUNK_FILE = "trunk.ckpt"
@@ -47,17 +58,61 @@ class MultiHeadModel:
     heads: list = field(default_factory=list)
 
     def add_head(self, spec: HeadSpec, graph: GraphSpec, store: ParamStore):
+        """Validate the head against the trunk and attach it; on success
+        the head's store refers to the trunk's prefix arrays and running
+        statistics."""
         if spec.branch_layer not in self.trunk_graph:
             raise ValueError(f"head {spec.task!r} branches at "
                              f"{spec.branch_layer!r}, which the trunk lacks")
         if graph.input_shape != self.trunk_graph.input_shape:
             raise ValueError(f"head {spec.task!r} input shape {graph.input_shape} "
                              f"does not match trunk {self.trunk_graph.input_shape}")
-        for i in range(graph.index(spec.branch_layer)):
+        bidx = graph.index(spec.branch_layer)
+        for i in range(bidx):
             if graph.nodes[i] != self.trunk_graph.nodes[i]:
                 raise ValueError(f"head {spec.task!r} prefix diverges from the "
                                  f"trunk at node {graph.nodes[i].name!r}")
+        trunk = self.trunk_store
+        arrays = frozen_names(graph, bidx)
+        running = [bn for bn in batchnorm_nodes(graph) if graph.index(bn) < bidx]
+        for name in arrays:
+            if not _same_bits(store.arrays.get(name), trunk.arrays.get(name)):
+                raise _mismatch(spec, "a/" + name)
+        for bn in running:
+            mine, theirs = store.running.get(bn), trunk.running.get(bn)
+            if mine is theirs:
+                continue
+            if mine is None or theirs is None or mine.count != theirs.count:
+                raise _mismatch(spec, "rc/" + bn)
+            if not _same_bits(mine.mean, theirs.mean):
+                raise _mismatch(spec, "rm/" + bn)
+            if not _same_bits(mine.var, theirs.var):
+                raise _mismatch(spec, "rv/" + bn)
+        for name in arrays:
+            store.arrays[name] = trunk.arrays[name]
+        for bn in running:
+            store.running[bn] = trunk.running[bn]
         self.heads.append(Head(spec, graph, store))
+
+
+def _same_bits(a, b):
+    """The same array, or arrays of one shape and dtype whose bits, read as
+    unsigned integers of the element width, are equal (so NaN payloads and
+    -0.0 count)."""
+    if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
+        return False
+    if a is b:
+        return True
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    uint = f"u{a.dtype.itemsize}"
+    return np.array_equal(np.ascontiguousarray(a).reshape(-1).view(uint),
+                          np.ascontiguousarray(b).reshape(-1).view(uint))
+
+
+def _mismatch(spec, record):
+    return ValueError(f"head {spec.task!r} record {record!r} does not match "
+                      f"the trunk's bit for bit")
 
 
 @dataclass
@@ -115,14 +170,18 @@ def combined_flops(model: MultiHeadModel):
     return trunk + sum(per_head.values()), per_head
 
 
+def _weights_only(store: ParamStore) -> ParamStore:
+    return ParamStore(store.arrays, {}, store.trainable, store.running)
+
+
 def save_bundle(dirpath, model: MultiHeadModel):
     os.makedirs(dirpath, exist_ok=True)
     save_checkpoint(os.path.join(dirpath, TRUNK_FILE),
-                    model.trunk_graph, model.trunk_store)
+                    model.trunk_graph, _weights_only(model.trunk_store))
     lines = []
     for head in sorted(model.heads, key=lambda h: h.spec.task):
         save_checkpoint(os.path.join(dirpath, f"{head.spec.task}.ckpt"),
-                        head.graph, head.store)
+                        head.graph, _weights_only(head.store))
         s = head.spec
         lines.append(f"{s.task} {s.branch_layer} {s.num_classes} {s.loss}")
     with open(os.path.join(dirpath, HEADS_FILE), "w") as f:
@@ -131,6 +190,7 @@ def save_bundle(dirpath, model: MultiHeadModel):
 
 def load_bundle(dirpath) -> MultiHeadModel:
     trunk_graph, trunk_store = load_checkpoint(os.path.join(dirpath, TRUNK_FILE))
+    trunk_store.momentum.clear()
     model = MultiHeadModel(trunk_graph, trunk_store)
     heads_path = os.path.join(dirpath, HEADS_FILE)
     if not os.path.exists(heads_path):
@@ -146,6 +206,7 @@ def load_bundle(dirpath) -> MultiHeadModel:
             spec = HeadSpec(parts[0], parts[1], int(parts[2]), parts[3])
             graph, store = load_checkpoint(os.path.join(dirpath,
                                                         f"{spec.task}.ckpt"))
+            store.momentum.clear()
             model.add_head(spec, graph, store)
     return model
 

@@ -92,9 +92,11 @@ def _conv_geometry(x_shape, w_shape, stride, padding):
 
 def _im2col(x, k, stride, padding, oh, ow):
     """Columns of shape (n, c*k*k, oh*ow); channel-major, kernel row, kernel column."""
-    n, c = x.shape[:2]
+    n, c, h, w = x.shape
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
     sn, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,

@@ -19,8 +19,14 @@ Record names carry a kind prefix: "a/" array, "m/" momentum, "t/" trainable
 flag (one element, 0 or 1), "rm/" running mean, "rv/" running variance,
 "rc/" running count (one element). Records are written sorted by name, so a
 checkpoint for given contents is byte-identical across runs.
+
+A checkpoint that loads is complete: every parameter has its "a/" and "t/"
+records, "m/" records cover every parameter or none, and running
+statistics cover every batchnorm node or none. Any other record set, or a
+record of the wrong size, raises ValueError naming the record.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -32,6 +38,7 @@ from .graph import NODE_KINDS, GraphSpec, compute_shapes
 
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
+RECORD_KINDS = ("a", "m", "t", "rm", "rv", "rc")
 
 
 def param_shapes(graph: GraphSpec) -> dict:
@@ -182,29 +189,52 @@ def parse_checkpoint(data: bytes):
         records[name] = arr
 
     shapes = param_shapes(graph)
-    store = ParamStore()
+    bns = batchnorm_nodes(graph)
+    sizes = {}
+    for name, shape in shapes.items():
+        sizes["a/" + name] = sizes["m/" + name] = math.prod(shape)
+        sizes["t/" + name] = 1
+    for bn in bns:
+        sizes["rm/" + bn] = sizes["rv/" + bn] = graph.node(bn).attrs["ch"]
+        sizes["rc/" + bn] = 1
     for rname, flat in records.items():
         kind, _, name = rname.partition("/")
-        if kind in ("a", "m"):
-            if name not in shapes:
-                raise ValueError(f"checkpoint names unknown parameter {name!r}")
-            if flat.size != int(np.prod(shapes[name])):
-                raise ValueError(
-                    f"checkpoint parameter {name!r} has {flat.size} elements, "
-                    f"graph expects shape {shapes[name]}")
-            target = store.arrays if kind == "a" else store.momentum
-            target[name] = flat.reshape(shapes[name])
-        elif kind == "t":
-            store.trainable[name] = bool(flat[0])
-        elif kind in ("rm", "rv", "rc"):
-            pass  # assembled below once all three parts are present
-        else:
+        if kind not in RECORD_KINDS:
             raise ValueError(f"unknown checkpoint record kind {kind!r}")
-    for bn in batchnorm_nodes(graph):
-        mk, vk, ck = "rm/" + bn, "rv/" + bn, "rc/" + bn
-        if mk in records or vk in records or ck in records:
-            if not (mk in records and vk in records and ck in records):
-                raise ValueError(f"incomplete running statistics for {bn!r}")
+        if rname not in sizes:
+            owner = "batchnorm node" if kind.startswith("r") else "parameter"
+            raise ValueError(f"checkpoint names unknown {owner} {name!r}")
+        if flat.size != sizes[rname]:
+            raise ValueError(f"checkpoint record {rname!r} has {flat.size} "
+                             f"elements, graph expects {sizes[rname]}")
+    _require_records(records, [k + n for k in ("a/", "t/") for n in shapes],
+                     "every parameter needs its array and trainable flag",
+                     all_or_none=False)
+    _require_records(records, ["m/" + n for n in shapes],
+                     "momentum covers every parameter or none")
+    _require_records(records, [k + bn for bn in bns for k in ("rm/", "rv/", "rc/")],
+                     "running statistics cover every batchnorm node or none")
+
+    store = ParamStore()
+    for name in sorted(shapes):
+        store.arrays[name] = records["a/" + name].reshape(shapes[name])
+        store.trainable[name] = bool(records["t/" + name][0])
+        if "m/" + name in records:
+            store.momentum[name] = records["m/" + name].reshape(shapes[name])
+    for bn in bns:
+        if "rc/" + bn in records:
+            count = records["rc/" + bn][0]
+            if not (np.isfinite(count) and count >= 0):
+                raise ValueError(f"checkpoint record {'rc/' + bn!r} holds "
+                                 f"{count}, not a count >= 0")
             store.running[bn] = ops.RunningStats(
-                records[mk], records[vk], int(records[ck][0]))
+                records["rm/" + bn], records["rv/" + bn], int(count))
     return graph, store
+
+
+def _require_records(records, names, rule, all_or_none=True):
+    """Raise naming the first of names the records lack, unless they hold
+    all of them (or, when all_or_none, none of them)."""
+    missing = [n for n in names if n not in records]
+    if missing and not (all_or_none and len(missing) == len(names)):
+        raise ValueError(f"checkpoint lacks record {missing[0]!r}: {rule}")

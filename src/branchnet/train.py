@@ -110,14 +110,17 @@ def sgd_momentum_step(store: ParamStore, grads: dict, rate: float,
     """v <- mu*v - rate*g; w <- w + v, applied to trainable arrays only.
 
     Frozen arrays and their velocities are left untouched even when a
-    gradient is supplied for them.
+    gradient is supplied for them. A trainable array without a velocity,
+    as in a store loaded from a weights-only checkpoint, starts from rest.
     """
     for name, flag in store.trainable.items():
         if not flag:
             continue
         if name not in grads:
             raise ValueError(f"missing gradient for trainable array {name!r}")
-        v = store.momentum[name]
+        v = store.momentum.get(name)
+        if v is None:
+            v = store.momentum[name] = np.zeros_like(store.arrays[name])
         v *= momentum_coeff
         v -= (rate * grads[name]).astype(v.dtype)
         store.arrays[name] += v
@@ -297,8 +300,10 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
     Parameters owned by nodes before the branch layer are shared with the
     trunk store by reference and marked frozen. Layers from the branch on
     are re-initialized (warm=False) or copied (warm=True); the final fc is
-    always fresh at the task's width. Running statistics of frozen
-    batchnorm nodes are shared; retrained ones restart empty when cold.
+    always fresh at the task's width. Frozen momentum is shared where the
+    trunk store has it; a weights-only trunk gives the branch none there.
+    Running statistics of frozen batchnorm nodes are shared; retrained
+    ones restart empty when cold.
     """
     if loss not in LOSS_KINDS:
         raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
@@ -312,7 +317,8 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
         owner = param_owner(name)
         if graph.index(owner) < bidx:
             store.arrays[name] = trunk_store.arrays[name]
-            store.momentum[name] = trunk_store.momentum[name]
+            if name in trunk_store.momentum:
+                store.momentum[name] = trunk_store.momentum[name]
             store.trainable[name] = False
             continue
         store.trainable[name] = True

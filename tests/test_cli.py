@@ -6,6 +6,7 @@ purpose: these tests check wiring, not model quality.
 """
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from branchnet.cli import main
 from branchnet.dataio import Manifest, read_tensor, split_ids, write_tensor
 from branchnet.graph import ArchConfig, build_trunk
-from branchnet.params import load_checkpoint
+from branchnet.params import load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params
 
 # quarter-scale single-channel trunk over 4 identities, everywhere below
@@ -355,3 +356,45 @@ def test_finetune_override_keeps_desk_schedule(capsys, tmp_path, corpus,
     assert "# lr_decay_every=500" in header
     assert "# batch_size=32" in header
     assert "# seed=4" in header
+
+
+@pytest.mark.parametrize("record", ["conv1/w", "bn1"])
+def test_predict_rejects_a_head_whose_prefix_differs(capsys, tmp_path, corpus,
+                                                     bundle_dir, record):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    path = str(bundle / "binary.ckpt")
+    graph, store = load_checkpoint(path)
+    if record == "bn1":
+        store.running["bn1"].mean[0] += 1.0
+    else:
+        store.arrays["conv1/w"][0, 0, 0, 0] += 1.0
+    save_checkpoint(path, graph, store)
+    rc, out, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                           "--data", corpus, "--out", str(tmp_path / "p.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: head 'binary' record ") and err.count("\n") == 1
+    assert record in err
+
+
+def test_bundle_trunk_serves_as_a_trunk_checkpoint(capsys, tmp_path, corpus,
+                                                   bundle_dir):
+    trunk = os.path.join(bundle_dir, "trunk.ckpt")
+    assert load_checkpoint(trunk)[1].momentum == {}
+    rc, _, err = run_cli(capsys, "finetune", "--trunk", trunk,
+                         "--branch", "conv22", "--task", "binary",
+                         "--classes", "2", "--data", corpus,
+                         "--out", str(tmp_path / "bundle"),
+                         "--set", "train.batch_size=8",
+                         "--set", "train.max_minibatches=2")
+    assert rc == 0, err
+    tasks = tmp_path / "tasks.txt"
+    tasks.write_text("binary binary 2 softmax\n")
+    rc, _, err = run_cli(capsys, "branch-grid", "--trunk", trunk,
+                         "--tasks", str(tasks), "--data", corpus,
+                         "--layers", "conv22,fc",
+                         "--report", str(tmp_path / "grid.txt"),
+                         "--set", "train.batch_size=8",
+                         "--set", "train.max_minibatches=2")
+    assert rc == 0, err

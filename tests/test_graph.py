@@ -203,3 +203,23 @@ def test_declared_channels_must_match_the_input():
     shapes = compute_shapes(GraphSpec.parse(
         ONE_CONV + "b batchnorm ch=2 inputs=c\nf fc in=128 out=3 inputs=b\n"))
     assert shapes["f"] == (3,)
+
+
+def test_optional_attributes_are_typed_at_load():
+    bn = ONE_CONV + "b batchnorm ch=2 eps=1e-05 inputs=c\n"
+    pool = ONE_CONV + "p avgpool global=1 inputs=c\n"
+    assert GraphSpec.parse(bn).node("b").attrs["eps"] == 1e-05
+    assert GraphSpec.parse(pool).node("p").attrs["global"] == 1
+    cases = ((bn, "eps=1e-05", "eps=abc", "'b' needs attribute 'eps' to be a "
+              "positive finite number, got 'abc'"),
+             (bn, "eps=1e-05", "eps=0", "'b' needs attribute 'eps'"),
+             (bn, "eps=1e-05", "eps=nan", "'b' needs attribute 'eps'"),
+             (bn, "eps=1e-05", "eps=-inf", "'b' needs attribute 'eps'"),
+             (ONE_CONV, "bias=0", "bias=2", "'c' needs attribute 'bias' to be "
+              "0 or 1, got 2"),
+             (ONE_CONV, "bias=0", "bias=1.0", "'c' needs attribute 'bias'"),
+             (pool, "global=1", "global=x", "'p' needs attribute 'global' to be "
+              "0 or 1, got 'x'"))
+    for text, old, new, message in cases:
+        with pytest.raises(ValueError, match=message):
+            GraphSpec.parse(text.replace(old, new))

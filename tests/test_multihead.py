@@ -9,6 +9,7 @@ from branchnet.graph import ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel, combined_flops,
                                  format_prediction_lines, load_bundle,
                                  predict_all, run_head_standalone, save_bundle)
+from branchnet.params import frozen_names, load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
 
 DESK_HEADS = (("nuisance", "conv19", 7, "softmax"),
@@ -179,3 +180,126 @@ def test_add_head_validation(model):
 def test_predict_all_rejects_wrong_input_shape(model):
     with pytest.raises(ValueError, match="does not match trunk input"):
         predict_all(model, np.zeros((2, 3, 56, 56), dtype=np.float32))
+
+
+def test_bundle_files_carry_no_momentum(tmp_path, model):
+    out = tmp_path / "bundle"
+    save_bundle(out, model)
+    for path in out.glob("*.ckpt"):
+        _, store = load_checkpoint(path)
+        assert store.momentum == {} and store.arrays
+
+
+def test_loaded_bundle_holds_each_byte_once(tmp_path, model):
+    save_bundle(tmp_path / "bundle", model)
+    loaded = load_bundle(tmp_path / "bundle")
+    trunk = loaded.trunk_store
+    assert trunk.momentum == {}
+    want = sum(a.nbytes for a in trunk.arrays.values())
+    running = dict(trunk.running)
+    for head in loaded.heads:
+        assert head.store.momentum == {}
+        bidx = head.graph.index(head.spec.branch_layer)
+        prefix = frozen_names(head.graph, bidx)
+        assert prefix
+        for name in prefix:
+            assert head.store.arrays[name] is trunk.arrays[name], name
+        for name, arr in head.store.arrays.items():
+            if name not in prefix:
+                want += arr.nbytes
+        for bn, rs in head.store.running.items():
+            if head.graph.index(bn) < bidx:
+                assert rs is trunk.running[bn], bn
+            else:
+                running[(head.spec.task, bn)] = rs
+    want += sum(rs.mean.nbytes + rs.var.nbytes for rs in running.values())
+
+    unique = {}
+    for store in [trunk] + [h.store for h in loaded.heads]:
+        for arr in store.arrays.values():
+            unique[id(arr)] = arr
+        for rs in store.running.values():
+            unique[id(rs.mean)], unique[id(rs.var)] = rs.mean, rs.var
+    assert sum(a.nbytes for a in unique.values()) == want
+
+
+def reseal_head(bundle, task, change):
+    """Apply change(store) to a head checkpoint and write it back with a
+    valid checksum."""
+    path = bundle / f"{task}.ckpt"
+    graph, store = load_checkpoint(path)
+    change(store)
+    save_checkpoint(path, graph, store)
+
+
+def bump_first(arr):
+    arr.reshape(-1)[0] = np.nextafter(arr.reshape(-1)[0], np.float32(np.inf))
+
+
+PERTURBATIONS = {
+    "a/conv1/w": lambda s: bump_first(s.arrays["conv1/w"]),
+    "rm/bn1": lambda s: bump_first(s.running["bn1"].mean),
+    "rv/bn2": lambda s: bump_first(s.running["bn2"].var),
+    # numerically equal to the trunk's 0.0, but not the same bits
+    "a/bn1/beta": lambda s: s.arrays["bn1/beta"].__setitem__(0, -0.0),
+}
+
+
+@pytest.mark.parametrize("record", sorted(PERTURBATIONS))
+def test_head_prefix_that_differs_from_the_trunk_is_rejected(tmp_path, model,
+                                                             record):
+    assert model.trunk_store.arrays["bn1/beta"][0] == 0.0
+    out = tmp_path / "bundle"
+    save_bundle(out, model)
+    reseal_head(out, "stage", PERTURBATIONS[record])
+    with pytest.raises(ValueError, match=f"head 'stage' record '{record}' "
+                                         "does not match the trunk"):
+        load_bundle(out)
+
+
+def test_head_suffix_may_differ_from_the_trunk(tmp_path, model):
+    # conv22 is where the stage head branches: retrained, not verified
+    out = tmp_path / "bundle"
+    save_bundle(out, model)
+    reseal_head(out, "stage", lambda s: bump_first(s.arrays["conv22/w"]))
+    loaded = load_bundle(out)
+    stage = next(h for h in loaded.heads if h.spec.task == "stage")
+    assert stage.store.arrays["conv22/w"] is not \
+        loaded.trunk_store.arrays["conv22/w"]
+
+
+def test_add_head_shares_a_bitwise_equal_prefix(model):
+    head = model.heads[0]  # nuisance, branching at conv19
+    copied = head.store.copy()
+    bare = MultiHeadModel(model.trunk_graph, model.trunk_store)
+    bare.add_head(head.spec, head.graph, copied)
+    for name in frozen_names(head.graph, head.graph.index("conv19")):
+        assert copied.arrays[name] is model.trunk_store.arrays[name]
+    assert copied.running["bn1"] is model.trunk_store.running["bn1"]
+    assert copied.arrays["conv19/w"] is not head.store.arrays["conv19/w"]
+
+    # a missing prefix record is a mismatch, and a failed add changes nothing
+    partial = head.store.copy()
+    del partial.running["bn2"]
+    with pytest.raises(ValueError, match="record 'rc/bn2'"):
+        bare.add_head(head.spec, head.graph, partial)
+    assert partial.arrays["conv1/w"] is not model.trunk_store.arrays["conv1/w"]
+    assert len(bare.heads) == 1
+
+
+def test_bundle_written_with_momentum_loads_without_it(tmp_path, model):
+    out = tmp_path / "bundle"
+    save_bundle(out, model)
+    save_checkpoint(out / "trunk.ckpt", model.trunk_graph, model.trunk_store)
+    for head in model.heads:
+        save_checkpoint(out / f"{head.spec.task}.ckpt", head.graph, head.store)
+    assert load_checkpoint(out / "trunk.ckpt")[1].momentum
+
+    loaded = load_bundle(out)
+    assert loaded.trunk_store.momentum == {}
+    assert all(h.store.momentum == {} for h in loaded.heads)
+    x = inputs(37, 3)
+    a, b = predict_all(model, x), predict_all(loaded, x)
+    np.testing.assert_array_equal(a.identity_logits, b.identity_logits)
+    for task in a.tasks:
+        np.testing.assert_array_equal(a.tasks[task].scores, b.tasks[task].scores)

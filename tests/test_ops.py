@@ -133,6 +133,34 @@ def test_pointwise_conv_is_bitwise_the_strided_im2col_path(dtype, shape):
     assert bitwise_equal(ops.conv2d_backward(xt, w, b, gy, 1, 0).input_grad, gx)
 
 
+def im2col_np_pad(x, k, stride, padding, oh, ow):
+    """im2col over an np.pad copy: the bitwise reference for _im2col."""
+    n, c = x.shape[:2]
+    x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, k, k, oh, ow),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride))
+    return np.ascontiguousarray(windows).reshape(n, c * k * k, oh * ow)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [1, 2, 3])
+@pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (7, 2)])
+def test_padded_im2col_is_bitwise_the_np_pad_path(dtype, padding, k, stride):
+    rng = np.random.default_rng(padding * 10 + k + stride)
+    x = rng.standard_normal((2, 3, 9, 8)).astype(dtype)
+    x[0, 0, 0, :3] = (-0.0, np.nan, np.inf)
+    oh = ops.conv_output_size(9, k, stride, padding)
+    ow = ops.conv_output_size(8, k, stride, padding)
+    want = im2col_np_pad(x, k, stride, padding, oh, ow)
+    assert bitwise_equal(ops._im2col(x, k, stride, padding, oh, ow), want)
+    # a non-contiguous input gives the same bits as its contiguous copy
+    xt = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    assert not xt.flags.c_contiguous
+    assert bitwise_equal(ops._im2col(xt, k, stride, padding, oh, ow), want)
+
+
 # pooling
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from branchnet.ops import RunningStats
 from branchnet.params import (checkpoint_bytes, frozen_checksum, frozen_names,
                               load_checkpoint, param_owner, param_shapes,
                               parse_checkpoint, save_checkpoint)
-from branchnet.train import TrainConfig, init_params
+from branchnet.common import checksum64
+from branchnet.train import Dataset, TrainConfig, init_params, train
 
 GRAPH = build_trunk(ArchConfig.desk(num_identities=5))
 
@@ -135,3 +138,103 @@ def test_checkpoint_whose_graph_cannot_run_is_rejected_at_load():
     data = checkpoint_bytes(bad, init_params(bad, TrainConfig.desk(seed=1)))
     with pytest.raises(ValueError, match="node 'c' declares in=2"):
         parse_checkpoint(data)
+
+
+def split_records(data):
+    """(head bytes, [(record name, record bytes)]) of a checkpoint."""
+    (glen,) = struct.unpack_from("<Q", data, 8)
+    off = 16 + glen
+    head, records = data[:off], []
+    while off < len(data) - 8:
+        (nlen,) = struct.unpack_from("<I", data, off)
+        (count,) = struct.unpack_from("<Q", data, off + 4 + nlen)
+        end = off + 12 + nlen + 4 * count
+        records.append((data[off + 4:off + 4 + nlen].decode(), data[off:end]))
+        off = end
+    return head, records
+
+
+def seal(head, records):
+    body = head + b"".join(raw for _, raw in records)
+    return body + checksum64(body)
+
+
+@pytest.fixture(scope="module")
+def trained_desk():
+    """A desk checkpoint after a few SGD steps: momentum and running
+    statistics hold values no fresh store has."""
+    store = fresh_store(seed=4)
+    rng = np.random.default_rng(6)
+    data = Dataset(rng.standard_normal((16, 1, 56, 56)).astype(np.float32),
+                   rng.integers(0, 5, size=16))
+    train(GRAPH, store, data, TrainConfig.desk(seed=2, batch_size=8,
+                                               max_minibatches=3))
+    return checkpoint_bytes(GRAPH, store), data.inputs[:2]
+
+
+def test_every_drop_one_variant_is_rejected_or_runs(trained_desk):
+    data, x = trained_desk
+    head, records = split_records(data)
+    assert seal(head, records) == data
+    bns = [n for n in GRAPH.nodes if n.kind == "batchnorm"]
+    assert len(records) == 3 * len(param_shapes(GRAPH)) + 3 * len(bns)
+    loaded = 0
+    for i, (name, _) in enumerate(records):
+        try:
+            graph, store = parse_checkpoint(seal(head, records[:i] + records[i + 1:]))
+        except ValueError as exc:
+            assert name in str(exc) or "lacks record" in str(exc), (name, exc)
+            continue
+        forward_pass(graph, store, x, mode="infer")
+        loaded += 1
+    assert loaded == 0
+
+
+def test_momentum_records_cover_every_parameter_or_none(trained_desk):
+    data, x = trained_desk
+    head, records = split_records(data)
+    kept = [r for r in records if not r[0].startswith("m/")]
+    graph, store = parse_checkpoint(seal(head, kept))
+    assert store.momentum == {}
+    forward_pass(graph, store, x, mode="infer")
+    one = [r for r in records if r[0] != "m/fc/w"]
+    with pytest.raises(ValueError, match="lacks record 'm/fc/w'"):
+        parse_checkpoint(seal(head, one))
+
+
+def test_running_statistics_cover_every_batchnorm_node_or_none(trained_desk):
+    data, x = trained_desk
+    head, records = split_records(data)
+    kept = [r for r in records if not r[0].startswith("r")]
+    graph, store = parse_checkpoint(seal(head, kept))
+    assert store.running == {}
+    forward_pass(graph, store, x, mode="train")
+    one_node = [r for r in records if not r[0].endswith("/bn320")]
+    with pytest.raises(ValueError, match="lacks record 'r[mvc]/bn320'"):
+        parse_checkpoint(seal(head, one_node))
+
+
+def test_record_sizes_and_owners_are_checked():
+    def stray_flag(s):
+        s.trainable["nowhere/w"] = True
+
+    def negative_count(s):
+        rs = s.running["bn1"]
+        s.running["bn1"] = RunningStats(rs.mean, rs.var, -1)
+
+    def short_mean(s):
+        s.running["bn2"] = RunningStats(np.zeros(3, np.float32),
+                                        s.running["bn2"].var, 1)
+
+    def stats_on_relu(s):
+        s.running["relu1"] = s.running["bn1"]
+
+    cases = ((stray_flag, "unknown parameter 'nowhere/w'"),
+             (negative_count, "'rc/bn1' holds -1.0, not a count"),
+             (short_mean, "'rm/bn2' has 3 elements, graph expects"),
+             (stats_on_relu, "unknown batchnorm node 'relu1'"))
+    for change, message in cases:
+        store = fresh_store()
+        change(store)
+        with pytest.raises(ValueError, match=message):
+            parse_checkpoint(checkpoint_bytes(GRAPH, store))

@@ -72,6 +72,19 @@ def test_momentum_two_step_unroll():
     assert store.arrays["p/w"][0] == pytest.approx(-2.9)
 
 
+def test_missing_velocity_starts_from_rest():
+    a, b = ParamStore(), ParamStore()
+    for store in (a, b):
+        store.arrays["p/w"] = np.array([0.5, -1.0], dtype=np.float32)
+        store.trainable["p/w"] = True
+    a.momentum["p/w"] = np.zeros(2, dtype=np.float32)
+    g = {"p/w": np.array([0.3, 0.7], dtype=np.float32)}
+    for _ in range(2):
+        sgd_momentum_step(a, g, rate=0.1, momentum_coeff=0.9)
+        sgd_momentum_step(b, g, rate=0.1, momentum_coeff=0.9)
+    assert stores_equal(a, b)
+
+
 def test_zero_momentum_is_plain_sgd():
     store = ParamStore()
     store.arrays["p/w"] = np.array([2.0], dtype=np.float32)
@@ -300,6 +313,20 @@ def test_make_branch_shares_frozen_arrays_by_reference(trunk):
     assert br.store.running["bn1"] is store.running["bn1"]
     assert br.store.trainable["conv1/w"] is False
     assert store.trainable["conv1/w"] is True  # trunk flags untouched
+
+
+def test_make_branch_on_a_weights_only_trunk(trunk):
+    graph, store = trunk
+    weights = ParamStore(store.arrays, {}, store.trainable, store.running)
+    br = make_branch(graph, weights, "conv22", 5, seed=3)
+    assert br.store.arrays["conv1/w"] is store.arrays["conv1/w"]
+    assert "conv1/w" not in br.store.momentum
+    assert all(np.all(br.store.momentum[n] == 0)
+               for n, flag in br.store.trainable.items() if flag)
+    before = frozen_checksum(br.graph, br.store, br.branch_index)
+    finetune(br, branch_dataset(n=16), TrainConfig.desk(batch_size=8,
+                                                        max_minibatches=2))
+    assert frozen_checksum(br.graph, br.store, br.branch_index) == before
 
 
 def test_make_branch_partitions_by_topological_index(trunk):
