@@ -56,10 +56,6 @@ def count_flops(graph: GraphSpec) -> CostReport:
     return CostReport(per_node, sum(per_node.values()), aux)
 
 
-def trunk_macs(graph: GraphSpec) -> int:
-    return count_flops(graph).total_macs
-
-
 def branch_trainable_params(graph: GraphSpec, branch_layer: str,
                             num_classes: int) -> int:
     """Learnable elements retrained when a task branch starts at branch_layer.

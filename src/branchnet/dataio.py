@@ -147,10 +147,6 @@ def bitmask_to_vector(mask: int, num_classes: int) -> np.ndarray:
                     dtype=np.float32)
 
 
-def vector_to_bitmask(vec) -> int:
-    return int(sum(1 << j for j, v in enumerate(vec) if v >= 0.5))
-
-
 def load_batch(manifest: Manifest, ids, label_column=None,
                num_classes=None):
     """Stack the tensors for `ids` (order preserved) into one batch.

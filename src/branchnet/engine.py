@@ -24,6 +24,17 @@ node, so the dict is empty again once backward has passed every node that
 stored one. train() passes one dict through each step's forward and
 backward. Without contexts backward recomputes what it needs from the
 activations, to the same bits.
+
+Backward computes only the input gradients someone reads. A node's input
+gradient is needed when that input is a node at or after `stop`; the
+network input's gradient is needed only when the caller asks for it
+(input_grad=True, the default) and stop == 0. Each node's backward is told
+which of its inputs are needed (see graph.NodeKind): conv and fc then skip
+the input gradient's matrix product and scatter, and the engine stores no
+gradient that is not needed. train() asks for no input gradient, so the
+stem conv of a trunk step, and the first trained conv of a fine-tune step,
+compute only their weight gradients. Parameter gradients are the same bits
+either way.
 """
 
 import numpy as np
@@ -76,7 +87,8 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
     return acts, bn_updates
 
 
-def backward_pass(graph: GraphSpec, store, acts, out_grads, stop=0, saved=None):
+def backward_pass(graph: GraphSpec, store, acts, out_grads, stop=0, saved=None,
+                  input_grad=True):
     """Reverse-mode gradients from seed gradients on named node outputs.
 
     out_grads maps node name -> gradient of the loss w.r.t. that node's
@@ -88,8 +100,14 @@ def backward_pass(graph: GraphSpec, store, acts, out_grads, stop=0, saved=None):
     from it as the node is reached. Without it, or for a node with no
     context, the node's backward recomputes what it needs from acts.
 
-    Returns (param_grads, input_grad); input_grad is None when stop > 0.
-    Batchnorm gradients assume the forward ran in train mode.
+    Only gradients someone reads are computed: each node's backward is
+    told, per input, whether that input lies at or after stop (the network
+    input counts as below any stop > 0, and is needed only when input_grad
+    is true). A gradient not needed is never stored.
+
+    Returns (param_grads, input_grad); input_grad is None when stop > 0
+    or input_grad is false. Batchnorm gradients assume the forward ran in
+    train mode.
     """
     grads = {}
     for name, g in out_grads.items():
@@ -108,14 +126,15 @@ def backward_pass(graph: GraphSpec, store, acts, out_grads, stop=0, saved=None):
         if kind.backward is None:
             raise ValueError(f"cannot differentiate through {node.kind}; seed the "
                              f"loss gradient at its input logits instead")
+        need = tuple(input_grad and stop == 0 if src == INPUT_NAME
+                     else graph.index(src) >= stop for src in node.inputs)
         in_grads, node_grads = kind.backward(
             node.attrs, _node_params(store, node),
-            [acts[src] for src in node.inputs], gy, context)
+            [acts[src] for src in node.inputs], gy, context, need)
         for suffix, pg in node_grads.items():
             param_grads[f"{node.name}/{suffix}"] = pg
-        for src, g in zip(node.inputs, in_grads):
-            grads[src] = grads[src] + g if src in grads else g
+        for src, g, keep in zip(node.inputs, in_grads, need):
+            if keep:
+                grads[src] = grads[src] + g if src in grads else g
 
-    input_grad = grads.get(INPUT_NAME) if stop == 0 else None
-    return param_grads, input_grad
-
+    return param_grads, grads.get(INPUT_NAME)

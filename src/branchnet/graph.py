@@ -52,9 +52,14 @@ class NodeKind:
     forward   (a, params, inputs, running, mode) -> (output, new running
               statistics or None, saved context or None); mode is the
               node's own "train"/"infer"
-    backward  (a, params, inputs, output grad, saved context or None) ->
-              (one gradient per input, {suffix: parameter gradient}); None
-              where the kind cannot be differentiated
+    backward  (a, params, inputs, output grad, saved context or None,
+              need) -> (one gradient per input, {suffix: parameter
+              gradient}); None where the kind cannot be differentiated.
+              need holds one bool per input: whether anyone reads that
+              input's gradient. A kind may return None in place of a
+              gradient that is not needed (conv and fc do, and skip its
+              matrix product and scatter); the other kinds compute it
+              anyway, and the engine drops it
 
     The saved context is what a forward keeps for its own backward so the
     backward need not recompute it. Only a train-mode batchnorm keeps one:
@@ -97,7 +102,7 @@ def _unary(fn):
 
 
 def _unary_backward(fn):
-    return lambda a, p, ins, gy, saved: ((fn(ins[0], gy),), {})
+    return lambda a, p, ins, gy, saved, need: ((fn(ins[0], gy),), {})
 
 
 def _grads(lg):
@@ -179,14 +184,14 @@ NODE_KINDS = {
         shape=_conv_shape, cost=_conv_cost,
         forward=lambda a, p, ins, running, mode: (ops.conv2d_forward(
             ins[0], p["w"], p.get("b"), a["stride"], a["pad"]), None, None),
-        backward=lambda a, p, ins, gy, saved: _grads(ops.conv2d_backward(
-            ins[0], p["w"], p.get("b"), gy, a["stride"], a["pad"]))),
+        backward=lambda a, p, ins, gy, saved, need: _grads(ops.conv2d_backward(
+            ins[0], p["w"], p.get("b"), gy, a["stride"], a["pad"], need[0]))),
     "batchnorm": NodeKind(
         required=("ch",), optional={"eps": POSITIVE},
         params=lambda a: {"gamma": (a["ch"],), "beta": (a["ch"],)},
         shape=_batchnorm_shape, cost=_elementwise("batchnorm"),
         forward=_batchnorm_forward,
-        backward=lambda a, p, ins, gy, saved: _grads(ops.batchnorm_backward(
+        backward=lambda a, p, ins, gy, saved, need: _grads(ops.batchnorm_backward(
             ins[0], p["gamma"], p["beta"], gy, eps=a.get("eps", ops.BN_EPS),
             saved=saved))),
     "relu": NodeKind(
@@ -205,7 +210,7 @@ NODE_KINDS = {
         arity=2, shape=_add_shape, cost=_elementwise("add"),
         forward=lambda a, p, ins, running, mode: (
             ops.elementwise_add(ins[0], ins[1]), None, None),
-        backward=lambda a, p, ins, gy, saved: (
+        backward=lambda a, p, ins, gy, saved, need: (
             ops.elementwise_add_backward(gy), {})),
     "fc": NodeKind(
         required=("in", "out"),
@@ -214,8 +219,8 @@ NODE_KINDS = {
         cost=lambda a, ins, out: (a["in"] * a["out"], {"bias": a["out"]}),
         forward=lambda a, p, ins, running, mode: (
             ops.fully_connected(ins[0], p["w"], p["b"]), None, None),
-        backward=lambda a, p, ins, gy, saved: _grads(
-            ops.fully_connected_backward(ins[0], p["w"], gy))),
+        backward=lambda a, p, ins, gy, saved, need: _grads(
+            ops.fully_connected_backward(ins[0], p["w"], gy, need[0]))),
     "softmax-head": NodeKind(cost=_elementwise("head"),
                              forward=_unary(ops.softmax)),
     "sigmoid-head": NodeKind(cost=_elementwise("head"),
@@ -390,8 +395,19 @@ class GraphSpec:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("graph "):
             raise ValueError("graph text must start with a 'graph' header line")
-        header = dict(part.split("=", 1) for part in lines[0].split()[1:])
-        input_shape = tuple(int(d) for d in header["input_shape"].split(","))
+        header = {}
+        for token in lines[0].split()[1:]:
+            key, sep, value = token.partition("=")
+            if not sep:
+                raise ValueError(f"graph header token {token!r} is not key=value")
+            header[key] = value
+        if "input_shape" not in header:
+            raise ValueError("graph header lacks the 'input_shape' key")
+        try:
+            input_shape = tuple(int(d) for d in header["input_shape"].split(","))
+        except ValueError:
+            raise ValueError(f"graph header input_shape={header['input_shape']!r} "
+                             f"is not a list of integers") from None
         bp_raw = header.get("branch_points", "")
         branch_points = tuple(p for p in bp_raw.split(",") if p)
         nodes = []
@@ -520,14 +536,3 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
                                     config.eff_input_size), tuple(present))
     compute_shapes(spec)
     return spec
-
-
-def resolution_trace(graph: GraphSpec):
-    """Spatial extents after the stem conv, the pool, and each stride-2 conv."""
-    shapes = compute_shapes(graph)
-    trace = [shapes["conv1"][1], shapes["pool1"][1]]
-    for node in graph.nodes:
-        if (node.kind == "conv" and node.attrs.get("stride") == 2
-                and not node.name.startswith("shortcut") and node.name != "conv1"):
-            trace.append(shapes[node.name][1])
-    return trace

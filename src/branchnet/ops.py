@@ -12,7 +12,13 @@ relative tolerance rather than bit equality. A stride-1, unpadded 1x1
 convolution is already a matrix product over the input's own memory: the
 window view of a contiguous x is x itself, so np.ascontiguousarray makes no
 copy, and its input gradient is the column gradient reshaped, with no zero
-buffer or scatter.
+buffer or scatter. Every other convolution scatters its column gradient
+into a zero buffer laid out (h, w, n, c), one strided += per kernel
+position, so each addition streams n*c contiguous values rather than a
+short image row, and returns one contiguous NCHW copy; every element gets
+the same additions in the same order as an NCHW scatter would give it.
+Convolution and fully connected backwards skip the input gradient, its
+matrix product and its scatter when the caller says it is not needed.
 
 Max pooling takes np.maximum over the four strided views x[:, :, i::2, j::2]
 of the 2x2 windows. Its backward routes each window's gradient by equality
@@ -54,9 +60,10 @@ class BatchStats:
 
 @dataclass
 class LayerGrad:
-    """Backward-pass result: gradient w.r.t. the input plus named parameter grads."""
+    """Backward-pass result: gradient w.r.t. the input (None when it was
+    not asked for) plus named parameter grads."""
 
-    input_grad: np.ndarray
+    input_grad: np.ndarray | None
     param_grads: dict
 
 
@@ -122,8 +129,10 @@ def conv2d_forward(x, weights, bias=None, stride=1, padding=0):
     return y
 
 
-def conv2d_backward(x, weights, bias, output_grad, stride=1, padding=0):
-    """Gradients of a scalar loss through conv2d_forward."""
+def conv2d_backward(x, weights, bias, output_grad, stride=1, padding=0,
+                    input_grad=True):
+    """Gradients of a scalar loss through conv2d_forward. With
+    input_grad=False the input gradient is not computed and is None."""
     _check_nchw(x)
     n, c, h, w, c_out, k, oh, ow = _conv_geometry(x.shape, weights.shape, stride, padding)
     _require(output_grad.shape == (n, c_out, oh, ow),
@@ -136,18 +145,21 @@ def conv2d_backward(x, weights, bias, output_grad, stride=1, padding=0):
     if bias is not None:
         grads["b"] = output_grad.sum(axis=(0, 2, 3))
     grads["w"] = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
+    if not input_grad:
+        return LayerGrad(None, grads)
 
     gcols = np.matmul(weights.reshape(c_out, -1).T, gy)
     if k == 1 and stride == 1 and padding == 0:  # the columns are x itself
         return LayerGrad(gcols.reshape(x.shape), grads)
-    g6 = gcols.reshape(n, c, k, k, oh, ow)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    gx_pad = np.zeros((n, c, hp, wp), dtype=x.dtype)
+    # Scatter channels-last, so each += runs over n*c contiguous floats;
+    # every element receives the same additions in the same (i, j) order.
+    g6 = gcols.reshape(n, c, k, k, oh, ow).transpose(2, 3, 4, 5, 0, 1)
+    gx_pad = np.zeros((h + 2 * padding, w + 2 * padding, n, c), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
-            gx_pad[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[:, :, i, j]
-    gx = gx_pad[:, :, padding:padding + h, padding:padding + w] if padding else gx_pad
-    return LayerGrad(gx, grads)
+            gx_pad[i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[i, j]
+    gx = gx_pad[padding:padding + h, padding:padding + w]
+    return LayerGrad(np.ascontiguousarray(gx.transpose(2, 3, 0, 1)), grads)
 
 
 def maxpool2x2(x):
@@ -321,14 +333,16 @@ def fully_connected(x, weights, bias):
     return x2 @ weights + bias
 
 
-def fully_connected_backward(x, weights, output_grad):
+def fully_connected_backward(x, weights, output_grad, input_grad=True):
+    """Gradients through fully_connected. With input_grad=False the input
+    gradient is not computed and is None."""
     x2 = x.reshape(x.shape[0], -1)
     n, m = output_grad.shape
     d = weights.shape[0]
     _require(output_grad.shape == (n, weights.shape[1]) and x2.shape == (n, d),
              f"fully_connected_backward shape mismatch: input {x.shape}, "
              f"weights {weights.shape}, output_grad {output_grad.shape}")
-    gx = (output_grad @ weights.T).reshape(x.shape)
+    gx = (output_grad @ weights.T).reshape(x.shape) if input_grad else None
     return LayerGrad(gx, {"w": x2.T @ output_grad, "b": output_grad.sum(axis=0)})
 
 

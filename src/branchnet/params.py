@@ -22,8 +22,10 @@ checkpoint for given contents is byte-identical across runs.
 
 A checkpoint that loads is complete: every parameter has its "a/" and "t/"
 records, "m/" records cover every parameter or none, and running
-statistics cover every batchnorm node or none. Any other record set, or a
-record of the wrong size, raises ValueError naming the record.
+statistics cover every batchnorm node or none. Every value of an "a/",
+"m/", "rm/" or "rv/" record is finite, and no "rv/" value is negative.
+Any other record set, a record of the wrong size, or a value outside
+these bounds raises ValueError naming the record.
 """
 
 import math
@@ -39,6 +41,7 @@ from .graph import NODE_KINDS, GraphSpec, compute_shapes
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
 RECORD_KINDS = ("a", "m", "t", "rm", "rv", "rc")
+FINITE_KINDS = ("a", "m", "rm", "rv")  # whose every value must be finite
 
 
 def param_shapes(graph: GraphSpec) -> dict:
@@ -207,6 +210,13 @@ def parse_checkpoint(data: bytes):
         if flat.size != sizes[rname]:
             raise ValueError(f"checkpoint record {rname!r} has {flat.size} "
                              f"elements, graph expects {sizes[rname]}")
+        if kind in FINITE_KINDS:
+            # min and max propagate NaN and hold any inf, with no temporary
+            lo, hi = flat.min(), flat.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"checkpoint record {rname!r} holds a non-finite value")
+            if kind == "rv" and lo < 0:
+                raise ValueError(f"checkpoint record {rname!r} holds a negative variance")
     _require_records(records, [k + n for k in ("a/", "t/") for n in shapes],
                      "every parameter needs its array and trainable flag",
                      all_or_none=False)

@@ -230,7 +230,7 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
         if not np.isfinite(value):
             raise ValueError(f"non-finite loss at minibatch {t}; training aborted")
         grads, _ = backward_pass(graph, store, acts, {LOGITS_NODE: logit_grad},
-                                 stop=train_from, saved=saved)
+                                 stop=train_from, saved=saved, input_grad=False)
         sgd_momentum_step(store, grads, rate, config.momentum_coeff)
         log.rows.append((t, rate, value, acc))
     return log

@@ -34,6 +34,35 @@ def conv2d_loops(x, w, bias=None, stride=1, padding=0):
     return out
 
 
+def im2col_np_pad(x, k, stride, padding, oh, ow):
+    """im2col over an np.pad copy: the bitwise reference for _im2col."""
+    n, c = x.shape[:2]
+    x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, k, k, oh, ow),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride))
+    return np.ascontiguousarray(windows).reshape(n, c * k * k, oh * ow)
+
+
+def conv2d_backward_nchw(x, w, b, gy, stride, padding):
+    """(input, weight, bias) gradients of a convolution, its column gradient
+    scattered over NCHW slices, one strided += per kernel position: the
+    bitwise reference for conv2d_backward's channels-last scatter."""
+    n, c, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    oh, ow = gy.shape[2:]
+    cols = im2col_np_pad(x, k, stride, padding, oh, ow)
+    g = gy.reshape(n, c_out, oh * ow)
+    gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    g6 = np.matmul(w.reshape(c_out, -1).T, g).reshape(n, c, k, k, oh, ow)
+    gx = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            gx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[:, :, i, j]
+    return gx[:, :, padding:padding + h, padding:padding + wd], gw, gy.sum(axis=(0, 2, 3))
+
+
 def maxpool2x2_scan(x):
     """Scans each window in row-major order. A NaN, once met, is the
     result, as in np.max. A value equal to the running maximum replaces it,

@@ -19,7 +19,7 @@ import pytest
 
 import gradsuites
 import oracles
-from branchnet.accounting import branch_trainable_params, suffix_macs, trunk_macs
+from branchnet.accounting import branch_trainable_params, count_flops, suffix_macs
 from branchnet.cli import main as cli_main
 from branchnet.common import derive_seed
 from branchnet.dataio import Manifest, load_batch, read_tensor, split_ids, write_tensor
@@ -154,7 +154,7 @@ def test_05_combined_cost_budget():
         br = make_branch(graph, store, layer, k, loss=loss, seed=i)
         model.add_head(HeadSpec(task, layer, k, loss), br.graph, br.store)
     combined, per_head = combined_flops(model)
-    trunk = trunk_macs(graph)
+    trunk = count_flops(graph).total_macs
     ratio = combined / trunk
     ok = combined < 1.3 * trunk
     verdict(5, "combined-cost budget", ok,

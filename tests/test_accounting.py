@@ -3,7 +3,7 @@ import pytest
 
 from branchnet.accounting import (branch_trainable_params, compute_shapes,
                                   count_flops, count_params, format_cost_table,
-                                  suffix_macs, trunk_macs)
+                                  suffix_macs)
 from branchnet.engine import forward_pass
 from branchnet.graph import ArchConfig, GraphSpec, LayerNode, build_trunk
 from branchnet.graph import NODE_KINDS
@@ -19,7 +19,7 @@ def test_canonical_totals():
     report = count_flops(CANONICAL)
     assert report.total_macs == 810_595_328
     assert report.total_flops2x == 2 * 810_595_328 == 1_621_190_656
-    assert trunk_macs(CANONICAL) == report.total_macs
+    assert count_flops(CANONICAL).total_macs == report.total_macs
     assert 8_500_000 <= total_params <= 10_500_000
     assert 800_000_000 <= report.total_macs <= 1_000_000_000
 
@@ -71,7 +71,7 @@ def test_suffix_macs_reference_values():
 
 
 def test_four_head_combined_cost():
-    trunk = trunk_macs(CANONICAL)
+    trunk = count_flops(CANONICAL).total_macs
     combined = trunk + suffix_macs(CANONICAL, "conv19", 7) \
         + suffix_macs(CANONICAL, "conv22", 14) \
         + suffix_macs(CANONICAL, "fc", 9) + suffix_macs(CANONICAL, "fc", 2)

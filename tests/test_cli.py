@@ -378,6 +378,22 @@ def test_predict_rejects_a_head_whose_prefix_differs(capsys, tmp_path, corpus,
     assert record in err
 
 
+def test_predict_rejects_a_bundle_with_a_non_finite_weight(capsys, tmp_path,
+                                                           corpus, bundle_dir):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    path = str(bundle / "binary.ckpt")
+    graph, store = load_checkpoint(path)
+    store.arrays["fc/w"][0, 0] = np.nan
+    save_checkpoint(path, graph, store)
+    rc, out, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                           "--data", corpus, "--out", str(tmp_path / "p.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'a/fc/w' holds a non-finite value" in err
+
+
 def test_bundle_trunk_serves_as_a_trunk_checkpoint(capsys, tmp_path, corpus,
                                                    bundle_dir):
     trunk = os.path.join(bundle_dir, "trunk.ckpt")

@@ -3,8 +3,7 @@ import pytest
 
 from branchnet.engine import forward_pass
 from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, GraphSpec,
-                             LayerNode, build_trunk, compute_shapes,
-                             resolution_trace)
+                             LayerNode, build_trunk, compute_shapes)
 from branchnet.train import TrainConfig, init_params
 
 
@@ -58,6 +57,15 @@ def test_bias_carriers():
 
 
 def test_resolution_traces():
+    def resolution_trace(graph):
+        """Spatial extents after the stem conv, the pool, and each stride-2
+        non-shortcut conv after the stem."""
+        shapes = compute_shapes(graph)
+        return [shapes["conv1"][1], shapes["pool1"][1]] + [
+            shapes[n.name][1] for n in graph.nodes
+            if n.kind == "conv" and n.attrs["stride"] == 2
+            and not n.name.startswith("shortcut") and n.name != "conv1"]
+
     assert resolution_trace(build_trunk(ArchConfig.canonical())) == [112, 56, 28, 14, 7]
     desk = resolution_trace(build_trunk(ArchConfig.desk()))
     assert desk == [28, 14, 7, 4, 2]
@@ -132,6 +140,19 @@ def test_parse_rejects_malformed_text():
         GraphSpec.parse("conv1 conv inputs=input\n")
     with pytest.raises(ValueError, match="malformed"):
         GraphSpec.parse("graph input_shape=1,4,4 branch_points=\nbroken\n")
+
+
+def test_header_without_input_shape_is_a_value_error():
+    with pytest.raises(ValueError, match="'input_shape'"):
+        GraphSpec.parse("graph branch_points=\nr relu inputs=input\n")
+    with pytest.raises(ValueError, match="input_shape='1,x,4'"):
+        GraphSpec.parse("graph input_shape=1,x,4\nr relu inputs=input\n")
+
+
+def test_header_token_without_equals_is_a_value_error():
+    with pytest.raises(ValueError, match="header token 'branch_points' is not"):
+        GraphSpec.parse("graph input_shape=1,4,4 branch_points\n"
+                        "r relu inputs=input\n")
 
 
 def test_graph_lookup_errors():

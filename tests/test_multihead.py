@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from branchnet.accounting import suffix_macs, trunk_macs
+from branchnet.accounting import count_flops, suffix_macs
 from branchnet.engine import forward_pass
 from branchnet.graph import ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel, combined_flops,
@@ -49,7 +49,7 @@ def test_zero_head_model_predicts_identity_only(model):
     assert pred.identity_probs.shape == (3, 12)
     np.testing.assert_allclose(pred.identity_probs.sum(axis=1), 1.0, atol=1e-6)
     total, per_head = combined_flops(bare)
-    assert per_head == {} and total == trunk_macs(bare.trunk_graph)
+    assert per_head == {} and total == count_flops(bare.trunk_graph).total_macs
 
 
 def test_trunk_runs_once_per_call(model):
@@ -99,7 +99,7 @@ def test_combined_cost_decomposition(model):
             "tags": suffix_macs(g, "fc", 9),
             "binary": suffix_macs(g, "fc", 2)}
     assert per_head == want
-    assert total == trunk_macs(g) + sum(want.values())
+    assert total == count_flops(g).total_macs + sum(want.values())
     emb = g.node("fc").attrs["in"]
     assert want["tags"] == emb * 9 and want["binary"] == emb * 2
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchnet import ops
-from oracles import (avgpool_scan, batchnorm_train_loops, conv2d_loops,
+from branchnet.graph import ArchConfig, build_trunk, compute_shapes
+from oracles import (avgpool_scan, batchnorm_train_loops,
+                     conv2d_backward_nchw, conv2d_loops, im2col_np_pad,
                      maxpool2x2_backward_scan, maxpool2x2_scan)
 
 
@@ -133,17 +135,6 @@ def test_pointwise_conv_is_bitwise_the_strided_im2col_path(dtype, shape):
     assert bitwise_equal(ops.conv2d_backward(xt, w, b, gy, 1, 0).input_grad, gx)
 
 
-def im2col_np_pad(x, k, stride, padding, oh, ow):
-    """im2col over an np.pad copy: the bitwise reference for _im2col."""
-    n, c = x.shape[:2]
-    x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, k, k, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride))
-    return np.ascontiguousarray(windows).reshape(n, c * k * k, oh * ow)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("padding", [1, 2, 3])
 @pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (7, 2)])
@@ -159,6 +150,60 @@ def test_padded_im2col_is_bitwise_the_np_pad_path(dtype, padding, k, stride):
     xt = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
     assert not xt.flags.c_contiguous
     assert bitwise_equal(ops._im2col(xt, k, stride, padding, oh, ow), want)
+
+
+def _conv_geometries():
+    """(c_in, c_out, h, w, k, stride, pad) of every desk trunk conv, the
+    canonical 7x7/s2/p3 stem over 3 channels, and a 1x1/s2 shortcut over
+    an odd extent, whose odd rows and columns get no gradient."""
+    graph = build_trunk(ArchConfig.desk())
+    shapes = compute_shapes(graph)
+    geoms = {(shapes[node.inputs[0]][0], node.attrs["out"])
+             + shapes[node.inputs[0]][1:]
+             + (node.attrs["k"], node.attrs["stride"], node.attrs["pad"])
+             for node in graph.nodes if node.kind == "conv"}
+    return sorted(geoms) + [(3, 4, 13, 12, 7, 2, 3), (5, 6, 7, 7, 1, 2, 0)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in gy's sums
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("geom", _conv_geometries(),
+                         ids=lambda g: "%dto%d-%dx%d-k%ds%dp%d" % g)
+def test_conv_backward_is_bitwise_the_nchw_scatter(dtype, geom):
+    c, c_out, h, wd, k, stride, padding = geom
+    rng = np.random.default_rng(sum(geom))
+    n = 3
+    x = rng.standard_normal((n, c, h, wd)).astype(dtype)
+    w = rng.standard_normal((c_out, c, k, k)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    oh = ops.conv_output_size(h, k, stride, padding)
+    ow = ops.conv_output_size(wd, k, stride, padding)
+    gy = rng.standard_normal((n, c_out, oh, ow)).astype(dtype)
+    gy[0] = -0.0  # a sample with no gradient at all
+    gy[1, 0, 0, :3] = (np.nan, np.inf, -np.inf)[:ow]
+    gx, gw, gb = conv2d_backward_nchw(x, w, b, gy, stride, padding)
+    grad = ops.conv2d_backward(x, w, b, gy, stride, padding)
+    assert bitwise_equal(grad.input_grad, gx)
+    assert grad.input_grad.flags.c_contiguous
+    assert bitwise_equal(grad.param_grads["w"], gw)
+    assert bitwise_equal(grad.param_grads["b"], gb)
+    skipped = ops.conv2d_backward(x, w, b, gy, stride, padding, input_grad=False)
+    assert skipped.input_grad is None
+    assert skipped.param_grads.keys() == grad.param_grads.keys()
+    for name, pg in grad.param_grads.items():
+        assert bitwise_equal(skipped.param_grads[name], pg), name
+
+
+def test_fc_backward_skips_only_the_input_gradient():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((4, 6, 1, 1)).astype(np.float32)
+    w = rng.standard_normal((6, 5)).astype(np.float32)
+    gy = rng.standard_normal((4, 5)).astype(np.float32)
+    full = ops.fully_connected_backward(x, w, gy)
+    skipped = ops.fully_connected_backward(x, w, gy, input_grad=False)
+    assert skipped.input_grad is None and full.input_grad.shape == x.shape
+    for name, pg in full.param_grads.items():
+        assert bitwise_equal(skipped.param_grads[name], pg), name
 
 
 # pooling

@@ -238,3 +238,25 @@ def test_record_sizes_and_owners_are_checked():
         change(store)
         with pytest.raises(ValueError, match=message):
             parse_checkpoint(checkpoint_bytes(GRAPH, store))
+
+
+@pytest.mark.parametrize("record", ["a/conv1/w", "m/fc/b", "rm/bn1", "rv/bn320"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_rejected_at_load(record, value):
+    store = fresh_store()
+    kind, _, name = record.partition("/")
+    target = {"a": lambda: store.arrays[name], "m": lambda: store.momentum[name],
+              "rm": lambda: store.running[name].mean,
+              "rv": lambda: store.running[name].var}[kind]()
+    target.reshape(-1)[-1] = value
+    with pytest.raises(ValueError, match=f"'{record}' holds a non-finite value"):
+        parse_checkpoint(checkpoint_bytes(GRAPH, store))
+
+
+def test_negative_running_variance_is_rejected_at_load():
+    store = fresh_store()
+    store.running["bn2"].var[1] = -1e-3
+    with pytest.raises(ValueError, match="'rv/bn2' holds a negative variance"):
+        parse_checkpoint(checkpoint_bytes(GRAPH, store))
+    store.running["bn2"].var[1] = -0.0  # a zero variance, whatever its sign
+    parse_checkpoint(checkpoint_bytes(GRAPH, store))

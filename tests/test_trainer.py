@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from branchnet import ops
 from branchnet.engine import backward_pass, forward_pass
-from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, GraphSpec,
-                             LayerNode, build_trunk)
+from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, NODE_KINDS,
+                             GraphSpec, LayerNode, build_trunk)
 from branchnet.ops import BatchStats
 from branchnet.params import ParamStore, checkpoint_bytes, frozen_checksum
 from branchnet.train import (Dataset, TrainConfig, _batch_indices,
                              _loss_and_grad, evaluate_accuracy, finetune,
                              init_params, lr_at, make_branch, sgd_momentum_step,
                              train)
+from oracles import conv2d_backward_nchw
 
 
 def fc_graph(d, m, loss="softmax"):
@@ -520,3 +522,92 @@ def test_train_with_contexts_matches_a_context_free_loop(trunk):
         grads, _ = backward_pass(graph, loop, acts, {"fc": logit_grad})
         sgd_momentum_step(loop, grads, lr_at(t, cfg), cfg.momentum_coeff)
     assert checkpoint_bytes(graph, store) == checkpoint_bytes(graph, loop)
+
+
+# input gradients nobody reads
+
+
+def nchw_reference_input_grad(graph, store, acts, gy):
+    """The input gradient of a full backward that computes and keeps every
+    input gradient, its convs scattering over NCHW slices."""
+    grads = {"fc": gy}
+    for node in reversed(graph.nodes):
+        g = grads.pop(node.name, None)
+        if g is None:
+            continue
+        kind = NODE_KINDS[node.kind]
+        params = {s: store.arrays[f"{node.name}/{s}"] for s in kind.params(node.attrs)}
+        ins = [acts[src] for src in node.inputs]
+        if node.kind == "conv":
+            in_grads = conv2d_backward_nchw(ins[0], params["w"], params.get("b"), g,
+                                            node.attrs["stride"], node.attrs["pad"])[:1]
+        else:
+            in_grads, _ = kind.backward(node.attrs, params, ins, g, None,
+                                        (True,) * len(ins))
+        for src, gi in zip(node.inputs, in_grads):
+            grads[src] = grads[src] + gi if src in grads else gi
+    return grads["input"]
+
+
+@pytest.fixture
+def conv_input_grad_flags(monkeypatch):
+    """(weight shape, input_grad flag) of every ops.conv2d_backward call."""
+    calls = []
+    real = ops.conv2d_backward
+
+    def spy(x, weights, bias, output_grad, stride=1, padding=0, input_grad=True):
+        calls.append((weights.shape, input_grad))
+        return real(x, weights, bias, output_grad, stride, padding, input_grad)
+
+    monkeypatch.setattr(ops, "conv2d_backward", spy)
+    return calls
+
+
+def test_skipping_the_input_gradient_keeps_every_parameter_gradient(trunk):
+    graph, store = trunk
+    x = branch_dataset(n=8, seed=10).inputs
+    acts, _ = forward_pass(graph, store, x, mode="train")
+    gy = np.random.default_rng(4).standard_normal(acts["fc"].shape).astype(np.float32)
+    full, gx = backward_pass(graph, store, acts, {"fc": gy})
+    params_only, none = backward_pass(graph, store, acts, {"fc": gy},
+                                      input_grad=False)
+    assert none is None and gx.shape == x.shape
+    assert params_only.keys() == full.keys()
+    for name, g in full.items():
+        assert g.tobytes() == params_only[name].tobytes(), name
+    # the default call's input gradient is the NCHW-scatter full backward's
+    assert gx.tobytes() == nchw_reference_input_grad(graph, store, acts, gy).tobytes()
+
+
+def test_train_asks_no_conv_for_the_network_input_gradient(trunk,
+                                                           conv_input_grad_flags):
+    graph, store = trunk
+    cfg = TrainConfig.desk(batch_size=8, max_minibatches=1, seed=3)
+    train(graph, store.copy(), branch_dataset(n=8, seed=2, classes=6), cfg)
+    stem = store.arrays["conv1/w"].shape
+    assert (stem, False) in conv_input_grad_flags
+    assert all(flag for shape, flag in conv_input_grad_flags if shape != stem)
+
+
+@pytest.mark.parametrize("layer", BRANCH_POINT_NAMES)
+def test_boundary_input_gradient_is_skipped_and_changes_no_gradient(
+        trunk, layer, conv_input_grad_flags):
+    graph, store = trunk
+    stop = graph.index(layer)
+    x = branch_dataset(n=8, seed=12).inputs
+    acts, _ = forward_pass(graph, store, x, mode="train", train_from=stop)
+    gy = np.random.default_rng(5).standard_normal(acts["fc"].shape).astype(np.float32)
+    full, _ = backward_pass(graph, store, acts, {"fc": gy})
+    del conv_input_grad_flags[:]
+    suffix, gx = backward_pass(graph, store, acts, {"fc": gy}, stop=stop)
+    assert gx is None
+    assert suffix.keys() == {name for name in full
+                             if graph.index(name.rpartition("/")[0]) >= stop}
+    for name, g in suffix.items():
+        assert g.tobytes() == full[name].tobytes(), name
+    # a conv reading the frozen prefix computes no input gradient
+    convs = [n for n in graph.nodes[stop:] if n.kind == "conv"]
+    want = [(store.arrays[f"{n.name}/w"].shape, graph.index(n.inputs[0]) >= stop)
+            for n in reversed(convs)]
+    assert conv_input_grad_flags == want
+    assert layer == "fc" or not want[-1][1]
