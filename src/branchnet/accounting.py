@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NODE_KINDS, GraphSpec, compute_shapes
+from .graph import NODE_KINDS, GraphSpec, compute_shapes, head_graph
 from .params import param_owner, param_shapes
 
 
@@ -56,49 +56,36 @@ def count_flops(graph: GraphSpec) -> CostReport:
     return CostReport(per_node, sum(per_node.values()), aux)
 
 
-def branch_trainable_params(graph: GraphSpec, branch_layer: str,
-                            num_classes: int) -> int:
-    """Learnable elements retrained when a task branch starts at branch_layer.
-
-    The retrained region is every parameter whose owning node has topological
-    index >= the branch node's index; the identity head is replaced by a
-    num_classes-way head of the same input width.
-    """
+def _check_branch_point(graph, branch_layer):
     if branch_layer not in graph.branch_points:
         raise ValueError(f"{branch_layer!r} is not a branch point; valid points: "
                          + ", ".join(graph.branch_points))
+
+
+def _from_branch(head: GraphSpec, branch_layer, per_node):
+    """Sum of per_node's counts over head's nodes from branch_layer on."""
+    bidx = head.index(branch_layer)
+    return sum(n for name, n in per_node.items() if head.index(name) >= bidx)
+
+
+def branch_trainable_params(graph: GraphSpec, branch_layer: str,
+                            num_classes: int) -> int:
+    """Learnable elements retrained when a num_classes-way task branch
+    starts at branch_layer: those of its head graph (graph.head_graph)
+    owned by nodes from the branch on."""
+    _check_branch_point(graph, branch_layer)
     if num_classes < 2:
         raise ValueError(f"a branch head needs at least 2 classes, got {num_classes}")
-    bidx = graph.index(branch_layer)
-    total = 0
-    for pname, shape in param_shapes(graph).items():
-        owner = param_owner(pname)
-        if graph.index(owner) < bidx:
-            continue
-        if owner == "fc":
-            emb = graph.node("fc").attrs["in"]
-            total += emb * num_classes if pname.endswith("/w") else num_classes
-        else:
-            total += int(np.prod(shape))
-    return total
+    head = head_graph(graph, num_classes, "softmax")
+    return _from_branch(head, branch_layer, count_params(head)[0])
 
 
 def suffix_macs(graph: GraphSpec, branch_layer: str, num_classes: int) -> int:
-    """Per-sample multiply-accumulates of the nodes from branch_layer on,
-    with the identity head replaced by a num_classes-way head."""
-    if branch_layer not in graph.branch_points:
-        raise ValueError(f"{branch_layer!r} is not a branch point; valid points: "
-                         + ", ".join(graph.branch_points))
-    bidx = graph.index(branch_layer)
-    report = count_flops(graph)
-    total = 0
-    for name, macs in report.per_node_macs.items():
-        if graph.index(name) < bidx:
-            continue
-        if name == "fc":
-            macs = graph.node("fc").attrs["in"] * num_classes
-        total += macs
-    return total
+    """Per-sample multiply-accumulates of a num_classes-way head graph's
+    nodes from branch_layer on."""
+    _check_branch_point(graph, branch_layer)
+    head = head_graph(graph, num_classes, "softmax")
+    return _from_branch(head, branch_layer, count_flops(head).per_node_macs)
 
 
 def format_cost_table(graph: GraphSpec) -> str:

@@ -1,6 +1,6 @@
 """Graph execution: forward and backward passes over a GraphSpec.
 
-The engine is stateless. A forward pass returns the full activation dict
+The engine is stateless. A forward pass returns its activation dict
 plus any batchnorm running-statistic updates; applying those updates to the
 store is the caller's job, which keeps inference passes trivially free of
 side effects.
@@ -12,8 +12,15 @@ Partial execution supports fine-tuning and shared-trunk evaluation:
                from a cached dict instead of recomputing them; train() resumes
                each fine-tune step from its cached frozen prefix this way, and
                multihead resumes every head from one shared trunk pass
-  end          stop before a node index; train() computes the frozen prefix
-               [0, train_from) once per call with it
+  keep         the names the caller reads; None returns all. Given a set,
+               the pass stops after the last kept node and frees each
+               other activation, cached ones too, after its last reader
+               (liveness; Chen et al. 2016, arXiv 1604.06174)
+
+boundary(graph, i) names what a pass resumed at node i reads of the
+prefix. infer() is the one chunked inference loop, used by train()'s
+frozen prefix, evaluation and probes; multihead keeps the logits and each
+head's boundary, then resumes each head keeping only its last node.
 
 Saved contexts let a backward skip work its forward already did. Given a
 `saved` dict, forward_pass stores there the context each node hands back
@@ -48,16 +55,24 @@ def _node_params(store, node):
             for suffix in NODE_KINDS[node.kind].params(node.attrs)}
 
 
+def boundary(graph: GraphSpec, index: int) -> set:
+    """Names of the activations from before node index that nodes at or
+    after it read: all that a pass resumed at index needs of the prefix."""
+    return {src for node in graph.nodes[index:] for src in node.inputs
+            if src == INPUT_NAME or graph.index(src) < index}
+
+
 def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
-                 start=0, cache=None, end=None, saved=None):
-    """Run nodes [start, end) over input x (or a cached prefix); end=None
-    runs to the last node.
+                 start=0, cache=None, saved=None, keep=None):
+    """Run nodes from start over input x (or a cached prefix).
 
     Returns (activations, bn_updates): activations maps node name -> output
     (plus "input" -> x when start == 0), bn_updates maps batchnorm node
-    name -> new RunningStats for nodes that ran in train mode. When saved
-    is a dict, the saved context of every node that keeps one is stored in
-    it by node name.
+    name -> new RunningStats for nodes that ran in train mode. Given a set
+    keep, the pass stops after the last kept node, drops every other
+    activation once its last reader has run, and returns only the kept
+    ones. When saved is a dict, the saved context of every node that keeps
+    one is stored in it by node name.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -67,9 +82,23 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
         if cache is None:
             raise ValueError("starting mid-graph requires cached activations")
         acts = dict(cache)
+    stop, dead = len(graph.nodes), {}
+    if keep is not None:
+        # an activation not kept dies after its last reader in [start,
+        # stop), after its own node if none reads it, or at once
+        stop = max((graph.index(n) + 1 for n in keep if n != INPUT_NAME),
+                   default=start)
+        last = dict.fromkeys(acts, start - 1)
+        for index, node in enumerate(graph.nodes[start:stop], start):
+            last.update(dict.fromkeys(node.inputs + (node.name,), index))
+        for name, index in last.items():
+            if name not in keep:
+                dead.setdefault(index, []).append(name)
+    for name in dead.get(start - 1, ()):
+        del acts[name]
     bn_updates = {}
 
-    for index, node in enumerate(graph.nodes[start:end], start):
+    for index, node in enumerate(graph.nodes[start:stop], start):
         try:
             ins = [acts[src] for src in node.inputs]
         except KeyError as exc:
@@ -84,7 +113,24 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
         if saved is not None and context is not None:
             saved[node.name] = context
         acts[node.name] = out
+        for name in dead.get(index, ()):
+            del acts[name]
+    if keep is not None:
+        acts = {name: acts[name] for name in keep}
     return acts, bn_updates
+
+
+def infer(graph: GraphSpec, store, x, keep, batch):
+    """Inference-mode passes over x in chunks of batch samples; returns
+    each kept activation for every sample, concatenated over the chunks.
+    x must hold at least one sample."""
+    parts = {name: [] for name in keep}
+    for lo in range(0, len(x), batch):
+        acts, _ = forward_pass(graph, store, x[lo:lo + batch], mode="infer",
+                               keep=keep)
+        for name, a in acts.items():
+            parts[name].append(a)
+    return {name: np.concatenate(chunks) for name, chunks in parts.items()}
 
 
 def backward_pass(graph: GraphSpec, store, acts, out_grads, stop=0, saved=None,

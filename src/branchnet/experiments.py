@@ -16,7 +16,7 @@ import numpy as np
 from . import ops
 from .common import derive_rng, derive_seed
 from .dataio import SynthSpec, generate_synthetic, load_batch, split_ids
-from .engine import forward_pass
+from .engine import infer
 from .graph import ArchConfig, GraphSpec, build_trunk
 from .params import save_checkpoint
 from .train import (Dataset, TrainConfig, evaluate_accuracy, finetune,
@@ -27,6 +27,7 @@ from .train import (Dataset, TrainConfig, evaluate_accuracy, finetune,
 # asserted against desk-scale synthetic results.
 REFERENCE_CELLS = (("emotion", "conv19", 0.68), ("age", "conv22", 0.40),
                    ("ethnicity", "fc", 0.72), ("gender", "fc", 0.99))
+PROBE_CHUNK = 128  # samples per inference pass over a probe split
 
 
 @dataclass(frozen=True)
@@ -131,18 +132,9 @@ class ProbeResult:
     seed: int
 
 
-def _pooled_features(graph, store, inputs, layers, batch_size=128):
-    """{layer: activations pooled to one value per channel} for every
-    requested layer, from one forward pass per chunk of inputs."""
-    feats = {layer: [] for layer in layers}
-    for lo in range(0, len(inputs), batch_size):
-        acts, _ = forward_pass(graph, store, inputs[lo:lo + batch_size],
-                               mode="infer")
-        for layer, parts in feats.items():
-            a = acts[layer]
-            parts.append(a.mean(axis=(2, 3)) if a.ndim == 4 else a)
-    return {layer: np.concatenate(parts, axis=0)
-            for layer, parts in feats.items()}
+def _pooled(a):
+    """Activations pooled to one value per channel."""
+    return a.mean(axis=(2, 3)) if a.ndim == 4 else a
 
 
 def _train_linear_probe(feats, labels, num_classes, seed, budget, batch, rate):
@@ -168,18 +160,18 @@ def invariance_probe(graph: GraphSpec, store, layers, factors,
     factors maps factor name -> number of classes; train_labels/val_labels
     map factor name -> integer label arrays. Activations are pooled to one
     value per channel, so a probe sees only channel statistics. Every
-    requested layer is read from the same forward pass over each chunk of
-    inputs, so the trunk runs once per split, not once per layer.
+    requested layer is read from one inference pass per split, not one
+    per layer.
     """
     for layer in layers:
         if layer != "input" and layer not in graph:
             raise ValueError(f"unknown probe layer {layer!r}")
-    train_feats = _pooled_features(graph, store, train_inputs, layers)
-    val_feats = _pooled_features(graph, store, val_inputs, layers)
+    train_acts = infer(graph, store, train_inputs, set(layers), PROBE_CHUNK)
+    val_acts = infer(graph, store, val_inputs, set(layers), PROBE_CHUNK)
     cells = {}
     for layer in layers:
-        ftr64 = train_feats[layer].astype(np.float64)
-        fva64 = val_feats[layer].astype(np.float64)
+        ftr64 = _pooled(train_acts[layer]).astype(np.float64)
+        fva64 = _pooled(val_acts[layer]).astype(np.float64)
         for factor, num_classes in factors.items():
             probe_seed = derive_seed(seed, "probe", layer, factor)
             w, b = _train_linear_probe(ftr64, train_labels[factor], num_classes,

@@ -352,6 +352,16 @@ class GraphSpec:
                         f"node {node.name!r} references {src!r} which is not "
                         f"defined earlier in the graph")
             seen[node.name] = i
+        shape = tuple(self.input_shape)
+        if len(shape) != 3 or not all(
+                isinstance(d, int) and not isinstance(d, bool) and d > 0
+                for d in shape):
+            raise ValueError(f"input_shape {self.input_shape!r} is not three "
+                             f"positive integers (c, h, w)")
+        for name in self.branch_points:
+            if name not in seen:
+                raise ValueError(f"branch point {name!r} names no node")
+        object.__setattr__(self, "input_shape", shape)
         object.__setattr__(self, "_index", seen)
 
     def node(self, name):
@@ -536,3 +546,22 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
                                     config.eff_input_size), tuple(present))
     compute_shapes(spec)
     return spec
+
+
+def head_graph(trunk: GraphSpec, num_classes: int, loss: str) -> GraphSpec:
+    """The trunk with a task head in place of the identity head: fc
+    resized to num_classes outputs, then a node "head", a softmax for loss
+    "softmax" and a sigmoid otherwise. Every node before fc is the trunk's;
+    make_branch and the branch cost accounting both build on this graph."""
+    head_kind = "softmax-head" if loss == "softmax" else "sigmoid-head"
+    nodes = []
+    for node in trunk.nodes:
+        if node.kind in ("softmax-head", "sigmoid-head"):
+            continue
+        if node.kind == "fc":
+            node = LayerNode(node.name, "fc",
+                             {"in": node.attrs["in"], "out": num_classes},
+                             node.inputs)
+        nodes.append(node)
+    nodes.append(LayerNode("head", head_kind, {}, (nodes[-1].name,)))
+    return GraphSpec(tuple(nodes), trunk.input_shape, trunk.branch_points)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ops
 from .accounting import count_flops, suffix_macs
-from .engine import forward_pass
+from .engine import boundary, forward_pass
 from .graph import GraphSpec
 from .params import (ParamStore, batchnorm_nodes, frozen_names,
                      load_checkpoint, save_checkpoint)
@@ -137,17 +137,21 @@ def predict_all(model: MultiHeadModel, x, stats=None) -> Prediction:
     if x.ndim != 4 or x.shape[1:] != tuple(model.trunk_graph.input_shape):
         raise ValueError(f"input shape {x.shape} does not match trunk input "
                          f"{model.trunk_graph.input_shape}")
+    keep = {"fc"}
+    for head in model.heads:
+        keep |= boundary(head.graph, head.graph.index(head.spec.branch_layer))
     trunk_acts, _ = forward_pass(model.trunk_graph, model.trunk_store, x,
-                                 mode="infer")
+                                 mode="infer", keep=keep)
     if stats is not None:
         stats["trunk_forwards"] = stats.get("trunk_forwards", 0) + 1
 
     tasks = {}
     for head in model.heads:
-        bidx = head.graph.index(head.spec.branch_layer)
+        last = head.graph.nodes[-1].name
         acts, _ = forward_pass(head.graph, head.store, None, mode="infer",
-                               start=bidx, cache=trunk_acts)
-        scores = acts[head.graph.nodes[-1].name]
+                               start=head.graph.index(head.spec.branch_layer),
+                               cache=trunk_acts, keep={last})
+        scores = acts[last]
         tasks[head.spec.task] = TaskOutput(scores, scores.argmax(axis=1))
     logits = trunk_acts["fc"]
     return Prediction(logits, ops.softmax(logits), tasks)

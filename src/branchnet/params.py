@@ -24,8 +24,9 @@ A checkpoint that loads is complete: every parameter has its "a/" and "t/"
 records, "m/" records cover every parameter or none, and running
 statistics cover every batchnorm node or none. Every value of an "a/",
 "m/", "rm/" or "rv/" record is finite, and no "rv/" value is negative.
-Any other record set, a record of the wrong size, or a value outside
-these bounds raises ValueError naming the record.
+Every "t/" value is exactly 0 or 1. Any other record set, a record of the
+wrong size or one whose name or data runs past the checksum, or a value
+outside these bounds raises ValueError naming the record or its offset.
 """
 
 import math
@@ -169,27 +170,34 @@ def parse_checkpoint(data: bytes):
     (version,) = struct.unpack_from("<I", data, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    off = 8
-    (glen,) = struct.unpack_from("<Q", data, off)
-    off += 8
+    end = len(data) - 8
+    (glen,) = struct.unpack_from("<Q", data, 8)
+    off = 16
+    if glen > end - off:
+        raise ValueError(f"checkpoint graph text of {glen} bytes runs past "
+                         f"the checksum")
     graph = GraphSpec.parse(data[off:off + glen].decode())
     compute_shapes(graph)  # a graph that cannot run fails here, naming the node
     off += glen
-    end = len(data) - 8
 
     records = {}
     while off < end:
+        # each length is checked against the bytes left before the checksum
+        # (a record needs 12 besides its name and data) before it is used
         (nlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off:off + nlen].decode()
-        off += nlen
+        if nlen > end - off - 12:
+            raise ValueError(f"checkpoint record name at offset {off} runs "
+                             f"past the checksum ({nlen} bytes)")
+        name = data[off + 4:off + 4 + nlen].decode()
+        off += 4 + nlen
         (count,) = struct.unpack_from("<Q", data, off)
         off += 8
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=off).copy()
+        if count > (end - off) // 4:
+            raise ValueError(f"checkpoint record {name!r} runs past the "
+                             f"checksum ({count} elements)")
+        records[name] = np.frombuffer(data, dtype="<f4", count=count,
+                                      offset=off).copy()
         off += 4 * count
-        if off > end:
-            raise ValueError(f"checkpoint record {name!r} overruns the file")
-        records[name] = arr
 
     shapes = param_shapes(graph)
     bns = batchnorm_nodes(graph)
@@ -217,6 +225,9 @@ def parse_checkpoint(data: bytes):
                 raise ValueError(f"checkpoint record {rname!r} holds a non-finite value")
             if kind == "rv" and lo < 0:
                 raise ValueError(f"checkpoint record {rname!r} holds a negative variance")
+        if kind == "t" and flat[0] not in (0.0, 1.0):
+            raise ValueError(f"checkpoint record {rname!r} holds {flat[0]}, "
+                             f"not a trainable flag of 0 or 1")
     _require_records(records, [k + n for k in ("a/", "t/") for n in shapes],
                      "every parameter needs its array and trainable flag",
                      all_or_none=False)

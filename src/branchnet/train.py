@@ -24,8 +24,8 @@ import numpy as np
 from . import ops
 from .common import derive_rng
 from .config import fields_from_mapping, fields_to_mapping
-from .engine import backward_pass, forward_pass
-from .graph import GraphSpec, LayerNode
+from .engine import backward_pass, boundary, forward_pass, infer
+from .graph import GraphSpec, head_graph
 from .params import ParamStore, batchnorm_nodes, param_owner, param_shapes
 
 LOSS_KINDS = ("softmax", "sigmoid-multilabel")
@@ -177,21 +177,6 @@ def _loss_and_grad(logits, labels, loss):
     return value, grad, acc
 
 
-def _frozen_prefix(graph, store, inputs, train_from, batch_size):
-    """Every sample's outputs of nodes [0, train_from) that a later node
-    reads, plus the logits if they lie there. Runs in inference mode in
-    chunks of batch_size, so a chunk holds no more than one step does."""
-    keep = {src for node in graph.nodes[train_from:] for src in node.inputs}
-    keep.add(LOGITS_NODE)
-    parts = {}
-    for lo in range(0, len(inputs), batch_size):
-        acts, _ = forward_pass(graph, store, inputs[lo:lo + batch_size],
-                               mode="infer", end=train_from)
-        for name in keep & acts.keys():
-            parts.setdefault(name, []).append(acts[name])
-    return {name: np.concatenate(chunks) for name, chunks in parts.items()}
-
-
 def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
           config: TrainConfig, loss: str = "softmax",
           train_from: int = 0) -> TrainLog:
@@ -208,9 +193,11 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
     if n == 0 and config.max_minibatches > 0:
         raise ValueError("cannot train on an empty dataset")
     prefix = None
-    if train_from > 0:
-        prefix = _frozen_prefix(graph, store, dataset.inputs, train_from,
-                                config.batch_size)
+    if train_from > 0 and n > 0:
+        keep = boundary(graph, train_from)
+        if graph.index(LOGITS_NODE) < train_from:
+            keep.add(LOGITS_NODE)  # no step computes the logits then
+        prefix = infer(graph, store, dataset.inputs, keep, config.batch_size)
     saved = {}  # contexts from each step's forward, emptied by its backward
     for t in range(config.max_minibatches):
         rate = lr_at(t, config)
@@ -240,23 +227,18 @@ def evaluate_accuracy(graph: GraphSpec, store: ParamStore, dataset: Dataset,
                       loss: str = "softmax", batch_size: int = 256) -> float:
     """Inference-mode accuracy: exact-match for softmax heads, element-wise
     agreement for multilabel heads."""
-    correct, total = 0.0, 0
-    for lo in range(0, len(dataset), batch_size):
-        xb = dataset.inputs[lo:lo + batch_size]
-        yb = np.asarray(dataset.labels[lo:lo + batch_size])
-        acts, _ = forward_pass(graph, store, xb, mode="infer")
-        logits = acts[LOGITS_NODE]
-        if loss == "softmax":
-            hits = (logits.argmax(axis=1) == yb)
-        elif loss == "sigmoid-multilabel":
-            hits = ((ops.sigmoid(logits) >= 0.5) == (yb >= 0.5))
-        else:
-            raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
-        correct += float(hits.sum())
-        total += hits.size
-    if total == 0:
+    if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    return correct / total
+    logits = infer(graph, store, dataset.inputs, {LOGITS_NODE},
+                   batch_size)[LOGITS_NODE]
+    labels = np.asarray(dataset.labels)
+    if loss == "softmax":
+        hits = (logits.argmax(axis=1) == labels)
+    elif loss == "sigmoid-multilabel":
+        hits = ((ops.sigmoid(logits) >= 0.5) == (labels >= 0.5))
+    else:
+        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
+    return float(hits.sum()) / hits.size
 
 
 @dataclass
@@ -268,27 +250,10 @@ class Branch:
     branch_layer: str
     num_classes: int
     loss: str
-    trunk_store: ParamStore
 
     @property
     def branch_index(self):
         return self.graph.index(self.branch_layer)
-
-
-def _head_graph(trunk: GraphSpec, num_classes: int, loss: str) -> GraphSpec:
-    head_kind = "softmax-head" if loss == "softmax" else "sigmoid-head"
-    nodes = []
-    for node in trunk.nodes:
-        if node.kind in ("softmax-head", "sigmoid-head"):
-            continue
-        if node.kind == "fc":
-            nodes.append(LayerNode(node.name, "fc",
-                                   {"in": node.attrs["in"], "out": num_classes},
-                                   node.inputs))
-        else:
-            nodes.append(node)
-    nodes.append(LayerNode("head", head_kind, {}, (nodes[-1].name,)))
-    return GraphSpec(tuple(nodes), trunk.input_shape, trunk.branch_points)
 
 
 def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
@@ -310,7 +275,7 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
     if branch_layer not in trunk_graph.branch_points:
         raise ValueError(f"unknown branch layer {branch_layer!r}; valid points: "
                          + ", ".join(trunk_graph.branch_points))
-    graph = _head_graph(trunk_graph, num_classes, loss)
+    graph = head_graph(trunk_graph, num_classes, loss)
     bidx = graph.index(branch_layer)
     store = ParamStore()
     for name, shape in param_shapes(graph).items():
@@ -337,7 +302,7 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
                                                  rs.count)
         else:
             store.running[bn] = _fresh_stats(graph, bn)
-    return Branch(graph, store, branch_layer, num_classes, loss, trunk_store)
+    return Branch(graph, store, branch_layer, num_classes, loss)
 
 
 def finetune(branch: Branch, dataset: Dataset, config: TrainConfig) -> TrainLog:

@@ -9,7 +9,10 @@ decision boundaries so the finite-difference step cannot cross one.
 import numpy as np
 
 from branchnet import ops
+from branchnet.engine import forward_pass
 from branchnet.gradcheck import grad_check
+from branchnet.graph import GraphSpec, LayerNode
+from branchnet.params import ParamStore
 
 
 def _away_from_zero(x, margin=0.05):
@@ -151,3 +154,40 @@ def run_all(seeds):
     """Worst relative error per op over the given seeds."""
     return {name: max(check(seed).max_rel_err for seed in seeds)
             for name, check in SUITES.items()}
+
+
+def residual_graph():
+    """A float64 residual block whose skip reads the network input."""
+    nodes = (
+        LayerNode("conv_a", "conv", {"in": 4, "out": 2, "k": 1, "stride": 1,
+                                     "pad": 0, "bias": 0}, ("input",)),
+        LayerNode("bn_a", "batchnorm", {"ch": 2}, ("conv_a",)),
+        LayerNode("relu_a", "relu", {}, ("bn_a",)),
+        LayerNode("conv_b", "conv", {"in": 2, "out": 4, "k": 3, "stride": 1,
+                                     "pad": 1, "bias": 0}, ("relu_a",)),
+        LayerNode("bn_b", "batchnorm", {"ch": 4}, ("conv_b",)),
+        LayerNode("add_z", "add", {}, ("bn_b", "input")),
+        LayerNode("relu_z", "relu", {}, ("add_z",)),
+    )
+    return GraphSpec(nodes, input_shape=(4, 6, 6), branch_points=())
+
+
+def residual_instance(seed):
+    """Random store and input, redrawn until no activation sits near a relu
+    kink (the finite-difference step must not cross one)."""
+    graph = residual_graph()
+    for attempt in range(50):
+        rng = np.random.default_rng((seed, attempt))
+        store = ParamStore()
+        store.arrays = {
+            "conv_a/w": rng.standard_normal((2, 4, 1, 1)),
+            "conv_b/w": 0.3 * rng.standard_normal((4, 2, 3, 3)),
+            "bn_a/gamma": 0.5 + rng.random(2), "bn_a/beta": rng.standard_normal(2),
+            "bn_b/gamma": 0.5 + rng.random(4), "bn_b/beta": rng.standard_normal(4),
+        }
+        x = rng.standard_normal((2, 4, 6, 6))
+        acts, _ = forward_pass(graph, store, x, mode="train")
+        margin = min(np.abs(acts["bn_a"]).min(), np.abs(acts["add_z"]).min())
+        if margin > 1e-3:
+            return graph, store, x, rng
+    raise AssertionError("could not find a kink-free residual instance")

@@ -7,11 +7,13 @@ purpose: these tests check wiring, not model quality.
 
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from branchnet.cli import main
+from branchnet.common import checksum64
 from branchnet.dataio import Manifest, read_tensor, split_ids, write_tensor
 from branchnet.graph import ArchConfig, build_trunk
 from branchnet.params import load_checkpoint, save_checkpoint
@@ -414,3 +416,21 @@ def test_bundle_trunk_serves_as_a_trunk_checkpoint(capsys, tmp_path, corpus,
                          "--set", "train.batch_size=8",
                          "--set", "train.max_minibatches=2")
     assert rc == 0, err
+
+
+def test_predict_rejects_a_bundle_whose_record_runs_past_the_checksum(
+        capsys, tmp_path, corpus, bundle_dir):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    path = bundle / "binary.ckpt"
+    data = path.read_bytes()
+    name = b"a/fc/b"
+    at = data.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    body = data[:at] + struct.pack("<Q", 2**63 + 5) + data[at + 8:-8]
+    path.write_bytes(body + checksum64(body))
+    rc, out, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                           "--data", corpus, "--out", str(tmp_path / "p.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'a/fc/b' runs past the checksum" in err

@@ -6,9 +6,7 @@ import pytest
 from branchnet import ops
 from branchnet.engine import backward_pass, forward_pass
 from branchnet.gradcheck import grad_check
-from branchnet.graph import GraphSpec, LayerNode
-from branchnet.params import ParamStore
-from gradsuites import SUITES
+from gradsuites import SUITES, residual_instance
 
 UNIT_SEEDS = range(5)
 
@@ -54,45 +52,9 @@ def test_linear_ops_nearly_exact(seed):
     assert report.max_rel_err < 1e-7, report.worst
 
 
-def _mini_residual_graph():
-    nodes = (
-        LayerNode("conv_a", "conv", {"in": 4, "out": 2, "k": 1, "stride": 1,
-                                     "pad": 0, "bias": 0}, ("input",)),
-        LayerNode("bn_a", "batchnorm", {"ch": 2}, ("conv_a",)),
-        LayerNode("relu_a", "relu", {}, ("bn_a",)),
-        LayerNode("conv_b", "conv", {"in": 2, "out": 4, "k": 3, "stride": 1,
-                                     "pad": 1, "bias": 0}, ("relu_a",)),
-        LayerNode("bn_b", "batchnorm", {"ch": 4}, ("conv_b",)),
-        LayerNode("add_z", "add", {}, ("bn_b", "input")),
-        LayerNode("relu_z", "relu", {}, ("add_z",)),
-    )
-    return GraphSpec(nodes, input_shape=(4, 6, 6), branch_points=())
-
-
-def _residual_instance(seed):
-    """Random store and input, redrawn until no activation sits near a relu
-    kink (the finite-difference step must not cross one)."""
-    graph = _mini_residual_graph()
-    for attempt in range(50):
-        rng = np.random.default_rng((seed, attempt))
-        store = ParamStore()
-        store.arrays = {
-            "conv_a/w": rng.standard_normal((2, 4, 1, 1)),
-            "conv_b/w": 0.3 * rng.standard_normal((4, 2, 3, 3)),
-            "bn_a/gamma": 0.5 + rng.random(2), "bn_a/beta": rng.standard_normal(2),
-            "bn_b/gamma": 0.5 + rng.random(4), "bn_b/beta": rng.standard_normal(4),
-        }
-        x = rng.standard_normal((2, 4, 6, 6))
-        acts, _ = forward_pass(graph, store, x, mode="train")
-        margin = min(np.abs(acts["bn_a"]).min(), np.abs(acts["add_z"]).min())
-        if margin > 1e-3:
-            return graph, store, x, rng
-    raise AssertionError("could not find a kink-free residual instance")
-
-
 @pytest.mark.parametrize("seed", UNIT_SEEDS)
 def test_residual_block_composite_gradient(seed):
-    graph, store, x, rng = _residual_instance(seed)
+    graph, store, x, rng = residual_instance(seed)
     r = rng.standard_normal((2, 4, 6, 6))
 
     def fn():

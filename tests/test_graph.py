@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,18 @@ def test_optional_attributes_are_typed_at_load():
     for text, old, new, message in cases:
         with pytest.raises(ValueError, match=message):
             GraphSpec.parse(text.replace(old, new))
+
+
+def test_header_input_shape_and_branch_points_are_checked():
+    relu = "relu relu inputs=input\n"
+    for shape, shown in (("1,-4,0", "(1, -4, 0)"), ("1,4", "(1, 4)"),
+                         ("1,4,4,4", "(1, 4, 4, 4)"), ("0,4,4", "(0, 4, 4)")):
+        with pytest.raises(ValueError, match=re.escape(f"input_shape {shown} is "
+                                                       f"not three positive")):
+            GraphSpec.parse(f"graph input_shape={shape} branch_points=relu\n{relu}")
+    with pytest.raises(ValueError, match="branch point 'nowhere' names no node"):
+        GraphSpec.parse(f"graph input_shape=1,4,4 branch_points=nowhere,relu\n{relu}")
+    with pytest.raises(ValueError, match="input_shape"):
+        GraphSpec((LayerNode("r", "relu", {}, ("input",)),), (1, 4.0, 4))
+    graph = GraphSpec.parse(f"graph input_shape=1,4,4 branch_points=relu\n{relu}")
+    assert graph.input_shape == (1, 4, 4) and graph.branch_points == ("relu",)

@@ -260,3 +260,51 @@ def test_negative_running_variance_is_rejected_at_load():
         parse_checkpoint(checkpoint_bytes(GRAPH, store))
     store.running["bn2"].var[1] = -0.0  # a zero variance, whatever its sign
     parse_checkpoint(checkpoint_bytes(GRAPH, store))
+
+
+def _with_count(raw, count):
+    """A record's bytes with its element count field replaced."""
+    (nlen,) = struct.unpack_from("<I", raw, 0)
+    return raw[:4 + nlen] + struct.pack("<Q", count) + raw[12 + nlen:]
+
+
+def test_lengths_past_the_checksum_are_value_errors(trained_desk):
+    data, _ = trained_desk
+    head, records = split_records(data)
+    i = [name for name, _ in records].index("a/fc/b")
+    off = len(head) + sum(len(raw) for _, raw in records[:i])
+    for count in (2**63 + 5, 2**64 - 1, 2**62):
+        bad = records[:i] + [("a/fc/b", _with_count(records[i][1], count))]
+        with pytest.raises(ValueError, match=f"'a/fc/b' runs past the checksum "
+                                             f"\\({count} elements\\)"):
+            parse_checkpoint(seal(head, bad + records[i + 1:]))
+    raw = records[i][1]
+    long_name = struct.pack("<I", 2**32 - 1) + raw[4:]
+    with pytest.raises(ValueError, match=f"record name at offset {off} runs past"):
+        parse_checkpoint(seal(head, records[:i] + [("a/fc/b", long_name)]))
+    with pytest.raises(ValueError, match=f"record name at offset {off} runs past"):
+        parse_checkpoint(seal(head, records[:i] + [("a/fc/b", raw[:6])]))
+    graph_len = head[:8] + struct.pack("<Q", 2**63) + head[16:]
+    with pytest.raises(ValueError, match="graph text of 9223372036854775808 "
+                                         "bytes runs past the checksum"):
+        parse_checkpoint(seal(graph_len, records))
+
+
+@pytest.mark.parametrize("value", [0.5, np.nan, 2.0, -1.0, np.inf])
+def test_trainable_flag_must_be_exactly_zero_or_one(trained_desk, value):
+    data, _ = trained_desk
+    head, records = split_records(data)
+    flag = [(name, raw[:-4] + struct.pack("<f", value) if name == "t/conv1/w"
+             else raw) for name, raw in records]
+    with pytest.raises(ValueError, match="'t/conv1/w' holds .*, not a trainable "
+                                         "flag of 0 or 1"):
+        parse_checkpoint(seal(head, flag))
+
+
+def test_trainable_flags_of_zero_and_one_load(trained_desk):
+    data, _ = trained_desk
+    head, records = split_records(data)
+    flags = [(name, raw[:-4] + struct.pack("<f", -0.0) if name == "t/fc/b"
+              else raw) for name, raw in records]
+    _, store = parse_checkpoint(seal(head, flags))
+    assert store.trainable["fc/b"] is False and store.trainable["fc/w"] is True
