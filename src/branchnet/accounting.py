@@ -35,10 +35,6 @@ class CostReport:
     def total_flops2x(self):
         return 2 * self.total_macs
 
-    @property
-    def total_aux(self):
-        return sum(self.aux_elements.values())
-
 
 def count_flops(graph: GraphSpec) -> CostReport:
     """Per-sample multiply-accumulates plus element-wise side work."""

@@ -12,14 +12,17 @@ import sys
 import numpy as np
 
 from .accounting import format_cost_table
-from .config import load_config, merged, parse_assignments
+from .config import (load_config, load_records, merged, parse_assignments,
+                     parse_value)
 from .dataio import (Manifest, SynthSpec, generate_synthetic, load_batch,
                      read_tensor, split_ids)
-from .evalkit import (VerificationPair, format_operating_point_report,
-                      format_verify_report, select_operating_point, verify)
-from .experiments import (GridTask, branch_grid, format_grid_matrix,
-                          format_grid_table, format_probe_matrix,
-                          format_probe_table, invariance_probe)
+from .evalkit import (PairRecord, VerificationPair,
+                      format_operating_point_report, format_verify_report,
+                      select_operating_point, verify)
+from .experiments import (GridTask, ProbeFactor, branch_grid,
+                          format_grid_matrix, format_grid_table,
+                          format_probe_matrix, format_probe_table,
+                          invariance_probe)
 from .graph import ArchConfig, build_trunk
 from .multihead import (HeadSpec, MultiHeadModel, combined_flops,
                         format_prediction_lines, load_bundle, predict_all,
@@ -87,6 +90,7 @@ def cmd_train_base(args):
 
 
 def cmd_finetune(args):
+    spec = HeadSpec(args.task, args.branch, args.classes, args.loss)
     mapping = _load_mapping(args.config, args.set)
     cfg = TrainConfig.from_mapping(mapping, base=TrainConfig.desk())
     graph, store = load_checkpoint(args.trunk)
@@ -98,8 +102,7 @@ def cmd_finetune(args):
                          init_std=cfg.init_std, seed=cfg.seed)
     log = finetune(branch, dataset, cfg)
     model = MultiHeadModel(graph, store)
-    model.add_head(HeadSpec(args.task, args.branch, args.classes, args.loss),
-                   branch.graph, branch.store)
+    model.add_head(spec, branch.graph, branch.store)
     save_bundle(args.out, model)
     log.write(os.path.join(args.out, f"{args.task}.log.tsv"))
     acc = evaluate_accuracy(branch.graph, branch.store, dataset,
@@ -108,28 +111,13 @@ def cmd_finetune(args):
     return 0
 
 
-def _parse_tasks_file(path):
-    tasks = []
-    with open(path) as f:
-        for raw in f:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"task line must be `name column classes "
-                                 f"loss`, got {raw!r}")
-            tasks.append(GridTask(parts[0], parts[1], int(parts[2]), parts[3]))
-    if not tasks:
-        raise ValueError(f"no tasks defined in {path}")
-    return tasks
-
-
 def cmd_branch_grid(args):
     mapping = _load_mapping(args.config, args.set)
     cfg = TrainConfig.from_mapping(mapping, base=TrainConfig.desk())
     graph, store = load_checkpoint(args.trunk)
-    tasks = _parse_tasks_file(args.tasks)
+    tasks = load_records(GridTask, args.tasks)
+    if not tasks:
+        raise ValueError(f"no tasks defined in {args.tasks}")
     train_sets, val_sets = {}, {}
     for task in tasks:
         nc = task.num_classes if task.label_column == "multilabel" else None
@@ -171,21 +159,12 @@ def cmd_eval_verify(args):
         raise ValueError(f"embeddings must be a rank-2 container (rows are "
                          f"vectors), got rank {table.ndim}")
     pairs = []
-    with open(args.pairs) as f:
-        for raw in f:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"pair line must be `id_a id_b same split`, "
-                                 f"got {raw!r}")
-            ia, ib, same, split = (int(p) for p in parts)
-            if not (0 <= ia < len(table) and 0 <= ib < len(table)):
-                raise ValueError(f"pair ids {ia},{ib} outside embedding table "
-                                 f"of {len(table)} rows")
-            pairs.append(VerificationPair(table[ia], table[ib], bool(same),
-                                          split))
+    for p in load_records(PairRecord, args.pairs):
+        if not (0 <= p.id_a < len(table) and 0 <= p.id_b < len(table)):
+            raise ValueError(f"pair ids {p.id_a},{p.id_b} outside embedding "
+                             f"table of {len(table)} rows")
+        pairs.append(VerificationPair(table[p.id_a], table[p.id_b],
+                                      bool(p.same), p.split))
     result = verify(pairs)
     report = format_verify_report(result)
     with open(args.report, "w") as f:
@@ -205,21 +184,15 @@ def cmd_operating_point(args):
     return 0
 
 
-def _parse_factors(text):
-    factors, columns = {}, {}
-    for part in text.split(","):
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise ValueError(f"factor must be name:column:classes, got {part!r}")
-        factors[fields[0]] = int(fields[2])
-        columns[fields[0]] = fields[1]
-    return factors, columns
-
-
 def cmd_probe(args):
     graph, store = load_checkpoint(args.trunk)
     manifest = Manifest.load(args.data)
-    factors, columns = _parse_factors(args.factors)
+    try:
+        parsed = parse_value(tuple[ProbeFactor, ...], args.factors)
+    except ValueError as exc:
+        raise ValueError(f"--factors: {exc}") from None
+    factors = {f.name: f.num_classes for f in parsed}
+    columns = {f.name: f.column for f in parsed}
     train_ids = split_ids(manifest, "train")
     val_ids = split_ids(manifest, "val")
     x_train, _ = load_batch(manifest, train_ids)

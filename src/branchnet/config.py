@@ -1,4 +1,5 @@
-"""Flat key=value configuration files and their coercion into dataclasses.
+"""Flat key=value configuration files, record files, and their coercion
+into dataclasses.
 
 One assignment per line, `#` starts a comment, blank lines ignored. Keys
 are namespaced by prefix (arch.*, train.*). fields_from_mapping parses each
@@ -7,18 +8,31 @@ tuple, items joined by "," (by ";" when the items are tuples themselves);
 a dataclass, fields joined by ":". A fixed-length tuple or a dataclass
 with the wrong number of items is a ValueError naming the key.
 fields_to_mapping formats the other way.
+
+A record file (the branch-grid task table, a bundle's heads.txt, the
+verification pairs) holds one dataclass instance per line, its fields
+separated by whitespace and each parsed from its annotated type the same
+way; comments and blank lines are handled as in a config file. A line with
+the wrong number of fields or a bad value is a ValueError naming
+source:line.
 """
 
 import dataclasses
 import typing
 
 
-def parse_config_text(text: str, source="<config>") -> dict:
-    mapping = {}
+def _lines(text):
+    """(line number, raw line, content) of each line that holds more than
+    a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield lineno, raw, line
+
+
+def parse_config_text(text: str, source="<config>") -> dict:
+    mapping = {}
+    for lineno, raw, line in _lines(text):
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise ValueError(f"{source}:{lineno}: expected key=value, got {raw!r}")
@@ -31,6 +45,24 @@ def parse_config_text(text: str, source="<config>") -> dict:
 def load_config(path) -> dict:
     with open(path) as f:
         return parse_config_text(f.read(), source=str(path))
+
+
+def parse_records(kind, text: str, source="<records>") -> list:
+    """One instance of the dataclass kind per line of text."""
+    types = [f.type for f in dataclasses.fields(kind)]
+    records = []
+    for lineno, _, line in _lines(text):
+        try:
+            records.append(_compose(kind, types, line.split(),
+                                    "separated by whitespace", line))
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
+    return records
+
+
+def load_records(kind, path) -> list:
+    with open(path) as f:
+        return parse_records(kind, f.read(), source=str(path))
 
 
 def parse_assignments(items) -> dict:
@@ -62,7 +94,8 @@ def _layout(kind):
     return ",", args
 
 
-def _parse(kind, raw):
+def parse_value(kind, raw: str):
+    """raw parsed as the type kind, as a config value of that type is."""
     if kind in (int, float, str):
         return kind(raw)
     sep, types = _layout(kind)
@@ -71,10 +104,14 @@ def _parse(kind, raw):
         types = [typing.get_args(kind)[0]] * len(items)
     else:
         items = raw.split(sep)
-        if len(items) != len(types):
-            raise ValueError(f"expected {len(types)} values joined by {sep!r}, "
-                             f"got {raw!r}")
-    values = [_parse(t, item) for t, item in zip(types, items)]
+    return _compose(kind, types, items, f"joined by {sep!r}", raw)
+
+
+def _compose(kind, types, items, joined, raw):
+    """A tuple or dataclass instance from one item per type."""
+    if len(items) != len(types):
+        raise ValueError(f"expected {len(types)} values {joined}, got {raw!r}")
+    values = [parse_value(t, item) for t, item in zip(types, items)]
     return kind(*values) if dataclasses.is_dataclass(kind) else tuple(values)
 
 
@@ -99,7 +136,7 @@ def fields_from_mapping(base, mapping, prefix, what):
         if name not in kinds:
             raise ValueError(f"unknown {what} key {key!r}")
         try:
-            changes[name] = _parse(kinds[name], raw)
+            changes[name] = parse_value(kinds[name], raw)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
     return dataclasses.replace(base, **changes)

@@ -10,8 +10,9 @@ Partial execution supports fine-tuning and shared-trunk evaluation:
                inference mode even when mode == "train"
   start/cache  begin execution at a node index, reading earlier activations
                from a cached dict instead of recomputing them; train() resumes
-               each fine-tune step from its cached frozen prefix this way, and
-               multihead resumes every head from one shared trunk pass
+               every step this way, a fine-tune step from its cached frozen
+               prefix and a trunk step from {"input": minibatch} at node 0,
+               and multihead resumes every head from one shared trunk pass
   keep         the names the caller reads; None returns all. Given a set,
                the pass stops after the last kept node and frees each
                other activation, cached ones too, after its last reader
@@ -64,24 +65,25 @@ def boundary(graph: GraphSpec, index: int) -> set:
 
 def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
                  start=0, cache=None, saved=None, keep=None):
-    """Run nodes from start over input x (or a cached prefix).
+    """Run nodes from start over a cached prefix, or over input x when no
+    cache is given and start == 0.
 
     Returns (activations, bn_updates): activations maps node name -> output
-    (plus "input" -> x when start == 0), bn_updates maps batchnorm node
-    name -> new RunningStats for nodes that ran in train mode. Given a set
-    keep, the pass stops after the last kept node, drops every other
+    plus the cached entries (or "input" -> x), bn_updates maps batchnorm
+    node name -> new RunningStats for nodes that ran in train mode. Given a
+    set keep, the pass stops after the last kept node, drops every other
     activation once its last reader has run, and returns only the kept
     ones. When saved is a dict, the saved context of every node that keeps
     one is stored in it by node name.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    if start == 0:
+    if cache is not None:
+        acts = dict(cache)
+    elif start == 0:
         acts = {INPUT_NAME: x}
     else:
-        if cache is None:
-            raise ValueError("starting mid-graph requires cached activations")
-        acts = dict(cache)
+        raise ValueError("starting mid-graph requires cached activations")
     stop, dead = len(graph.nodes), {}
     if keep is not None:
         # an activation not kept dies after its last reader in [start,

@@ -37,6 +37,21 @@ class VerificationPair:
 
 
 @dataclass(frozen=True)
+class PairRecord:
+    """One line of a pairs file: two embedding-table rows, 1 when they show
+    the same identity and 0 when not, and the pair's split."""
+
+    id_a: int
+    id_b: int
+    same: int
+    split: int
+
+    def __post_init__(self):
+        if self.same not in (0, 1):
+            raise ValueError(f"same must be 0 or 1, got {self.same}")
+
+
+@dataclass(frozen=True)
 class SplitResult:
     split: int
     threshold: float

@@ -19,8 +19,8 @@ from .dataio import SynthSpec, generate_synthetic, load_batch, split_ids
 from .engine import infer
 from .graph import ArchConfig, GraphSpec, build_trunk
 from .params import save_checkpoint
-from .train import (Dataset, TrainConfig, evaluate_accuracy, finetune,
-                    init_params, make_branch, train)
+from .train import (Dataset, TrainConfig, check_task, evaluate_accuracy,
+                    finetune, init_params, make_branch, train)
 
 # Reference accuracies shown alongside grid reports for orientation only;
 # they come from a full-scale study on real face data and are never
@@ -32,10 +32,24 @@ PROBE_CHUNK = 128  # samples per inference pass over a probe split
 
 @dataclass(frozen=True)
 class GridTask:
+    """One line of a branch-grid task table."""
+
     name: str
     label_column: str
     num_classes: int
     loss: str = "softmax"
+
+    def __post_init__(self):
+        check_task(self.num_classes, self.loss)
+
+
+@dataclass(frozen=True)
+class ProbeFactor:
+    """One name:column:classes item of the probe command's --factors."""
+
+    name: str
+    column: str
+    num_classes: int
 
 
 DESK_TASKS = (GridTask("nuisance", "nuisance", 7, "softmax"),

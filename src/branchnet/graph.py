@@ -379,12 +379,6 @@ class GraphSpec:
     def __contains__(self, name):
         return name in self._index
 
-    @property
-    def conv_layer_names(self):
-        """Non-shortcut convolutions in topological order."""
-        return tuple(n.name for n in self.nodes
-                     if n.kind == "conv" and not n.name.startswith("shortcut"))
-
     def serialize(self):
         """Line-oriented text form; parse() restores it bit-exactly."""
         lines = [

@@ -5,19 +5,25 @@ the cached activation at its branch point. Because a head's frozen prefix
 holds the very same arrays as the trunk and both run in inference mode,
 the cached resume is bitwise identical to running the head standalone.
 
-add_head enforces that sharing. A head's prefix (its nodes before the
-branch layer) must match the trunk's nodes, and each prefix parameter and
-batchnorm running statistic must equal the trunk's bit for bit; a mismatch
-raises ValueError. The head's store then refers to the trunk's objects, so
-a model holds every prefix byte once, whether its heads came from
-make_branch or from separate checkpoint files.
+add_head enforces that sharing. The branch layer must be one of the
+trunk's branch points, a head's prefix (its nodes before the branch layer)
+must match the trunk's nodes, and each prefix parameter and batchnorm
+running statistic must equal the trunk's bit for bit. The head's graph
+must then be graph.head_graph of the trunk for its spec's class count and
+loss, and its task must be new to the model. A mismatch raises ValueError.
+The head's store then refers to the trunk's objects, so a model holds
+every prefix byte once, whether its heads came from make_branch or from
+separate checkpoint files.
 
 Bundle layout on disk: a directory with trunk.ckpt, one <task>.ckpt per
-head, and heads.txt carrying one line per head:
+head, and heads.txt carrying one HeadSpec record per line (see
+config.parse_records):
     task branch_layer num_classes loss
 Each checkpoint holds weights only: trainable flags, parameters and
 running statistics, no momentum, which serving never reads. load_bundle
-also drops momentum that a bundle written with it carries.
+also drops momentum that a bundle written with it carries. A missing
+file, a heads.txt line that does not parse, or a head that add_head
+rejects is a ValueError, so a bundle that loads serves every request.
 """
 
 import os
@@ -27,10 +33,12 @@ import numpy as np
 
 from . import ops
 from .accounting import count_flops, suffix_macs
+from .config import load_records
 from .engine import boundary, forward_pass
-from .graph import GraphSpec
+from .graph import GraphSpec, head_graph
 from .params import (ParamStore, batchnorm_nodes, frozen_names,
                      load_checkpoint, save_checkpoint)
+from .train import check_task
 
 HEADS_FILE = "heads.txt"
 TRUNK_FILE = "trunk.ckpt"
@@ -38,10 +46,22 @@ TRUNK_FILE = "trunk.ckpt"
 
 @dataclass(frozen=True)
 class HeadSpec:
+    """One line of heads.txt. The task names the head's checkpoint file, so
+    it must be a plain file stem: not empty, no path separator, not "." or
+    "..", and not the trunk's."""
+
     task: str
     branch_layer: str
     num_classes: int
     loss: str
+
+    def __post_init__(self):
+        check_task(self.num_classes, self.loss)
+        task = self.task
+        if (task in ("", ".", "..") or os.path.basename(task) != task
+                or f"{task}.ckpt" == TRUNK_FILE):
+            raise ValueError(f"task {task!r} is not a plain file stem "
+                             f"other than the trunk's")
 
 
 @dataclass
@@ -61,17 +81,18 @@ class MultiHeadModel:
         """Validate the head against the trunk and attach it; on success
         the head's store refers to the trunk's prefix arrays and running
         statistics."""
-        if spec.branch_layer not in self.trunk_graph:
+        if spec.branch_layer not in self.trunk_graph.branch_points:
             raise ValueError(f"head {spec.task!r} branches at "
-                             f"{spec.branch_layer!r}, which the trunk lacks")
+                             f"{spec.branch_layer!r}, which the trunk lacks "
+                             f"as a branch point")
         if graph.input_shape != self.trunk_graph.input_shape:
             raise ValueError(f"head {spec.task!r} input shape {graph.input_shape} "
                              f"does not match trunk {self.trunk_graph.input_shape}")
-        bidx = graph.index(spec.branch_layer)
-        for i in range(bidx):
-            if graph.nodes[i] != self.trunk_graph.nodes[i]:
+        bidx = self.trunk_graph.index(spec.branch_layer)
+        for mine, theirs in zip(graph.nodes[:bidx], self.trunk_graph.nodes):
+            if mine != theirs:
                 raise ValueError(f"head {spec.task!r} prefix diverges from the "
-                                 f"trunk at node {graph.nodes[i].name!r}")
+                                 f"trunk at node {mine.name!r}")
         trunk = self.trunk_store
         arrays = frozen_names(graph, bidx)
         running = [bn for bn in batchnorm_nodes(graph) if graph.index(bn) < bidx]
@@ -88,6 +109,12 @@ class MultiHeadModel:
                 raise _mismatch(spec, "rm/" + bn)
             if not _same_bits(mine.var, theirs.var):
                 raise _mismatch(spec, "rv/" + bn)
+        if graph != head_graph(self.trunk_graph, spec.num_classes, spec.loss):
+            raise ValueError(f"head {spec.task!r} is not the trunk's head for "
+                             f"{spec.num_classes} classes and loss "
+                             f"{spec.loss!r}")
+        if any(head.spec.task == spec.task for head in self.heads):
+            raise ValueError(f"head {spec.task!r} is already in the model")
         for name in arrays:
             store.arrays[name] = trunk.arrays[name]
         for bn in running:
@@ -193,26 +220,22 @@ def save_bundle(dirpath, model: MultiHeadModel):
 
 
 def load_bundle(dirpath) -> MultiHeadModel:
-    trunk_graph, trunk_store = load_checkpoint(os.path.join(dirpath, TRUNK_FILE))
+    trunk_graph, trunk_store = load_checkpoint(_bundle_file(dirpath, TRUNK_FILE))
     trunk_store.momentum.clear()
     model = MultiHeadModel(trunk_graph, trunk_store)
-    heads_path = os.path.join(dirpath, HEADS_FILE)
-    if not os.path.exists(heads_path):
-        raise ValueError(f"bundle {dirpath!r} lacks {HEADS_FILE}")
-    with open(heads_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"malformed head line: {line!r}")
-            spec = HeadSpec(parts[0], parts[1], int(parts[2]), parts[3])
-            graph, store = load_checkpoint(os.path.join(dirpath,
-                                                        f"{spec.task}.ckpt"))
-            store.momentum.clear()
-            model.add_head(spec, graph, store)
+    for spec in load_records(HeadSpec, _bundle_file(dirpath, HEADS_FILE)):
+        path = _bundle_file(dirpath, f"{spec.task}.ckpt")
+        graph, store = load_checkpoint(path)
+        store.momentum.clear()
+        model.add_head(spec, graph, store)
     return model
+
+
+def _bundle_file(dirpath, name):
+    path = os.path.join(dirpath, name)
+    if not os.path.isfile(path):
+        raise ValueError(f"bundle {str(dirpath)!r} lacks {name}")
+    return path
 
 
 def format_prediction_lines(ids, prediction: Prediction, heads) -> list:

@@ -80,10 +80,6 @@ class ParamStore:
                      for k, v in self.running.items()},
         )
 
-    def param_count(self, names=None):
-        names = self.arrays if names is None else names
-        return sum(self.arrays[n].size for n in names)
-
 
 def frozen_names(graph: GraphSpec, branch_index: int):
     """Parameter names owned by nodes strictly before the branch index."""

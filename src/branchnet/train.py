@@ -14,7 +14,13 @@ The frozen prefix runs in inference mode on fixed weights, so each sample's
 output from it never changes: train() computes it once per call over the
 whole dataset and every step gathers its minibatch rows from there. No
 prefix node mixes samples, so those rows are bitwise equal to a per-step
-forward from node 0.
+forward from node 0. A trunk step resumes the same way at node 0, whose
+boundary is the network input: {"input": dataset.inputs}, gathered by the
+step's minibatch indices.
+
+A step that leaves a non-finite value in an array it updated, or a
+non-finite loss, raises ValueError naming the minibatch, so no run returns
+weights that a checkpoint could not hold.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +31,7 @@ from . import ops
 from .common import derive_rng
 from .config import fields_from_mapping, fields_to_mapping
 from .engine import backward_pass, boundary, forward_pass, infer
-from .graph import GraphSpec, head_graph
+from .graph import INPUT_NAME, GraphSpec, head_graph
 from .params import ParamStore, batchnorm_nodes, param_owner, param_shapes
 
 LOSS_KINDS = ("softmax", "sigmoid-multilabel")
@@ -66,6 +72,15 @@ class TrainConfig:
         """base (default: the full-scale schedule) with the mapping's
         prefixed keys applied."""
         return fields_from_mapping(base or cls(), mapping, prefix, "training")
+
+
+def check_task(num_classes, loss):
+    """Raise ValueError unless a head of num_classes outputs under loss can
+    be built: at least 2 classes and a loss from LOSS_KINDS."""
+    if num_classes < 2:
+        raise ValueError(f"a task needs at least 2 classes, got {num_classes}")
+    if loss not in LOSS_KINDS:
+        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
 
 
 def lr_at(t: int, config: TrainConfig) -> float:
@@ -192,26 +207,22 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
     n = len(dataset)
     if n == 0 and config.max_minibatches > 0:
         raise ValueError("cannot train on an empty dataset")
-    prefix = None
+    prefix = {INPUT_NAME: dataset.inputs}
     if train_from > 0 and n > 0:
         keep = boundary(graph, train_from)
         if graph.index(LOGITS_NODE) < train_from:
             keep.add(LOGITS_NODE)  # no step computes the logits then
         prefix = infer(graph, store, dataset.inputs, keep, config.batch_size)
+    updated = [name for name, flag in store.trainable.items() if flag]
     saved = {}  # contexts from each step's forward, emptied by its backward
     for t in range(config.max_minibatches):
         rate = lr_at(t, config)
         idx = _batch_indices(n, t, config)
         yb = dataset.labels[idx]
-        if prefix is None:
-            acts, bn_updates = forward_pass(graph, store, dataset.inputs[idx],
-                                            mode="train", saved=saved)
-        else:
-            acts, bn_updates = forward_pass(
-                graph, store, None, mode="train", train_from=train_from,
-                start=train_from,
-                cache={name: a[idx] for name, a in prefix.items()},
-                saved=saved)
+        acts, bn_updates = forward_pass(
+            graph, store, None, mode="train", train_from=train_from,
+            start=train_from,
+            cache={name: a[idx] for name, a in prefix.items()}, saved=saved)
         store.running.update(bn_updates)
         value, logit_grad, acc = _loss_and_grad(acts[LOGITS_NODE], yb, loss)
         if not np.isfinite(value):
@@ -219,6 +230,10 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
         grads, _ = backward_pass(graph, store, acts, {LOGITS_NODE: logit_grad},
                                  stop=train_from, saved=saved, input_grad=False)
         sgd_momentum_step(store, grads, rate, config.momentum_coeff)
+        for name in updated:
+            if not np.isfinite(store.arrays[name]).all():
+                raise ValueError(f"non-finite value in {name!r} after "
+                                 f"minibatch {t}; training aborted")
         log.rows.append((t, rate, value, acc))
     return log
 
@@ -270,8 +285,7 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
     Running statistics of frozen batchnorm nodes are shared; retrained
     ones restart empty when cold.
     """
-    if loss not in LOSS_KINDS:
-        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
+    check_task(num_classes, loss)
     if branch_layer not in trunk_graph.branch_points:
         raise ValueError(f"unknown branch layer {branch_layer!r}; valid points: "
                          + ", ".join(trunk_graph.branch_points))

@@ -87,7 +87,6 @@ def test_param_count_matches_materialized_store(cfg):
     store = init_params(graph, TrainConfig(seed=0))
     _, total = count_params(graph)
     assert total == sum(a.size for a in store.arrays.values())
-    assert total == store.param_count()
 
 
 def test_spatial_scaling_law():
@@ -109,7 +108,7 @@ def test_aux_work_is_separated_and_small():
     report = count_flops(CANONICAL)
     assert set(report.aux_elements) == {"bias", "batchnorm", "relu", "add",
                                         "maxpool", "avgpool", "head"}
-    assert report.total_aux < 0.02 * report.total_macs
+    assert sum(report.aux_elements.values()) < 0.02 * report.total_macs
     assert report.aux_elements["head"] == 10_000
     assert report.aux_elements["bias"] == 320 + 10_000
 

@@ -197,7 +197,8 @@ def test_branch_grid_rejects_malformed_task_line(capsys, tmp_path, corpus,
                          "--tasks", str(tasks), "--data", corpus,
                          "--report", str(tmp_path / "grid.txt"))
     assert rc == 2
-    assert "error: task line must be" in err
+    assert err == (f"error: {tasks}:1: expected 4 values separated by "
+                   f"whitespace, got 'binary binary 2'\n")
 
 
 def test_probe_writes_matrix(capsys, tmp_path, corpus, trunk_ckpt):
@@ -221,7 +222,8 @@ def test_probe_rejects_malformed_factor(capsys, tmp_path, corpus,
                          "--factors", "nuisance=7",
                          "--report", str(tmp_path / "probe.txt"))
     assert rc == 2
-    assert "error: factor must be name:column:classes" in err
+    assert err == ("error: --factors: expected 3 values joined by ':', "
+                   "got 'nuisance=7'\n")
 
 
 def test_eval_verify_report(capsys, tmp_path):
@@ -394,6 +396,57 @@ def test_predict_rejects_a_bundle_with_a_non_finite_weight(capsys, tmp_path,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'a/fc/w' holds a non-finite value" in err
+
+
+@pytest.mark.parametrize("heads", [
+    "binary conv22 3 softmax",
+    "binary conv22 2 sigmoid-multilabel",
+    "binary conv22 2 softmax\nbinary conv22 2 softmax",
+    "binary conv22 0 softmax",
+], ids=["class-count", "loss", "listed-twice", "no-classes"])
+def test_predict_rejects_a_heads_line_that_does_not_match_its_head(
+        capsys, tmp_path, corpus, bundle_dir, heads):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    (bundle / "heads.txt").write_text(heads + "\n")
+    out = tmp_path / "p.txt"
+    rc, stdout, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                              "--data", corpus, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["trunk", "../escaped", "sub/binary"])
+def test_finetune_rejects_a_task_that_is_not_a_plain_file_stem(
+        capsys, tmp_path, corpus, trunk_ckpt, task):
+    out = tmp_path / "bundle"
+    rc, stdout, err = run_cli(capsys, "finetune", "--trunk", trunk_ckpt,
+                              "--branch", "conv22", "--task", task,
+                              "--field", "binary", "--classes", "2",
+                              "--data", corpus, "--out", str(out),
+                              "--set", "train.batch_size=8",
+                              "--set", "train.max_minibatches=1")
+    assert rc == 2
+    assert stdout == ""
+    assert err == (f"error: task {task!r} is not a plain file stem other "
+                   f"than the trunk's\n")
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_eval_verify_rejects_a_same_flag_other_than_zero_or_one(capsys,
+                                                                tmp_path):
+    emb = tmp_path / "emb.tnsr"
+    write_tensor(str(emb), np.eye(3, dtype=np.float32))
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1 1 0\n0 2 2 0\n")
+    report = tmp_path / "r.txt"
+    rc, _, err = run_cli(capsys, "eval-verify", "--pairs", str(pairs),
+                         "--embeddings", str(emb), "--report", str(report))
+    assert rc == 2
+    assert err == f"error: {pairs}:2: same must be 0 or 1, got 2\n"
+    assert not report.exists()
 
 
 def test_bundle_trunk_serves_as_a_trunk_checkpoint(capsys, tmp_path, corpus,

@@ -79,6 +79,20 @@ def test_keep_runs_no_node_after_the_last_kept_one(desk_graph,
     assert acts.keys() == {"input"} and acts["input"] is x
 
 
+def test_a_cached_input_at_node_zero_is_the_same_pass(desk_graph,
+                                                     warm_desk_store,
+                                                     desk_batch):
+    graph, store = desk_graph, warm_desk_store
+    full, updates = forward_pass(graph, store, desk_batch, mode="train")
+    cached, cached_updates = forward_pass(graph, store, None, mode="train",
+                                          cache={"input": desk_batch})
+    assert cached.keys() == full.keys()
+    assert_same(cached, full)
+    for name, stats in cached_updates.items():
+        assert same_bits(stats.mean, updates[name].mean)
+        assert same_bits(stats.var, updates[name].var)
+
+
 def test_infer_is_the_per_chunk_forwards_concatenated(desk_graph,
                                                        warm_desk_store):
     graph, store = desk_graph, warm_desk_store

@@ -12,7 +12,8 @@ from branchnet.train import TrainConfig, init_params
 def test_canonical_has_24_nonshortcut_convs():
     cfg = ArchConfig.canonical()
     graph = build_trunk(cfg)
-    names = graph.conv_layer_names
+    names = tuple(n.name for n in graph.nodes
+                  if n.kind == "conv" and not n.name.startswith("shortcut"))
     assert len(names) == 24 == cfg.conv_count
     assert names == tuple(f"conv{i}" for i in range(1, 24)) + ("conv-bn320",)
 

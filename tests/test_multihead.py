@@ -147,6 +147,41 @@ def test_load_bundle_requires_heads_file(tmp_path, model):
         load_bundle(out)
 
 
+@pytest.mark.parametrize("heads, message", [
+    # a head's line must describe the head its checkpoint holds
+    ("nuisance conv19 3 softmax",
+     "'nuisance' is not the trunk's head for 3 classes and loss 'softmax'"),
+    ("nuisance conv19 7 sigmoid-multilabel",
+     "'nuisance' is not the trunk's head for 7 classes and loss "
+     "'sigmoid-multilabel'"),
+    ("nuisance conv19 7 softmax\nnuisance conv19 7 softmax",
+     "'nuisance' is already in the model"),
+    ("nuisance conv19 0 softmax",
+     "heads.txt:1: a task needs at least 2 classes, got 0"),
+    ("nuisance relu5 7 softmax", "lacks as a branch point"),
+    ("nuisance conv19 7 softmax\nmissing fc 2 softmax", "lacks missing.ckpt"),
+], ids=["class-count", "loss", "listed-twice", "no-classes",
+        "not-a-branch-point", "missing-file"])
+def test_load_bundle_rejects_a_heads_line_that_does_not_match_its_head(
+        tmp_path, model, heads, message):
+    out = tmp_path / "bundle"
+    save_bundle(out, model)
+    (out / "heads.txt").write_text(heads + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_bundle(out)
+    assert message in str(exc.value)
+
+
+def test_heads_file_comments_and_blank_lines_are_skipped(tmp_path, model):
+    out = tmp_path / "bundle"
+    save_bundle(out, model)
+    lines = (out / "heads.txt").read_text().splitlines()
+    (out / "heads.txt").write_text("# task branch classes loss\n\n"
+                                   + "\n".join(lines[:2]) + "  # two heads\n")
+    loaded = load_bundle(out)
+    assert [h.spec.task for h in loaded.heads] == ["binary", "nuisance"]
+
+
 def test_prediction_line_format(model):
     x = inputs(31, 2)
     pred = predict_all(model, x)

@@ -19,7 +19,8 @@ def test_default_resolution_selects_the_pinned_composition():
     assert res.convention == "mac"
     assert sel.conventions == ("mac",)
     graph = build_trunk(ArchConfig(stage_repeats=sel.stage_repeats))
-    assert len(graph.conv_layer_names) == 24
+    assert sum(n.kind == "conv" and not n.name.startswith("shortcut")
+               for n in graph.nodes) == 24
 
 
 def test_default_resolution_runs_quickly():

@@ -217,6 +217,18 @@ def test_nonfinite_loss_aborts_with_minibatch_index():
         train(graph, store, bad, cfg)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_a_step_that_leaves_a_non_finite_weight_aborts():
+    # the loss of step 0 is finite; the update it makes is not
+    graph = fc_graph(4, 2)
+    cfg = TrainConfig(lr0=1e39, batch_size=16, max_minibatches=3, seed=1)
+    store = init_params(graph, cfg)
+    with pytest.raises(ValueError, match=r"^non-finite value in 'fc/[bw]' "
+                                         r"after minibatch 0; training"):
+        train(graph, store, toy_dataset(), cfg)
+
+
 def test_empty_dataset_is_rejected():
     graph = fc_graph(2, 2)
     store = init_params(graph, TrainConfig())
