@@ -52,15 +52,8 @@ def count_flops(graph: GraphSpec) -> CostReport:
     return CostReport(per_node, sum(per_node.values()), aux)
 
 
-def _check_branch_point(graph, branch_layer):
-    if branch_layer not in graph.branch_points:
-        raise ValueError(f"{branch_layer!r} is not a branch point; valid points: "
-                         + ", ".join(graph.branch_points))
-
-
-def _from_branch(head: GraphSpec, branch_layer, per_node):
-    """Sum of per_node's counts over head's nodes from branch_layer on."""
-    bidx = head.index(branch_layer)
+def _from_branch(head: GraphSpec, bidx, per_node):
+    """Sum of per_node's counts over head's nodes from index bidx on."""
     return sum(n for name, n in per_node.items() if head.index(name) >= bidx)
 
 
@@ -69,19 +62,19 @@ def branch_trainable_params(graph: GraphSpec, branch_layer: str,
     """Learnable elements retrained when a num_classes-way task branch
     starts at branch_layer: those of its head graph (graph.head_graph)
     owned by nodes from the branch on."""
-    _check_branch_point(graph, branch_layer)
+    bidx = graph.branch_index(branch_layer)
     if num_classes < 2:
         raise ValueError(f"a branch head needs at least 2 classes, got {num_classes}")
     head = head_graph(graph, num_classes, "softmax")
-    return _from_branch(head, branch_layer, count_params(head)[0])
+    return _from_branch(head, bidx, count_params(head)[0])
 
 
 def suffix_macs(graph: GraphSpec, branch_layer: str, num_classes: int) -> int:
     """Per-sample multiply-accumulates of a num_classes-way head graph's
     nodes from branch_layer on."""
-    _check_branch_point(graph, branch_layer)
+    bidx = graph.branch_index(branch_layer)
     head = head_graph(graph, num_classes, "softmax")
-    return _from_branch(head, branch_layer, count_flops(head).per_node_macs)
+    return _from_branch(head, bidx, count_flops(head).per_node_macs)
 
 
 def format_cost_table(graph: GraphSpec) -> str:

@@ -9,11 +9,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .accounting import format_cost_table
-from .config import (load_config, load_records, merged, parse_assignments,
-                     parse_value)
+from .config import load_config, load_records, parse_assignments, parse_value
 from .dataio import (Manifest, SynthSpec, generate_synthetic, load_batch,
                      read_tensor, split_ids)
 from .evalkit import (PairRecord, VerificationPair,
@@ -22,14 +19,14 @@ from .evalkit import (PairRecord, VerificationPair,
 from .experiments import (GridTask, ProbeFactor, branch_grid,
                           format_grid_matrix, format_grid_table,
                           format_probe_matrix, format_probe_table,
-                          invariance_probe)
+                          invariance_probe, load_tasks)
 from .graph import ArchConfig, build_trunk
 from .multihead import (HeadSpec, MultiHeadModel, combined_flops,
                         format_prediction_lines, load_bundle, predict_all,
                         save_bundle)
 from .params import load_checkpoint, save_checkpoint
 from .resolver import Constraints, format_resolution_report, resolve_architecture
-from .train import (Dataset, TrainConfig, evaluate_accuracy, finetune,
+from .train import (LOSS_KINDS, TrainConfig, evaluate_accuracy, finetune,
                     init_params, make_branch, train)
 
 DEFAULT_TARGET_FPR = 0.0103
@@ -37,17 +34,7 @@ DEFAULT_TARGET_FPR = 0.0103
 
 def _load_mapping(config_path, overrides):
     base = load_config(config_path) if config_path else {}
-    return merged(base, parse_assignments(overrides))
-
-
-def _dataset(manifest_path, label_column, split, num_classes=None):
-    manifest = Manifest.load(manifest_path)
-    ids = split_ids(manifest, split)
-    if not ids:
-        raise ValueError(f"no samples in split {split!r} of {manifest_path}")
-    kw = {"num_classes": num_classes} if label_column == "multilabel" else {}
-    x, y = load_batch(manifest, ids, label_column, **kw)
-    return Dataset(x, y), ids
+    return {**base, **parse_assignments(overrides)}
 
 
 def cmd_arch_resolve(args):
@@ -79,7 +66,9 @@ def cmd_train_base(args):
     arch = ArchConfig.from_mapping(mapping)
     cfg = TrainConfig.from_mapping(mapping)
     graph = build_trunk(arch)
-    dataset, _ = _dataset(args.data, args.field, args.split)
+    task = GridTask(args.field, args.field, arch.num_identities)
+    manifest = Manifest.load(args.data)
+    [dataset] = load_tasks(manifest, [task], args.split).values()
     store = init_params(graph, cfg)
     log = train(graph, store, dataset, cfg, loss="softmax")
     save_checkpoint(args.out, graph, store)
@@ -94,9 +83,10 @@ def cmd_finetune(args):
     mapping = _load_mapping(args.config, args.set)
     cfg = TrainConfig.from_mapping(mapping, base=TrainConfig.desk())
     graph, store = load_checkpoint(args.trunk)
-    field = args.field or args.task
-    dataset, _ = _dataset(args.data, field, args.split,
-                          num_classes=args.classes)
+    task = GridTask(args.task, args.field or args.task, args.classes,
+                    args.loss)
+    manifest = Manifest.load(args.data)
+    [dataset] = load_tasks(manifest, [task], args.split).values()
     branch = make_branch(graph, store, args.branch, args.classes,
                          loss=args.loss, warm=args.warm,
                          init_std=cfg.init_std, seed=cfg.seed)
@@ -116,15 +106,9 @@ def cmd_branch_grid(args):
     cfg = TrainConfig.from_mapping(mapping, base=TrainConfig.desk())
     graph, store = load_checkpoint(args.trunk)
     tasks = load_records(GridTask, args.tasks)
-    if not tasks:
-        raise ValueError(f"no tasks defined in {args.tasks}")
-    train_sets, val_sets = {}, {}
-    for task in tasks:
-        nc = task.num_classes if task.label_column == "multilabel" else None
-        train_sets[task.name], _ = _dataset(args.data, task.label_column,
-                                            "train", num_classes=nc)
-        val_sets[task.name], _ = _dataset(args.data, task.label_column,
-                                          "val", num_classes=nc)
+    manifest = Manifest.load(args.data)
+    train_sets = load_tasks(manifest, tasks, "train")
+    val_sets = load_tasks(manifest, tasks, "val")
     layers = args.layers.split(",") if args.layers else None
     grid = branch_grid(graph, store, tasks, train_sets, val_sets, cfg,
                        master_seed=cfg.seed, layers=layers)
@@ -191,19 +175,16 @@ def cmd_probe(args):
         parsed = parse_value(tuple[ProbeFactor, ...], args.factors)
     except ValueError as exc:
         raise ValueError(f"--factors: {exc}") from None
-    factors = {f.name: f.num_classes for f in parsed}
-    columns = {f.name: f.column for f in parsed}
-    train_ids = split_ids(manifest, "train")
-    val_ids = split_ids(manifest, "val")
-    x_train, _ = load_batch(manifest, train_ids)
-    x_val, _ = load_batch(manifest, val_ids)
-    tr = {f: np.array([manifest.label(i, c) for i in train_ids])
-          for f, c in columns.items()}
-    va = {f: np.array([manifest.label(i, c) for i in val_ids])
-          for f, c in columns.items()}
-    layers = args.layers.split(",")
-    result = invariance_probe(graph, store, layers, factors, x_train, tr,
-                              x_val, va, seed=args.seed)
+    tasks = [GridTask(f.name, f.column, f.num_classes) for f in parsed]
+    train_sets = load_tasks(manifest, tasks, "train")
+    val_sets = load_tasks(manifest, tasks, "val")
+    result = invariance_probe(
+        graph, store, args.layers.split(","),
+        {t.name: t.num_classes for t in tasks},
+        train_sets[tasks[0].name].inputs,
+        {n: d.labels for n, d in train_sets.items()},
+        val_sets[tasks[0].name].inputs,
+        {n: d.labels for n, d in val_sets.items()}, seed=args.seed)
     with open(args.report, "w") as f:
         f.write(format_probe_matrix(result))
     sys.stdout.write(format_probe_table(result))
@@ -252,8 +233,7 @@ def build_parser():
     p.add_argument("--branch", required=True, help="branch layer name")
     p.add_argument("--task", required=True, help="task name")
     p.add_argument("--classes", required=True, type=int)
-    p.add_argument("--loss", default="softmax",
-                   choices=["softmax", "sigmoid-multilabel"])
+    p.add_argument("--loss", default="softmax", choices=LOSS_KINDS)
     p.add_argument("--field", help="label column (defaults to task name)")
     p.add_argument("--warm", action="store_true",
                    help="copy retrained layers from the trunk instead of "

@@ -76,13 +76,6 @@ def parse_assignments(items) -> dict:
     return mapping
 
 
-def merged(*mappings) -> dict:
-    out = {}
-    for m in mappings:
-        out.update(m)
-    return out
-
-
 def _layout(kind):
     """(separator, item types) of a compound type; item types is None for a
     tuple of any length."""

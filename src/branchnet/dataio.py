@@ -6,8 +6,13 @@ over every preceding byte. Bitwise round-trip is a contract.
 
 Manifests are tab-separated with a header line; `id` and `path` columns are
 required, label columns are whatever the header declares. Paths are stored
-relative to the manifest's directory. Nothing in a generated dataset
-depends on wall-clock state, so regeneration is byte-identical per seed.
+relative to the manifest's directory. A label (or split) value must be an
+integer within int64, or reading it is a ValueError naming the id and the
+column. load_batch stacks the tensors of a list of ids, and load_labels
+reads their labels from one column; experiments.load_tasks builds every
+task's Dataset from one load_batch per split. Nothing in a generated
+dataset depends on wall-clock state, so regeneration is byte-identical per
+seed.
 
 The synthetic suite realizes an invariance conflict on purpose:
   identity    one of K smooth random glyphs (what the trunk is trained on)
@@ -108,7 +113,15 @@ class Manifest:
         if column not in self.columns or column not in row:
             raise ValueError(f"manifest declares no label column {column!r} "
                              f"(id {sample_id!r})")
-        return int(row[column])
+        try:
+            value = int(row[column])
+        except ValueError:
+            value = None
+        int64 = np.iinfo(np.int64)
+        if value is None or not int64.min <= value <= int64.max:
+            raise ValueError(f"manifest id {sample_id!r}: {column} value "
+                             f"{row[column]!r} is not an integer within int64")
+        return value
 
     def tensor_path(self, sample_id):
         return os.path.join(self.root, self.row(sample_id)["path"])
@@ -147,13 +160,24 @@ def bitmask_to_vector(mask: int, num_classes: int) -> np.ndarray:
                     dtype=np.float32)
 
 
+def load_labels(manifest: Manifest, ids, label_column, num_classes=None):
+    """The labels of `ids` (order preserved) in one column: an int64 vector
+    for scalar columns, and an (n, num_classes) binary matrix for the
+    multilabel bitmask column."""
+    values = [manifest.label(i, label_column) for i in ids]
+    if label_column != "multilabel":
+        return np.array(values, dtype=np.int64)
+    if num_classes is None:
+        raise ValueError("multilabel labels need num_classes")
+    return np.stack([bitmask_to_vector(v, num_classes) for v in values])
+
+
 def load_batch(manifest: Manifest, ids, label_column=None,
                num_classes=None):
     """Stack the tensors for `ids` (order preserved) into one batch.
 
-    Returns (batch, labels); labels is None without a label_column, an int
-    vector for scalar columns, and an (n, num_classes) binary matrix for
-    the multilabel bitmask column.
+    Returns (batch, labels); labels is None without a label_column, and
+    load_labels' array otherwise.
     """
     if not ids:
         raise ValueError("load_batch needs at least one id")
@@ -170,16 +194,7 @@ def load_batch(manifest: Manifest, ids, label_column=None,
     batch = np.stack(tensors)
     if label_column is None:
         return batch, None
-    if label_column == "multilabel":
-        if num_classes is None:
-            raise ValueError("multilabel labels need num_classes")
-        labels = np.stack([
-            bitmask_to_vector(manifest.label(i, label_column), num_classes)
-            for i in ids])
-    else:
-        labels = np.array([manifest.label(i, label_column) for i in ids],
-                          dtype=np.int64)
-    return batch, labels
+    return batch, load_labels(manifest, ids, label_column, num_classes)
 
 
 def split_ids(manifest: Manifest, split: str):

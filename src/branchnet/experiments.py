@@ -1,6 +1,11 @@
 """Experiments over a trained trunk: the branch-depth grid, linear probes,
 and the desk-scale invariance study.
 
+Every experiment entry point loads its labelled data through load_tasks,
+which reads a split's tensors once and gives each GridTask its labels, and
+both the grid and the probes return a GridResult: one held-out accuracy
+per (layer, column).
+
 Every grid cell and probe gets its own seed derived from (master seed,
 coordinates), so cells are independent jobs and the assembled result does
 not depend on execution order. Best-cell selection breaks ties toward the
@@ -9,13 +14,14 @@ row, since deeper branches are cheaper to fine-tune and serve.
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ops
 from .common import derive_rng, derive_seed
-from .dataio import SynthSpec, generate_synthetic, load_batch, split_ids
+from .dataio import (SynthSpec, generate_synthetic, load_batch, load_labels,
+                     split_ids)
 from .engine import infer
 from .graph import ArchConfig, GraphSpec, build_trunk
 from .params import save_checkpoint
@@ -32,7 +38,9 @@ PROBE_CHUNK = 128  # samples per inference pass over a probe split
 
 @dataclass(frozen=True)
 class GridTask:
-    """One line of a branch-grid task table."""
+    """A labelled task: its name, the manifest column its labels come from,
+    its class count and its loss. A line of a branch-grid task table, a
+    probe factor or the trunk's identity labels."""
 
     name: str
     label_column: str
@@ -56,18 +64,40 @@ DESK_TASKS = (GridTask("nuisance", "nuisance", 7, "softmax"),
               GridTask("binary", "binary", 2, "softmax"))
 
 
+def load_tasks(manifest, tasks, split) -> dict:
+    """{task name: Dataset} over one split of the manifest. The split's
+    tensors are read once and every Dataset holds that one inputs array;
+    each task's labels come from its label column."""
+    names = [t.name for t in tasks]
+    if not names:
+        raise ValueError("no tasks given")
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"task name {name!r} is given twice")
+    ids = split_ids(manifest, split)
+    if not ids:
+        raise ValueError(f"no samples in split {split!r} of the manifest in "
+                         f"{manifest.root}")
+    inputs, _ = load_batch(manifest, ids)
+    return {t.name: Dataset(inputs, load_labels(manifest, ids, t.label_column,
+                                                t.num_classes))
+            for t in tasks}
+
+
 @dataclass
 class GridResult:
+    """A layer table: branch-grid tasks or probe factors as its columns."""
+
     layers: tuple
-    tasks: tuple
-    cells: dict          # (layer, task name) -> held-out accuracy
+    columns: tuple
+    cells: dict          # (layer, column) -> held-out accuracy
     seed: int
 
-    def best_layer(self, task_name: str) -> str:
-        """Deepest layer among the accuracy maxima for the task."""
+    def best_layer(self, column: str) -> str:
+        """Deepest layer among the accuracy maxima for the column."""
         best, best_acc = None, -1.0
         for layer in self.layers:
-            acc = self.cells[(layer, task_name)]
+            acc = self.cells[(layer, column)]
             if acc >= best_acc:
                 best, best_acc = layer, acc
         return best
@@ -78,15 +108,13 @@ def branch_grid(graph: GraphSpec, store, tasks, train_sets, val_sets,
                 layers=None) -> GridResult:
     """Fine-tune one branch per (layer, task) cell and score it held out.
 
-    train_sets/val_sets map task name -> Dataset. Each cell derives its own
-    seed from (master_seed, "grid", layer, task); failures are re-raised
-    with the cell coordinates attached.
+    train_sets/val_sets map task name -> Dataset (load_tasks). Each cell
+    derives its own seed from (master_seed, "grid", layer, task); failures
+    are re-raised with the cell coordinates attached.
     """
     layers = tuple(layers) if layers is not None else graph.branch_points
     for layer in layers:
-        if layer not in graph.branch_points:
-            raise ValueError(f"{layer!r} is not a branch point; valid points: "
-                             + ", ".join(graph.branch_points))
+        graph.branch_index(layer)
     cells = {}
     for layer in layers:
         for task in tasks:
@@ -106,26 +134,31 @@ def branch_grid(graph: GraphSpec, store, tasks, train_sets, val_sets,
     return GridResult(layers, tuple(t.name for t in tasks), cells, master_seed)
 
 
-def format_grid_matrix(grid: GridResult) -> str:
-    lines = [f"# seed={grid.seed}", "layer\t" + "\t".join(grid.tasks)]
-    for layer in grid.layers:
-        vals = "\t".join(repr(grid.cells[(layer, t)]) for t in grid.tasks)
+def format_grid_matrix(result: GridResult) -> str:
+    """Tab-separated cells at full precision, for a grid or a probe."""
+    lines = [f"# seed={result.seed}", "layer\t" + "\t".join(result.columns)]
+    for layer in result.layers:
+        vals = "\t".join(repr(result.cells[(layer, c)])
+                         for c in result.columns)
         lines.append(f"{layer}\t{vals}")
     return "\n".join(lines) + "\n"
 
 
+format_probe_matrix = format_grid_matrix
+
+
 def format_grid_table(grid: GridResult, reference=REFERENCE_CELLS) -> str:
     """Human-readable grid; the best cell per task column is starred."""
-    best = {t: grid.best_layer(t) for t in grid.tasks}
-    width = max(len(t) for t in grid.tasks) + 8
+    best = {t: grid.best_layer(t) for t in grid.columns}
+    width = max(len(t) for t in grid.columns) + 8
     lines = [f"branch-depth grid (seed {grid.seed}); columns starred at the "
              f"best layer, ties to the deepest", ""]
-    header = f"{'layer':<12}" + "".join(f"{t:>{width}}" for t in grid.tasks)
+    header = f"{'layer':<12}" + "".join(f"{t:>{width}}" for t in grid.columns)
     lines.append(header)
     lines.append("-" * len(header))
     for layer in grid.layers:
         row = f"{layer:<12}"
-        for t in grid.tasks:
+        for t in grid.columns:
             mark = "*" if best[t] == layer else " "
             row += f"{grid.cells[(layer, t)]:>{width - 1}.4f}{mark}"
         lines.append(row)
@@ -136,14 +169,6 @@ def format_grid_table(grid: GridResult, reference=REFERENCE_CELLS) -> str:
         for task, layer, acc in reference:
             lines.append(f"  {task} best at {layer}: {acc:.2f}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class ProbeResult:
-    layers: tuple
-    factors: tuple
-    cells: dict          # (layer, factor) -> held-out accuracy
-    seed: int
 
 
 def _pooled(a):
@@ -168,7 +193,7 @@ def _train_linear_probe(feats, labels, num_classes, seed, budget, batch, rate):
 def invariance_probe(graph: GraphSpec, store, layers, factors,
                      train_inputs, train_labels, val_inputs, val_labels,
                      seed: int, budget: int = 2000, batch: int = 32,
-                     rate: float = 0.01) -> ProbeResult:
+                     rate: float = 0.01) -> GridResult:
     """Linear softmax probes on spatially pooled activations.
 
     factors maps factor name -> number of classes; train_labels/val_labels
@@ -192,27 +217,19 @@ def invariance_probe(graph: GraphSpec, store, layers, factors,
                                        probe_seed, budget, batch, rate)
             pred = (fva64 @ w + b).argmax(axis=1)
             cells[(layer, factor)] = float((pred == val_labels[factor]).mean())
-    return ProbeResult(tuple(layers), tuple(factors), cells, seed)
+    return GridResult(tuple(layers), tuple(factors), cells, seed)
 
 
-def format_probe_matrix(result: ProbeResult) -> str:
-    lines = [f"# seed={result.seed}", "layer\t" + "\t".join(result.factors)]
-    for layer in result.layers:
-        vals = "\t".join(repr(result.cells[(layer, f)]) for f in result.factors)
-        lines.append(f"{layer}\t{vals}")
-    return "\n".join(lines) + "\n"
-
-
-def format_probe_table(result: ProbeResult) -> str:
-    width = max(len(f) for f in result.factors) + 8
+def format_probe_table(result: GridResult) -> str:
+    width = max(len(f) for f in result.columns) + 8
     lines = [f"linear-probe accuracy on pooled activations (seed {result.seed})",
              ""]
-    header = f"{'layer':<12}" + "".join(f"{f:>{width}}" for f in result.factors)
+    header = f"{'layer':<12}" + "".join(f"{f:>{width}}" for f in result.columns)
     lines.append(header)
     lines.append("-" * len(header))
     for layer in result.layers:
         row = f"{layer:<12}"
-        for f in result.factors:
+        for f in result.columns:
             row += f"{result.cells[(layer, f)]:>{width}.4f}"
         lines.append(row)
     return "\n".join(lines) + "\n"
@@ -230,22 +247,8 @@ class StudyResult:
     manifest_path: str
     trunk_train_accuracy: float
     grid: GridResult
-    probe: object  # ProbeResult or None
+    probe: object  # the probe's GridResult, or None
     report_paths: dict
-
-
-def _task_datasets(manifest, tasks):
-    train_ids = split_ids(manifest, "train")
-    val_ids = split_ids(manifest, "val")
-    train_sets, val_sets = {}, {}
-    for task in tasks:
-        kw = {"num_classes": task.num_classes} \
-            if task.label_column == "multilabel" else {}
-        xt, yt = load_batch(manifest, train_ids, task.label_column, **kw)
-        xv, yv = load_batch(manifest, val_ids, task.label_column, **kw)
-        train_sets[task.name] = Dataset(xt, yt)
-        val_sets[task.name] = Dataset(xv, yv)
-    return train_sets, val_sets
 
 
 def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
@@ -255,6 +258,8 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
                    synth_spec: SynthSpec = None) -> StudyResult:
     """End-to-end quarter-scale study: generate data, train the identity
     trunk, run the branch grid (and optionally probes), write reports.
+    Each split's tensors are read once; the trunk trains on the train
+    split's "identity" task, so no task of `tasks` may take that name.
 
     Deterministic per master_seed: a rerun into a fresh directory produces
     byte-identical datasets, checkpoints and reports.
@@ -270,11 +275,12 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
                                  max_minibatches=trunk_minibatches)
     store = init_params(graph, trunk_cfg)
 
-    train_ids = split_ids(manifest, "train")
-    x_train, y_ident = load_batch(manifest, train_ids, "identity")
-    trunk_log = train(graph, store, Dataset(x_train, y_ident), trunk_cfg,
+    identity = GridTask("identity", "identity", spec.num_identities)
+    train_sets = load_tasks(manifest, (identity,) + tuple(tasks), "train")
+    val_sets = load_tasks(manifest, tasks, "val")
+    trunk_log = train(graph, store, train_sets["identity"], trunk_cfg,
                       loss="softmax")
-    trunk_acc = evaluate_accuracy(graph, store, Dataset(x_train, y_ident))
+    trunk_acc = evaluate_accuracy(graph, store, train_sets["identity"])
 
     paths = {"trunk": os.path.join(out_dir, "trunk.ckpt"),
              "trunk_log": os.path.join(out_dir, "trunk_log.tsv"),
@@ -284,7 +290,6 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
     save_checkpoint(paths["trunk"], graph, store)
     trunk_log.write(paths["trunk_log"])
 
-    train_sets, val_sets = _task_datasets(manifest, tasks)
     ft_cfg = TrainConfig.desk(max_minibatches=finetune_minibatches)
     grid = branch_grid(graph, store, tasks, train_sets, val_sets, ft_cfg,
                        master_seed)
@@ -295,20 +300,16 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
 
     probe = None
     if include_probe:
-        val_ids = split_ids(manifest, "val")
-        x_val, _ = load_batch(manifest, val_ids)
         factors = {t.name: t.num_classes for t in tasks
                    if t.loss == "softmax"}
-        tr_labels = {t.name: np.array([manifest.label(i, t.label_column)
-                                       for i in train_ids])
-                     for t in tasks if t.loss == "softmax"}
-        va_labels = {t.name: np.array([manifest.label(i, t.label_column)
-                                       for i in val_ids])
-                     for t in tasks if t.loss == "softmax"}
         probe_layers = ("input",) + graph.branch_points
-        probe = invariance_probe(graph, store, probe_layers, factors,
-                                 x_train, tr_labels, x_val, va_labels,
-                                 seed=derive_seed(master_seed, "probe"))
+        probe = invariance_probe(
+            graph, store, probe_layers, factors,
+            train_sets["identity"].inputs,
+            {f: train_sets[f].labels for f in factors},
+            val_sets[tasks[0].name].inputs,
+            {f: val_sets[f].labels for f in factors},
+            seed=derive_seed(master_seed, "probe"))
         paths["probe_matrix"] = os.path.join(out_dir, "probe.tsv")
         paths["probe_table"] = os.path.join(out_dir, "probe.txt")
         with open(paths["probe_matrix"], "w") as f:
@@ -327,7 +328,7 @@ def _study_summary(seed, trunk_cfg, trunk_acc, grid: GridResult, probe) -> str:
     lines = ["quarter-scale invariance study", f"master seed: {seed}",
              f"trunk minibatches: {trunk_cfg.max_minibatches}",
              f"trunk training identity accuracy: {trunk_acc!r}", ""]
-    for task in grid.tasks:
+    for task in grid.columns:
         best = grid.best_layer(task)
         fc_acc = grid.cells[(grid.layers[-1], task)]
         best_acc = grid.cells[(best, task)]

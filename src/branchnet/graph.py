@@ -376,6 +376,13 @@ class GraphSpec:
         except KeyError:
             raise KeyError(f"no node named {name!r}") from None
 
+    def branch_index(self, name):
+        """The index of branch point name; ValueError if name is not one."""
+        if name not in self.branch_points:
+            raise ValueError(f"{name!r} is not a branch point; valid points: "
+                             + ", ".join(self.branch_points))
+        return self._index[name]
+
     def __contains__(self, name):
         return name in self._index
 

@@ -29,6 +29,7 @@ wrong size or one whose name or data runs past the checksum, or a value
 outside these bounds raises ValueError naming the record or its offset.
 """
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -108,8 +109,6 @@ def frozen_checksum(graph: GraphSpec, store: ParamStore, branch_index: int) -> s
             h_parts.append(np.ascontiguousarray(rs.mean).tobytes())
             h_parts.append(np.ascontiguousarray(rs.var).tobytes())
             h_parts.append(struct.pack("<q", rs.count))
-    import hashlib
-
     return hashlib.sha256(b"".join(h_parts)).hexdigest()
 
 

@@ -286,11 +286,8 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
     ones restart empty when cold.
     """
     check_task(num_classes, loss)
-    if branch_layer not in trunk_graph.branch_points:
-        raise ValueError(f"unknown branch layer {branch_layer!r}; valid points: "
-                         + ", ".join(trunk_graph.branch_points))
+    bidx = trunk_graph.branch_index(branch_layer)
     graph = head_graph(trunk_graph, num_classes, loss)
-    bidx = graph.index(branch_layer)
     store = ParamStore()
     for name, shape in param_shapes(graph).items():
         owner = param_owner(name)

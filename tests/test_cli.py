@@ -226,6 +226,57 @@ def test_probe_rejects_malformed_factor(capsys, tmp_path, corpus,
                    "got 'nuisance=7'\n")
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("t binary 2 softmax\nt nuisance 7 softmax\n",
+     "task name 't' is given twice"),
+    ("# no task line\n", "no tasks given"),
+])
+def test_branch_grid_rejects_a_repeated_task_or_none(capsys, tmp_path, corpus,
+                                                     trunk_ckpt, lines,
+                                                     message):
+    tasks = tmp_path / "tasks.txt"
+    tasks.write_text(lines)
+    rc, out, err = run_cli(capsys, "branch-grid", "--trunk", trunk_ckpt,
+                           "--tasks", str(tasks), "--data", corpus,
+                           "--report", str(tmp_path / "grid.txt"))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "grid.txt").exists()
+
+
+@pytest.mark.parametrize("factors, message", [
+    ("a:nuisance:7,a:binary:2", "task name 'a' is given twice"),
+    ("", "no tasks given"),
+])
+def test_probe_rejects_a_repeated_factor_or_none(capsys, tmp_path, corpus,
+                                                 trunk_ckpt, factors,
+                                                 message):
+    rc, out, err = run_cli(capsys, "probe", "--trunk", trunk_ckpt,
+                           "--data", corpus, "--layers", "input",
+                           "--factors", factors,
+                           "--report", str(tmp_path / "probe.txt"))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "probe.txt").exists()
+
+
+def test_finetune_rejects_a_label_beyond_int64(capsys, tmp_path, corpus,
+                                               trunk_ckpt):
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(corpus), data)
+    manifest = Manifest.load(data / "manifest.tsv")
+    manifest.rows[0]["binary"] = "99999999999999999999999"
+    manifest.save(data / "manifest.tsv")
+    rc, out, err = run_cli(capsys, "finetune", "--trunk", trunk_ckpt,
+                           "--branch", "fc", "--task", "binary",
+                           "--classes", "2",
+                           "--data", str(data / "manifest.tsv"),
+                           "--out", str(tmp_path / "b"))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: manifest id {manifest.ids[0]!r}: binary value "
+                   f"'99999999999999999999999' is not an integer within "
+                   f"int64\n")
+    assert not (tmp_path / "b").exists()
+
+
 def test_eval_verify_report(capsys, tmp_path):
     # two tight clusters: rows 0/1 match, rows 2/3 match, cross pairs differ
     table = np.array([[1.0, 0.0], [0.99, 0.01],

@@ -1,26 +1,39 @@
-"""Branch-depth grid and linear-probe machinery.
+"""Branch-depth grid, linear-probe machinery and the labelled-data loader.
 
 The heavy end-to-end study lives in the acceptance tests; here we pin the
-selection rules, seed derivation, report formats, and the probe's ability
-to read off a factor that is linearly present in pooled features.
+selection rules, seed derivation, report formats, the probe's ability to
+read off a factor that is linearly present in pooled features, and
+load_tasks: one read of a split's tensors shared by every task, and a
+ValueError for any manifest text it cannot load.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import desk_inputs
 
+from branchnet import dataio
 from branchnet.common import derive_rng, derive_seed
+from branchnet.dataio import (Manifest, SynthSpec, generate_synthetic,
+                              load_batch, split_ids, write_tensor)
 from branchnet.experiments import (GridResult, GridTask, branch_grid,
                                    format_grid_matrix, format_grid_table,
-                                   format_probe_matrix, invariance_probe)
+                                   format_probe_matrix, invariance_probe,
+                                   load_tasks)
 from branchnet.train import Dataset, TrainConfig
+
+TASKS = (GridTask("nuisance", "nuisance", 7),
+         GridTask("binary", "binary", 2),
+         GridTask("tags", "multilabel", 9, "sigmoid-multilabel"))
 
 
 def small_grid():
     cells = {("conv19", "a"): 0.8, ("conv22", "a"): 0.8, ("fc", "a"): 0.8,
              ("conv19", "b"): 0.9, ("conv22", "b"): 0.7, ("fc", "b"): 0.7}
-    return GridResult(("conv19", "conv22", "fc"), ("a", "b"), cells, seed=7)
+    return GridResult(layers=("conv19", "conv22", "fc"), columns=("a", "b"),
+                      cells=cells, seed=7)
 
 
 def test_best_layer_breaks_ties_toward_the_deepest():
@@ -128,6 +141,8 @@ def test_probe_matrix_format(desk_graph, warm_desk_store):
     result = invariance_probe(desk_graph, warm_desk_store, ["input", "fc"],
                               {"f": 2}, x, {"f": y}, x, {"f": y}, seed=3,
                               budget=5)
+    assert isinstance(result, GridResult) and result.columns == ("f",)
+    assert format_probe_matrix is format_grid_matrix
     lines = format_probe_matrix(result).splitlines()
     assert lines[0] == "# seed=3"
     assert lines[1] == "layer\tf"
@@ -153,3 +168,123 @@ def test_probe_over_many_layers_equals_one_layer_at_a_time(desk_graph,
                                batch=4)
         for factor in factors:
             assert one.cells[(layer, factor)] == many.cells[(layer, factor)]
+
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small_suite")
+    return generate_synthetic(SynthSpec(num_identities=3,
+                                        samples_per_identity=10,
+                                        image_size=8, seed=4), str(root))
+
+
+def test_load_tasks_shares_one_inputs_array(small_manifest):
+    for split in ("train", "val", "all"):
+        sets = load_tasks(small_manifest, TASKS, split)
+        assert list(sets) == [t.name for t in TASKS]
+        inputs = sets["nuisance"].inputs
+        assert all(d.inputs is inputs for d in sets.values())
+        x, _ = load_batch(small_manifest, split_ids(small_manifest, split))
+        np.testing.assert_array_equal(inputs, x)
+
+
+def test_load_tasks_reads_each_tensor_file_once(small_manifest, monkeypatch):
+    reads = []
+    real = dataio.read_tensor
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(dataio, "read_tensor", counting)
+    load_tasks(small_manifest, TASKS, "train")
+    ids = split_ids(small_manifest, "train")
+    assert sorted(reads) == sorted(small_manifest.tensor_path(i) for i in ids)
+
+
+def test_load_tasks_labels_equal_load_batch(small_manifest):
+    for split in ("train", "val"):
+        ids = split_ids(small_manifest, split)
+        sets = load_tasks(small_manifest, TASKS, split)
+        for task in TASKS:
+            _, expected = load_batch(small_manifest, ids, task.label_column,
+                                     task.num_classes)
+            got = sets[task.name].labels
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+    assert sets["tags"].labels.shape == (len(ids), 9)
+
+
+def test_load_tasks_rejects_no_tasks_a_repeated_name_and_an_empty_split(
+        small_manifest):
+    with pytest.raises(ValueError, match="^no tasks given$"):
+        load_tasks(small_manifest, [], "train")
+    twice = [GridTask("t", "binary", 2), GridTask("t", "nuisance", 7)]
+    with pytest.raises(ValueError, match="^task name 't' is given twice$"):
+        load_tasks(small_manifest, twice, "train")
+    rows = [r for r in small_manifest.rows if int(r["split"]) < 8]
+    train_only = Manifest(small_manifest.columns, rows, small_manifest.root)
+    with pytest.raises(ValueError, match="no samples in split 'val'"):
+        load_tasks(train_only, TASKS, "val")
+
+
+def test_a_label_beyond_int64_names_the_id_and_the_column(small_manifest):
+    rows = [dict(r) for r in small_manifest.rows]
+    rows[0]["binary"] = "99999999999999999999999"
+    m = Manifest(small_manifest.columns, rows, small_manifest.root)
+    with pytest.raises(ValueError, match=f"^manifest id '{rows[0]['id']}': "
+                                         f"binary value '9+' is not an "
+                                         f"integer within int64$"):
+        load_tasks(m, TASKS, "all")
+
+
+# manifest text fuzz: a fixed header and tensor files; valid rows with at
+# most one field (id, path, label or split) replaced by fuzzed text
+SMALL = st.integers(0, 9).map(str)
+ROW = st.tuples(st.sampled_from("abcdefgh"),
+                st.sampled_from(["t0.tnsr", "t1.tnsr", "t2.tnsr"]),
+                SMALL, SMALL, SMALL)
+FUZZED = st.one_of(st.integers(-2 ** 70, 2 ** 70).map(str),
+                   st.text(alphabet="0123456789-+_ x\t\n\r.\u0663",
+                           max_size=6),
+                   st.text(max_size=4),
+                   st.sampled_from(["wide.tnsr", "corrupt.tnsr",
+                                    "missing.tnsr", ".", "a"]))
+HEADER = "id\tpath\tbinary\tmultilabel\tsplit\n"
+FUZZ_TASKS = (GridTask("binary", "binary", 2),
+              GridTask("tags", "multilabel", 3, "sigmoid-multilabel"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest_fuzz")
+    for k in range(3):
+        write_tensor(root / f"t{k}.tnsr", np.full((1, 2, 2), k, np.float32))
+    write_tensor(root / "wide.tnsr", np.zeros((1, 2, 3), np.float32))
+    (root / "corrupt.tnsr").write_bytes(b"TNSR\x01\x03junk")
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.lists(ROW, min_size=1, max_size=4, unique_by=lambda r: r[0]),
+       edit=st.one_of(st.none(), st.tuples(st.integers(0, 3),
+                                           st.integers(0, 4), FUZZED)),
+       split=st.sampled_from(["train", "val", "all"]))
+def test_fuzzed_manifest_text_loads_or_is_one_value_error(fuzz_dir, rows,
+                                                          edit, split):
+    rows = [list(r) for r in rows]
+    if edit is not None:
+        row, column, text = edit
+        rows[row % len(rows)][column] = text
+    path = fuzz_dir / "manifest.tsv"
+    path.write_text(HEADER + "".join("\t".join(r) + "\n" for r in rows))
+    try:
+        sets = load_tasks(Manifest.load(path), FUZZ_TASKS, split)
+    except ValueError:
+        return
+    assert list(sets) == ["binary", "tags"]
+    n = len(sets["binary"])
+    assert n > 0 and sets["binary"].labels.dtype == np.int64
+    assert sets["tags"].labels.shape == (n, 3)
+    assert sets["binary"].inputs.shape[1:] in {(1, 2, 2), (1, 2, 3)}

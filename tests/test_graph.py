@@ -158,6 +158,16 @@ def test_header_token_without_equals_is_a_value_error():
                         "r relu inputs=input\n")
 
 
+def test_branch_index_is_the_one_branch_point_check():
+    graph = build_trunk(ArchConfig.desk())
+    for name in graph.branch_points:
+        assert graph.branch_index(name) == graph.index(name)
+    for name in ("relu5", "conv99"):
+        with pytest.raises(ValueError, match=f"^'{name}' is not a branch "
+                                             f"point; valid points: conv17, "):
+            graph.branch_index(name)
+
+
 def test_graph_lookup_errors():
     graph = build_trunk(ArchConfig.desk())
     with pytest.raises(KeyError, match="no node named"):
