@@ -20,14 +20,14 @@ from .experiments import (GridTask, ProbeFactor, branch_grid,
                           format_grid_matrix, format_grid_table,
                           format_probe_matrix, format_probe_table,
                           invariance_probe, load_tasks)
-from .graph import ArchConfig, build_trunk
+from .graph import LOSS_KINDS, ArchConfig, build_trunk
 from .multihead import (HeadSpec, MultiHeadModel, combined_flops,
                         format_prediction_lines, load_bundle, predict_all,
                         save_bundle)
 from .params import load_checkpoint, save_checkpoint
 from .resolver import Constraints, format_resolution_report, resolve_architecture
-from .train import (LOSS_KINDS, TrainConfig, evaluate_accuracy, finetune,
-                    init_params, make_branch, train)
+from .train import (TrainConfig, evaluate_accuracy, finetune, init_params,
+                    make_branch, train)
 
 DEFAULT_TARGET_FPR = 0.0103
 
@@ -70,7 +70,7 @@ def cmd_train_base(args):
     manifest = Manifest.load(args.data)
     [dataset] = load_tasks(manifest, [task], args.split).values()
     store = init_params(graph, cfg)
-    log = train(graph, store, dataset, cfg, loss="softmax")
+    log = train(graph, store, dataset, cfg)
     save_checkpoint(args.out, graph, store)
     log.write(args.out + ".log.tsv")
     acc = evaluate_accuracy(graph, store, dataset)
@@ -95,8 +95,7 @@ def cmd_finetune(args):
     model.add_head(spec, branch.graph, branch.store)
     save_bundle(args.out, model)
     log.write(os.path.join(args.out, f"{args.task}.log.tsv"))
-    acc = evaluate_accuracy(branch.graph, branch.store, dataset,
-                            loss=args.loss)
+    acc = evaluate_accuracy(branch.graph, branch.store, dataset)
     print(f"saved bundle {args.out}; training accuracy {acc!r}")
     return 0
 

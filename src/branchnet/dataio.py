@@ -160,24 +160,21 @@ def bitmask_to_vector(mask: int, num_classes: int) -> np.ndarray:
                     dtype=np.float32)
 
 
-def load_labels(manifest: Manifest, ids, label_column, num_classes=None):
-    """The labels of `ids` (order preserved) in one column: an int64 vector
-    for scalar columns, and an (n, num_classes) binary matrix for the
-    multilabel bitmask column."""
+def load_labels(manifest: Manifest, ids, label_column, bitmask_classes=None):
+    """The labels of `ids` (order preserved) in one column: an int64 vector,
+    or, given bitmask_classes, each value decoded from a bitmask into one
+    row of an (n, bitmask_classes) binary matrix."""
     values = [manifest.label(i, label_column) for i in ids]
-    if label_column != "multilabel":
+    if bitmask_classes is None:
         return np.array(values, dtype=np.int64)
-    if num_classes is None:
-        raise ValueError("multilabel labels need num_classes")
-    return np.stack([bitmask_to_vector(v, num_classes) for v in values])
+    return np.stack([bitmask_to_vector(v, bitmask_classes) for v in values])
 
 
-def load_batch(manifest: Manifest, ids, label_column=None,
-               num_classes=None):
+def load_batch(manifest: Manifest, ids, label_column=None):
     """Stack the tensors for `ids` (order preserved) into one batch.
 
     Returns (batch, labels); labels is None without a label_column, and
-    load_labels' array otherwise.
+    the column's int64 vector otherwise.
     """
     if not ids:
         raise ValueError("load_batch needs at least one id")
@@ -194,7 +191,7 @@ def load_batch(manifest: Manifest, ids, label_column=None,
     batch = np.stack(tensors)
     if label_column is None:
         return batch, None
-    return batch, load_labels(manifest, ids, label_column, num_classes)
+    return batch, load_labels(manifest, ids, label_column)
 
 
 def split_ids(manifest: Manifest, split: str):

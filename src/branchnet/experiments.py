@@ -67,7 +67,8 @@ DESK_TASKS = (GridTask("nuisance", "nuisance", 7, "softmax"),
 def load_tasks(manifest, tasks, split) -> dict:
     """{task name: Dataset} over one split of the manifest. The split's
     tensors are read once and every Dataset holds that one inputs array;
-    each task's labels come from its label column."""
+    each task's labels come from its label column, as bitmasks for a
+    sigmoid-multilabel task and class indices otherwise."""
     names = [t.name for t in tasks]
     if not names:
         raise ValueError("no tasks given")
@@ -79,8 +80,9 @@ def load_tasks(manifest, tasks, split) -> dict:
         raise ValueError(f"no samples in split {split!r} of the manifest in "
                          f"{manifest.root}")
     inputs, _ = load_batch(manifest, ids)
-    return {t.name: Dataset(inputs, load_labels(manifest, ids, t.label_column,
-                                                t.num_classes))
+    return {t.name: Dataset(inputs, load_labels(
+                manifest, ids, t.label_column,
+                t.num_classes if t.loss == "sigmoid-multilabel" else None))
             for t in tasks}
 
 
@@ -126,7 +128,7 @@ def branch_grid(graph: GraphSpec, store, tasks, train_sets, val_sets,
                 finetune(branch, train_sets[task.name],
                          replace(config, seed=cell_seed))
                 acc = evaluate_accuracy(branch.graph, branch.store,
-                                        val_sets[task.name], loss=task.loss)
+                                        val_sets[task.name])
             except Exception as exc:
                 raise RuntimeError(f"grid cell ({layer}, {task.name}) failed: "
                                    f"{exc}") from exc
@@ -147,21 +149,26 @@ def format_grid_matrix(result: GridResult) -> str:
 format_probe_matrix = format_grid_matrix
 
 
+def _layer_table(result: GridResult, best=None) -> list:
+    """Header, rule and a row per layer. Given best (column -> layer), each
+    cell ends in "*" at its column's best layer and " " elsewhere."""
+    width = max(len(c) for c in result.columns) + 8
+    header = f"{'layer':<12}" + "".join(f"{c:>{width}}" for c in result.columns)
+    lines = [header, "-" * len(header)]
+    for layer in result.layers:
+        row = f"{layer:<12}"
+        for c in result.columns:
+            mark = "" if best is None else "*" if best[c] == layer else " "
+            row += f"{result.cells[(layer, c)]:>{width - len(mark)}.4f}{mark}"
+        lines.append(row)
+    return lines
+
+
 def format_grid_table(grid: GridResult, reference=REFERENCE_CELLS) -> str:
     """Human-readable grid; the best cell per task column is starred."""
     best = {t: grid.best_layer(t) for t in grid.columns}
-    width = max(len(t) for t in grid.columns) + 8
     lines = [f"branch-depth grid (seed {grid.seed}); columns starred at the "
-             f"best layer, ties to the deepest", ""]
-    header = f"{'layer':<12}" + "".join(f"{t:>{width}}" for t in grid.columns)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for layer in grid.layers:
-        row = f"{layer:<12}"
-        for t in grid.columns:
-            mark = "*" if best[t] == layer else " "
-            row += f"{grid.cells[(layer, t)]:>{width - 1}.4f}{mark}"
-        lines.append(row)
+             f"best layer, ties to the deepest", ""] + _layer_table(grid, best)
     if reference:
         lines.append("")
         lines.append("full-scale reference points, shown for orientation only "
@@ -221,17 +228,8 @@ def invariance_probe(graph: GraphSpec, store, layers, factors,
 
 
 def format_probe_table(result: GridResult) -> str:
-    width = max(len(f) for f in result.columns) + 8
     lines = [f"linear-probe accuracy on pooled activations (seed {result.seed})",
-             ""]
-    header = f"{'layer':<12}" + "".join(f"{f:>{width}}" for f in result.columns)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for layer in result.layers:
-        row = f"{layer:<12}"
-        for f in result.columns:
-            row += f"{result.cells[(layer, f)]:>{width}.4f}"
-        lines.append(row)
+             ""] + _layer_table(result)
     return "\n".join(lines) + "\n"
 
 
@@ -278,8 +276,7 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
     identity = GridTask("identity", "identity", spec.num_identities)
     train_sets = load_tasks(manifest, (identity,) + tuple(tasks), "train")
     val_sets = load_tasks(manifest, tasks, "val")
-    trunk_log = train(graph, store, train_sets["identity"], trunk_cfg,
-                      loss="softmax")
+    trunk_log = train(graph, store, train_sets["identity"], trunk_cfg)
     trunk_acc = evaluate_accuracy(graph, store, train_sets["identity"])
 
     paths = {"trunk": os.path.join(out_dir, "trunk.ckpt"),

@@ -8,8 +8,9 @@ construction.
 
 Everything a node kind means is defined once, in its NODE_KINDS record:
 the integer attributes it requires, the parameters it owns, its output
-shape, its cost, and its forward and backward passes. The engine, the
-accounting and the parameter store are loops over that table.
+shape, its cost, its forward and backward passes, and for a head its
+loss and hit rule. The engine, the accounting and the parameter store
+are loops over that table.
 
 Canonical trunk naming: the stem convolution is conv1, block i contributes
 conv{2i} (the 1x1) and conv{2i+1} (the 3x3), shortcut projections are
@@ -28,6 +29,8 @@ from .config import fields_from_mapping, fields_to_mapping
 
 BRANCH_POINT_NAMES = ("conv17", "conv19", "conv21", "conv22", "conv-bn320", "fc")
 INPUT_NAME = "input"
+# loss name -> the head kind that carries it (see NodeKind.loss)
+LOSS_KINDS = {"softmax": "softmax-head", "sigmoid-multilabel": "sigmoid-head"}
 
 # Committed resolver output (see reports/arch_resolution.txt): the unique
 # top-ranked stage composition under the hard constraints, tie-broken by
@@ -60,6 +63,11 @@ class NodeKind:
               gradient that is not needed (conv and fc do, and skip its
               matrix product and scatter); the other kinds compute it
               anyway, and the engine drops it
+    loss      heads only: (logits, labels) -> (mean loss, scores, logit
+              gradient) of a graph ending in the head; the logits are the
+              head's input
+    hits      heads only: (logits, labels) -> bool array, True where a
+              prediction agrees with its label; accuracy is its mean
 
     The saved context is what a forward keeps for its own backward so the
     backward need not recompute it. Only a train-mode batchnorm keeps one:
@@ -76,6 +84,8 @@ class NodeKind:
     cost: Callable
     forward: Callable
     backward: Callable | None = None
+    loss: Callable | None = None
+    hits: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -116,6 +126,13 @@ def _conv_params(a):
     return shapes
 
 
+def _spatial(shape):
+    """shape, when it is a (c, h, w) shape."""
+    if len(shape) != 3:
+        raise ValueError(f"needs a (c, h, w) input, got shape {shape}")
+    return shape
+
+
 def _check_channels(a, key, shape):
     if a[key] != shape[0]:
         raise ValueError(f"declares {key}={a[key]} but its input has "
@@ -123,8 +140,8 @@ def _check_channels(a, key, shape):
 
 
 def _conv_shape(a, ins):
+    c, h, w = _spatial(ins[0])
     _check_channels(a, "in", ins[0])
-    c, h, w = ins[0]
     oh = ops.conv_output_size(h, a["k"], a["stride"], a["pad"])
     ow = ops.conv_output_size(w, a["k"], a["stride"], a["pad"])
     if oh < 1 or ow < 1:
@@ -148,20 +165,19 @@ def _batchnorm_forward(a, p, ins, running, mode):
 
 
 def _batchnorm_shape(a, ins):
-    _check_channels(a, "ch", ins[0])
+    _check_channels(a, "ch", _spatial(ins[0]))
     return ins[0]
 
 
 def _maxpool_shape(a, ins):
-    c, h, w = ins[0]
+    c, h, w = _spatial(ins[0])
     if h % 2 or w % 2:
         raise ValueError(f"pools odd extents {h}x{w}")
     return (c, h // 2, w // 2)
 
 
 def _avgpool_shape(a, ins):
-    c, h, w = ins[0]
-    return (c, 1, 1)
+    return (_spatial(ins[0])[0], 1, 1)
 
 
 def _add_shape(a, ins):
@@ -221,10 +237,16 @@ NODE_KINDS = {
             ops.fully_connected(ins[0], p["w"], p["b"]), None, None),
         backward=lambda a, p, ins, gy, saved, need: _grads(
             ops.fully_connected_backward(ins[0], p["w"], gy, need[0]))),
-    "softmax-head": NodeKind(cost=_elementwise("head"),
-                             forward=_unary(ops.softmax)),
-    "sigmoid-head": NodeKind(cost=_elementwise("head"),
-                             forward=_unary(ops.sigmoid)),
+    "softmax-head": NodeKind(
+        cost=_elementwise("head"), forward=_unary(ops.softmax),
+        loss=ops.softmax_cross_entropy,
+        hits=lambda logits, labels: logits.argmax(axis=1) == ops.label_indices(
+            labels, *logits.shape)),
+    "sigmoid-head": NodeKind(
+        cost=_elementwise("head"), forward=_unary(ops.sigmoid),
+        loss=ops.sigmoid_multilabel_loss,
+        hits=lambda logits, labels: (ops.sigmoid(logits) >= 0.5) == (
+            labels >= 0.5)),
 }
 
 
@@ -305,19 +327,6 @@ class ArchConfig:
     @property
     def eff_input_size(self):
         return max(1, round(self.input_size * self.scale_factor))
-
-    @property
-    def total_blocks(self):
-        return sum(self.stage_repeats)
-
-    @property
-    def conv_count(self):
-        """Non-shortcut convolutions: stem + two per block + the bottleneck."""
-        return 1 + 2 * self.total_blocks + 1
-
-    @classmethod
-    def canonical(cls):
-        return cls()
 
     @classmethod
     def desk(cls, num_identities=20, in_channels=1):
@@ -551,18 +560,17 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
 
 def head_graph(trunk: GraphSpec, num_classes: int, loss: str) -> GraphSpec:
     """The trunk with a task head in place of the identity head: fc
-    resized to num_classes outputs, then a node "head", a softmax for loss
-    "softmax" and a sigmoid otherwise. Every node before fc is the trunk's;
+    resized to num_classes outputs, then a node "head" of the kind
+    LOSS_KINDS names for loss. Every node before fc is the trunk's;
     make_branch and the branch cost accounting both build on this graph."""
-    head_kind = "softmax-head" if loss == "softmax" else "sigmoid-head"
     nodes = []
     for node in trunk.nodes:
-        if node.kind in ("softmax-head", "sigmoid-head"):
+        if node.kind in LOSS_KINDS.values():
             continue
         if node.kind == "fc":
             node = LayerNode(node.name, "fc",
                              {"in": node.attrs["in"], "out": num_classes},
                              node.inputs)
         nodes.append(node)
-    nodes.append(LayerNode("head", head_kind, {}, (nodes[-1].name,)))
+    nodes.append(LayerNode("head", LOSS_KINDS[loss], {}, (nodes[-1].name,)))
     return GraphSpec(tuple(nodes), trunk.input_shape, trunk.branch_points)

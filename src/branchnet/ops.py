@@ -353,7 +353,9 @@ def softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _as_label_indices(labels, n, m):
+def label_indices(labels, n, m):
+    """Class indices of n softmax labels over m classes, given as indices
+    or as one-hot rows."""
     labels = np.asarray(labels)
     if labels.ndim == 1:
         _require(labels.shape[0] == n, f"expected {n} labels, got {labels.shape[0]}")
@@ -380,7 +382,7 @@ def softmax_cross_entropy(logits, labels):
     _require(logits.ndim == 2, f"logits must be (n, m), got shape {logits.shape}")
     n, m = logits.shape
     _require(m >= 2, f"softmax needs at least 2 classes, got {m}")
-    idx = _as_label_indices(labels, n, m)
+    idx = label_indices(labels, n, m)
     z = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     loss = float((lse - z[np.arange(n), idx]).mean())

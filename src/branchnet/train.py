@@ -5,6 +5,10 @@ contract: given identical (graph, initial store, dataset, config), every
 run produces bit-identical stores and logs. Minibatch composition at step t
 depends only on (config.seed, t), so runs are also resumable.
 
+The model says what to train: the loss and the hit rule are those of
+the graph's head, its last node, and training starts at the first node
+that owns an array the store flags as trainable.
+
 Branching replaces the identity head with a task head and freezes every
 parameter owned by a node before the branch layer. Frozen parameters are
 shared with the donor store by reference, which both saves memory and makes
@@ -31,11 +35,8 @@ from . import ops
 from .common import derive_rng
 from .config import fields_from_mapping, fields_to_mapping
 from .engine import backward_pass, boundary, forward_pass, infer
-from .graph import INPUT_NAME, GraphSpec, head_graph
+from .graph import INPUT_NAME, LOSS_KINDS, NODE_KINDS, GraphSpec, head_graph
 from .params import ParamStore, batchnorm_nodes, param_owner, param_shapes
-
-LOSS_KINDS = ("softmax", "sigmoid-multilabel")
-LOGITS_NODE = "fc"
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def check_task(num_classes, loss):
     if num_classes < 2:
         raise ValueError(f"a task needs at least 2 classes, got {num_classes}")
     if loss not in LOSS_KINDS:
-        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
+        raise ValueError(f"unknown loss {loss!r}; expected one of {', '.join(LOSS_KINDS)}")
 
 
 def lr_at(t: int, config: TrainConfig) -> float:
@@ -180,28 +181,28 @@ def _batch_indices(n, t, config):
     return rng.choice(n, size=config.batch_size, replace=n < config.batch_size)
 
 
-def _loss_and_grad(logits, labels, loss):
-    if loss == "softmax":
-        value, probs, grad = ops.softmax_cross_entropy(logits, labels)
-        acc = float((probs.argmax(axis=1) == np.asarray(labels)).mean())
-    elif loss == "sigmoid-multilabel":
-        value, scores, grad = ops.sigmoid_multilabel_loss(logits, labels)
-        acc = float(((scores >= 0.5) == (np.asarray(labels) >= 0.5)).mean())
-    else:
-        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
-    return value, grad, acc
+def _head(graph):
+    """(NodeKind, logits name, loss name) of the graph's head, its last
+    node; ValueError unless that node is a head."""
+    for loss, kind in LOSS_KINDS.items():
+        if graph.nodes and graph.nodes[-1].kind == kind:
+            return NODE_KINDS[kind], graph.nodes[-1].inputs[0], loss
+    last = graph.nodes[-1].name if graph.nodes else None
+    raise ValueError(f"the graph's last node {last!r} is not a head node")
 
 
 def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
-          config: TrainConfig, loss: str = "softmax",
-          train_from: int = 0) -> TrainLog:
+          config: TrainConfig) -> TrainLog:
     """Minibatch SGD over the dataset; mutates store, returns the log.
 
-    train_from freezes execution semantics, not flags: batchnorm nodes below
-    it run in inference mode and no gradients are produced below it. The
-    store's trainable flags decide what the optimizer updates; both must
-    agree for a correct freeze (make_branch sets them together).
+    Nodes before the first one that owns a trainable array are the frozen
+    prefix: their batchnorms run in inference mode and they get no
+    gradients. The optimizer updates only the arrays flagged trainable.
     """
+    kind, logits, loss = _head(graph)
+    train_from = min((graph.index(param_owner(name))
+                      for name, flag in store.trainable.items() if flag),
+                     default=len(graph.nodes))
     log = TrainLog(header={**config.to_mapping(prefix=""),
                            "loss": loss, "train_from": train_from})
     n = len(dataset)
@@ -210,8 +211,8 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
     prefix = {INPUT_NAME: dataset.inputs}
     if train_from > 0 and n > 0:
         keep = boundary(graph, train_from)
-        if graph.index(LOGITS_NODE) < train_from:
-            keep.add(LOGITS_NODE)  # no step computes the logits then
+        if train_from == len(graph.nodes):
+            keep.add(logits)  # no step computes the logits then
         prefix = infer(graph, store, dataset.inputs, keep, config.batch_size)
     updated = [name for name, flag in store.trainable.items() if flag]
     saved = {}  # contexts from each step's forward, emptied by its backward
@@ -224,10 +225,11 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
             start=train_from,
             cache={name: a[idx] for name, a in prefix.items()}, saved=saved)
         store.running.update(bn_updates)
-        value, logit_grad, acc = _loss_and_grad(acts[LOGITS_NODE], yb, loss)
+        value, _, logit_grad = kind.loss(acts[logits], yb)
         if not np.isfinite(value):
             raise ValueError(f"non-finite loss at minibatch {t}; training aborted")
-        grads, _ = backward_pass(graph, store, acts, {LOGITS_NODE: logit_grad},
+        acc = float(kind.hits(acts[logits], yb).mean())
+        grads, _ = backward_pass(graph, store, acts, {logits: logit_grad},
                                  stop=train_from, saved=saved, input_grad=False)
         sgd_momentum_step(store, grads, rate, config.momentum_coeff)
         for name in updated:
@@ -239,21 +241,15 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
 
 
 def evaluate_accuracy(graph: GraphSpec, store: ParamStore, dataset: Dataset,
-                      loss: str = "softmax", batch_size: int = 256) -> float:
-    """Inference-mode accuracy: exact-match for softmax heads, element-wise
-    agreement for multilabel heads."""
+                      batch_size: int = 256) -> float:
+    """Inference-mode accuracy under the hit rule of the graph's head:
+    exact match for a softmax head, element-wise agreement for a sigmoid
+    head."""
+    kind, logits, _ = _head(graph)
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits = infer(graph, store, dataset.inputs, {LOGITS_NODE},
-                   batch_size)[LOGITS_NODE]
-    labels = np.asarray(dataset.labels)
-    if loss == "softmax":
-        hits = (logits.argmax(axis=1) == labels)
-    elif loss == "sigmoid-multilabel":
-        hits = ((ops.sigmoid(logits) >= 0.5) == (labels >= 0.5))
-    else:
-        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
-    return float(hits.sum()) / hits.size
+    out = infer(graph, store, dataset.inputs, {logits}, batch_size)[logits]
+    return float(kind.hits(out, np.asarray(dataset.labels)).mean())
 
 
 @dataclass
@@ -263,8 +259,6 @@ class Branch:
     graph: GraphSpec
     store: ParamStore
     branch_layer: str
-    num_classes: int
-    loss: str
 
     @property
     def branch_index(self):
@@ -313,11 +307,10 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
                                                  rs.count)
         else:
             store.running[bn] = _fresh_stats(graph, bn)
-    return Branch(graph, store, branch_layer, num_classes, loss)
+    return Branch(graph, store, branch_layer)
 
 
 def finetune(branch: Branch, dataset: Dataset, config: TrainConfig) -> TrainLog:
-    """Train the branch's retrained suffix; the frozen prefix stays bitwise
-    intact (batchnorm inference mode, no gradients, no optimizer updates)."""
-    return train(branch.graph, branch.store, dataset, config,
-                 loss=branch.loss, train_from=branch.branch_index)
+    """Train the branch's retrained suffix. Its store flags every array
+    before the branch layer frozen, so the prefix stays bitwise intact."""
+    return train(branch.graph, branch.store, dataset, config)

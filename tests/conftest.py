@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from branchnet.engine import forward_pass
 from branchnet.graph import ArchConfig, build_trunk
@@ -28,3 +29,21 @@ def warm_desk_store(desk_graph, desk_store):
 
 def desk_inputs(rng, n):
     return rng.standard_normal((n, 1, 56, 56)).astype(np.float32)
+
+
+def graph_token_edits(text):
+    """Hypothesis strategy over one or two edits of a graph text: each
+    replaces one whitespace token (line, token index taken modulo the
+    line's length) with a token of the same text, or deletes it ("")."""
+    lines = text.splitlines()
+    vocab = sorted({tok for line in lines for tok in line.split()}) + [""]
+    edit = st.tuples(st.integers(0, len(lines) - 1), st.integers(0, 9),
+                     st.sampled_from(vocab))
+    return st.lists(edit, min_size=1, max_size=2)
+
+
+def apply_token_edits(text, edits):
+    lines = [line.split() for line in text.splitlines()]
+    for row, col, token in edits:
+        lines[row][col % len(lines[row])] = token
+    return "".join(" ".join(t for t in tokens if t) + "\n" for tokens in lines)

@@ -10,7 +10,7 @@ from branchnet.graph import NODE_KINDS
 from branchnet.train import TrainConfig, init_params
 from branchnet.train import make_branch
 
-CANONICAL = build_trunk(ArchConfig.canonical())
+CANONICAL = build_trunk(ArchConfig())
 
 
 def test_canonical_totals():
@@ -79,7 +79,7 @@ def test_four_head_combined_cost():
     assert abs(combined / trunk - 1.3094225976) < 1e-9
 
 
-@pytest.mark.parametrize("cfg", [ArchConfig.canonical(), ArchConfig.desk(),
+@pytest.mark.parametrize("cfg", [ArchConfig(), ArchConfig.desk(),
                                  ArchConfig(stage_repeats=(2, 1, 3, 2),
                                             scale_factor=0.5, num_identities=50)])
 def test_param_count_matches_materialized_store(cfg):
@@ -90,7 +90,7 @@ def test_param_count_matches_materialized_store(cfg):
 
 
 def test_spatial_scaling_law():
-    base = count_flops(build_trunk(ArchConfig.canonical()))
+    base = count_flops(build_trunk(ArchConfig()))
     double = count_flops(build_trunk(ArchConfig(input_size=448)))
     spatial_free = ("conv-bn320", "fc")
     tail = sum(base.per_node_macs[n] for n in spatial_free)

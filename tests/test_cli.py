@@ -15,6 +15,7 @@ import pytest
 from branchnet.cli import main
 from branchnet.common import checksum64
 from branchnet.dataio import Manifest, read_tensor, split_ids, write_tensor
+from branchnet.experiments import GridTask, load_tasks
 from branchnet.graph import ArchConfig, build_trunk
 from branchnet.params import load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params
@@ -275,6 +276,39 @@ def test_finetune_rejects_a_label_beyond_int64(capsys, tmp_path, corpus,
                    f"'99999999999999999999999' is not an integer within "
                    f"int64\n")
     assert not (tmp_path / "b").exists()
+
+
+def test_a_multilabel_task_decodes_its_column_by_its_loss(capsys, tmp_path,
+                                                          corpus, trunk_ckpt):
+    # the bitmask column renamed: decoding follows the task, not the name
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(corpus), data)
+    manifest = Manifest.load(data / "manifest.tsv")
+    manifest.columns = tuple("tags" if c == "multilabel" else c
+                             for c in manifest.columns)
+    for row in manifest.rows:
+        row["tags"] = row.pop("multilabel")
+    manifest.save(data / "renamed.tsv")
+    labels = [load_tasks(Manifest.load(data / name),
+                         [GridTask("tags", column, 9, "sigmoid-multilabel")],
+                         "all")["tags"].labels
+              for name, column in (("renamed.tsv", "tags"),
+                                   ("manifest.tsv", "multilabel"))]
+    assert labels[0].shape == (40, 9)
+    assert labels[0].tobytes() == labels[1].tobytes()
+    reports = []
+    for name, column in (("renamed.tsv", "tags"), ("manifest.tsv", "multilabel")):
+        tasks = tmp_path / "tasks.txt"
+        tasks.write_text(f"tags {column} 9 sigmoid-multilabel\n")
+        report = tmp_path / f"{column}.tsv"
+        rc, _, err = run_cli(capsys, "branch-grid", "--trunk", trunk_ckpt,
+                             "--tasks", str(tasks), "--data", str(data / name),
+                             "--layers", "conv22,fc", "--report", str(report),
+                             "--set", "train.batch_size=8",
+                             "--set", "train.max_minibatches=2")
+        assert (rc, err) == (0, "")
+        reports.append(report.read_text())
+    assert reports[0] == reports[1]
 
 
 def test_eval_verify_report(capsys, tmp_path):

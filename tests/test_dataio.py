@@ -1,12 +1,17 @@
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from branchnet.common import checksum64
 from branchnet.dataio import (Manifest, SynthSpec, bitmask_to_vector,
                               generate_synthetic, identity_glyph, load_batch,
-                              nuisance_pattern, parse_tensor, read_tensor,
-                              split_ids, tensor_bytes, write_tensor)
+                              load_labels, nuisance_pattern, parse_tensor,
+                              read_tensor, split_ids, tensor_bytes,
+                              write_tensor)
 
 
 # tensor container
@@ -153,6 +158,31 @@ def test_split_ids_deciles(tmp_path):
         split_ids(bare, "train")
 
 
+# tensor container fuzz: up to three header bytes (magic, version, rank,
+# dims) overwritten and the body cut short, then re-sealed; it parses into
+# the array its header declares, or it is one ValueError
+TENSOR_BODY = tensor_bytes(np.arange(24, dtype=np.float32).reshape(2, 3, 4))[:-8]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(header=st.lists(st.tuples(st.integers(0, 17), st.integers(0, 255)),
+                       max_size=3),
+       keep=st.one_of(st.none(), st.integers(0, len(TENSOR_BODY))))
+def test_fuzzed_tensor_header_and_length_parse_or_are_one_value_error(header,
+                                                                      keep):
+    body = bytearray(TENSOR_BODY[:keep])
+    for offset, value in header:
+        if offset < len(body):
+            body[offset] = value
+    try:
+        arr = parse_tensor(bytes(body) + checksum64(bytes(body)))
+    except ValueError:
+        return
+    assert arr.dtype == np.float32 and arr.ndim == body[5]
+    assert arr.shape == struct.unpack_from(f"<{arr.ndim}I", body, 6)
+    assert 6 + 4 * arr.ndim + 4 * arr.size == len(body)
+
+
 # bitmask helpers
 
 
@@ -263,14 +293,15 @@ def test_multilabel_flips_vary_within_identity(tmp_path):
 def test_load_batch_multilabel_matrix(tmp_path):
     spec = SynthSpec(num_identities=2, samples_per_identity=2, seed=7)
     m = generate_synthetic(spec, tmp_path)
-    batch, labels = load_batch(m, m.ids, label_column="multilabel", num_classes=9)
+    labels = load_labels(m, m.ids, "multilabel", bitmask_classes=9)
     assert labels.shape == (4, 9)
     assert set(np.unique(labels)) <= {0.0, 1.0}
     for i, sample_id in enumerate(m.ids):
         folded = sum(1 << j for j, v in enumerate(labels[i]) if v >= 0.5)
         assert folded == int(m.row(sample_id)["multilabel"])
-    with pytest.raises(ValueError, match="num_classes"):
-        load_batch(m, m.ids, label_column="multilabel")
+    # load_batch reads any column's values as they are
+    _, masks = load_batch(m, m.ids, label_column="multilabel")
+    assert masks.tolist() == [int(m.row(i)["multilabel"]) for i in m.ids]
 
 
 def test_nuisance_pattern_orientations_are_distinct():

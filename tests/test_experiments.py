@@ -16,8 +16,9 @@ from conftest import desk_inputs
 
 from branchnet import dataio
 from branchnet.common import derive_rng, derive_seed
-from branchnet.dataio import (Manifest, SynthSpec, generate_synthetic,
-                              load_batch, split_ids, write_tensor)
+from branchnet.dataio import (Manifest, SynthSpec, bitmask_to_vector,
+                              generate_synthetic, load_batch, split_ids,
+                              write_tensor)
 from branchnet.experiments import (GridResult, GridTask, branch_grid,
                                    format_grid_matrix, format_grid_table,
                                    format_probe_matrix, invariance_probe,
@@ -203,16 +204,22 @@ def test_load_tasks_reads_each_tensor_file_once(small_manifest, monkeypatch):
 
 
 def test_load_tasks_labels_equal_load_batch(small_manifest):
+    # labels decode by the task's loss: a softmax task on the bitmask
+    # column reads class indices
+    tasks = TASKS + (GridTask("masks", "multilabel", 512),)
     for split in ("train", "val"):
         ids = split_ids(small_manifest, split)
-        sets = load_tasks(small_manifest, TASKS, split)
-        for task in TASKS:
-            _, expected = load_batch(small_manifest, ids, task.label_column,
-                                     task.num_classes)
+        sets = load_tasks(small_manifest, tasks, split)
+        for task in tasks:
+            _, expected = load_batch(small_manifest, ids, task.label_column)
+            if task.loss == "sigmoid-multilabel":
+                expected = np.stack([bitmask_to_vector(int(v), task.num_classes)
+                                     for v in expected])
             got = sets[task.name].labels
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
     assert sets["tags"].labels.shape == (len(ids), 9)
+    assert sets["masks"].labels.shape == (len(ids),)
 
 
 def test_load_tasks_rejects_no_tasks_a_repeated_name_and_an_empty_split(

@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+
+from conftest import apply_token_edits, graph_token_edits
 
 from branchnet.engine import forward_pass
 from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, GraphSpec,
@@ -10,16 +13,17 @@ from branchnet.train import TrainConfig, init_params
 
 
 def test_canonical_has_24_nonshortcut_convs():
-    cfg = ArchConfig.canonical()
+    cfg = ArchConfig()
     graph = build_trunk(cfg)
     names = tuple(n.name for n in graph.nodes
                   if n.kind == "conv" and not n.name.startswith("shortcut"))
-    assert len(names) == 24 == cfg.conv_count
+    # stem, two per block, the bottleneck
+    assert len(names) == 24 == 1 + 2 * sum(cfg.stage_repeats) + 1
     assert names == tuple(f"conv{i}" for i in range(1, 24)) + ("conv-bn320",)
 
 
 def test_canonical_branch_points():
-    graph = build_trunk(ArchConfig.canonical())
+    graph = build_trunk(ArchConfig())
     assert graph.branch_points == BRANCH_POINT_NAMES
     assert graph.branch_points == ("conv17", "conv19", "conv21", "conv22",
                                    "conv-bn320", "fc")
@@ -33,7 +37,7 @@ def test_branch_points_shrink_with_the_family():
 
 
 def test_canonical_shortcut_placement():
-    graph = build_trunk(ArchConfig.canonical())
+    graph = build_trunk(ArchConfig())
     shortcuts = [n.name for n in graph.nodes if n.name.startswith("shortcut")]
     assert shortcuts == ["shortcut1", "shortcut2", "shortcut3", "shortcut8"]
     for name in shortcuts:
@@ -42,7 +46,7 @@ def test_canonical_shortcut_placement():
 
 
 def test_stride_two_lands_on_stage_lead_3x3s():
-    graph = build_trunk(ArchConfig.canonical())
+    graph = build_trunk(ArchConfig())
     strided = [n.name for n in graph.nodes
                if n.kind == "conv" and n.attrs["stride"] == 2
                and not n.name.startswith("shortcut")]
@@ -52,7 +56,7 @@ def test_stride_two_lands_on_stage_lead_3x3s():
 
 
 def test_bias_carriers():
-    graph = build_trunk(ArchConfig.canonical())
+    graph = build_trunk(ArchConfig())
     biased = [n.name for n in graph.nodes
               if n.kind == "conv" and n.attrs.get("bias")]
     assert biased == ["conv-bn320"]
@@ -69,7 +73,7 @@ def test_resolution_traces():
             if n.kind == "conv" and n.attrs["stride"] == 2
             and not n.name.startswith("shortcut") and n.name != "conv1"]
 
-    assert resolution_trace(build_trunk(ArchConfig.canonical())) == [112, 56, 28, 14, 7]
+    assert resolution_trace(build_trunk(ArchConfig())) == [112, 56, 28, 14, 7]
     desk = resolution_trace(build_trunk(ArchConfig.desk()))
     assert desk == [28, 14, 7, 4, 2]
     assert desk[:4] == [28, 14, 7, 4]
@@ -85,7 +89,7 @@ def test_desk_scaling_of_widths():
 
 
 def test_serialization_round_trips_bit_exactly():
-    for cfg in (ArchConfig.canonical(), ArchConfig.desk(),
+    for cfg in (ArchConfig(), ArchConfig.desk(),
                 ArchConfig(stage_repeats=(2, 2, 2, 2), scale_factor=0.5)):
         graph = build_trunk(cfg)
         text = graph.serialize()
@@ -178,7 +182,7 @@ def test_graph_lookup_errors():
 
 
 def test_canonical_forward_produces_probability_rows():
-    graph = build_trunk(ArchConfig.canonical())
+    graph = build_trunk(ArchConfig())
     store = init_params(graph, TrainConfig(seed=3, init_std=0.05))
     x = np.random.default_rng(0).standard_normal((2, 3, 224, 224)).astype(np.float32)
     acts, _ = forward_pass(graph, store, x, mode="train")
@@ -272,3 +276,42 @@ def test_header_input_shape_and_branch_points_are_checked():
         GraphSpec((LayerNode("r", "relu", {}, ("input",)),), (1, 4.0, 4))
     graph = GraphSpec.parse(f"graph input_shape=1,4,4 branch_points=relu\n{relu}")
     assert graph.input_shape == (1, 4, 4) and graph.branch_points == ("relu",)
+
+
+@pytest.mark.parametrize("line", [
+    "b batchnorm ch=3 inputs=f",
+    "k conv bias=0 in=3 k=1 out=2 pad=0 stride=1 inputs=f",
+    "p maxpool inputs=f",
+    "a avgpool global=1 inputs=f"])
+def test_a_spatial_kind_over_a_rank_one_input_is_rejected_at_load(line):
+    text = ONE_CONV + "f fc in=128 out=3 inputs=c\n" + line + "\n"
+    name = line.split()[0]
+    with pytest.raises(ValueError, match=re.escape(
+            f"node {name!r} needs a (c, h, w) input, got shape (3,)")):
+        compute_shapes(GraphSpec.parse(text))
+
+
+# graph text fuzz: the desk trunk's text with one or two tokens replaced by
+# tokens of the same text; it parses into a graph that sizes, initializes
+# and runs, or it is one ValueError
+DESK = build_trunk(ArchConfig.desk(num_identities=5))
+DESK_TEXT = DESK.serialize()
+# conv-bn320 read as an fc over the pooled (64, 1, 1) (line 0 is the
+# header): bn320 then normalizes a rank-1 input, which only the rank check
+# rejects
+CONV_TO_FC = [(DESK.index("conv-bn320") + 1, 1, "fc")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=graph_token_edits(DESK_TEXT))
+@example(edits=CONV_TO_FC)
+def test_fuzzed_graph_text_runs_or_is_one_value_error(edits):
+    try:
+        graph = GraphSpec.parse(apply_token_edits(DESK_TEXT, edits))
+        compute_shapes(graph)
+    except ValueError:
+        return
+    store = init_params(graph, TrainConfig(init_std=0.0))
+    x = np.ones((2,) + graph.input_shape, dtype=np.float32)
+    forward_pass(graph, store, x, mode="train")

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+
+from conftest import apply_token_edits, graph_token_edits
 
 from branchnet.engine import forward_pass
 from branchnet.graph import ArchConfig, GraphSpec, build_trunk
@@ -20,7 +23,7 @@ def fresh_store(seed=3):
 
 
 def test_param_shapes_landmarks():
-    shapes = param_shapes(build_trunk(ArchConfig.canonical()))
+    shapes = param_shapes(build_trunk(ArchConfig()))
     assert shapes["conv1/w"] == (32, 3, 7, 7)
     assert "conv1/b" not in shapes
     assert shapes["conv-bn320/w"] == (320, 512, 1, 1)
@@ -308,3 +311,27 @@ def test_trainable_flags_of_zero_and_one_load(trained_desk):
               else raw) for name, raw in records]
     _, store = parse_checkpoint(seal(head, flags))
     assert store.trainable["fc/b"] is False and store.trainable["fc/w"] is True
+
+
+# graph-text fuzz inside a checkpoint: the trained desk checkpoint, weights
+# only, with its graph text edited and the file re-sealed; it loads a model
+# that runs, or it is one ValueError
+DESK_TEXT = GRAPH.serialize()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=graph_token_edits(DESK_TEXT))
+@example(edits=[(GRAPH.index("conv-bn320") + 1, 1, "fc")])  # bn320 over an fc
+def test_fuzzed_graph_text_in_a_checkpoint_runs_or_is_one_value_error(
+        trained_desk, edits):
+    data, x = trained_desk
+    head, records = split_records(data)
+    text = apply_token_edits(DESK_TEXT, edits).encode()
+    head = head[:8] + struct.pack("<Q", len(text)) + text
+    weights = [r for r in records if not r[0].startswith("m/")]
+    try:
+        graph, store = parse_checkpoint(seal(head, weights))
+    except ValueError:
+        return
+    forward_pass(graph, store, x, mode="infer")

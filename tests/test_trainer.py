@@ -8,9 +8,8 @@ from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, NODE_KINDS,
 from branchnet.ops import BatchStats
 from branchnet.params import ParamStore, checkpoint_bytes, frozen_checksum
 from branchnet.train import (Dataset, TrainConfig, _batch_indices,
-                             _loss_and_grad, evaluate_accuracy, finetune,
-                             init_params, lr_at, make_branch, sgd_momentum_step,
-                             train)
+                             evaluate_accuracy, finetune, init_params, lr_at,
+                             make_branch, sgd_momentum_step, train)
 from oracles import conv2d_backward_nchw
 
 
@@ -120,7 +119,7 @@ def test_missing_gradient_for_trainable_array_errors():
 
 
 def test_init_statistics_within_three_standard_errors():
-    graph = build_trunk(ArchConfig.canonical())
+    graph = build_trunk(ArchConfig())
     store = init_params(graph, TrainConfig(seed=123, init_std=0.1))
     w = store.arrays["fc/w"]
     n = w.size
@@ -250,11 +249,11 @@ def test_train_log_format():
     graph = fc_graph(4, 2)
     cfg = TrainConfig(batch_size=8, max_minibatches=3, seed=6)
     store = init_params(graph, cfg)
-    log = train(graph, store, toy_dataset(), cfg, loss="softmax")
+    log = train(graph, store, toy_dataset(), cfg)
     text = log.to_text()
     header = [ln for ln in text.splitlines() if ln.startswith("#")]
     assert any("init_std" in ln for ln in header)
-    assert any("loss=softmax" in ln for ln in header)
+    assert "# loss=softmax" in header and "# train_from=0" in header
     body = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert body[0].split("\t") == ["index", "rate", "loss", "accuracy"]
     assert len(body) == 1 + 3
@@ -291,12 +290,14 @@ def test_train_config_mapping_round_trip():
     assert TrainConfig.from_mapping(cfg.to_mapping()) == cfg
 
 
-def test_unknown_loss_is_rejected():
-    graph = fc_graph(4, 2)
-    store = init_params(graph, TrainConfig())
-    with pytest.raises(ValueError, match="unknown loss"):
-        train(graph, store, toy_dataset(), TrainConfig(max_minibatches=1),
-              loss="hinge")
+def test_a_graph_that_does_not_end_in_a_head_is_rejected():
+    headless = GraphSpec(fc_graph(4, 2).nodes[:1], input_shape=(4, 1, 1))
+    store = init_params(headless, TrainConfig())
+    with pytest.raises(ValueError, match="^the graph's last node 'fc' is not "
+                                         "a head node$"):
+        train(headless, store, toy_dataset(), TrainConfig(max_minibatches=1))
+    with pytest.raises(ValueError, match="last node 'fc'"):
+        evaluate_accuracy(headless, store, toy_dataset())
 
 
 # branches
@@ -429,9 +430,9 @@ def test_training_with_everything_frozen_changes_nothing(trunk):
         br.store.trainable[k] = False
     before = {k: v.copy() for k, v in br.store.arrays.items()}
     log = train(br.graph, br.store, branch_dataset(),
-                TrainConfig.desk(max_minibatches=3, batch_size=8),
-                train_from=len(br.graph.nodes))
+                TrainConfig.desk(max_minibatches=3, batch_size=8))
     assert len(log.rows) == 3
+    assert log.header["train_from"] == len(br.graph.nodes)
     for k, v in br.store.arrays.items():
         np.testing.assert_array_equal(v, before[k])
 
@@ -446,14 +447,32 @@ def full_forward_finetune(branch, dataset, config):
         acts, updates = forward_pass(graph, store, dataset.inputs[idx],
                                      mode="train", train_from=stop)
         store.running.update(updates)
-        value, logit_grad, acc = _loss_and_grad(acts["fc"], dataset.labels[idx],
-                                                branch.loss)
+        labels = dataset.labels[idx]
+        value, _, logit_grad = ops.softmax_cross_entropy(acts["fc"], labels)
+        acc = float((acts["fc"].argmax(axis=1) == labels).mean())
         grads, _ = backward_pass(graph, store, acts, {"fc": logit_grad},
                                  stop=stop)
         rate = lr_at(t, config)
         sgd_momentum_step(store, grads, rate, config.momentum_coeff)
         rows.append((t, rate, value, acc))
     return rows
+
+
+@pytest.mark.parametrize("layer", BRANCH_POINT_NAMES)
+def test_train_reads_the_freeze_boundary_from_the_store(trunk, layer):
+    graph, store = trunk
+    data = branch_dataset(n=20, seed=8)
+    cfg = TrainConfig.desk(batch_size=8, max_minibatches=3, seed=19)
+    direct = make_branch(graph, store, layer, 3, seed=12)
+    tuned = make_branch(graph, store, layer, 3, seed=12)
+    before = frozen_checksum(direct.graph, direct.store, direct.branch_index)
+    log = train(direct.graph, direct.store, data, cfg)
+    assert log.header["train_from"] == direct.branch_index
+    assert log.rows == finetune(tuned, data, cfg).rows
+    assert checkpoint_bytes(direct.graph, direct.store) == \
+        checkpoint_bytes(tuned.graph, tuned.store)
+    assert frozen_checksum(direct.graph, direct.store,
+                           direct.branch_index) == before
 
 
 @pytest.mark.parametrize("layer", BRANCH_POINT_NAMES)
@@ -482,8 +501,21 @@ def test_evaluate_accuracy_multilabel_elementwise():
     x = np.array([[1, -1, 1], [1, 1, 1]], dtype=np.float32).reshape(2, 3, 1, 1)
     data = Dataset(x, y)
     # row 2 predicts [1,1,1] vs [1,1,0]: 5 of 6 cells agree
-    acc = evaluate_accuracy(graph, store, data, loss="sigmoid-multilabel")
+    acc = evaluate_accuracy(graph, store, data)
     assert acc == pytest.approx(5 / 6)
+
+
+def test_one_hot_softmax_labels_score_as_class_indices():
+    graph = build_trunk(ArchConfig.desk(num_identities=7))
+    store = init_params(graph, TrainConfig.desk(seed=2))
+    x = np.random.default_rng(3).standard_normal((7, 1, 56, 56)).astype(np.float32)
+    store.running.update(forward_pass(graph, store, x, mode="train")[1])
+    indices, one_hot = Dataset(x, np.arange(7)), Dataset(x, np.eye(7))
+    acc = evaluate_accuracy(graph, store, indices)
+    assert evaluate_accuracy(graph, store, one_hot) == acc
+    cfg = TrainConfig.desk(batch_size=7, max_minibatches=2, seed=4)
+    logs = [train(graph, store.copy(), data, cfg) for data in (indices, one_hot)]
+    assert logs[0].rows == logs[1].rows
 
 
 # saved-for-backward contexts
@@ -530,7 +562,7 @@ def test_train_with_contexts_matches_a_context_free_loop(trunk):
         idx = _batch_indices(len(data), t, cfg)
         acts, updates = forward_pass(graph, loop, data.inputs[idx], mode="train")
         loop.running.update(updates)
-        _, logit_grad, _ = _loss_and_grad(acts["fc"], data.labels[idx], "softmax")
+        _, _, logit_grad = ops.softmax_cross_entropy(acts["fc"], data.labels[idx])
         grads, _ = backward_pass(graph, loop, acts, {"fc": logit_grad})
         sgd_momentum_step(loop, grads, lr_at(t, cfg), cfg.momentum_coeff)
     assert checkpoint_bytes(graph, store) == checkpoint_bytes(graph, loop)
