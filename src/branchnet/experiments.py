@@ -34,6 +34,7 @@ from .train import (Dataset, TrainConfig, check_task, evaluate_accuracy,
 REFERENCE_CELLS = (("emotion", "conv19", 0.68), ("age", "conv22", 0.40),
                    ("ethnicity", "fc", 0.72), ("gender", "fc", 0.99))
 PROBE_CHUNK = 128  # samples per inference pass over a probe split
+PROBE_RATE = 0.01  # step size of every linear probe's gradient descent
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def _pooled(a):
     return a.mean(axis=(2, 3)) if a.ndim == 4 else a
 
 
-def _train_linear_probe(feats, labels, num_classes, seed, budget, batch, rate):
+def _train_linear_probe(feats, labels, num_classes, seed, budget, batch):
     n, d = feats.shape
     w = np.zeros((d, num_classes), dtype=np.float64)
     b = np.zeros(num_classes, dtype=np.float64)
@@ -192,15 +193,15 @@ def _train_linear_probe(feats, labels, num_classes, seed, budget, batch, rate):
         idx = rng.choice(n, size=batch, replace=n < batch)
         logits = feats[idx] @ w + b
         _, _, grad = ops.softmax_cross_entropy(logits, labels[idx])
-        w -= rate * (feats[idx].T @ grad)
-        b -= rate * grad.sum(axis=0)
+        w -= PROBE_RATE * (feats[idx].T @ grad)
+        b -= PROBE_RATE * grad.sum(axis=0)
     return w, b
 
 
 def invariance_probe(graph: GraphSpec, store, layers, factors,
                      train_inputs, train_labels, val_inputs, val_labels,
-                     seed: int, budget: int = 2000, batch: int = 32,
-                     rate: float = 0.01) -> GridResult:
+                     seed: int, budget: int = 2000, batch: int = 32
+                     ) -> GridResult:
     """Linear softmax probes on spatially pooled activations.
 
     factors maps factor name -> number of classes; train_labels/val_labels
@@ -221,7 +222,7 @@ def invariance_probe(graph: GraphSpec, store, layers, factors,
         for factor, num_classes in factors.items():
             probe_seed = derive_seed(seed, "probe", layer, factor)
             w, b = _train_linear_probe(ftr64, train_labels[factor], num_classes,
-                                       probe_seed, budget, batch, rate)
+                                       probe_seed, budget, batch)
             pred = (fva64 @ w + b).argmax(axis=1)
             cells[(layer, factor)] = float((pred == val_labels[factor]).mean())
     return GridResult(tuple(layers), tuple(factors), cells, seed)
@@ -252,18 +253,17 @@ class StudyResult:
 def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
                    trunk_minibatches: int = TRUNK_MINIBATCHES,
                    finetune_minibatches: int = FINETUNE_MINIBATCHES,
-                   tasks=DESK_TASKS, include_probe: bool = False,
-                   synth_spec: SynthSpec = None) -> StudyResult:
+                   include_probe: bool = False) -> StudyResult:
     """End-to-end quarter-scale study: generate data, train the identity
     trunk, run the branch grid (and optionally probes), write reports.
     Each split's tensors are read once; the trunk trains on the train
-    split's "identity" task, so no task of `tasks` may take that name.
+    split's "identity" task, beside the grid's DESK_TASKS.
 
     Deterministic per master_seed: a rerun into a fresh directory produces
     byte-identical datasets, checkpoints and reports.
     """
     os.makedirs(out_dir, exist_ok=True)
-    spec = synth_spec or SynthSpec(seed=derive_seed(master_seed, "synth"))
+    spec = SynthSpec(seed=derive_seed(master_seed, "synth"))
     data_dir = os.path.join(out_dir, "data")
     manifest = generate_synthetic(spec, data_dir)
 
@@ -274,8 +274,8 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
     store = init_params(graph, trunk_cfg)
 
     identity = GridTask("identity", "identity", spec.num_identities)
-    train_sets = load_tasks(manifest, (identity,) + tuple(tasks), "train")
-    val_sets = load_tasks(manifest, tasks, "val")
+    train_sets = load_tasks(manifest, (identity,) + DESK_TASKS, "train")
+    val_sets = load_tasks(manifest, DESK_TASKS, "val")
     trunk_log = train(graph, store, train_sets["identity"], trunk_cfg)
     trunk_acc = evaluate_accuracy(graph, store, train_sets["identity"])
 
@@ -288,7 +288,7 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
     trunk_log.write(paths["trunk_log"])
 
     ft_cfg = TrainConfig.desk(max_minibatches=finetune_minibatches)
-    grid = branch_grid(graph, store, tasks, train_sets, val_sets, ft_cfg,
+    grid = branch_grid(graph, store, DESK_TASKS, train_sets, val_sets, ft_cfg,
                        master_seed)
     with open(paths["grid_matrix"], "w") as f:
         f.write(format_grid_matrix(grid))
@@ -297,14 +297,14 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
 
     probe = None
     if include_probe:
-        factors = {t.name: t.num_classes for t in tasks
+        factors = {t.name: t.num_classes for t in DESK_TASKS
                    if t.loss == "softmax"}
         probe_layers = ("input",) + graph.branch_points
         probe = invariance_probe(
             graph, store, probe_layers, factors,
             train_sets["identity"].inputs,
             {f: train_sets[f].labels for f in factors},
-            val_sets[tasks[0].name].inputs,
+            val_sets[DESK_TASKS[0].name].inputs,
             {f: val_sets[f].labels for f in factors},
             seed=derive_seed(master_seed, "probe"))
         paths["probe_matrix"] = os.path.join(out_dir, "probe.tsv")

@@ -6,8 +6,8 @@ against the supplied analytic gradient using the relative error
 |a - n| / max(|a|, |n|, 1e-8). Arrays must be float64; single precision
 has too little headroom for the 1e-5 tolerance.
 
-Large arrays are subsampled: a seeded choice of at least `sample_limit`
-coordinates (default 200) per array.
+Large arrays are subsampled: a seeded choice of SAMPLE_LIMIT coordinates
+per array.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +16,7 @@ import numpy as np
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-5
+SAMPLE_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class GradCheckReport:
         return self.max_rel_err < tol
 
 
-def grad_check(fn, wrt, analytic, step=DEFAULT_STEP, sample_limit=200, seed=0):
+def grad_check(fn, wrt, analytic, step=DEFAULT_STEP, seed=0):
     """Compare analytic gradients of fn() against central differences.
 
     fn: zero-argument callable returning a float; it must read the arrays in
@@ -60,10 +61,10 @@ def grad_check(fn, wrt, analytic, step=DEFAULT_STEP, sample_limit=200, seed=0):
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
         size = flat.shape[0]
-        if size <= sample_limit:
+        if size <= SAMPLE_LIMIT:
             indices = np.arange(size)
         else:
-            indices = rng.choice(size, size=sample_limit, replace=False)
+            indices = rng.choice(size, size=SAMPLE_LIMIT, replace=False)
         worst_here = 0.0
         for i in indices:
             saved = flat[i]

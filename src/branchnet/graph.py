@@ -7,10 +7,11 @@ Node evaluation order is the list order, which is a topological order by
 construction.
 
 Everything a node kind means is defined once, in its NODE_KINDS record:
-the integer attributes it requires, the parameters it owns, its output
-shape, its cost, its forward and backward passes, and for a head its
-loss and hit rule. The engine, the accounting and the parameter store
-are loops over that table.
+the attributes it requires or allows and the values each accepts (and so
+how graph text reads them), the parameters it owns, its output shape, its
+cost, its forward and backward passes, and for a head its loss and hit
+rule. The engine, the accounting and the parameter store are loops over
+that table.
 
 Canonical trunk naming: the stem convolution is conv1, block i contributes
 conv{2i} (the 1x1) and conv{2i+1} (the 3x3), shortcut projections are
@@ -43,9 +44,9 @@ CANONICAL_STAGE_CHANNELS = ((32, 64), (64, 128), (128, 256), (256, 512))
 class NodeKind:
     """What one node kind means, in terms of its attribute dict `a`.
 
-    required  integer attributes every node of the kind carries, each >= 1
-              except "pad", which is >= 0
-    optional  attribute -> AttrType of the attributes a node may carry
+    attrs     attribute -> AttrType of the attributes every node carries
+    optional  attribute -> AttrType of the attributes a node may carry; it
+              carries no attribute that neither declares
     arity     number of inputs every node of the kind reads
     params    a -> {suffix: shape} of the parameters the node owns
     shape     (a, input shapes) -> per-sample output shape; raises
@@ -76,7 +77,7 @@ class NodeKind:
     and then recomputes what it needs from its inputs, to the same bits.
     """
 
-    required: tuple = ()
+    attrs: dict = field(default_factory=dict)
     optional: dict = field(default_factory=dict)
     arity: int = 1
     params: Callable = lambda a: {}
@@ -87,20 +88,33 @@ class NodeKind:
     loss: Callable | None = None
     hits: Callable | None = None
 
+    def attr_type(self, key):
+        """The AttrType the kind declares for attribute key, or None."""
+        return self.attrs.get(key) or self.optional.get(key)
+
 
 @dataclass(frozen=True)
 class AttrType:
-    """What an optional attribute's value must be: `what` says it in words
-    and `accepts` checks it."""
+    """What an attribute's value must be: graph text reads it as `type`,
+    `what` says it in words and `accepts` checks it."""
 
+    type: type
     what: str
     accepts: Callable
 
+    def holds(self, value):
+        """Whether value is an int or a `type`, not a bool, and accepted."""
+        return (isinstance(value, (int, self.type))
+                and not isinstance(value, bool) and self.accepts(value))
 
-FLAG = AttrType("0 or 1", lambda v: isinstance(v, int) and v in (0, 1))
-POSITIVE = AttrType("a positive finite number", lambda v: (
-    isinstance(v, (int, float)) and not isinstance(v, bool)
-    and math.isfinite(v) and v > 0))
+
+COUNT = AttrType(int, "an integer >= 1", lambda v: v >= 1)
+NATURAL = AttrType(int, "an integer >= 0", lambda v: v >= 0)
+FLAG = AttrType(int, "0 or 1", lambda v: v in (0, 1))
+ONE = AttrType(int, "1", lambda v: v == 1)
+TWO = AttrType(int, "2", lambda v: v == 2)
+POSITIVE = AttrType(float, "a positive finite number",
+                    lambda v: math.isfinite(v) and v > 0)
 
 
 def _elementwise(key):
@@ -195,7 +209,9 @@ def _fc_shape(a, ins):
 
 NODE_KINDS = {
     "conv": NodeKind(
-        required=("in", "out", "k", "stride", "pad"), optional={"bias": FLAG},
+        attrs={"in": COUNT, "out": COUNT, "k": COUNT, "stride": COUNT,
+               "pad": NATURAL},
+        optional={"bias": FLAG},
         params=_conv_params,
         shape=_conv_shape, cost=_conv_cost,
         forward=lambda a, p, ins, running, mode: (ops.conv2d_forward(
@@ -203,7 +219,7 @@ NODE_KINDS = {
         backward=lambda a, p, ins, gy, saved, need: _grads(ops.conv2d_backward(
             ins[0], p["w"], p.get("b"), gy, a["stride"], a["pad"], need[0]))),
     "batchnorm": NodeKind(
-        required=("ch",), optional={"eps": POSITIVE},
+        attrs={"ch": COUNT}, optional={"eps": POSITIVE},
         params=lambda a: {"gamma": (a["ch"],), "beta": (a["ch"],)},
         shape=_batchnorm_shape, cost=_elementwise("batchnorm"),
         forward=_batchnorm_forward,
@@ -214,11 +230,12 @@ NODE_KINDS = {
         cost=_elementwise("relu"), forward=_unary(ops.relu),
         backward=_unary_backward(ops.relu_backward)),
     "maxpool": NodeKind(
+        optional={"k": TWO, "stride": TWO},
         shape=_maxpool_shape, cost=_elementwise("maxpool"),
         forward=_unary(ops.maxpool2x2),
         backward=_unary_backward(ops.maxpool2x2_backward)),
     "avgpool": NodeKind(
-        optional={"global": FLAG}, shape=_avgpool_shape,
+        optional={"global": ONE}, shape=_avgpool_shape,
         cost=lambda a, ins, out: (None, {"avgpool": math.prod(ins[0])}),
         forward=_unary(ops.avgpool_global),
         backward=_unary_backward(ops.avgpool_global_backward)),
@@ -229,7 +246,7 @@ NODE_KINDS = {
         backward=lambda a, p, ins, gy, saved, need: (
             ops.elementwise_add_backward(gy), {})),
     "fc": NodeKind(
-        required=("in", "out"),
+        attrs={"in": COUNT, "out": COUNT},
         params=lambda a: {"w": (a["in"], a["out"]), "b": (a["out"],)},
         shape=_fc_shape,
         cost=lambda a, ins, out: (a["in"] * a["out"], {"bias": a["out"]}),
@@ -261,20 +278,16 @@ class LayerNode:
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown node kind {self.kind!r} for {self.name!r}")
         kind = NODE_KINDS[self.kind]
-        for key in kind.required:
-            value = self.attrs.get(key)
-            if not isinstance(value, int):
-                raise ValueError(f"{self.kind} node {self.name!r} needs an integer "
-                                 f"attribute {key!r}, got {value!r}")
-            least = 0 if key == "pad" else 1
-            if value < least:
-                raise ValueError(f"{self.kind} node {self.name!r} needs attribute "
-                                 f"{key!r} >= {least}, got {value}")
-        for key, attr_type in kind.optional.items():
-            if key in self.attrs and not attr_type.accepts(self.attrs[key]):
+        # the attributes the kind requires, then any other the node carries
+        for key in kind.attrs | self.attrs:
+            attr_type = kind.attr_type(key)
+            if attr_type is None:
+                raise ValueError(f"{self.kind} node {self.name!r} carries "
+                                 f"undeclared attribute {key!r}")
+            if not attr_type.holds(self.attrs.get(key)):
                 raise ValueError(f"{self.kind} node {self.name!r} needs attribute "
                                  f"{key!r} to be {attr_type.what}, got "
-                                 f"{self.attrs[key]!r}")
+                                 f"{self.attrs.get(key)!r}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if len(self.inputs) != kind.arity:
             raise ValueError(f"{self.kind} node {self.name!r} takes {kind.arity} "
@@ -396,7 +409,8 @@ class GraphSpec:
         return name in self._index
 
     def serialize(self):
-        """Line-oriented text form; parse() restores it bit-exactly."""
+        """Line-oriented text form, each attribute value as str() writes it;
+        parse() restores it bit-exactly."""
         lines = [
             "graph input_shape=%s branch_points=%s" % (
                 ",".join(str(d) for d in self.input_shape),
@@ -405,7 +419,7 @@ class GraphSpec:
         for node in self.nodes:
             parts = [node.name, node.kind]
             for key in sorted(node.attrs):
-                parts.append(f"{key}={_format_attr(node.attrs[key])}")
+                parts.append(f"{key}={node.attrs[key]}")
             parts.append("inputs=" + ",".join(node.inputs))
             lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
@@ -415,12 +429,11 @@ class GraphSpec:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("graph "):
             raise ValueError("graph text must start with a 'graph' header line")
-        header = {}
-        for token in lines[0].split()[1:]:
-            key, sep, value = token.partition("=")
-            if not sep:
-                raise ValueError(f"graph header token {token!r} is not key=value")
-            header[key] = value
+        header = _pairs(lines[0].split()[1:], "graph header")
+        for key in header:
+            if key not in ("input_shape", "branch_points"):
+                raise ValueError(f"graph header key {key!r} is not input_shape "
+                                 f"or branch_points")
         if "input_shape" not in header:
             raise ValueError("graph header lacks the 'input_shape' key")
         try:
@@ -436,31 +449,34 @@ class GraphSpec:
             if len(parts) < 3:
                 raise ValueError(f"malformed node line: {line!r}")
             name, kind = parts[0], parts[1]
-            attrs = {}
-            inputs = ()
-            for part in parts[2:]:
-                key, _, raw = part.partition("=")
-                if key == "inputs":
-                    inputs = tuple(p for p in raw.split(",") if p)
-                else:
-                    attrs[key] = _parse_attr(raw)
+            pairs = _pairs(parts[2:], f"node {name!r}")
+            inputs = tuple(p for p in pairs.pop("inputs", "").split(",") if p)
+            attrs = {key: _read(NODE_KINDS.get(kind), key, raw)
+                     for key, raw in pairs.items()}
             nodes.append(LayerNode(name, kind, attrs, inputs))
         return cls(tuple(nodes), input_shape, branch_points)
 
 
-def _format_attr(value):
-    if isinstance(value, bool):
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
+def _pairs(tokens, where):
+    """key -> value text of key=value tokens; a token without "=" or a
+    repeated key is a ValueError naming where."""
+    pairs = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"{where} token {token!r} is not key=value")
+        if key in pairs:
+            raise ValueError(f"{where} repeats key {key!r}")
+        pairs[key] = value
+    return pairs
 
 
-def _parse_attr(raw):
+def _read(kind, key, raw):
+    """raw read as the type kind declares for key; text that type cannot
+    read, or no type to read it as, stays text for LayerNode to reject."""
+    attr_type = kind.attr_type(key) if kind else None
     try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
+        return attr_type.type(raw) if attr_type else raw
     except ValueError:
         return raw
 
@@ -489,16 +505,24 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
     many stride-2 stages) is rejected with the offending node named.
     """
     nodes = []
-    stem = config.eff_stem_channels
-    nodes.append(LayerNode("conv1", "conv",
-                           {"in": config.in_channels, "out": stem, "k": 7,
-                            "stride": 2, "pad": 3, "bias": 0},
-                           (INPUT_NAME,)))
-    nodes.append(LayerNode("bn1", "batchnorm", {"ch": stem, "eps": ops.BN_EPS}, ("conv1",)))
-    nodes.append(LayerNode("relu1", "relu", {}, ("bn1",)))
-    nodes.append(LayerNode("pool1", "maxpool", {"k": 2, "stride": 2}, ("relu1",)))
 
-    prev_name = "pool1"
+    def add(name, kind, attrs, *inputs):
+        nodes.append(LayerNode(name, kind, attrs, inputs))
+        return name
+
+    def conv(name, src, c_in, c_out, k, stride=1, pad=0, bias=0):
+        return add(name, "conv", {"in": c_in, "out": c_out, "k": k,
+                                  "stride": stride, "pad": pad, "bias": bias},
+                   src)
+
+    def batchnorm(name, src, ch):
+        return add(name, "batchnorm", {"ch": ch, "eps": ops.BN_EPS}, src)
+
+    stem = config.eff_stem_channels
+    conv("conv1", INPUT_NAME, config.in_channels, stem, 7, stride=2, pad=3)
+    batchnorm("bn1", "conv1", stem)
+    add("relu1", "relu", {}, "bn1")
+    prev_name = add("pool1", "maxpool", {"k": 2, "stride": 2}, "relu1")
     prev_ch = stem
     block = 0
     for stage, ((bott, expa), repeats) in enumerate(
@@ -507,48 +531,27 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
             block += 1
             down = stage > 0 and j == 0
             stride = 2 if down else 1
-            ca, cb = f"conv{2 * block}", f"conv{2 * block + 1}"
-            block_in = prev_name
-            nodes.append(LayerNode(ca, "conv",
-                                   {"in": prev_ch, "out": bott, "k": 1,
-                                    "stride": 1, "pad": 0, "bias": 0},
-                                   (block_in,)))
-            nodes.append(LayerNode(f"bn{2 * block}", "batchnorm",
-                                   {"ch": bott, "eps": ops.BN_EPS}, (ca,)))
-            nodes.append(LayerNode(f"relu{2 * block}", "relu", {},
-                                   (f"bn{2 * block}",)))
-            nodes.append(LayerNode(cb, "conv",
-                                   {"in": bott, "out": expa, "k": 3,
-                                    "stride": stride, "pad": 1, "bias": 0},
-                                   (f"relu{2 * block}",)))
-            nodes.append(LayerNode(f"bn{2 * block + 1}", "batchnorm",
-                                   {"ch": expa, "eps": ops.BN_EPS}, (cb,)))
-            skip_name = block_in
+            a, b = 2 * block, 2 * block + 1
+            conv(f"conv{a}", prev_name, prev_ch, bott, 1)
+            batchnorm(f"bn{a}", f"conv{a}", bott)
+            add(f"relu{a}", "relu", {}, f"bn{a}")
+            conv(f"conv{b}", f"relu{a}", bott, expa, 3, stride=stride, pad=1)
+            batchnorm(f"bn{b}", f"conv{b}", expa)
+            skip_name = prev_name
             if down or prev_ch != expa:
-                skip_name = f"shortcut{block}"
-                nodes.append(LayerNode(skip_name, "conv",
-                                       {"in": prev_ch, "out": expa, "k": 1,
-                                        "stride": stride, "pad": 0, "bias": 0},
-                                       (block_in,)))
-            nodes.append(LayerNode(f"add{block}", "add", {},
-                                   (f"bn{2 * block + 1}", skip_name)))
-            nodes.append(LayerNode(f"relu{2 * block + 1}", "relu", {},
-                                   (f"add{block}",)))
-            prev_name = f"relu{2 * block + 1}"
+                skip_name = conv(f"shortcut{block}", prev_name, prev_ch, expa,
+                                 1, stride=stride)
+            add(f"add{block}", "add", {}, f"bn{b}", skip_name)
+            prev_name = add(f"relu{b}", "relu", {}, f"add{block}")
             prev_ch = expa
 
-    nodes.append(LayerNode("avgpool", "avgpool", {"global": 1}, (prev_name,)))
+    add("avgpool", "avgpool", {"global": 1}, prev_name)
     emb = config.eff_embedding_dim
-    nodes.append(LayerNode("conv-bn320", "conv",
-                           {"in": prev_ch, "out": emb, "k": 1,
-                            "stride": 1, "pad": 0, "bias": 1},
-                           ("avgpool",)))
-    nodes.append(LayerNode("bn320", "batchnorm", {"ch": emb, "eps": ops.BN_EPS},
-                           ("conv-bn320",)))
-    nodes.append(LayerNode("relu320", "relu", {}, ("bn320",)))
-    nodes.append(LayerNode("fc", "fc", {"in": emb, "out": config.num_identities},
-                           ("relu320",)))
-    nodes.append(LayerNode("softmax", "softmax-head", {}, ("fc",)))
+    conv("conv-bn320", "avgpool", prev_ch, emb, 1, bias=1)
+    batchnorm("bn320", "conv-bn320", emb)
+    add("relu320", "relu", {}, "bn320")
+    add("fc", "fc", {"in": emb, "out": config.num_identities}, "relu320")
+    add("softmax", "softmax-head", {}, "fc")
 
     present = [name for name in BRANCH_POINT_NAMES
                if any(n.name == name for n in nodes)]

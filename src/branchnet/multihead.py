@@ -6,11 +6,11 @@ holds the very same arrays as the trunk and both run in inference mode,
 the cached resume is bitwise identical to running the head standalone.
 
 add_head enforces that sharing. The branch layer must be one of the
-trunk's branch points, a head's prefix (its nodes before the branch layer)
-must match the trunk's nodes, and each prefix parameter and batchnorm
-running statistic must equal the trunk's bit for bit. The head's graph
-must then be graph.head_graph of the trunk for its spec's class count and
-loss, and its task must be new to the model. A mismatch raises ValueError.
+trunk's branch points; the head's graph must be graph.head_graph of the
+trunk for its spec's class count and loss, and so holds the trunk's input
+shape and nodes before fc; each prefix parameter and batchnorm running
+statistic must equal the trunk's bit for bit; and the task must be new to
+the model. A mismatch raises ValueError.
 The head's store then refers to the trunk's objects, so a model holds
 every prefix byte once, whether its heads came from make_branch or from
 separate checkpoint files.
@@ -85,14 +85,11 @@ class MultiHeadModel:
             raise ValueError(f"head {spec.task!r} branches at "
                              f"{spec.branch_layer!r}, which the trunk lacks "
                              f"as a branch point")
-        if graph.input_shape != self.trunk_graph.input_shape:
-            raise ValueError(f"head {spec.task!r} input shape {graph.input_shape} "
-                             f"does not match trunk {self.trunk_graph.input_shape}")
+        if graph != head_graph(self.trunk_graph, spec.num_classes, spec.loss):
+            raise ValueError(f"head {spec.task!r} is not the trunk's head for "
+                             f"{spec.num_classes} classes and loss "
+                             f"{spec.loss!r}")
         bidx = self.trunk_graph.index(spec.branch_layer)
-        for mine, theirs in zip(graph.nodes[:bidx], self.trunk_graph.nodes):
-            if mine != theirs:
-                raise ValueError(f"head {spec.task!r} prefix diverges from the "
-                                 f"trunk at node {mine.name!r}")
         trunk = self.trunk_store
         arrays = frozen_names(graph, bidx)
         running = [bn for bn in batchnorm_nodes(graph) if graph.index(bn) < bidx]
@@ -109,10 +106,6 @@ class MultiHeadModel:
                 raise _mismatch(spec, "rm/" + bn)
             if not _same_bits(mine.var, theirs.var):
                 raise _mismatch(spec, "rv/" + bn)
-        if graph != head_graph(self.trunk_graph, spec.num_classes, spec.loss):
-            raise ValueError(f"head {spec.task!r} is not the trunk's head for "
-                             f"{spec.num_classes} classes and loss "
-                             f"{spec.loss!r}")
         if any(head.spec.task == spec.task for head in self.heads):
             raise ValueError(f"head {spec.task!r} is already in the model")
         for name in arrays:

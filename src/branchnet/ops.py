@@ -235,8 +235,7 @@ def _check_batchnorm(x, gamma, beta):
              f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match {c} channels")
 
 
-def batchnorm_train(x, gamma, beta, running=None, eps=BN_EPS,
-                    momentum=BN_MOMENTUM):
+def batchnorm_train(x, gamma, beta, running=None, eps=BN_EPS):
     """Train-mode batchnorm: normalizes with biased batch statistics.
 
     Returns (output, updated RunningStats, BatchStats). The running
@@ -251,21 +250,20 @@ def batchnorm_train(x, gamma, beta, running=None, eps=BN_EPS,
     if running is None or running.count == 0:
         new = RunningStats(mean.copy(), var.copy(), 1)
     else:
-        new = RunningStats(momentum * running.mean + (1 - momentum) * mean,
-                           momentum * running.var + (1 - momentum) * var,
+        new = RunningStats(BN_MOMENTUM * running.mean + (1 - BN_MOMENTUM) * mean,
+                           BN_MOMENTUM * running.var + (1 - BN_MOMENTUM) * var,
                            running.count + 1)
     return y, new, BatchStats(mean, std)
 
 
-def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS,
-              momentum=BN_MOMENTUM):
+def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS):
     """Per-channel batch normalization over the (n, h, w) axes.
 
     Train mode is batchnorm_train. Inference mode uses the running
     statistics and requires count > 0. Returns (output, RunningStats).
     """
     if mode == "train":
-        return batchnorm_train(x, gamma, beta, running, eps, momentum)[:2]
+        return batchnorm_train(x, gamma, beta, running, eps)[:2]
     if mode == "infer":
         _check_batchnorm(x, gamma, beta)
         _require(running is not None and running.count > 0,

@@ -23,10 +23,10 @@ from .graph import ArchConfig, build_trunk
 
 # The four attribute heads used for the combined-cost figure: task name,
 # branch layer, class count, loss kind.
-DEFAULT_HEADS = (("emotion", "conv19", 7, "softmax"),
-                 ("age", "conv22", 14, "softmax"),
-                 ("ethnicity", "fc", 9, "sigmoid-multilabel"),
-                 ("gender", "fc", 2, "softmax"))
+COST_HEADS = (("emotion", "conv19", 7, "softmax"),
+              ("age", "conv22", 14, "softmax"),
+              ("ethnicity", "fc", 9, "sigmoid-multilabel"),
+              ("gender", "fc", 2, "softmax"))
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ def resolve_architecture(constraints: Constraints = Constraints()) -> Resolution
     return Resolution(constraints, [], [c for _, c in misses[:10]])
 
 
-def format_resolution_report(resolution: Resolution,
-                             heads=DEFAULT_HEADS) -> str:
+def format_resolution_report(resolution: Resolution) -> str:
     """Full resolver report: constraints, ranked candidates, the committed
     selection with its accounting table, and the multi-head combined cost."""
     cons = resolution.constraints
@@ -196,7 +195,7 @@ def format_resolution_report(resolution: Resolution,
 
     combined = sel.macs
     lines.append("multi-head combined cost (trunk shared, suffixes added):")
-    for task, layer, classes, loss in heads:
+    for task, layer, classes, loss in COST_HEADS:
         extra = suffix_macs(graph, layer, classes)
         combined += extra
         lines.append(f"  {task:<10} {classes:>2}-way @ {layer:<10} "

@@ -38,6 +38,8 @@ from .engine import backward_pass, boundary, forward_pass, infer
 from .graph import INPUT_NAME, LOSS_KINDS, NODE_KINDS, GraphSpec, head_graph
 from .params import ParamStore, batchnorm_nodes, param_owner, param_shapes
 
+EVAL_CHUNK = 256  # samples per inference pass in evaluate_accuracy
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -240,15 +242,15 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
     return log
 
 
-def evaluate_accuracy(graph: GraphSpec, store: ParamStore, dataset: Dataset,
-                      batch_size: int = 256) -> float:
+def evaluate_accuracy(graph: GraphSpec, store: ParamStore,
+                      dataset: Dataset) -> float:
     """Inference-mode accuracy under the hit rule of the graph's head:
     exact match for a softmax head, element-wise agreement for a sigmoid
     head."""
     kind, logits, _ = _head(graph)
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    out = infer(graph, store, dataset.inputs, {logits}, batch_size)[logits]
+    out = infer(graph, store, dataset.inputs, {logits}, EVAL_CHUNK)[logits]
     return float(kind.hits(out, np.asarray(dataset.labels)).mean())
 
 

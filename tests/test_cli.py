@@ -556,6 +556,32 @@ def test_bundle_trunk_serves_as_a_trunk_checkpoint(capsys, tmp_path, corpus,
     assert rc == 0, err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("relu1 relu inputs=", "relu1 relu foo=bar inputs=",
+     "relu node 'relu1' carries undeclared attribute 'foo'"),
+    ("graph ", "graph foo=bar ",
+     "graph header key 'foo' is not input_shape or branch_points"),
+], ids=["node", "header"])
+def test_predict_rejects_a_trunk_whose_graph_text_carries_an_undeclared_key(
+        capsys, tmp_path, corpus, bundle_dir, old, new, message):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    path = bundle / "trunk.ckpt"
+    data = path.read_bytes()
+    (glen,) = struct.unpack_from("<Q", data, 8)
+    text = data[16:16 + glen].decode()
+    assert text.count(old) == 1
+    text = text.replace(old, new).encode()
+    body = data[:8] + struct.pack("<Q", len(text)) + text + data[16 + glen:-8]
+    path.write_bytes(body + checksum64(body))
+    rc, out, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                           "--data", corpus, "--out", str(tmp_path / "p.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_predict_rejects_a_bundle_whose_record_runs_past_the_checksum(
         capsys, tmp_path, corpus, bundle_dir):
     bundle = tmp_path / "bundle"

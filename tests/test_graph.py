@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -8,7 +9,8 @@ from conftest import apply_token_edits, graph_token_edits
 
 from branchnet.engine import forward_pass
 from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, GraphSpec,
-                             LayerNode, build_trunk, compute_shapes)
+                             LayerNode, build_trunk, compute_shapes,
+                             head_graph)
 from branchnet.train import TrainConfig, init_params
 
 
@@ -98,6 +100,17 @@ def test_serialization_round_trips_bit_exactly():
         assert back.nodes == graph.nodes
         assert back.input_shape == graph.input_shape
         assert back.branch_points == graph.branch_points
+
+
+def test_graph_text_is_pinned():
+    # every checkpoint and bundle embeds this text
+    desk = build_trunk(ArchConfig.desk())
+    for graph, digest in (
+            (build_trunk(ArchConfig()), "ccc6495786e41d98"),
+            (desk, "1bf6bd983a595ce6"),
+            (head_graph(desk, 9, "sigmoid-multilabel"), "8f78ae66a19fe770")):
+        text = graph.serialize().encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
 def test_build_is_deterministic():
@@ -196,8 +209,11 @@ def test_missing_or_non_integer_attribute_is_rejected_at_load():
     good = ("graph input_shape=1,8,8 branch_points=\n"
             "c conv bias=0 in=1 k=3 out=2 pad=1 stride=1 inputs=input\n")
     assert GraphSpec.parse(good).node("c").attrs["k"] == 3
-    for old, new in (("k=3 ", ""), ("stride=1 ", ""), ("k=3", "k=abc")):
-        with pytest.raises(ValueError, match="integer attribute"):
+    for old, new in (("k=3 ", ""), ("stride=1 ", ""), ("k=3", "k=abc"),
+                     ("k=3", "k=3.0")):
+        key = old.partition("=")[0]
+        with pytest.raises(ValueError, match=f"'c' needs attribute '{key}' to "
+                                             f"be an integer >= 1, got "):
             GraphSpec.parse(good.replace(old, new))
     with pytest.raises(ValueError, match="'ch'"):
         LayerNode("b", "batchnorm", {"eps": 1e-5}, ("input",))
@@ -214,10 +230,17 @@ def test_non_positive_integer_attribute_is_rejected_at_load():
     for old, new in (("stride=1", "stride=0"), ("k=3", "k=0"),
                      ("in=1", "in=-1"), ("pad=1", "pad=-1")):
         key = new.partition("=")[0]
-        with pytest.raises(ValueError, match=f"'c' needs attribute '{key}' >= "):
+        least = 0 if key == "pad" else 1
+        with pytest.raises(ValueError, match=f"'c' needs attribute '{key}' to "
+                                             f"be an integer >= {least}, got -?"):
             GraphSpec.parse(ONE_CONV.replace(old, new))
-    with pytest.raises(ValueError, match="'b' needs attribute 'ch' >= 1, got 0"):
+    with pytest.raises(ValueError, match="'b' needs attribute 'ch' to be an "
+                                         "integer >= 1, got 0"):
         LayerNode("b", "batchnorm", {"ch": 0}, ("input",))
+    with pytest.raises(ValueError, match="'c' needs attribute 'k' to be an "
+                                         "integer >= 1, got True"):
+        LayerNode("c", "conv", {"in": 1, "out": 1, "k": True, "stride": 1,
+                                "pad": 0}, ("input",))
 
 
 def test_wrong_input_count_is_rejected_at_load():
@@ -246,6 +269,8 @@ def test_declared_channels_must_match_the_input():
 def test_optional_attributes_are_typed_at_load():
     bn = ONE_CONV + "b batchnorm ch=2 eps=1e-05 inputs=c\n"
     pool = ONE_CONV + "p avgpool global=1 inputs=c\n"
+    maxpool = ONE_CONV + "p maxpool k=2 stride=2 inputs=c\n"
+    assert compute_shapes(GraphSpec.parse(maxpool))["p"] == (2, 4, 4)
     assert GraphSpec.parse(bn).node("b").attrs["eps"] == 1e-05
     assert GraphSpec.parse(pool).node("p").attrs["global"] == 1
     cases = ((bn, "eps=1e-05", "eps=abc", "'b' needs attribute 'eps' to be a "
@@ -257,8 +282,41 @@ def test_optional_attributes_are_typed_at_load():
               "0 or 1, got 2"),
              (ONE_CONV, "bias=0", "bias=1.0", "'c' needs attribute 'bias'"),
              (pool, "global=1", "global=x", "'p' needs attribute 'global' to be "
-              "0 or 1, got 'x'"))
+              "1, got 'x'"),
+             (pool, "global=1", "global=0", "avgpool node 'p' needs attribute "
+              "'global' to be 1, got 0"),
+             (maxpool, "k=2", "k=3", "maxpool node 'p' needs attribute 'k' to "
+              "be 2, got 3"),
+             (maxpool, "stride=2", "stride=1", "maxpool node 'p' needs "
+              "attribute 'stride' to be 2, got 1"),
+             # a key the kind does not declare
+             (ONE_CONV + "r relu inputs=c\n", "inputs=c", "foo=bar inputs=c",
+              "relu node 'r' carries undeclared attribute 'foo'"),
+             (ONE_CONV, "bias=0", "bias=0 eps=5", "conv node 'c' carries "
+              "undeclared attribute 'eps'"),
+             (bn, "ch=2", "ch=2 bias=1", "batchnorm node 'b' carries "
+              "undeclared attribute 'bias'"),
+             # a conv line read as fc keeps no conv attribute
+             (ONE_CONV + "d conv bias=1 in=2 k=1 out=2 pad=0 stride=1 "
+              "inputs=c\n", "d conv", "d fc", "fc node 'd' carries "
+              "undeclared attribute 'bias'"),
+             # a repeated key, an attribute or the inputs
+             (bn, "eps=1e-05", "eps=1e-05 eps=1e-03", "node 'b' repeats key "
+              "'eps'"),
+             (ONE_CONV, "k=3", "k=3 k=1", "node 'c' repeats key 'k'"),
+             (bn, "inputs=c", "inputs=c inputs=c", "node 'b' repeats key "
+              "'inputs'"),
+             (bn, "ch=2", "ch=2 x", "node 'b' token 'x' is not key=value"),
+             # a header key other than input_shape and branch_points, or one
+             # given twice
+             (ONE_CONV, "branch_points=", "branch_points= foo=bar",
+              "graph header key 'foo' is not input_shape or branch_points"),
+             (ONE_CONV, "branch_points=", "branch_points= branch_points=c",
+              "graph header repeats key 'branch_points'"),
+             (ONE_CONV, "branch_points=", "branch_points= input_shape=1,8,8",
+              "graph header repeats key 'input_shape'"))
     for text, old, new, message in cases:
+        assert text.count(old) == 1, (text, old)
         with pytest.raises(ValueError, match=message):
             GraphSpec.parse(text.replace(old, new))
 

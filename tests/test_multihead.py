@@ -199,15 +199,18 @@ def test_add_head_validation(model):
     with pytest.raises(ValueError, match="which the trunk lacks"):
         bare.add_head(HeadSpec("t", "conv99", 7, "softmax"),
                       head.graph, head.store)
+    # another input shape, then a prefix that differs below the branch
+    # point: neither graph is the trunk's head graph
     other = build_trunk(ArchConfig.desk(num_identities=12, in_channels=3))
-    with pytest.raises(ValueError, match="input shape"):
+    with pytest.raises(ValueError, match="'t' is not the trunk's head for 7 "
+                                         "classes"):
         bare.add_head(HeadSpec("t", "conv19", 7, "softmax"),
                       other, head.store)
-    # a prefix that differs below the branch point is rejected
     divergent = build_trunk(ArchConfig(scale_factor=0.25, num_identities=12,
                                        in_channels=1, stem_channels=36))
     assert divergent.input_shape == model.trunk_graph.input_shape
-    with pytest.raises(ValueError, match="prefix diverges"):
+    with pytest.raises(ValueError, match="'t' is not the trunk's head for 7 "
+                                         "classes"):
         bare.add_head(HeadSpec("t", "conv19", 7, "softmax"),
                       divergent, head.store)
 

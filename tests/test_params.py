@@ -319,6 +319,22 @@ def test_trainable_flags_of_zero_and_one_load(trained_desk):
 DESK_TEXT = GRAPH.serialize()
 
 
+def with_graph_text(data, text):
+    """The weights of checkpoint data under graph text, re-sealed."""
+    head, records = split_records(data)
+    head = head[:8] + struct.pack("<Q", len(text)) + text.encode()
+    return seal(head, [r for r in records if not r[0].startswith("m/")])
+
+
+def test_a_pool_that_declares_another_window_is_rejected_at_load(trained_desk):
+    data, _ = trained_desk
+    text = DESK_TEXT.replace("pool1 maxpool k=2", "pool1 maxpool k=3")
+    assert text != DESK_TEXT
+    with pytest.raises(ValueError, match="maxpool node 'pool1' needs attribute "
+                                         "'k' to be 2, got 3"):
+        parse_checkpoint(with_graph_text(data, text))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(edits=graph_token_edits(DESK_TEXT))
@@ -326,12 +342,9 @@ DESK_TEXT = GRAPH.serialize()
 def test_fuzzed_graph_text_in_a_checkpoint_runs_or_is_one_value_error(
         trained_desk, edits):
     data, x = trained_desk
-    head, records = split_records(data)
-    text = apply_token_edits(DESK_TEXT, edits).encode()
-    head = head[:8] + struct.pack("<Q", len(text)) + text
-    weights = [r for r in records if not r[0].startswith("m/")]
+    text = apply_token_edits(DESK_TEXT, edits)
     try:
-        graph, store = parse_checkpoint(seal(head, weights))
+        graph, store = parse_checkpoint(with_graph_text(data, text))
     except ValueError:
         return
     forward_pass(graph, store, x, mode="infer")
