@@ -118,6 +118,8 @@ def cmd_branch_grid(args):
 
 
 def cmd_predict(args):
+    if args.batch_size < 1:
+        raise ValueError(f"--batch-size must be >= 1, got {args.batch_size}")
     model = load_bundle(args.bundle)
     manifest = Manifest.load(args.data)
     ids = split_ids(manifest, args.split)

@@ -92,10 +92,10 @@ class Manifest:
         for col in self.REQUIRED:
             if col not in self.columns:
                 raise ValueError(f"manifest lacks required column {col!r}")
-        ids = [r["id"] for r in self.rows]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise ValueError(f"duplicate manifest id {dup!r}")
+        for what, items in (("column", self.columns), ("id", self.ids)):
+            if len(set(items)) != len(items):
+                dup = next(i for i in items if items.count(i) > 1)
+                raise ValueError(f"duplicate manifest {what} {dup!r}")
         self._by_id = {r["id"]: r for r in self.rows}
 
     @property

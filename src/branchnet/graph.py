@@ -312,8 +312,9 @@ class ArchConfig:
     scale_factor: float = 1.0
 
     def __post_init__(self):
-        if self.scale_factor <= 0:
-            raise ValueError(f"scale_factor must be positive, got {self.scale_factor}")
+        if not (math.isfinite(self.scale_factor) and self.scale_factor > 0):
+            raise ValueError(f"scale_factor must be finite and positive, got "
+                             f"{self.scale_factor}")
         if len(self.stage_repeats) != len(self.stage_channels):
             raise ValueError("stage_repeats and stage_channels lengths differ: "
                              f"{len(self.stage_repeats)} vs {len(self.stage_channels)}")
@@ -321,6 +322,22 @@ class ArchConfig:
             raise ValueError(f"stage repeats must be >= 1, got {self.stage_repeats}")
         if self.num_identities < 2:
             raise ValueError(f"need at least 2 identities, got {self.num_identities}")
+        if self.in_channels < 1:
+            raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
+        scaled = [("stem_channels", self.stem_channels),
+                  ("embedding_dim", self.embedding_dim),
+                  ("input_size", self.input_size)]
+        scaled += [("stage_channels", c) for pair in self.stage_channels for c in pair]
+        for name, width in scaled:
+            if width < 1:
+                raise ValueError(f"{name} must be >= 1, got {width}")
+            try:
+                finite = math.isfinite(width * self.scale_factor)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} {width} times scale_factor "
+                                 f"{self.scale_factor} is not a finite width")
 
     def _scaled(self, width):
         return max(1, round(width * self.scale_factor))

@@ -8,12 +8,12 @@ the cached resume is bitwise identical to running the head standalone.
 add_head enforces that sharing. The branch layer must be one of the
 trunk's branch points; the head's graph must be graph.head_graph of the
 trunk for its spec's class count and loss, and so holds the trunk's input
-shape and nodes before fc; each prefix parameter and batchnorm running
-statistic must equal the trunk's bit for bit; and the task must be new to
-the model. A mismatch raises ValueError.
-The head's store then refers to the trunk's objects, so a model holds
-every prefix byte once, whether its heads came from make_branch or from
-separate checkpoint files.
+shape and nodes before fc; the two stores' params.prefix_records, momentum
+and trainable flags aside, must match name for name and bit for bit; and
+the task must be new to the model. A mismatch raises ValueError naming the
+record. params.share_prefix then points the head at the trunk's objects,
+so a model holds every prefix byte once, whether its heads came from
+make_branch or from separate checkpoint files.
 
 Bundle layout on disk: a directory with trunk.ckpt, one <task>.ckpt per
 head, and heads.txt carrying one HeadSpec record per line (see
@@ -36,8 +36,8 @@ from .accounting import count_flops, suffix_macs
 from .config import load_records
 from .engine import boundary, forward_pass
 from .graph import GraphSpec, head_graph
-from .params import (ParamStore, batchnorm_nodes, frozen_names,
-                     load_checkpoint, save_checkpoint)
+from .params import (SERVED, ParamStore, load_checkpoint, prefix_records,
+                     save_checkpoint, share_prefix)
 from .train import check_task
 
 HEADS_FILE = "heads.txt"
@@ -79,8 +79,7 @@ class MultiHeadModel:
 
     def add_head(self, spec: HeadSpec, graph: GraphSpec, store: ParamStore):
         """Validate the head against the trunk and attach it; on success
-        the head's store refers to the trunk's prefix arrays and running
-        statistics."""
+        the head's store shares the trunk's prefix (params.share_prefix)."""
         if spec.branch_layer not in self.trunk_graph.branch_points:
             raise ValueError(f"head {spec.task!r} branches at "
                              f"{spec.branch_layer!r}, which the trunk lacks "
@@ -90,49 +89,32 @@ class MultiHeadModel:
                              f"{spec.num_classes} classes and loss "
                              f"{spec.loss!r}")
         bidx = self.trunk_graph.index(spec.branch_layer)
-        trunk = self.trunk_store
-        arrays = frozen_names(graph, bidx)
-        running = [bn for bn in batchnorm_nodes(graph) if graph.index(bn) < bidx]
-        for name in arrays:
-            if not _same_bits(store.arrays.get(name), trunk.arrays.get(name)):
-                raise _mismatch(spec, "a/" + name)
-        for bn in running:
-            mine, theirs = store.running.get(bn), trunk.running.get(bn)
-            if mine is theirs:
-                continue
-            if mine is None or theirs is None or mine.count != theirs.count:
-                raise _mismatch(spec, "rc/" + bn)
-            if not _same_bits(mine.mean, theirs.mean):
-                raise _mismatch(spec, "rm/" + bn)
-            if not _same_bits(mine.var, theirs.var):
-                raise _mismatch(spec, "rv/" + bn)
+        mine = prefix_records(graph, store, bidx)
+        theirs = prefix_records(self.trunk_graph, self.trunk_store, bidx)
+        for rname in sorted(mine.keys() | theirs.keys()):
+            if (rname.startswith(SERVED)
+                    and not _same_bits(mine.get(rname), theirs.get(rname))):
+                raise ValueError(f"head {spec.task!r} record {rname!r} does "
+                                 f"not match the trunk's bit for bit")
         if any(head.spec.task == spec.task for head in self.heads):
             raise ValueError(f"head {spec.task!r} is already in the model")
-        for name in arrays:
-            store.arrays[name] = trunk.arrays[name]
-        for bn in running:
-            store.running[bn] = trunk.running[bn]
+        share_prefix(graph, store, self.trunk_store, bidx)
         self.heads.append(Head(spec, graph, store))
 
 
 def _same_bits(a, b):
-    """The same array, or arrays of one shape and dtype whose bits, read as
-    unsigned integers of the element width, are equal (so NaN payloads and
-    -0.0 count)."""
+    """Arrays of one shape and dtype that view the same memory, or whose
+    bits, read as unsigned integers of the element width, are equal (so
+    NaN payloads and -0.0 count)."""
     if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
         return False
-    if a is b:
-        return True
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
+    if a.ctypes.data == b.ctypes.data and a.strides == b.strides:
+        return True
     uint = f"u{a.dtype.itemsize}"
     return np.array_equal(np.ascontiguousarray(a).reshape(-1).view(uint),
                           np.ascontiguousarray(b).reshape(-1).view(uint))
-
-
-def _mismatch(spec, record):
-    return ValueError(f"head {spec.task!r} record {record!r} does not match "
-                      f"the trunk's bit for bit")
 
 
 @dataclass

@@ -15,10 +15,12 @@ Checkpoint layout (all integers little-endian):
       u32 name length, name (utf-8), u64 element count, float32 data
   trailing 8-byte checksum (sha256 prefix) over every preceding byte.
 
-Record names carry a kind prefix: "a/" array, "m/" momentum, "t/" trainable
-flag (one element, 0 or 1), "rm/" running mean, "rv/" running variance,
-"rc/" running count (one element). Records are written sorted by name, so a
-checkpoint for given contents is byte-identical across runs.
+store_records names a store's state as records, each with a kind prefix:
+"a/" array, "m/" momentum, "t/" trainable flag (one element, 0 or 1), "rm/"
+running mean, "rv/" running variance, "rc/" running count (one element).
+A store with any momentum is written with a zero "m/" record for each
+parameter without one. Records are written sorted by name, so a checkpoint
+for given contents is byte-identical across runs.
 
 A checkpoint that loads is complete: every parameter has its "a/" and "t/"
 records, "m/" records cover every parameter or none, and running
@@ -44,6 +46,7 @@ CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
 RECORD_KINDS = ("a", "m", "t", "rm", "rv", "rc")
 FINITE_KINDS = ("a", "m", "rm", "rv")  # whose every value must be finite
+SERVED = ("a/", "rm/", "rv/", "rc/")  # record prefixes inference reads
 
 
 def param_shapes(graph: GraphSpec) -> dict:
@@ -92,39 +95,55 @@ def frozen_names(graph: GraphSpec, branch_index: int):
     return tuple(sorted(out))
 
 
-def frozen_checksum(graph: GraphSpec, store: ParamStore, branch_index: int) -> str:
-    """Digest of everything the frozen region owns: parameter values, their
-    momentum buffers, and running statistics of frozen batchnorm nodes.
-    Unchanged digest before and after fine-tuning certifies the freeze."""
-    h_parts = []
-    for name in frozen_names(graph, branch_index):
-        h_parts.append(name.encode())
-        h_parts.append(np.ascontiguousarray(store.arrays[name]).tobytes())
-        if name in store.momentum:
-            h_parts.append(np.ascontiguousarray(store.momentum[name]).tobytes())
-    for bn in batchnorm_nodes(graph):
-        if graph.index(bn) < branch_index and bn in store.running:
-            rs = store.running[bn]
-            h_parts.append(bn.encode())
-            h_parts.append(np.ascontiguousarray(rs.mean).tobytes())
-            h_parts.append(np.ascontiguousarray(rs.var).tobytes())
-            h_parts.append(struct.pack("<q", rs.count))
-    return hashlib.sha256(b"".join(h_parts)).hexdigest()
-
-
-def _records_from_store(store: ParamStore):
+def store_records(store: ParamStore) -> dict:
+    """Record name -> that value's flat array, a view of the store's own in
+    its native dtype; "t/" is a float32 flag and "rc/" an int64 count."""
     records = {}
-    for name, arr in store.arrays.items():
-        records["a/" + name] = np.asarray(arr, dtype=np.float32).ravel()
-    for name, arr in store.momentum.items():
-        records["m/" + name] = np.asarray(arr, dtype=np.float32).ravel()
+    for kind, values in (("a", store.arrays), ("m", store.momentum)):
+        for name, arr in values.items():
+            records[f"{kind}/{name}"] = arr.reshape(-1)
     for name, flag in store.trainable.items():
-        records["t/" + name] = np.asarray([1.0 if flag else 0.0], dtype=np.float32)
+        records["t/" + name] = np.array([flag], dtype=np.float32)
     for bn, rs in store.running.items():
-        records["rm/" + bn] = np.asarray(rs.mean, dtype=np.float32).ravel()
-        records["rv/" + bn] = np.asarray(rs.var, dtype=np.float32).ravel()
-        records["rc/" + bn] = np.asarray([float(rs.count)], dtype=np.float32)
+        records["rm/" + bn] = rs.mean.reshape(-1)
+        records["rv/" + bn] = rs.var.reshape(-1)
+        records["rc/" + bn] = np.array([rs.count], dtype=np.int64)
     return records
+
+
+def prefix_records(graph: GraphSpec, store: ParamStore, index: int) -> dict:
+    """The store's records owned by nodes before index: the node an "r*"
+    record names, or the one owning the parameter another names."""
+    def owner(rname):
+        kind, _, name = rname.partition("/")
+        return name if kind.startswith("r") else param_owner(name)
+    return {rname: flat for rname, flat in store_records(store).items()
+            if graph.index(owner(rname)) < index}
+
+
+def share_prefix(graph: GraphSpec, store: ParamStore, trunk: ParamStore,
+                 index: int):
+    """Point store's state for nodes before index at trunk's own objects:
+    arrays (flagged frozen), momentum where trunk has it, running statistics."""
+    for name in frozen_names(graph, index):
+        store.arrays[name] = trunk.arrays[name]
+        store.trainable[name] = False
+        if name in trunk.momentum:
+            store.momentum[name] = trunk.momentum[name]
+    for bn in batchnorm_nodes(graph):
+        if graph.index(bn) < index:
+            store.running[bn] = trunk.running[bn]
+
+
+def frozen_checksum(graph: GraphSpec, store: ParamStore, branch_index: int) -> str:
+    """sha256 over the frozen region's records, each as its name then its
+    bytes, in name order. Unchanged digest before and after fine-tuning
+    certifies the freeze."""
+    digest = hashlib.sha256()
+    for rname, flat in sorted(prefix_records(graph, store, branch_index).items()):
+        digest.update(rname.encode())
+        digest.update(flat.tobytes())
+    return digest.hexdigest()
 
 
 def checkpoint_bytes(graph: GraphSpec, store: ParamStore) -> bytes:
@@ -132,7 +151,10 @@ def checkpoint_bytes(graph: GraphSpec, store: ParamStore) -> bytes:
     gtext = graph.serialize().encode()
     chunks.append(struct.pack("<Q", len(gtext)))
     chunks.append(gtext)
-    records = _records_from_store(store)
+    records = store_records(store)
+    if store.momentum:  # a parameter without a velocity is at rest
+        for name, arr in store.arrays.items():
+            records.setdefault("m/" + name, np.zeros(arr.size, np.float32))
     for name in sorted(records):
         data = records[name]
         nb = name.encode()

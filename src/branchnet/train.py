@@ -36,7 +36,8 @@ from .common import derive_rng
 from .config import fields_from_mapping, fields_to_mapping
 from .engine import backward_pass, boundary, forward_pass, infer
 from .graph import INPUT_NAME, LOSS_KINDS, NODE_KINDS, GraphSpec, head_graph
-from .params import ParamStore, batchnorm_nodes, param_owner, param_shapes
+from .params import (ParamStore, batchnorm_nodes, param_owner, param_shapes,
+                     share_prefix)
 
 EVAL_CHUNK = 256  # samples per inference pass in evaluate_accuracy
 
@@ -273,37 +274,30 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
                 seed: int = 0) -> Branch:
     """Build a fine-tuning head branching at branch_layer.
 
-    Parameters owned by nodes before the branch layer are shared with the
-    trunk store by reference and marked frozen. Layers from the branch on
-    are re-initialized (warm=False) or copied (warm=True); the final fc is
-    always fresh at the task's width. Frozen momentum is shared where the
-    trunk store has it; a weights-only trunk gives the branch none there.
-    Running statistics of frozen batchnorm nodes are shared; retrained
-    ones restart empty when cold.
+    The state of nodes before the branch layer is the trunk store's own
+    (params.share_prefix). Layers from the branch on are re-initialized
+    (warm=False) or copied (warm=True), running statistics included; the
+    final fc is always fresh at the task's width.
     """
     check_task(num_classes, loss)
     bidx = trunk_graph.branch_index(branch_layer)
     graph = head_graph(trunk_graph, num_classes, loss)
     store = ParamStore()
+    share_prefix(graph, store, trunk_store, bidx)
     for name, shape in param_shapes(graph).items():
-        owner = param_owner(name)
-        if graph.index(owner) < bidx:
-            store.arrays[name] = trunk_store.arrays[name]
-            if name in trunk_store.momentum:
-                store.momentum[name] = trunk_store.momentum[name]
-            store.trainable[name] = False
+        if name in store.arrays:
             continue
         store.trainable[name] = True
         store.momentum[name] = np.zeros(shape, dtype=np.float32)
-        if warm and owner != "fc":
+        if warm and param_owner(name) != "fc":
             store.arrays[name] = trunk_store.arrays[name].copy()
         else:
             store.arrays[name] = _fresh_param(name, shape, init_std, seed,
                                               "branch", branch_layer)
     for bn in batchnorm_nodes(graph):
-        if graph.index(bn) < bidx:
-            store.running[bn] = trunk_store.running[bn]
-        elif warm:
+        if bn in store.running:
+            continue
+        if warm:
             rs = trunk_store.running[bn]
             store.running[bn] = ops.RunningStats(rs.mean.copy(), rs.var.copy(),
                                                  rs.count)

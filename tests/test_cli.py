@@ -171,6 +171,40 @@ def test_predict_over_bundle(capsys, tmp_path, corpus, bundle_dir):
     assert all("binary=" in line for line in lines)
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_predict_rejects_a_batch_size_below_one(capsys, tmp_path, corpus,
+                                                bundle_dir, size):
+    out = tmp_path / "predictions.txt"
+    rc, stdout, err = run_cli(capsys, "predict", "--bundle", bundle_dir,
+                              "--data", corpus, "--out", str(out),
+                              "--batch-size", size)
+    assert rc == 2
+    assert stdout == ""
+    assert err == f"error: --batch-size must be >= 1, got {size}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, field", [
+    ("arch.scale_factor=inf", "scale_factor"),
+    ("arch.scale_factor=nan", "scale_factor"),
+    ("arch.scale_factor=1e308", "scale_factor"),
+    ("arch.input_size=1" + "0" * 400, "input_size"),
+    ("arch.stem_channels=1" + "0" * 400, "stem_channels"),
+    ("arch.embedding_dim=-3", "embedding_dim"),
+    ("arch.stem_channels=-4", "stem_channels"),
+    ("arch.stage_channels=64,0;128,512;256,1024;320,2048", "stage_channels"),
+    ("arch.in_channels=0", "in_channels"),
+], ids=["scale-inf", "scale-nan", "scale-1e308", "huge-input", "huge-stem",
+        "negative-embedding", "negative-stem", "zero-stage-channel",
+        "zero-in-channels"])
+def test_flops_rejects_an_architecture_it_cannot_build(capsys, setting, field):
+    rc, out, err = run_cli(capsys, "flops", "--set", setting)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_branch_grid_writes_matrix(capsys, tmp_path, corpus, trunk_ckpt):
     tasks = tmp_path / "tasks.txt"
     tasks.write_text("# task table\nbinary binary 2 softmax\n")

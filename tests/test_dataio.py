@@ -109,6 +109,13 @@ def test_manifest_validation():
         Manifest(("id", "path"), rows)
 
 
+def test_manifest_load_rejects_a_repeated_column(tmp_path):
+    p = tmp_path / "m.tsv"
+    p.write_text("id\tpath\tidentity\tidentity\na\tx\t0\t1\n")
+    with pytest.raises(ValueError, match="duplicate manifest column 'identity'"):
+        Manifest.load(p)
+
+
 def test_manifest_load_rejects_ragged_rows(tmp_path):
     p = tmp_path / "m.tsv"
     p.write_text("id\tpath\na\tx\textra\n")

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -13,7 +14,8 @@ from branchnet.params import (checkpoint_bytes, frozen_checksum, frozen_names,
                               load_checkpoint, param_owner, param_shapes,
                               parse_checkpoint, save_checkpoint)
 from branchnet.common import checksum64
-from branchnet.train import Dataset, TrainConfig, init_params, train
+from branchnet.train import (Dataset, TrainConfig, init_params, make_branch,
+                             train)
 
 GRAPH = build_trunk(ArchConfig.desk(num_identities=5))
 
@@ -64,6 +66,22 @@ def test_frozen_checksum_tracks_only_the_frozen_region():
     store = fresh_store()
     store.running["bn1"].mean[0] += 1.0  # frozen running stats
     assert frozen_checksum(GRAPH, store, bidx) != base
+
+    store = fresh_store()
+    store.trainable["conv1/w"] = False  # frozen trainable flag
+    assert frozen_checksum(GRAPH, store, bidx) != base
+
+
+def test_checkpoint_bytes_are_pinned():
+    # seeded float32 draws and no BLAS call: the same bytes on any host
+    graph = build_trunk(ArchConfig.desk())
+    store = init_params(graph, TrainConfig.desk(seed=3))
+    branch = make_branch(graph, store, "conv22", 7, seed=5)
+
+    def digest(graph, store):
+        return hashlib.sha256(checkpoint_bytes(graph, store)).hexdigest()[:16]
+    assert digest(graph, store) == "c3049edd93107aa5"
+    assert digest(branch.graph, branch.store) == "138f125ed87ab9d4"
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -6,7 +6,8 @@ from branchnet.engine import backward_pass, forward_pass
 from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, NODE_KINDS,
                              GraphSpec, LayerNode, build_trunk)
 from branchnet.ops import BatchStats
-from branchnet.params import ParamStore, checkpoint_bytes, frozen_checksum
+from branchnet.params import (ParamStore, checkpoint_bytes, frozen_checksum,
+                              parse_checkpoint)
 from branchnet.train import (Dataset, TrainConfig, _batch_indices,
                              evaluate_accuracy, finetune, init_params, lr_at,
                              make_branch, sgd_momentum_step, train)
@@ -342,6 +343,14 @@ def test_make_branch_on_a_weights_only_trunk(trunk):
     finetune(br, branch_dataset(n=16), TrainConfig.desk(batch_size=8,
                                                         max_minibatches=2))
     assert frozen_checksum(br.graph, br.store, br.branch_index) == before
+    # the saved checkpoint loads: frozen parameters get zero momentum
+    _, loaded = parse_checkpoint(checkpoint_bytes(br.graph, br.store))
+    assert set(loaded.momentum) == set(loaded.arrays)
+    np.testing.assert_array_equal(loaded.momentum["conv1/w"], 0.0)
+    for name, flag in br.store.trainable.items():
+        if flag:
+            np.testing.assert_array_equal(loaded.momentum[name],
+                                          br.store.momentum[name])
 
 
 def test_make_branch_partitions_by_topological_index(trunk):
