@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Kernel and step bench for the desk trunk; writes BENCH_<label>.json.
+
+Run from the root of a branchnet checkout:
+
+    python scripts/bench.py --label mytree
+
+It records:
+  - the machine: CPU, core count, Python, numpy and BLAS versions, the BLAS
+    thread count, and the single-GEMM ceiling (best of several float32
+    n^3 matrix products);
+  - every conv and batchnorm node of the desk trunk (ArchConfig.desk()) at
+    --batch (default 32): forward and backward ms, each the median of REPS
+    timed calls into ops.*, set beside accounting.py's MACs for the batch
+    and the GMAC/s they imply. Each node runs on the activations of one
+    train-mode forward_pass; a batchnorm backward gets its forward's saved
+    BatchStats and a conv backward computes its input gradient unless its
+    input is the network input, as train() runs them;
+  - the desk train step: STEPS one-step train() calls at the batch, each on
+    its own seeded minibatch, after two untimed warm-up steps; median,
+    quartiles and minimum ms.
+
+Compare two files only when both were measured on one host. The machine
+block says which host that was.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from dataclasses import replace
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from branchnet import ops  # noqa: E402
+from branchnet.accounting import count_flops  # noqa: E402
+from branchnet.engine import forward_pass  # noqa: E402
+from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk  # noqa: E402
+from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
+from harness import code_digest, fingerprint, gemm_ceiling_gmacs  # noqa: E402
+
+SEED = 1501  # weights, inputs, labels and output gradients
+REPS = 7  # timed calls per node and direction (median)
+STEPS = 40  # timed train steps
+GEMM_SIZE = 1024  # n of the n^3 float32 GEMM ceiling
+
+
+def median_ms(fn):
+    """Median wall ms of REPS calls of fn, after one untimed call."""
+    fn()
+    times = []
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
+def node_rows(graph, store, acts, batch):
+    """One row per conv and batchnorm node: fwd/bwd ms, MACs and GMAC/s."""
+    macs = count_flops(graph).per_node_macs
+    rng = np.random.default_rng(SEED)
+    rows = []
+    for node in graph.nodes:
+        if node.kind not in ("conv", "batchnorm"):
+            continue
+        a, x = node.attrs, acts[node.inputs[0]]
+        p = {s: store.arrays[f"{node.name}/{s}"]
+             for s in NODE_KINDS[node.kind].params(a)}
+        gy = rng.standard_normal(acts[node.name].shape).astype(x.dtype)
+        row = {"node": node.name, "kind": node.kind,
+               "input_shape": list(x.shape)}
+        if node.kind == "conv":
+            need = node.inputs[0] != "input"
+            args = (x, p["w"], p.get("b"))
+            geom = (a["stride"], a["pad"])
+            row["fwd_ms"] = median_ms(lambda: ops.conv2d_forward(*args, *geom))
+            row["bwd_ms"] = median_ms(lambda: ops.conv2d_backward(
+                *args, gy, *geom, input_grad=need))
+            row["fwd_macs"] = macs[node.name] * batch
+            row["bwd_macs"] = row["fwd_macs"] * (2 if need else 1)
+            for d in ("fwd", "bwd"):
+                row[f"{d}_gmacs"] = row[f"{d}_macs"] / row[f"{d}_ms"] / 1e6
+        else:
+            eps = a.get("eps", ops.BN_EPS)
+            args = (x, p["gamma"], p["beta"])
+            _, _, saved = ops.batchnorm_train(*args, eps=eps)
+            row["fwd_ms"] = median_ms(lambda: ops.batchnorm_train(*args, eps=eps))
+            row["bwd_ms"] = median_ms(lambda: ops.batchnorm_backward(
+                *args, gy, eps=eps, saved=saved))
+            row["elements"] = int(x.size)
+        rows.append(row)
+    return rows
+
+
+def kind_totals(rows):
+    out = {}
+    for kind in ("conv", "batchnorm"):
+        mine = [r for r in rows if r["kind"] == kind]
+        out[kind] = {"nodes": len(mine),
+                     "fwd_ms": sum(r["fwd_ms"] for r in mine),
+                     "bwd_ms": sum(r["bwd_ms"] for r in mine)}
+    conv = [r for r in rows if r["kind"] == "conv"]
+    for d in ("fwd", "bwd"):
+        out["conv"][f"{d}_gmacs"] = (sum(r[f"{d}_macs"] for r in conv)
+                                     / out["conv"][f"{d}_ms"] / 1e6)
+    return out
+
+
+def train_steps(graph, store, data, cfg):
+    """ms of each of STEPS one-step train() calls, after two warm-ups."""
+    times = []
+    for step in range(STEPS + 2):
+        step_cfg = replace(cfg, seed=cfg.seed + step, max_minibatches=1)
+        t0 = time.perf_counter()
+        train(graph, store, data, step_cfg)
+        if step >= 2:
+            times.append((time.perf_counter() - t0) * 1e3)
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return {"steps": STEPS, "median_ms": statistics.median(times),
+            "q1_ms": q1, "q3_ms": q3, "min_ms": min(times)}
+
+
+def run(args):
+    graph = build_trunk(ArchConfig.desk())
+    cfg = TrainConfig.desk(batch_size=args.batch, seed=SEED)
+    store = init_params(graph, cfg)
+    rng = np.random.default_rng(SEED)
+    shape = (4 * args.batch,) + tuple(graph.input_shape)
+    data = Dataset(rng.standard_normal(shape).astype(np.float32),
+                   rng.integers(0, graph.node("fc").attrs["out"], size=shape[0]))
+    x = data.inputs[:args.batch]
+    acts, _ = forward_pass(graph, store, x, mode="train")
+    rows = node_rows(graph, store, acts, args.batch)
+    return {
+        "label": args.label,
+        "code_digest": code_digest(os.path.join(ROOT, "src"))[:16],
+        "machine": fingerprint(gemm_ceiling_gmacs(GEMM_SIZE)),
+        "gemm_size": GEMM_SIZE,
+        "batch": args.batch,
+        "reps": REPS,
+        "kinds": kind_totals(rows),
+        "nodes": rows,
+        "train_step": train_steps(graph, store, data, cfg),
+    }
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--label", required=True,
+                   help="names the output file BENCH_<label>.json")
+    p.add_argument("--out-dir", default=os.path.join(ROOT, "bench"))
+    p.add_argument("--batch", type=int, default=32)
+    args = p.parse_args(argv)
+    if args.batch < 1:
+        p.error(f"--batch must be >= 1, got {args.batch}")
+    if os.path.basename(args.label) != args.label or args.label in ("", ".", ".."):
+        p.error(f"--label {args.label!r} must be a plain file-name part")
+    result = run(args)
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
+    with open(path, "w") as f:
+        json.dump(result, f, indent=1)
+        f.write("\n")
+    k, step = result["kinds"], result["train_step"]
+    print(f"wrote {path}: conv fwd {k['conv']['fwd_ms']:.1f} ms, bwd "
+          f"{k['conv']['bwd_ms']:.1f} ms; batchnorm fwd "
+          f"{k['batchnorm']['fwd_ms']:.1f} ms, bwd {k['batchnorm']['bwd_ms']:.1f} "
+          f"ms; train step median {step['median_ms']:.1f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

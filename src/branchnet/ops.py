@@ -4,19 +4,29 @@ Every operation takes explicit inputs and returns new arrays; nothing here
 holds state. Tensors are numpy arrays laid out (batch, channel, height,
 width), float32 in normal use and float64 when checking gradients.
 
-Convolution is evaluated as im2col plus one matrix product. Patch columns
-are materialized channel-major, then kernel row, then kernel column, matching
+Convolution is evaluated as im2col plus matrix products, over columns
+gathered from one strided view of the (zero-padded) input's k x k windows.
+Patch rows run channel-major, then kernel row, then kernel column, matching
 the declared accumulation order; the inner summation itself is delegated to
 BLAS, so comparisons against the naive loop oracle use the relaxed 1e-5
-relative tolerance rather than bit equality. A stride-1, unpadded 1x1
-convolution is already a matrix product over the input's own memory: the
-window view of a contiguous x is x itself, so np.ascontiguousarray makes no
-copy, and its input gradient is the column gradient reshaped, with no zero
-buffer or scatter. Every other convolution scatters its column gradient
-into a zero buffer laid out (h, w, n, c), one strided += per kernel
-position, so each addition streams n*c contiguous values rather than a
-short image row, and returns one contiguous NCHW copy; every element gets
-the same additions in the same order as an NCHW scatter would give it.
+relative tolerance rather than bit equality. The two directions lay their
+columns out differently:
+
+- The forward gathers (n, c*k*k, oh*ow) and takes one matrix product per
+  sample. A stride-1, unpadded 1x1 convolution is already a matrix product
+  over the input's own memory: the window view of a contiguous x is x
+  itself, so np.ascontiguousarray makes no copy.
+- The backward gathers (c*k*k, n*oh*ow), the batch folded into the
+  columns, and transposes the output gradient once to (c_out, n*oh*ow).
+  The weight gradient is then the one product gy @ cols.T, and the column
+  gradient the one product w.T @ gy. A stride-1, unpadded 1x1 convolution
+  returns its column gradient transposed to NCHW, with no zero buffer or
+  scatter. Every other convolution scatters it, read through a transposed
+  view, into a zero buffer laid out (h, w, n, c), one strided += per kernel
+  position, so each addition streams n*c contiguous values rather than a
+  short image row, and returns one contiguous NCHW copy; every element gets
+  the same additions in the same order as an NCHW scatter would give it.
+
 Convolution and fully connected backwards skip the input gradient, its
 matrix product and its scatter when the caller says it is not needed.
 
@@ -26,10 +36,19 @@ with that maximum, trying the positions in row-major window order, so ties
 go to the first maximum and a window holding a NaN to its first NaN, as
 argmax would.
 
-Train-mode batchnorm centres its input once and takes the variance from
-that, which is bitwise np.var. Its per-channel batch mean and std are
-handed back as BatchStats, so the backward need not reduce over the batch
-again.
+Train-mode batchnorm views its input (n, c, h*w) and takes each
+per-channel sum as one einsum contraction over that view's first and last
+axes: the mean, then the variance from the once-centred input. It writes
+(x - mean) * (gamma/std) + beta in place over the centred temporary. Its
+per-channel batch mean and std = sqrt(var + eps) are handed back as
+BatchStats, so the backward need not reduce over the batch again. The
+backward uses the closed form (Ioffe & Szegedy 2015), evaluated in this
+order in place over one centred temporary:
+
+    dx = ((gy - (x - mean) * (dgamma / (m*std))) - dbeta/m) * (gamma/std)
+
+over m = n*h*w values a channel, with dbeta = sum(gy) and dgamma =
+sum(gy * (x - mean)) / std standing in for the two batch means.
 """
 
 from dataclasses import dataclass
@@ -97,21 +116,36 @@ def _conv_geometry(x_shape, w_shape, stride, padding):
     return n, c, h, w, c_out, kh, oh, ow
 
 
-def _im2col(x, k, stride, padding, oh, ow):
-    """Columns of shape (n, c*k*k, oh*ow); channel-major, kernel row, kernel column."""
+def _windows(x, k, stride, padding, oh, ow):
+    """Read-only (n, c, k, k, oh, ow) view of x's k x k windows, over a
+    zero-padded copy when padding > 0."""
     n, c, h, w = x.shape
     if padding:
         padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding:padding + h, padding:padding + w] = x
         x = padded
     sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
         shape=(n, c, k, k, oh, ow),
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
+
+
+def _im2col(x, k, stride, padding, oh, ow):
+    """Forward columns (n, c*k*k, oh*ow); channel-major, kernel row, kernel column."""
+    n, c = x.shape[:2]
+    windows = _windows(x, k, stride, padding, oh, ow)
     return np.ascontiguousarray(windows).reshape(n, c * k * k, oh * ow)
+
+
+def _im2col_batch(x, k, stride, padding, oh, ow):
+    """Backward columns (c*k*k, n*oh*ow): the rows ordered as _im2col's,
+    the batch folded into the columns."""
+    n, c = x.shape[:2]
+    windows = _windows(x, k, stride, padding, oh, ow).transpose(1, 2, 3, 0, 4, 5)
+    return np.ascontiguousarray(windows).reshape(c * k * k, n * oh * ow)
 
 
 def conv2d_forward(x, weights, bias=None, stride=1, padding=0):
@@ -138,22 +172,23 @@ def conv2d_backward(x, weights, bias, output_grad, stride=1, padding=0,
     _require(output_grad.shape == (n, c_out, oh, ow),
              f"output_grad shape {output_grad.shape} does not match forward "
              f"output ({n}, {c_out}, {oh}, {ow})")
-    cols = _im2col(x, k, stride, padding, oh, ow)
-    gy = output_grad.reshape(n, c_out, oh * ow)
+    cols = _im2col_batch(x, k, stride, padding, oh, ow)
+    gy = np.ascontiguousarray(output_grad.transpose(1, 0, 2, 3)).reshape(c_out, -1)
 
     grads = {}
     if bias is not None:
-        grads["b"] = output_grad.sum(axis=(0, 2, 3))
-    grads["w"] = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
+        grads["b"] = gy.sum(axis=1)
+    grads["w"] = (gy @ cols.T).reshape(weights.shape)
     if not input_grad:
         return LayerGrad(None, grads)
 
-    gcols = np.matmul(weights.reshape(c_out, -1).T, gy)
-    if k == 1 and stride == 1 and padding == 0:  # the columns are x itself
-        return LayerGrad(gcols.reshape(x.shape), grads)
+    gcols = weights.reshape(c_out, -1).T @ gy  # (c*k*k, n*oh*ow)
+    if k == 1 and stride == 1 and padding == 0:  # each input read once: no scatter
+        return LayerGrad(np.ascontiguousarray(
+            gcols.reshape(c, n, h, w).transpose(1, 0, 2, 3)), grads)
     # Scatter channels-last, so each += runs over n*c contiguous floats;
     # every element receives the same additions in the same (i, j) order.
-    g6 = gcols.reshape(n, c, k, k, oh, ow).transpose(2, 3, 4, 5, 0, 1)
+    g6 = gcols.reshape(c, k, k, n, oh, ow).transpose(1, 2, 4, 5, 3, 0)
     gx_pad = np.zeros((h + 2 * padding, w + 2 * padding, n, c), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
@@ -211,20 +246,17 @@ def avgpool_global_backward(x, output_grad):
     return np.broadcast_to(output_grad / (h * w), x.shape).astype(x.dtype, copy=True)
 
 
-_BN_AXES = (0, 2, 3)
-
-
-def _per_channel(v):
-    return v[None, :, None, None]
-
-
 def _batch_moments(x, eps):
-    """(mean, biased var, std, x - mean) over the (n, h, w) axes. The
-    variance is summed from the centred input, as np.var does, and equals
-    it bitwise."""
-    mean = x.mean(axis=_BN_AXES)
-    d = x - _per_channel(mean)
-    var = (d * d).sum(axis=_BN_AXES) / (x.size // x.shape[1])
+    """(mean, biased var, std, x - mean) per channel over the (n, h, w)
+    axes, the centred input laid out (n, c, h*w). Each sum is one einsum
+    contraction over that layout's first and last axes; the variance is
+    summed from the centred input."""
+    n, c = x.shape[:2]
+    m = x.size // c
+    x3 = x.reshape(n, c, -1)
+    mean = np.einsum("nck->c", x3) / m
+    d = x3 - mean[:, None]
+    var = np.einsum("nck,nck->c", d, d) / m
     return mean, var, np.sqrt(var + eps), d
 
 
@@ -243,17 +275,16 @@ def batchnorm_train(x, gamma, beta, running=None, eps=BN_EPS):
     BatchStats are what batchnorm_backward needs to skip its reductions.
     """
     _check_batchnorm(x, gamma, beta)
-    mean, var, std, xhat = _batch_moments(x, eps)
-    np.divide(xhat, _per_channel(std), out=xhat)
-    y = _per_channel(gamma) * xhat
-    y += _per_channel(beta)
+    mean, var, std, y = _batch_moments(x, eps)
+    y *= (gamma / std)[:, None]
+    y += beta[:, None]
     if running is None or running.count == 0:
         new = RunningStats(mean.copy(), var.copy(), 1)
     else:
         new = RunningStats(BN_MOMENTUM * running.mean + (1 - BN_MOMENTUM) * mean,
                            BN_MOMENTUM * running.var + (1 - BN_MOMENTUM) * var,
                            running.count + 1)
-    return y, new, BatchStats(mean, std)
+    return y.reshape(x.shape), new, BatchStats(mean, std)
 
 
 def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS):
@@ -281,22 +312,21 @@ def batchnorm_backward(x, gamma, beta, output_grad, eps=BN_EPS, saved=None):
     _check_nchw(x)
     _require(output_grad.shape == x.shape,
              f"output_grad shape {output_grad.shape} does not match input {x.shape}")
-    axes = _BN_AXES
+    n, c = x.shape[:2]
+    m = x.size // c
     if saved is None:
-        _, _, std, xhat = _batch_moments(x, eps)
+        _, _, std, t = _batch_moments(x, eps)
     else:
-        std, xhat = saved.std, x - _per_channel(saved.mean)
-    std = _per_channel(std)
-    np.divide(xhat, std, out=xhat)
-    gy = output_grad
-    dgamma = (gy * xhat).sum(axis=axes)
-    dbeta = gy.sum(axis=axes)
-    dxhat = gy * _per_channel(gamma)
-    dx = dxhat - dxhat.mean(axis=axes, keepdims=True)
-    xhat *= (dxhat * xhat).mean(axis=axes, keepdims=True)
-    dx -= xhat
-    dx /= std
-    return LayerGrad(dx, {"gamma": dgamma, "beta": dbeta})
+        std, t = saved.std, x.reshape(n, c, -1) - saved.mean[:, None]
+    gy = output_grad.reshape(n, c, -1)
+    dbeta = np.einsum("nck->c", gy)
+    dgamma = np.einsum("nck,nck->c", gy, t) / std
+    # dx = ((gy - t * (dgamma / (m*std))) - dbeta/m) * (gamma/std), in t's memory
+    t *= (dgamma / (m * std))[:, None]
+    np.subtract(gy, t, out=t)
+    t -= (dbeta / m)[:, None]
+    t *= (gamma / std)[:, None]
+    return LayerGrad(t.reshape(x.shape), {"gamma": dgamma, "beta": dbeta})
 
 
 def relu(x):

@@ -124,7 +124,9 @@ def prefix_records(graph: GraphSpec, store: ParamStore, index: int) -> dict:
 def share_prefix(graph: GraphSpec, store: ParamStore, trunk: ParamStore,
                  index: int):
     """Point store's state for nodes before index at trunk's own objects:
-    arrays (flagged frozen), momentum where trunk has it, running statistics."""
+    arrays (flagged frozen), momentum where trunk has it, running statistics.
+    A frozen batchnorm runs in inference mode, so a trunk without running
+    statistics for one is a ValueError naming it."""
     for name in frozen_names(graph, index):
         store.arrays[name] = trunk.arrays[name]
         store.trainable[name] = False
@@ -132,6 +134,10 @@ def share_prefix(graph: GraphSpec, store: ParamStore, trunk: ParamStore,
             store.momentum[name] = trunk.momentum[name]
     for bn in batchnorm_nodes(graph):
         if graph.index(bn) < index:
+            if bn not in trunk.running:
+                raise ValueError(f"trunk batchnorm {bn!r} has no running "
+                                 f"statistics: they are missing, so the "
+                                 f"frozen prefix cannot run in inference mode")
             store.running[bn] = trunk.running[bn]
 
 

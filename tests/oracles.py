@@ -45,22 +45,52 @@ def im2col_np_pad(x, k, stride, padding, oh, ow):
     return np.ascontiguousarray(windows).reshape(n, c * k * k, oh * ow)
 
 
-def conv2d_backward_nchw(x, w, b, gy, stride, padding):
-    """(input, weight, bias) gradients of a convolution, its column gradient
-    scattered over NCHW slices, one strided += per kernel position: the
-    bitwise reference for conv2d_backward's channels-last scatter."""
-    n, c, h, wd = x.shape
+def _scatter_nchw(g6, x_shape, stride, padding):
+    """Sum column gradients g6 (n, c, k, k, oh, ow) into a zero-padded NCHW
+    buffer, one strided += per kernel position, and crop the padding."""
+    n, c, h, wd = x_shape
+    k, oh, ow = g6.shape[2], g6.shape[4], g6.shape[5]
+    gx = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=g6.dtype)
+    for i in range(k):
+        for j in range(k):
+            gx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[:, :, i, j]
+    return gx[:, :, padding:padding + h, padding:padding + wd]
+
+
+def conv2d_backward_per_sample(x, w, b, gy, stride, padding):
+    """(input, weight, bias) gradients of a convolution with one matrix
+    product per sample: the weight gradient summed over per-sample products,
+    the bias gradient reduced over the (n, h, w) axes of gy."""
+    n = x.shape[0]
     c_out, _, k, _ = w.shape
     oh, ow = gy.shape[2:]
     cols = im2col_np_pad(x, k, stride, padding, oh, ow)
     g = gy.reshape(n, c_out, oh * ow)
     gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    g6 = np.matmul(w.reshape(c_out, -1).T, g).reshape(n, c, k, k, oh, ow)
-    gx = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            gx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[:, :, i, j]
-    return gx[:, :, padding:padding + h, padding:padding + wd], gw, gy.sum(axis=(0, 2, 3))
+    g6 = np.matmul(w.reshape(c_out, -1).T, g).reshape(n, -1, k, k, oh, ow)
+    return _scatter_nchw(g6, x.shape, stride, padding), gw, gy.sum(axis=(0, 2, 3))
+
+
+def conv2d_backward_batch_gemm(x, w, b, gy, stride, padding):
+    """(input, weight, bias) gradients of a convolution with the batch
+    folded into one matrix product: columns (c*k*k, n*oh*ow) over an np.pad
+    copy, gy transposed to (c_out, n*oh*ow), weight gradient gy @ cols.T,
+    column gradient w.T @ gy, scattered over NCHW slices. The bitwise
+    reference for conv2d_backward's channels-last scatter."""
+    n, c = x.shape[:2]
+    c_out, _, k, _ = w.shape
+    oh, ow = gy.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(c, k, k, n, oh, ow),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride))
+    cols = np.ascontiguousarray(windows).reshape(c * k * k, n * oh * ow)
+    g = np.ascontiguousarray(gy.transpose(1, 0, 2, 3)).reshape(c_out, n * oh * ow)
+    gw = (g @ cols.T).reshape(w.shape)
+    gcols = w.reshape(c_out, -1).T @ g
+    g6 = gcols.reshape(c, k, k, n, oh, ow).transpose(3, 0, 1, 2, 4, 5)
+    return _scatter_nchw(g6, x.shape, stride, padding), gw, g.sum(axis=1)
 
 
 def maxpool2x2_scan(x):

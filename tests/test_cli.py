@@ -517,6 +517,23 @@ def test_predict_rejects_a_bundle_with_a_non_finite_weight(capsys, tmp_path,
     assert "'a/fc/w' holds a non-finite value" in err
 
 
+def test_predict_rejects_a_bundle_without_running_statistics(capsys, tmp_path,
+                                                            corpus, bundle_dir):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    for name in ("trunk.ckpt", "binary.ckpt"):
+        path = str(bundle / name)
+        graph, store = load_checkpoint(path)
+        store.running.clear()
+        save_checkpoint(path, graph, store)
+    rc, out, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                           "--data", corpus, "--out", str(tmp_path / "p.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "batchnorm 'bn1' has no running statistics" in err
+
+
 @pytest.mark.parametrize("heads", [
     "binary conv22 3 softmax",
     "binary conv22 2 sigmoid-multilabel",

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from branchnet import ops
 from branchnet.graph import ArchConfig, build_trunk, compute_shapes
 from oracles import (avgpool_scan, batchnorm_train_loops,
-                     conv2d_backward_nchw, conv2d_loops, im2col_np_pad,
-                     maxpool2x2_backward_scan, maxpool2x2_scan)
+                     conv2d_backward_batch_gemm, conv2d_backward_per_sample,
+                     conv2d_loops, im2col_np_pad, maxpool2x2_backward_scan,
+                     maxpool2x2_scan)
 
 
 def rel_err(a, b):
@@ -95,8 +96,9 @@ def test_conv_rejects_undersized_input():
 
 def strided_pointwise_conv(x, w, b, gy):
     """A stride-1 1x1 conv done the general im2col way: a contiguous copy of
-    the strided windows as columns, and the input gradient scattered into a
-    zero buffer. Returns (output, input grad, weight grad, bias grad)."""
+    the strided windows as forward columns (n, c, h*w) and as backward
+    columns (c, n*h*w), and the input gradient scattered into a zero
+    buffer. Returns (output, input grad, weight grad, bias grad)."""
     n, c, h, wd = x.shape
     c_out = w.shape[0]
     sn, sc, sh, sw = x.strides
@@ -105,11 +107,14 @@ def strided_pointwise_conv(x, w, b, gy):
     ).reshape(n, c, h * wd)
     wmat = w.reshape(c_out, c)
     y = np.matmul(wmat, cols).reshape(n, c_out, h, wd) + b[None, :, None, None]
-    g = gy.reshape(n, c_out, h * wd)
-    gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    bcols = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+        x, shape=(c, 1, 1, n, h, wd), strides=(sc, sh, sw, sn, sh, sw))
+    ).reshape(c, n * h * wd)
+    g = np.ascontiguousarray(gy.transpose(1, 0, 2, 3)).reshape(c_out, n * h * wd)
+    gw = (g @ bcols.T).reshape(w.shape)
     gx = np.zeros_like(x)
-    gx += np.matmul(wmat.T, g).reshape(x.shape)
-    return y, gx, gw, gy.sum(axis=(0, 2, 3))
+    gx += (wmat.T @ g).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
+    return y, gx, gw, g.sum(axis=1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -132,7 +137,9 @@ def test_pointwise_conv_is_bitwise_the_strided_im2col_path(dtype, shape):
     # a non-contiguous input gives the same bits as its contiguous copy
     xt = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
     assert bitwise_equal(ops.conv2d_forward(xt, w, b, 1, 0), y)
-    assert bitwise_equal(ops.conv2d_backward(xt, w, b, gy, 1, 0).input_grad, gx)
+    grad_t = ops.conv2d_backward(xt, w, b, gy, 1, 0)
+    assert bitwise_equal(grad_t.input_grad, gx)
+    assert bitwise_equal(grad_t.param_grads["w"], gw)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -181,7 +188,7 @@ def test_conv_backward_is_bitwise_the_nchw_scatter(dtype, geom):
     gy = rng.standard_normal((n, c_out, oh, ow)).astype(dtype)
     gy[0] = -0.0  # a sample with no gradient at all
     gy[1, 0, 0, :3] = (np.nan, np.inf, -np.inf)[:ow]
-    gx, gw, gb = conv2d_backward_nchw(x, w, b, gy, stride, padding)
+    gx, gw, gb = conv2d_backward_batch_gemm(x, w, b, gy, stride, padding)
     grad = ops.conv2d_backward(x, w, b, gy, stride, padding)
     assert bitwise_equal(grad.input_grad, gx)
     assert grad.input_grad.flags.c_contiguous
@@ -357,8 +364,8 @@ def test_batchnorm_rejects_unknown_mode():
 
 def batchnorm_var_reference(x, gamma, beta, gy, eps=ops.BN_EPS):
     """Train-mode batchnorm and its backward from x.mean and np.var, each
-    reducing over the batch on its own. Returns (output, var, dx, dgamma,
-    dbeta)."""
+    reducing over the batch on its own, and the backward through dxhat and
+    its two batch means. Returns (output, var, dx, dgamma, dbeta)."""
     axes = (0, 2, 3)
     mean = x.mean(axis=axes)
     var = x.var(axis=axes)
@@ -372,11 +379,34 @@ def batchnorm_var_reference(x, gamma, beta, gy, eps=ops.BN_EPS):
     return y, var, dx, (gy * xhat).sum(axis=axes), gy.sum(axis=axes)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(32, 8, 28, 28), (32, 64, 4, 4), (32, 80, 1, 1),
-                                   (1, 32, 112, 112), (1, 256, 14, 14),
-                                   (3, 5, 7, 2)])
-def test_batchnorm_train_is_bitwise_the_np_var_formulation(dtype, shape):
+def batchnorm_closed_form_reference(x, gamma, beta, gy, eps=ops.BN_EPS):
+    """Train-mode batchnorm and its backward with every per-channel sum an
+    einsum over the (n, c, h*w) view: y = (x - mean) * (gamma/std) + beta,
+    and dx = gamma/std * ((gy - xhat * dgamma/m) - dbeta/m) with
+    xhat * dgamma/m taken as (x - mean) * (dgamma / (m*std)). Returns
+    (output, var, dx, dgamma, dbeta)."""
+    n, c = x.shape[:2]
+    m = x.size // c
+    x3 = x.reshape(n, c, -1)
+    g3 = gy.reshape(n, c, -1)
+    mean = np.einsum("nck->c", x3) / m
+    d = x3 - mean[:, None]
+    var = np.einsum("nck,nck->c", d, d) / m
+    std = np.sqrt(var + eps)
+    y = d * (gamma / std)[:, None] + beta[:, None]
+    dbeta = np.einsum("nck->c", g3)
+    dgamma = np.einsum("nck,nck->c", g3, d) / std
+    dx = ((g3 - d * (dgamma / (m * std))[:, None]) - (dbeta / m)[:, None]) \
+        * (gamma / std)[:, None]
+    return y.reshape(x.shape), var, dx.reshape(x.shape), dgamma, dbeta
+
+
+BATCHNORM_SHAPES = [(32, 8, 28, 28), (32, 64, 4, 4), (32, 80, 1, 1),
+                    (1, 32, 112, 112), (1, 256, 14, 14), (3, 5, 7, 2)]
+
+
+def batchnorm_case(dtype, shape):
+    """Seeded (x, gamma, beta, gy) with per-channel scales and offsets."""
     rng = np.random.default_rng(sum(shape))
     c = shape[1]
     x = (rng.uniform(0.1, 5.0, c)[None, :, None, None] * rng.standard_normal(shape)
@@ -384,17 +414,72 @@ def test_batchnorm_train_is_bitwise_the_np_var_formulation(dtype, shape):
     gamma = rng.standard_normal(c).astype(dtype)
     beta = rng.standard_normal(c).astype(dtype)
     gy = rng.standard_normal(shape).astype(dtype)
-    y, var, dx, dgamma, dbeta = batchnorm_var_reference(x, gamma, beta, gy)
+    return x, gamma, beta, gy
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", BATCHNORM_SHAPES)
+def test_batchnorm_train_is_bitwise_the_np_var_formulation(dtype, shape):
+    """Pins the bits of batchnorm_closed_form_reference: np.var's two-pass
+    formulation (the mean, then the mean squared deviation from it) with
+    each sum an einsum contraction, so the variance is np.var's to within
+    rounding but not its bits; and the closed-form backward in the order
+    that reference evaluates it."""
+    x, gamma, beta, gy = batchnorm_case(dtype, shape)
+    y, var, dx, dgamma, dbeta = batchnorm_closed_form_reference(x, gamma, beta, gy)
     out, stats, saved = ops.batchnorm_train(x, gamma, beta)
     assert bitwise_equal(out, y)
     assert bitwise_equal(stats.var, var)
+    np.testing.assert_allclose(stats.var, np.var(x, axis=(0, 2, 3)),
+                               rtol=1e-5 if dtype == np.float32 else 1e-12)
     assert bitwise_equal(ops.batchnorm(x, gamma, beta, mode="train")[0], y)
-    assert saved.mean.shape == saved.std.shape == (c,)
+    assert saved.mean.shape == saved.std.shape == (x.shape[1],)
     for context in (saved, None):
         grad = ops.batchnorm_backward(x, gamma, beta, gy, saved=context)
         assert bitwise_equal(grad.input_grad, dx)
         assert bitwise_equal(grad.param_grads["gamma"], dgamma)
         assert bitwise_equal(grad.param_grads["beta"], dbeta)
+    # a non-contiguous input gives the same bits as its contiguous copy
+    xt = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    out_t, _, saved_t = ops.batchnorm_train(xt, gamma, beta)
+    assert bitwise_equal(out_t, y)
+    assert bitwise_equal(ops.batchnorm_backward(xt, gamma, beta, gy,
+                                                saved=saved_t).input_grad, dx)
+
+
+def normwise_rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_training_kernels_move_only_rounding_from_the_old_formulas():
+    # In float64 the one-GEMM conv backward and the closed-form batchnorm
+    # agree with the per-sample GEMMs and the np.var / dxhat-means
+    # formulation to 1e-12 of each result's largest magnitude.
+    worst = 0.0
+    for geom in _conv_geometries():
+        c, c_out, h, wd, k, stride, padding = geom
+        rng = np.random.default_rng(sum(geom))
+        x = rng.standard_normal((3, c, h, wd))
+        w = rng.standard_normal((c_out, c, k, k))
+        b = rng.standard_normal(c_out)
+        oh = ops.conv_output_size(h, k, stride, padding)
+        ow = ops.conv_output_size(wd, k, stride, padding)
+        gy = rng.standard_normal((3, c_out, oh, ow))
+        grad = ops.conv2d_backward(x, w, b, gy, stride, padding)
+        for got, want in zip((grad.input_grad, grad.param_grads["w"],
+                              grad.param_grads["b"]),
+                             conv2d_backward_per_sample(x, w, b, gy, stride, padding)):
+            worst = max(worst, normwise_rel_err(got, want))
+    for shape in BATCHNORM_SHAPES:
+        x, gamma, beta, gy = batchnorm_case(np.float64, shape)
+        y, var, dx, dgamma, dbeta = batchnorm_var_reference(x, gamma, beta, gy)
+        out, stats, saved = ops.batchnorm_train(x, gamma, beta)
+        grad = ops.batchnorm_backward(x, gamma, beta, gy, saved=saved)
+        for got, want in ((out, y), (stats.var, var), (grad.input_grad, dx),
+                          (grad.param_grads["gamma"], dgamma),
+                          (grad.param_grads["beta"], dbeta)):
+            worst = max(worst, normwise_rel_err(got, want))
+    assert worst < 1e-12
 
 
 # relu and add

@@ -11,7 +11,7 @@ from branchnet.params import (ParamStore, checkpoint_bytes, frozen_checksum,
 from branchnet.train import (Dataset, TrainConfig, _batch_indices,
                              evaluate_accuracy, finetune, init_params, lr_at,
                              make_branch, sgd_momentum_step, train)
-from oracles import conv2d_backward_nchw
+from oracles import conv2d_backward_batch_gemm
 
 
 def fc_graph(d, m, loss="softmax"):
@@ -353,6 +353,14 @@ def test_make_branch_on_a_weights_only_trunk(trunk):
                                           br.store.momentum[name])
 
 
+def test_make_branch_rejects_a_trunk_without_running_statistics(trunk):
+    graph, store = trunk
+    bare = ParamStore(store.arrays, store.momentum, store.trainable, {})
+    with pytest.raises(ValueError, match="batchnorm 'bn1' has no running "
+                                         "statistics: they are missing"):
+        make_branch(graph, bare, "conv22", 5, seed=3)
+
+
 def test_make_branch_partitions_by_topological_index(trunk):
     graph, store = trunk
     br = make_branch(graph, store, "conv22", 5, seed=3)
@@ -592,8 +600,9 @@ def nchw_reference_input_grad(graph, store, acts, gy):
         params = {s: store.arrays[f"{node.name}/{s}"] for s in kind.params(node.attrs)}
         ins = [acts[src] for src in node.inputs]
         if node.kind == "conv":
-            in_grads = conv2d_backward_nchw(ins[0], params["w"], params.get("b"), g,
-                                            node.attrs["stride"], node.attrs["pad"])[:1]
+            in_grads = conv2d_backward_batch_gemm(
+                ins[0], params["w"], params.get("b"), g, node.attrs["stride"],
+                node.attrs["pad"])[:1]
         else:
             in_grads, _ = kind.backward(node.attrs, params, ins, g, None,
                                         (True,) * len(ins))
