@@ -9,13 +9,15 @@ It records:
   - the machine: CPU, core count, Python, numpy and BLAS versions, the BLAS
     thread count, and the single-GEMM ceiling (best of several float32
     n^3 matrix products);
-  - every conv and batchnorm node of the desk trunk (ArchConfig.desk()) at
-    --batch (default 32): forward and backward ms, each the median of REPS
-    timed calls into ops.*, set beside accounting.py's MACs for the batch
-    and the GMAC/s they imply. Each node runs on the activations of one
-    train-mode forward_pass; a batchnorm backward gets its forward's saved
-    BatchStats and a conv backward computes its input gradient unless its
-    input is the network input, as train() runs them;
+  - every node of the desk trunk (ArchConfig.desk()) whose kind has a
+    backward, at --batch (default 32): forward and backward ms, each the
+    median of REPS timed calls of its graph.NODE_KINDS forward and
+    backward, set beside accounting.py's MACs for the batch and the GMAC/s
+    they imply where the kind has MACs; and the same summed per kind. Each
+    node runs on the activations of one train-mode forward_pass, as the
+    engine runs it in train(): the forward in train mode, the backward with
+    the context that pass saved and the engine's `need` tuple, which asks
+    for no gradient of the network input;
   - the desk train step: STEPS one-step train() calls at the batch, each on
     its own seeded minibatch, after two untimed warm-up steps; median,
     quartiles and minimum ms.
@@ -38,10 +40,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from branchnet import ops  # noqa: E402
 from branchnet.accounting import count_flops  # noqa: E402
-from branchnet.engine import forward_pass  # noqa: E402
-from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk  # noqa: E402
+from branchnet.engine import _node_params, forward_pass  # noqa: E402
+from branchnet.graph import INPUT_NAME, NODE_KINDS, ArchConfig, build_trunk  # noqa: E402
 from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
 from harness import code_digest, fingerprint, gemm_ceiling_gmacs  # noqa: E402
 
@@ -62,54 +63,46 @@ def median_ms(fn):
     return statistics.median(times) * 1e3
 
 
-def node_rows(graph, store, acts, batch):
-    """One row per conv and batchnorm node: fwd/bwd ms, MACs and GMAC/s."""
+def node_rows(graph, store, x):
+    """One row per node whose kind has a backward, on input batch x: fwd/bwd
+    ms, and MACs and GMAC/s where the kind has MACs."""
     macs = count_flops(graph).per_node_macs
     rng = np.random.default_rng(SEED)
+    saved = {}
+    acts, _ = forward_pass(graph, store, x, mode="train", saved=saved)
     rows = []
     for node in graph.nodes:
-        if node.kind not in ("conv", "batchnorm"):
+        kind = NODE_KINDS[node.kind]
+        if kind.backward is None:
             continue
-        a, x = node.attrs, acts[node.inputs[0]]
-        p = {s: store.arrays[f"{node.name}/{s}"]
-             for s in NODE_KINDS[node.kind].params(a)}
-        gy = rng.standard_normal(acts[node.name].shape).astype(x.dtype)
+        a, p, ins = node.attrs, _node_params(store, node), [acts[s] for s in node.inputs]
+        running, context = store.running.get(node.name), saved.get(node.name)
+        gy = rng.standard_normal(acts[node.name].shape).astype(np.float32)
+        need = tuple(src != INPUT_NAME for src in node.inputs)
         row = {"node": node.name, "kind": node.kind,
-               "input_shape": list(x.shape)}
-        if node.kind == "conv":
-            need = node.inputs[0] != "input"
-            args = (x, p["w"], p.get("b"))
-            geom = (a["stride"], a["pad"])
-            row["fwd_ms"] = median_ms(lambda: ops.conv2d_forward(*args, *geom))
-            row["bwd_ms"] = median_ms(lambda: ops.conv2d_backward(
-                *args, gy, *geom, input_grad=need))
-            row["fwd_macs"] = macs[node.name] * batch
-            row["bwd_macs"] = row["fwd_macs"] * (2 if need else 1)
+               "input_shape": list(ins[0].shape),
+               "fwd_ms": median_ms(lambda: kind.forward(a, p, ins, running, "train")),
+               "bwd_ms": median_ms(lambda: kind.backward(a, p, ins, gy, context, need))}
+        if node.name in macs:
+            row["fwd_macs"] = macs[node.name] * len(x)
+            row["bwd_macs"] = row["fwd_macs"] * (1 + need[0])
             for d in ("fwd", "bwd"):
                 row[f"{d}_gmacs"] = row[f"{d}_macs"] / row[f"{d}_ms"] / 1e6
-        else:
-            eps = a.get("eps", ops.BN_EPS)
-            args = (x, p["gamma"], p["beta"])
-            _, _, saved = ops.batchnorm_train(*args, eps=eps)
-            row["fwd_ms"] = median_ms(lambda: ops.batchnorm_train(*args, eps=eps))
-            row["bwd_ms"] = median_ms(lambda: ops.batchnorm_backward(
-                *args, gy, eps=eps, saved=saved))
-            row["elements"] = int(x.size)
         rows.append(row)
     return rows
 
 
 def kind_totals(rows):
+    """Per kind: node count, summed fwd/bwd ms, and GMAC/s where it has MACs."""
     out = {}
-    for kind in ("conv", "batchnorm"):
+    for kind in dict.fromkeys(r["kind"] for r in rows):
         mine = [r for r in rows if r["kind"] == kind]
-        out[kind] = {"nodes": len(mine),
-                     "fwd_ms": sum(r["fwd_ms"] for r in mine),
-                     "bwd_ms": sum(r["bwd_ms"] for r in mine)}
-    conv = [r for r in rows if r["kind"] == "conv"]
-    for d in ("fwd", "bwd"):
-        out["conv"][f"{d}_gmacs"] = (sum(r[f"{d}_macs"] for r in conv)
-                                     / out["conv"][f"{d}_ms"] / 1e6)
+        out[kind] = {"nodes": len(mine)}
+        for d in ("fwd", "bwd"):
+            out[kind][f"{d}_ms"] = sum(r[f"{d}_ms"] for r in mine)
+            if "fwd_macs" in mine[0]:
+                out[kind][f"{d}_gmacs"] = (sum(r[f"{d}_macs"] for r in mine)
+                                           / out[kind][f"{d}_ms"] / 1e6)
     return out
 
 
@@ -135,9 +128,7 @@ def run(args):
     shape = (4 * args.batch,) + tuple(graph.input_shape)
     data = Dataset(rng.standard_normal(shape).astype(np.float32),
                    rng.integers(0, graph.node("fc").attrs["out"], size=shape[0]))
-    x = data.inputs[:args.batch]
-    acts, _ = forward_pass(graph, store, x, mode="train")
-    rows = node_rows(graph, store, acts, args.batch)
+    rows = node_rows(graph, store, data.inputs[:args.batch])
     return {
         "label": args.label,
         "code_digest": code_digest(os.path.join(ROOT, "src"))[:16],

@@ -2,9 +2,9 @@
 """Run the quarter-scale invariance study end to end.
 
 Generates the synthetic suite, trains the identity trunk, fine-tunes a
-branch at every depth for the nuisance and binary tasks, optionally runs
-linear probes, and writes all reports into the output directory. With the
-default seed and budgets plus --probe, the outputs reproduce the committed
+branch at every depth for the nuisance and binary tasks, runs linear
+probes over the branch layers, and writes all reports into the output
+directory. With the default seed, the outputs reproduce the committed
 reports byte for byte: study.txt matches reports/desk_study.txt, grid.txt
 matches reports/branch_grid.txt, probe.txt matches
 reports/invariance_probe.txt.
@@ -13,8 +13,7 @@ reports/invariance_probe.txt.
 import argparse
 import sys
 
-from branchnet.experiments import (FINETUNE_MINIBATCHES, STUDY_SEED,
-                                   TRUNK_MINIBATCHES, run_desk_study)
+from branchnet.experiments import STUDY_SEED, run_desk_study
 
 
 def main():
@@ -22,17 +21,9 @@ def main():
     parser.add_argument("--out", default="study_out",
                         help="output directory (default: study_out)")
     parser.add_argument("--seed", type=int, default=STUDY_SEED)
-    parser.add_argument("--trunk-steps", type=int, default=TRUNK_MINIBATCHES)
-    parser.add_argument("--finetune-steps", type=int,
-                        default=FINETUNE_MINIBATCHES)
-    parser.add_argument("--probe", action="store_true",
-                        help="also run linear probes over the branch layers")
     args = parser.parse_args()
 
-    result = run_desk_study(args.out, master_seed=args.seed,
-                            trunk_minibatches=args.trunk_steps,
-                            finetune_minibatches=args.finetune_steps,
-                            include_probe=args.probe)
+    result = run_desk_study(args.out, master_seed=args.seed)
     with open(result.report_paths["study"]) as f:
         sys.stdout.write(f.read())
     print(f"\nreports written under {args.out}")

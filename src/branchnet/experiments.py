@@ -35,6 +35,7 @@ REFERENCE_CELLS = (("emotion", "conv19", 0.68), ("age", "conv22", 0.40),
                    ("ethnicity", "fc", 0.72), ("gender", "fc", 0.99))
 PROBE_CHUNK = 128  # samples per inference pass over a probe split
 PROBE_RATE = 0.01  # step size of every linear probe's gradient descent
+PROBE_BATCH = 32  # samples per linear-probe gradient step
 
 
 @dataclass(frozen=True)
@@ -165,17 +166,16 @@ def _layer_table(result: GridResult, best=None) -> list:
     return lines
 
 
-def format_grid_table(grid: GridResult, reference=REFERENCE_CELLS) -> str:
-    """Human-readable grid; the best cell per task column is starred."""
+def format_grid_table(grid: GridResult) -> str:
+    """Human-readable grid; the best cell per task column is starred, and
+    REFERENCE_CELLS follow for orientation."""
     best = {t: grid.best_layer(t) for t in grid.columns}
     lines = [f"branch-depth grid (seed {grid.seed}); columns starred at the "
              f"best layer, ties to the deepest", ""] + _layer_table(grid, best)
-    if reference:
-        lines.append("")
-        lines.append("full-scale reference points, shown for orientation only "
-                     "(different data and scale; never asserted):")
-        for task, layer, acc in reference:
-            lines.append(f"  {task} best at {layer}: {acc:.2f}")
+    lines += ["", "full-scale reference points, shown for orientation only "
+              "(different data and scale; never asserted):"]
+    lines += [f"  {task} best at {layer}: {acc:.2f}"
+              for task, layer, acc in REFERENCE_CELLS]
     return "\n".join(lines) + "\n"
 
 
@@ -184,13 +184,13 @@ def _pooled(a):
     return a.mean(axis=(2, 3)) if a.ndim == 4 else a
 
 
-def _train_linear_probe(feats, labels, num_classes, seed, budget, batch):
+def _train_linear_probe(feats, labels, num_classes, seed, budget):
     n, d = feats.shape
     w = np.zeros((d, num_classes), dtype=np.float64)
     b = np.zeros(num_classes, dtype=np.float64)
     for t in range(budget):
         rng = derive_rng(seed, "probe-batch", t)
-        idx = rng.choice(n, size=batch, replace=n < batch)
+        idx = rng.choice(n, size=PROBE_BATCH, replace=n < PROBE_BATCH)
         logits = feats[idx] @ w + b
         _, _, grad = ops.softmax_cross_entropy(logits, labels[idx])
         w -= PROBE_RATE * (feats[idx].T @ grad)
@@ -200,8 +200,7 @@ def _train_linear_probe(feats, labels, num_classes, seed, budget, batch):
 
 def invariance_probe(graph: GraphSpec, store, layers, factors,
                      train_inputs, train_labels, val_inputs, val_labels,
-                     seed: int, budget: int = 2000, batch: int = 32
-                     ) -> GridResult:
+                     seed: int, budget: int = 2000) -> GridResult:
     """Linear softmax probes on spatially pooled activations.
 
     factors maps factor name -> number of classes; train_labels/val_labels
@@ -222,7 +221,7 @@ def invariance_probe(graph: GraphSpec, store, layers, factors,
         for factor, num_classes in factors.items():
             probe_seed = derive_seed(seed, "probe", layer, factor)
             w, b = _train_linear_probe(ftr64, train_labels[factor], num_classes,
-                                       probe_seed, budget, batch)
+                                       probe_seed, budget)
             pred = (fva64 @ w + b).argmax(axis=1)
             cells[(layer, factor)] = float((pred == val_labels[factor]).mean())
     return GridResult(tuple(layers), tuple(factors), cells, seed)
@@ -246,16 +245,14 @@ class StudyResult:
     manifest_path: str
     trunk_train_accuracy: float
     grid: GridResult
-    probe: object  # the probe's GridResult, or None
+    probe: GridResult
     report_paths: dict
 
 
-def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
-                   trunk_minibatches: int = TRUNK_MINIBATCHES,
-                   finetune_minibatches: int = FINETUNE_MINIBATCHES,
-                   include_probe: bool = False) -> StudyResult:
+def run_desk_study(out_dir, master_seed: int = STUDY_SEED) -> StudyResult:
     """End-to-end quarter-scale study: generate data, train the identity
-    trunk, run the branch grid (and optionally probes), write reports.
+    trunk for TRUNK_MINIBATCHES steps, run the branch grid at
+    FINETUNE_MINIBATCHES steps per cell and the probes, write reports.
     Each split's tensors are read once; the trunk trains on the train
     split's "identity" task, beside the grid's DESK_TASKS.
 
@@ -270,7 +267,7 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
     arch = ArchConfig.desk(num_identities=spec.num_identities)
     graph = build_trunk(arch)
     trunk_cfg = TrainConfig.desk(seed=derive_seed(master_seed, "trunk"),
-                                 max_minibatches=trunk_minibatches)
+                                 max_minibatches=TRUNK_MINIBATCHES)
     store = init_params(graph, trunk_cfg)
 
     identity = GridTask("identity", "identity", spec.num_identities)
@@ -287,7 +284,7 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
     save_checkpoint(paths["trunk"], graph, store)
     trunk_log.write(paths["trunk_log"])
 
-    ft_cfg = TrainConfig.desk(max_minibatches=finetune_minibatches)
+    ft_cfg = TrainConfig.desk(max_minibatches=FINETUNE_MINIBATCHES)
     grid = branch_grid(graph, store, DESK_TASKS, train_sets, val_sets, ft_cfg,
                        master_seed)
     with open(paths["grid_matrix"], "w") as f:
@@ -295,24 +292,20 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED,
     with open(paths["grid_table"], "w") as f:
         f.write(format_grid_table(grid))
 
-    probe = None
-    if include_probe:
-        factors = {t.name: t.num_classes for t in DESK_TASKS
-                   if t.loss == "softmax"}
-        probe_layers = ("input",) + graph.branch_points
-        probe = invariance_probe(
-            graph, store, probe_layers, factors,
-            train_sets["identity"].inputs,
-            {f: train_sets[f].labels for f in factors},
-            val_sets[DESK_TASKS[0].name].inputs,
-            {f: val_sets[f].labels for f in factors},
-            seed=derive_seed(master_seed, "probe"))
-        paths["probe_matrix"] = os.path.join(out_dir, "probe.tsv")
-        paths["probe_table"] = os.path.join(out_dir, "probe.txt")
-        with open(paths["probe_matrix"], "w") as f:
-            f.write(format_probe_matrix(probe))
-        with open(paths["probe_table"], "w") as f:
-            f.write(format_probe_table(probe))
+    factors = {t.name: t.num_classes for t in DESK_TASKS if t.loss == "softmax"}
+    probe = invariance_probe(
+        graph, store, ("input",) + graph.branch_points, factors,
+        train_sets["identity"].inputs,
+        {f: train_sets[f].labels for f in factors},
+        val_sets[DESK_TASKS[0].name].inputs,
+        {f: val_sets[f].labels for f in factors},
+        seed=derive_seed(master_seed, "probe"))
+    paths["probe_matrix"] = os.path.join(out_dir, "probe.tsv")
+    paths["probe_table"] = os.path.join(out_dir, "probe.txt")
+    with open(paths["probe_matrix"], "w") as f:
+        f.write(format_probe_matrix(probe))
+    with open(paths["probe_table"], "w") as f:
+        f.write(format_probe_table(probe))
 
     summary = _study_summary(master_seed, trunk_cfg, trunk_acc, grid, probe)
     with open(paths["study"], "w") as f:
@@ -333,6 +326,5 @@ def _study_summary(seed, trunk_cfg, trunk_acc, grid: GridResult, probe) -> str:
                      f"(final-layer branch: {fc_acc:.4f})")
     lines.append("")
     lines.append(format_grid_table(grid))
-    if probe is not None:
-        lines.append(format_probe_table(probe))
+    lines.append(format_probe_table(probe))
     return "\n".join(lines)

@@ -22,8 +22,11 @@ config.parse_records):
 Each checkpoint holds weights only: trainable flags, parameters and
 running statistics, no momentum, which serving never reads. load_bundle
 also drops momentum that a bundle written with it carries. A missing
-file, a heads.txt line that does not parse, or a head that add_head
-rejects is a ValueError, so a bundle that loads serves every request.
+file, a heads.txt line that does not parse, a checkpoint with a batchnorm
+whose running statistics are missing or were never counted (count 0, as
+init_params leaves them), or a head that add_head rejects is a
+ValueError naming the file, line, node or record, so a bundle that loads
+serves every request.
 """
 
 import os
@@ -36,8 +39,9 @@ from .accounting import count_flops, suffix_macs
 from .config import load_records
 from .engine import boundary, forward_pass
 from .graph import GraphSpec, head_graph
-from .params import (SERVED, ParamStore, load_checkpoint, prefix_records,
-                     save_checkpoint, share_prefix)
+from .params import (RECORD_TABLE, ParamStore, batchnorm_nodes,
+                     load_checkpoint, prefix_records, save_checkpoint,
+                     share_prefix)
 from .train import check_task
 
 HEADS_FILE = "heads.txt"
@@ -92,7 +96,7 @@ class MultiHeadModel:
         mine = prefix_records(graph, store, bidx)
         theirs = prefix_records(self.trunk_graph, self.trunk_store, bidx)
         for rname in sorted(mine.keys() | theirs.keys()):
-            if (rname.startswith(SERVED)
+            if (RECORD_TABLE[rname.partition("/")[0]].served
                     and not _same_bits(mine.get(rname), theirs.get(rname))):
                 raise ValueError(f"head {spec.task!r} record {rname!r} does "
                                  f"not match the trunk's bit for bit")
@@ -195,15 +199,25 @@ def save_bundle(dirpath, model: MultiHeadModel):
 
 
 def load_bundle(dirpath) -> MultiHeadModel:
-    trunk_graph, trunk_store = load_checkpoint(_bundle_file(dirpath, TRUNK_FILE))
-    trunk_store.momentum.clear()
-    model = MultiHeadModel(trunk_graph, trunk_store)
+    model = MultiHeadModel(*_load_servable(dirpath, TRUNK_FILE))
     for spec in load_records(HeadSpec, _bundle_file(dirpath, HEADS_FILE)):
-        path = _bundle_file(dirpath, f"{spec.task}.ckpt")
-        graph, store = load_checkpoint(path)
-        store.momentum.clear()
-        model.add_head(spec, graph, store)
+        model.add_head(spec, *_load_servable(dirpath, f"{spec.task}.ckpt"))
     return model
+
+
+def _load_servable(dirpath, name):
+    """(graph, store) of a bundle checkpoint, momentum dropped. Every
+    batchnorm runs in inference mode, so one without running statistics
+    counted at least once is a ValueError naming the file and the node."""
+    path = _bundle_file(dirpath, name)
+    graph, store = load_checkpoint(path)
+    for bn in batchnorm_nodes(graph):
+        if bn not in store.running or store.running[bn].count < 1:
+            raise ValueError(f"bundle checkpoint {path!r}: batchnorm {bn!r} has "
+                             f"no running statistics with a count >= 1, so it "
+                             f"cannot serve")
+    store.momentum.clear()
+    return graph, store
 
 
 def _bundle_file(dirpath, name):

@@ -15,26 +15,21 @@ Checkpoint layout (all integers little-endian):
       u32 name length, name (utf-8), u64 element count, float32 data
   trailing 8-byte checksum (sha256 prefix) over every preceding byte.
 
-store_records names a store's state as records, each with a kind prefix:
-"a/" array, "m/" momentum, "t/" trainable flag (one element, 0 or 1), "rm/"
-running mean, "rv/" running variance, "rc/" running count (one element).
-A store with any momentum is written with a zero "m/" record for each
-parameter without one. Records are written sorted by name, so a checkpoint
-for given contents is byte-identical across runs.
-
-A checkpoint that loads is complete: every parameter has its "a/" and "t/"
-records, "m/" records cover every parameter or none, and running
-statistics cover every batchnorm node or none. Every value of an "a/",
-"m/", "rm/" or "rv/" record is finite, and no "rv/" value is negative.
-Every "t/" value is exactly 0 or 1. Any other record set, a record of the
-wrong size or one whose name or data runs past the checksum, or a value
-outside these bounds raises ValueError naming the record or its offset.
+RECORD_TABLE states each record kind once, keyed by its name's prefix.
+store_records names a store's state through it, the writer adds a zero
+"m/" record for each parameter without momentum when any has one, and
+parse_checkpoint reads the records back in one pass. Records are written
+sorted by name, so a checkpoint for given contents is byte-identical
+across runs. A record set the table does not allow, a repeated record, a
+record of the wrong size or one whose name or data runs past the
+checksum, or a value outside its kind's rule is a ValueError naming the
+record or its offset.
 """
 
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,9 +39,9 @@ from .graph import NODE_KINDS, GraphSpec, compute_shapes
 
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
-RECORD_KINDS = ("a", "m", "t", "rm", "rv", "rc")
-FINITE_KINDS = ("a", "m", "rm", "rv")  # whose every value must be finite
-SERVED = ("a/", "rm/", "rv/", "rc/")  # record prefixes inference reads
+PARAMETER, BATCHNORM = "parameter", "batchnorm node"  # record owners
+NEEDED = "every parameter needs its array and trainable flag"
+RUNNING = "running statistics cover every batchnorm node or none"
 
 
 def param_shapes(graph: GraphSpec) -> dict:
@@ -85,6 +80,53 @@ class ParamStore:
         )
 
 
+@dataclass(frozen=True)
+class RecordKind:
+    """One kind of record, keyed in RECORD_TABLE by its name's prefix."""
+
+    owner: str  # PARAMETER or BATCHNORM: what the rest of the name names
+    slot: str  # the ParamStore dict or RunningStats field its value fills
+    dtype: type | None  # one value, written as dtype, or None: one per owner element
+    rule: str  # "finite", "variance" (also >= 0), "flag" (0 or 1) or "count" (>= 0)
+    served: bool  # whether inference reads it
+    cover: str  # the completeness rule of the kinds that share it
+    optional: bool = True  # whether those kinds may all be absent
+
+    def values(self, store: ParamStore) -> dict:
+        """Owner name -> this kind's value in store."""
+        if self.owner == PARAMETER:
+            return getattr(store, self.slot)
+        return {bn: getattr(rs, self.slot) for bn, rs in store.running.items()}
+
+    def read(self, rname, flat, shape):
+        """The store value of record rname, whose data is flat; a value the
+        rule forbids is a ValueError naming the record."""
+        if self.dtype is not None:  # one value: a 0/1 flag or a count >= 0
+            v, flag = flat[0], self.rule == "flag"
+            if not (v in (0.0, 1.0) if flag else np.isfinite(v) and v >= 0):
+                what = "a trainable flag of 0 or 1" if flag else "a count >= 0"
+                raise ValueError(f"checkpoint record {rname!r} holds {v}, not {what}")
+            return bool(v) if flag else int(v)
+        # min and max propagate NaN and hold any inf, with no temporary
+        lo, hi = flat.min(), flat.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"checkpoint record {rname!r} holds a non-finite value")
+        if self.rule == "variance" and lo < 0:
+            raise ValueError(f"checkpoint record {rname!r} holds a negative variance")
+        return flat.reshape(shape)
+
+
+RECORD_TABLE = {  # owner, slot, dtype, rule, served, cover, optional
+    "a": RecordKind(PARAMETER, "arrays", None, "finite", True, NEEDED, False),
+    "m": RecordKind(PARAMETER, "momentum", None, "finite", False,
+                    "momentum covers every parameter or none"),
+    "t": RecordKind(PARAMETER, "trainable", np.float32, "flag", False, NEEDED, False),
+    "rm": RecordKind(BATCHNORM, "mean", None, "finite", True, RUNNING),
+    "rv": RecordKind(BATCHNORM, "var", None, "variance", True, RUNNING),
+    "rc": RecordKind(BATCHNORM, "count", np.int64, "count", True, RUNNING),
+}
+
+
 def frozen_names(graph: GraphSpec, branch_index: int):
     """Parameter names owned by nodes strictly before the branch index."""
     shapes = param_shapes(graph)
@@ -98,25 +140,17 @@ def frozen_names(graph: GraphSpec, branch_index: int):
 def store_records(store: ParamStore) -> dict:
     """Record name -> that value's flat array, a view of the store's own in
     its native dtype; "t/" is a float32 flag and "rc/" an int64 count."""
-    records = {}
-    for kind, values in (("a", store.arrays), ("m", store.momentum)):
-        for name, arr in values.items():
-            records[f"{kind}/{name}"] = arr.reshape(-1)
-    for name, flag in store.trainable.items():
-        records["t/" + name] = np.array([flag], dtype=np.float32)
-    for bn, rs in store.running.items():
-        records["rm/" + bn] = rs.mean.reshape(-1)
-        records["rv/" + bn] = rs.var.reshape(-1)
-        records["rc/" + bn] = np.array([rs.count], dtype=np.int64)
-    return records
+    return {f"{prefix}/{name}": np.asarray(value, kind.dtype).reshape(-1)
+            for prefix, kind in RECORD_TABLE.items()
+            for name, value in kind.values(store).items()}
 
 
 def prefix_records(graph: GraphSpec, store: ParamStore, index: int) -> dict:
-    """The store's records owned by nodes before index: the node an "r*"
-    record names, or the one owning the parameter another names."""
+    """The store's records owned by nodes before index: the batchnorm node
+    a record names, or the node owning the parameter it names."""
     def owner(rname):
-        kind, _, name = rname.partition("/")
-        return name if kind.startswith("r") else param_owner(name)
+        prefix, _, name = rname.partition("/")
+        return name if RECORD_TABLE[prefix].owner == BATCHNORM else param_owner(name)
     return {rname: flat for rname, flat in store_records(store).items()
             if graph.index(owner(rname)) < index}
 
@@ -155,19 +189,15 @@ def frozen_checksum(graph: GraphSpec, store: ParamStore, branch_index: int) -> s
 def checkpoint_bytes(graph: GraphSpec, store: ParamStore) -> bytes:
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     gtext = graph.serialize().encode()
-    chunks.append(struct.pack("<Q", len(gtext)))
-    chunks.append(gtext)
-    records = store_records(store)
+    chunks += [struct.pack("<Q", len(gtext)), gtext]
     if store.momentum:  # a parameter without a velocity is at rest
-        for name, arr in store.arrays.items():
-            records.setdefault("m/" + name, np.zeros(arr.size, np.float32))
-    for name in sorted(records):
-        data = records[name]
+        store = replace(store, momentum={
+            **{name: np.zeros_like(arr) for name, arr in store.arrays.items()},
+            **store.momentum})
+    for name, data in sorted(store_records(store).items()):
         nb = name.encode()
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<Q", data.size))
-        chunks.append(data.astype("<f4").tobytes())
+        chunks += [struct.pack("<I", len(nb)), nb, struct.pack("<Q", data.size),
+                   data.astype("<f4").tobytes()]
     body = b"".join(chunks)
     return body + checksum64(body)
 
@@ -203,7 +233,13 @@ def parse_checkpoint(data: bytes):
     compute_shapes(graph)  # a graph that cannot run fails here, naming the node
     off += glen
 
-    records = {}
+    owners = {PARAMETER: param_shapes(graph),
+              BATCHNORM: {bn: (graph.node(bn).attrs["ch"],)
+                          for bn in batchnorm_nodes(graph)}}
+    store, parts = ParamStore(), {}  # parts: RunningStats field -> bn -> value
+    slots = {prefix: getattr(store, kind.slot) if kind.owner == PARAMETER
+             else parts.setdefault(kind.slot, {})
+             for prefix, kind in RECORD_TABLE.items()}
     while off < end:
         # each length is checked against the bytes left before the checksum
         # (a record needs 12 besides its name and data) before it is used
@@ -211,74 +247,36 @@ def parse_checkpoint(data: bytes):
         if nlen > end - off - 12:
             raise ValueError(f"checkpoint record name at offset {off} runs "
                              f"past the checksum ({nlen} bytes)")
-        name = data[off + 4:off + 4 + nlen].decode()
+        rname = data[off + 4:off + 4 + nlen].decode()
         off += 4 + nlen
         (count,) = struct.unpack_from("<Q", data, off)
         off += 8
         if count > (end - off) // 4:
-            raise ValueError(f"checkpoint record {name!r} runs past the "
+            raise ValueError(f"checkpoint record {rname!r} runs past the "
                              f"checksum ({count} elements)")
-        records[name] = np.frombuffer(data, dtype="<f4", count=count,
-                                      offset=off).copy()
+        prefix, _, name = rname.partition("/")
+        if prefix not in RECORD_TABLE:
+            raise ValueError(f"unknown checkpoint record kind {prefix!r}")
+        kind, slot = RECORD_TABLE[prefix], slots[prefix]
+        shape = owners[kind.owner].get(name)
+        if shape is None:
+            raise ValueError(f"checkpoint names unknown {kind.owner} {name!r}")
+        if name in slot:
+            raise ValueError(f"checkpoint repeats record {rname!r}")
+        size = math.prod(shape) if kind.dtype is None else 1
+        if count != size:
+            raise ValueError(f"checkpoint record {rname!r} has {count} "
+                             f"elements, graph expects {size}")
+        flat = np.frombuffer(data, dtype="<f4", count=count, offset=off).copy()
+        slot[name] = kind.read(rname, flat, shape)
         off += 4 * count
 
-    shapes = param_shapes(graph)
-    bns = batchnorm_nodes(graph)
-    sizes = {}
-    for name, shape in shapes.items():
-        sizes["a/" + name] = sizes["m/" + name] = math.prod(shape)
-        sizes["t/" + name] = 1
-    for bn in bns:
-        sizes["rm/" + bn] = sizes["rv/" + bn] = graph.node(bn).attrs["ch"]
-        sizes["rc/" + bn] = 1
-    for rname, flat in records.items():
-        kind, _, name = rname.partition("/")
-        if kind not in RECORD_KINDS:
-            raise ValueError(f"unknown checkpoint record kind {kind!r}")
-        if rname not in sizes:
-            owner = "batchnorm node" if kind.startswith("r") else "parameter"
-            raise ValueError(f"checkpoint names unknown {owner} {name!r}")
-        if flat.size != sizes[rname]:
-            raise ValueError(f"checkpoint record {rname!r} has {flat.size} "
-                             f"elements, graph expects {sizes[rname]}")
-        if kind in FINITE_KINDS:
-            # min and max propagate NaN and hold any inf, with no temporary
-            lo, hi = flat.min(), flat.max()
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError(f"checkpoint record {rname!r} holds a non-finite value")
-            if kind == "rv" and lo < 0:
-                raise ValueError(f"checkpoint record {rname!r} holds a negative variance")
-        if kind == "t" and flat[0] not in (0.0, 1.0):
-            raise ValueError(f"checkpoint record {rname!r} holds {flat[0]}, "
-                             f"not a trainable flag of 0 or 1")
-    _require_records(records, [k + n for k in ("a/", "t/") for n in shapes],
-                     "every parameter needs its array and trainable flag",
-                     all_or_none=False)
-    _require_records(records, ["m/" + n for n in shapes],
-                     "momentum covers every parameter or none")
-    _require_records(records, [k + bn for bn in bns for k in ("rm/", "rv/", "rc/")],
-                     "running statistics cover every batchnorm node or none")
-
-    store = ParamStore()
-    for name in sorted(shapes):
-        store.arrays[name] = records["a/" + name].reshape(shapes[name])
-        store.trainable[name] = bool(records["t/" + name][0])
-        if "m/" + name in records:
-            store.momentum[name] = records["m/" + name].reshape(shapes[name])
-    for bn in bns:
-        if "rc/" + bn in records:
-            count = records["rc/" + bn][0]
-            if not (np.isfinite(count) and count >= 0):
-                raise ValueError(f"checkpoint record {'rc/' + bn!r} holds "
-                                 f"{count}, not a count >= 0")
-            store.running[bn] = ops.RunningStats(
-                records["rm/" + bn], records["rv/" + bn], int(count))
+    for prefix, kind in RECORD_TABLE.items():  # completeness, on the key sets
+        missing = [name for name in owners[kind.owner] if name not in slots[prefix]]
+        if missing and not (kind.optional and not any(
+                slots[p] for p, k in RECORD_TABLE.items() if k.cover == kind.cover)):
+            raise ValueError(f"checkpoint lacks record "
+                             f"{prefix + '/' + missing[0]!r}: {kind.cover}")
+    store.running = {bn: ops.RunningStats(**{f: p[bn] for f, p in parts.items()})
+                     for bn in owners[BATCHNORM] if bn in parts["count"]}
     return graph, store
-
-
-def _require_records(records, names, rule, all_or_none=True):
-    """Raise naming the first of names the records lack, unless they hold
-    all of them (or, when all_or_none, none of them)."""
-    missing = [n for n in names if n not in records]
-    if missing and not (all_or_none and len(missing) == len(names)):
-        raise ValueError(f"checkpoint lacks record {missing[0]!r}: {rule}")

@@ -44,7 +44,7 @@ def verdict(num, name, ok, detail):
 def study(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_study")
     t0 = time.perf_counter()
-    result = run_desk_study(str(out), include_probe=True)
+    result = run_desk_study(str(out))
     return result, time.perf_counter() - t0
 
 

@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from branchnet.accounting import count_flops
-from branchnet.graph import ArchConfig, build_trunk
+from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,16 +31,25 @@ def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
     macs = count_flops(graph).per_node_macs
     kinds = {n.name: n.kind for n in graph.nodes}
     rows = {r["node"]: r for r in bench["nodes"]}
+    # every node whose kind has a backward: all but the softmax head
     assert sorted(rows) == sorted(n for n, k in kinds.items()
-                                  if k in ("conv", "batchnorm"))
+                                  if NODE_KINDS[k].backward is not None)
+    assert len(rows) == len(graph.nodes) - 1
     for name, row in rows.items():
         assert row["kind"] == kinds[name]
         assert row["fwd_ms"] > 0 and row["bwd_ms"] > 0
-        if row["kind"] == "conv":
+        assert ("fwd_macs" in row) == (name in macs)
+        if name in macs:
             assert row["fwd_macs"] == 2 * macs[name]
             # the stem's input gradient is not computed
             assert row["bwd_macs"] == row["fwd_macs"] * (1 if name == "conv1" else 2)
             assert row["fwd_gmacs"] > 0 and row["bwd_gmacs"] > 0
+    assert set(bench["kinds"]) == {r["kind"] for r in rows.values()}
+    for kind, total in bench["kinds"].items():
+        mine = [r for r in rows.values() if r["kind"] == kind]
+        assert total["nodes"] == len(mine)
+        assert total["fwd_ms"] == pytest.approx(sum(r["fwd_ms"] for r in mine))
+        assert ("fwd_gmacs" in total) == (kind in ("conv", "fc"))
     assert bench["kinds"]["conv"]["nodes"] == 28
     assert bench["kinds"]["batchnorm"]["nodes"] == 24
     step = bench["train_step"]

@@ -17,8 +17,9 @@ from branchnet.common import checksum64
 from branchnet.dataio import Manifest, read_tensor, split_ids, write_tensor
 from branchnet.experiments import GridTask, load_tasks
 from branchnet.graph import ArchConfig, build_trunk
+from branchnet.multihead import HeadSpec, MultiHeadModel, save_bundle
 from branchnet.params import load_checkpoint, save_checkpoint
-from branchnet.train import TrainConfig, init_params
+from branchnet.train import TrainConfig, init_params, make_branch
 
 # quarter-scale single-channel trunk over 4 identities, everywhere below
 ARCH = ["--set", "arch.scale_factor=0.25", "--set", "arch.in_channels=1",
@@ -532,6 +533,25 @@ def test_predict_rejects_a_bundle_without_running_statistics(capsys, tmp_path,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "batchnorm 'bn1' has no running statistics" in err
+
+
+def test_predict_rejects_a_bundle_never_counted(capsys, tmp_path, corpus,
+                                               trunk_ckpt):
+    # an init_params trunk holds running statistics counted 0 times
+    graph, _ = load_checkpoint(trunk_ckpt)
+    model = MultiHeadModel(graph, init_params(graph, TrainConfig(seed=5)))
+    br = make_branch(graph, model.trunk_store, "conv21", 2, seed=1)
+    model.add_head(HeadSpec("binary", "conv21", 2, "softmax"), br.graph, br.store)
+    bundle = tmp_path / "bundle"
+    save_bundle(bundle, model)
+    out = tmp_path / "p.txt"
+    rc, stdout, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                              "--data", corpus, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "trunk.ckpt" in err and "batchnorm 'bn1'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("heads", [

@@ -19,10 +19,10 @@ from branchnet.common import derive_rng, derive_seed
 from branchnet.dataio import (Manifest, SynthSpec, bitmask_to_vector,
                               generate_synthetic, load_batch, split_ids,
                               write_tensor)
-from branchnet.experiments import (GridResult, GridTask, branch_grid,
-                                   format_grid_matrix, format_grid_table,
-                                   format_probe_matrix, invariance_probe,
-                                   load_tasks)
+from branchnet.experiments import (REFERENCE_CELLS, GridResult, GridTask,
+                                   branch_grid, format_grid_matrix,
+                                   format_grid_table, format_probe_matrix,
+                                   invariance_probe, load_tasks)
 from branchnet.train import Dataset, TrainConfig
 
 TASKS = (GridTask("nuisance", "nuisance", 7),
@@ -77,18 +77,19 @@ def test_grid_matrix_round_trips_cell_values():
 
 
 def test_grid_table_stars_one_cell_per_task():
-    table = format_grid_table(small_grid(), reference=())
+    table = format_grid_table(small_grid())
     assert "ties to the deepest" in table
     assert table.count("*") == 2
     fc_row = next(l for l in table.splitlines() if l.startswith("fc"))
     assert fc_row.count("*") == 1  # task a resolves to fc
 
 
-def test_grid_table_reference_block_is_optional():
-    with_ref = format_grid_table(small_grid())
-    assert "orientation only" in with_ref
-    assert "orientation only" not in format_grid_table(small_grid(),
-                                                       reference=())
+def test_grid_table_ends_with_the_reference_points():
+    lines = format_grid_table(small_grid()).splitlines()
+    assert "orientation only" in lines[-1 - len(REFERENCE_CELLS)]
+    assert lines[-len(REFERENCE_CELLS):] == [
+        f"  {task} best at {layer}: {acc:.2f}"
+        for task, layer, acc in REFERENCE_CELLS]
 
 
 def test_branch_grid_rejects_non_branch_layer(desk_graph, warm_desk_store):
@@ -120,8 +121,7 @@ def test_probe_reads_a_linear_factor_from_pooled_input(desk_graph,
     xv += 3.0 * yv[:, None, None, None]
     result = invariance_probe(desk_graph, warm_desk_store, ["input"],
                               {"offset": 2}, xt, {"offset": yt},
-                              xv, {"offset": yv}, seed=5, budget=300,
-                              batch=12)
+                              xv, {"offset": yv}, seed=5, budget=300)
     assert result.cells[("input", "offset")] == 1.0
 
 
@@ -161,12 +161,11 @@ def test_probe_over_many_layers_equals_one_layer_at_a_time(desk_graph,
     factors = {"f": 3, "g": 2}
     layers = ("input", "conv17", "conv22", "avgpool", "fc")
     many = invariance_probe(desk_graph, warm_desk_store, layers, factors, xt,
-                            labels, xv, val_labels, seed=8, budget=20, batch=4)
+                            labels, xv, val_labels, seed=8, budget=20)
     assert set(many.cells) == {(l, f) for l in layers for f in factors}
     for layer in layers:
         one = invariance_probe(desk_graph, warm_desk_store, [layer], factors,
-                               xt, labels, xv, val_labels, seed=8, budget=20,
-                               batch=4)
+                               xt, labels, xv, val_labels, seed=8, budget=20)
         for factor in factors:
             assert one.cells[(layer, factor)] == many.cells[(layer, factor)]
 

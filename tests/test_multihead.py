@@ -341,3 +341,27 @@ def test_bundle_written_with_momentum_loads_without_it(tmp_path, model):
     np.testing.assert_array_equal(a.identity_logits, b.identity_logits)
     for task in a.tasks:
         np.testing.assert_array_equal(a.tasks[task].scores, b.tasks[task].scores)
+
+
+def test_a_bundle_that_cannot_serve_is_rejected_at_load(tmp_path, model):
+    # an init_params trunk: every batchnorm counted 0 times
+    graph = model.trunk_graph
+    fresh = MultiHeadModel(graph, init_params(graph, TrainConfig.desk(seed=2)))
+    br = make_branch(graph, fresh.trunk_store, "conv21", 3, seed=4)
+    fresh.add_head(HeadSpec("late", "conv21", 3, "softmax"), br.graph, br.store)
+    save_bundle(tmp_path / "fresh", fresh)
+    assert load_checkpoint(tmp_path / "fresh" / "trunk.ckpt")[1].running
+    with pytest.raises(ValueError, match=r"trunk\.ckpt': batchnorm 'bn1' has no "
+                                         r"running statistics with a count >= 1"):
+        load_bundle(tmp_path / "fresh")
+
+    # a counted trunk, but a head whose retrained suffix was never counted
+    late = MultiHeadModel(graph, model.trunk_store)
+    br = make_branch(graph, model.trunk_store, "conv21", 3, seed=4)
+    late.add_head(HeadSpec("late", "conv21", 3, "softmax"), br.graph, br.store)
+    save_bundle(tmp_path / "late", late)
+    first = next(n.name for n in graph.nodes[graph.index("conv21"):]
+                 if n.kind == "batchnorm")
+    with pytest.raises(ValueError, match=rf"late\.ckpt': batchnorm '{first}' has "
+                                         rf"no running statistics"):
+        load_bundle(tmp_path / "late")

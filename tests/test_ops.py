@@ -419,7 +419,7 @@ def batchnorm_case(dtype, shape):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", BATCHNORM_SHAPES)
-def test_batchnorm_train_is_bitwise_the_np_var_formulation(dtype, shape):
+def test_batchnorm_train_is_bitwise_the_closed_form(dtype, shape):
     """Pins the bits of batchnorm_closed_form_reference: np.var's two-pass
     formulation (the mean, then the mean squared deviation from it) with
     each sum an einsum contraction, so the variance is np.var's to within

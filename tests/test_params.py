@@ -235,6 +235,19 @@ def test_running_statistics_cover_every_batchnorm_node_or_none(trained_desk):
         parse_checkpoint(seal(head, one_node))
 
 
+@pytest.mark.parametrize("record", ["a/fc/b", "t/conv1/w", "rc/bn1"])
+def test_a_repeated_record_is_rejected(trained_desk, record):
+    data, _ = trained_desk
+    head, records = split_records(data)
+    i = [name for name, _ in records].index(record)
+    raw = records[i][1]
+    (nlen,) = struct.unpack_from("<I", raw, 0)
+    again = raw[:12 + nlen] + np.ones((len(raw) - 12 - nlen) // 4, "<f4").tobytes()
+    twice = records[:i + 1] + [(record, again)] + records[i + 1:]
+    with pytest.raises(ValueError, match=f"checkpoint repeats record '{record}'"):
+        parse_checkpoint(seal(head, twice))
+
+
 def test_record_sizes_and_owners_are_checked():
     def stray_flag(s):
         s.trainable["nowhere/w"] = True
