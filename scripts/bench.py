@@ -20,7 +20,12 @@ It records:
     for no gradient of the network input;
   - the desk train step: STEPS one-step train() calls at the batch, each on
     its own seeded minibatch, after two untimed warm-up steps; median,
-    quartiles and minimum ms.
+    quartiles and minimum ms;
+  - the branch grid at perfbench's branch-study size: GRID_CALLS
+    branch_grid calls over every branch point x DESK_TASKS, GRID_STEPS
+    fine-tune steps per cell at the batch, on GRID_TRAIN training and
+    GRID_VAL held-out samples of random data; seconds of each call and
+    their median. It runs on the store the train steps left.
 
 Compare two files only when both were measured on one host. The machine
 block says which host that was.
@@ -42,6 +47,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from branchnet.accounting import count_flops  # noqa: E402
 from branchnet.engine import _node_params, forward_pass  # noqa: E402
+from branchnet.experiments import DESK_TASKS, branch_grid  # noqa: E402
 from branchnet.graph import INPUT_NAME, NODE_KINDS, ArchConfig, build_trunk  # noqa: E402
 from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
 from harness import code_digest, fingerprint, gemm_ceiling_gmacs  # noqa: E402
@@ -50,6 +56,9 @@ SEED = 1501  # weights, inputs, labels and output gradients
 REPS = 7  # timed calls per node and direction (median)
 STEPS = 40  # timed train steps
 GEMM_SIZE = 1024  # n of the n^3 float32 GEMM ceiling
+GRID_CALLS = 3  # timed branch_grid calls
+GRID_STEPS = 20  # fine-tune steps per grid cell
+GRID_TRAIN, GRID_VAL = 64, 16  # training and held-out samples of the grid
 
 
 def median_ms(fn):
@@ -120,6 +129,28 @@ def train_steps(graph, store, data, cfg):
             "q1_ms": q1, "q3_ms": q3, "min_ms": min(times)}
 
 
+def grid_calls(graph, store, batch):
+    """Seconds of each of GRID_CALLS branch_grid calls, and their median."""
+    rng = np.random.default_rng(SEED + 1)
+
+    def split(n):  # one inputs array shared by every task, as load_tasks
+        x = rng.standard_normal((n,) + tuple(graph.input_shape)).astype(np.float32)
+        return {t.name: Dataset(x, rng.integers(0, t.num_classes, size=n))
+                for t in DESK_TASKS}
+
+    train_sets, val_sets = split(GRID_TRAIN), split(GRID_VAL)
+    cfg = TrainConfig.desk(batch_size=batch, max_minibatches=GRID_STEPS)
+    times = []
+    for _ in range(GRID_CALLS):
+        t0 = time.perf_counter()
+        branch_grid(graph, store, DESK_TASKS, train_sets, val_sets, cfg, SEED)
+        times.append(time.perf_counter() - t0)
+    return {"layers": len(graph.branch_points), "tasks": len(DESK_TASKS),
+            "steps": GRID_STEPS, "train_samples": GRID_TRAIN,
+            "val_samples": GRID_VAL, "calls_s": times,
+            "median_s": statistics.median(times)}
+
+
 def run(args):
     graph = build_trunk(ArchConfig.desk())
     cfg = TrainConfig.desk(batch_size=args.batch, seed=SEED)
@@ -139,6 +170,7 @@ def run(args):
         "kinds": kind_totals(rows),
         "nodes": rows,
         "train_step": train_steps(graph, store, data, cfg),
+        "grid": grid_calls(graph, store, args.batch),
     }
 
 
@@ -163,7 +195,8 @@ def main(argv=None):
     print(f"wrote {path}: conv fwd {k['conv']['fwd_ms']:.1f} ms, bwd "
           f"{k['conv']['bwd_ms']:.1f} ms; batchnorm fwd "
           f"{k['batchnorm']['fwd_ms']:.1f} ms, bwd {k['batchnorm']['bwd_ms']:.1f} "
-          f"ms; train step median {step['median_ms']:.1f} ms")
+          f"ms; train step median {step['median_ms']:.1f} ms; branch grid "
+          f"median {result['grid']['median_s']:.2f} s")
     return 0
 
 

@@ -20,8 +20,10 @@ Partial execution supports fine-tuning and shared-trunk evaluation:
 
 boundary(graph, i) names what a pass resumed at node i reads of the
 prefix. infer() is the one chunked inference loop, used by train()'s
-frozen prefix, evaluation and probes; multihead keeps the logits and each
-head's boundary, then resumes each head keeping only its last node.
+frozen prefix, evaluation, the branch grid's shared prefix pass and the
+probes; it starts at node 0 from {"input": x}, or at node i from the
+boundary's activations. multihead keeps the logits and each head's
+boundary, then resumes each head keeping only its last node.
 
 Saved contexts let a backward skip work its forward already did. Given a
 `saved` dict, forward_pass stores there the context each node hands back
@@ -122,13 +124,17 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
     return acts, bn_updates
 
 
-def infer(graph: GraphSpec, store, x, keep, batch):
-    """Inference-mode passes over x in chunks of batch samples; returns
-    each kept activation for every sample, concatenated over the chunks.
-    x must hold at least one sample."""
+def infer(graph: GraphSpec, store, sources, keep, batch, start=0):
+    """Inference-mode passes resumed at node start over the named source
+    arrays ({"input": x} from node 0, or boundary(graph, start)'s
+    activations), in chunks of batch samples; returns each kept activation
+    for every sample, concatenated over the chunks. The sources hold one
+    row per sample, at least one sample."""
     parts = {name: [] for name in keep}
-    for lo in range(0, len(x), batch):
-        acts, _ = forward_pass(graph, store, x[lo:lo + batch], mode="infer",
+    for lo in range(0, len(next(iter(sources.values()))), batch):
+        acts, _ = forward_pass(graph, store, None, mode="infer", start=start,
+                               cache={name: a[lo:lo + batch]
+                                      for name, a in sources.items()},
                                keep=keep)
         for name, a in acts.items():
             parts[name].append(a)

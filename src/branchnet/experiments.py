@@ -22,11 +22,12 @@ from . import ops
 from .common import derive_rng, derive_seed
 from .dataio import (SynthSpec, generate_synthetic, load_batch, load_labels,
                      split_ids)
-from .engine import infer
-from .graph import ArchConfig, GraphSpec, build_trunk
+from .engine import boundary, infer
+from .graph import INPUT_NAME, ArchConfig, GraphSpec, build_trunk
 from .params import save_checkpoint
-from .train import (Dataset, TrainConfig, check_task, evaluate_accuracy,
-                    finetune, init_params, make_branch, train)
+from .train import (EVAL_CHUNK, Dataset, TrainConfig, check_task,
+                    evaluate_accuracy, finetune, init_params, make_branch,
+                    train)
 
 # Reference accuracies shown alongside grid reports for orientation only;
 # they come from a full-scale study on real face data and are never
@@ -115,10 +116,25 @@ def branch_grid(graph: GraphSpec, store, tasks, train_sets, val_sets,
     train_sets/val_sets map task name -> Dataset (load_tasks). Each cell
     derives its own seed from (master_seed, "grid", layer, task); failures
     are re-raised with the cell coordinates attached.
+
+    Every cell's branch shares the store's frozen prefix, so the grid runs
+    it once per distinct inputs array and chunk size: one inference pass
+    keeps the boundary of every requested layer, and each cell trains and
+    scores from those activations. The chunks are the ones train() and
+    evaluate_accuracy use, so every cell gets the bits it would get alone.
     """
     layers = tuple(layers) if layers is not None else graph.branch_points
-    for layer in layers:
-        graph.branch_index(layer)
+    keep = set().union(*(boundary(graph, graph.branch_index(layer))
+                         for layer in layers)) - {INPUT_NAME}
+    passes = {}  # (id of an inputs array, chunk) -> its boundary activations
+
+    def cached(dataset, chunk):
+        key = (id(dataset.inputs), chunk)
+        if key not in passes:
+            passes[key] = infer(graph, store, {INPUT_NAME: dataset.inputs},
+                                keep, chunk)
+        return replace(dataset, activations=passes[key])
+
     cells = {}
     for layer in layers:
         for task in tasks:
@@ -127,10 +143,10 @@ def branch_grid(graph: GraphSpec, store, tasks, train_sets, val_sets,
                 branch = make_branch(graph, store, layer, task.num_classes,
                                      loss=task.loss, init_std=config.init_std,
                                      seed=cell_seed)
-                finetune(branch, train_sets[task.name],
+                finetune(branch, cached(train_sets[task.name], config.batch_size),
                          replace(config, seed=cell_seed))
                 acc = evaluate_accuracy(branch.graph, branch.store,
-                                        val_sets[task.name])
+                                        cached(val_sets[task.name], EVAL_CHUNK))
             except Exception as exc:
                 raise RuntimeError(f"grid cell ({layer}, {task.name}) failed: "
                                    f"{exc}") from exc
@@ -212,8 +228,10 @@ def invariance_probe(graph: GraphSpec, store, layers, factors,
     for layer in layers:
         if layer != "input" and layer not in graph:
             raise ValueError(f"unknown probe layer {layer!r}")
-    train_acts = infer(graph, store, train_inputs, set(layers), PROBE_CHUNK)
-    val_acts = infer(graph, store, val_inputs, set(layers), PROBE_CHUNK)
+    train_acts = infer(graph, store, {INPUT_NAME: train_inputs}, set(layers),
+                       PROBE_CHUNK)
+    val_acts = infer(graph, store, {INPUT_NAME: val_inputs}, set(layers),
+                     PROBE_CHUNK)
     cells = {}
     for layer in layers:
         ftr64 = _pooled(train_acts[layer]).astype(np.float64)

@@ -42,6 +42,7 @@ CHECKPOINT_VERSION = 1
 PARAMETER, BATCHNORM = "parameter", "batchnorm node"  # record owners
 NEEDED = "every parameter needs its array and trainable flag"
 RUNNING = "running statistics cover every batchnorm node or none"
+COUNT_LIMIT = 2 ** 24  # every count up to it survives the float32 write
 
 
 def param_shapes(graph: GraphSpec) -> dict:
@@ -103,8 +104,9 @@ class RecordKind:
         rule forbids is a ValueError naming the record."""
         if self.dtype is not None:  # one value: a 0/1 flag or a count >= 0
             v, flag = flat[0], self.rule == "flag"
-            if not (v in (0.0, 1.0) if flag else np.isfinite(v) and v >= 0):
-                what = "a trainable flag of 0 or 1" if flag else "a count >= 0"
+            if not (v in (0.0, 1.0) if flag else v >= 0 and v.is_integer()):
+                what = ("a trainable flag of 0 or 1" if flag
+                        else "a count >= 0 that is a whole number")
                 raise ValueError(f"checkpoint record {rname!r} holds {v}, not {what}")
             return bool(v) if flag else int(v)
         # min and max propagate NaN and hold any inf, with no temporary
@@ -187,6 +189,14 @@ def frozen_checksum(graph: GraphSpec, store: ParamStore, branch_index: int) -> s
 
 
 def checkpoint_bytes(graph: GraphSpec, store: ParamStore) -> bytes:
+    """The checkpoint of graph and store. Every value is written as
+    float32, so a running count above COUNT_LIMIT, which float32 cannot
+    hold exactly, is a ValueError naming its batchnorm."""
+    for bn, rs in store.running.items():
+        if rs.count > COUNT_LIMIT:
+            raise ValueError(f"batchnorm {bn!r} has a running count of "
+                             f"{rs.count}, above the 2^24 a checkpoint holds "
+                             f"exactly")
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     gtext = graph.serialize().encode()
     chunks += [struct.pack("<Q", len(gtext)), gtext]

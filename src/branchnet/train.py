@@ -20,7 +20,10 @@ whole dataset and every step gathers its minibatch rows from there. No
 prefix node mixes samples, so those rows are bitwise equal to a per-step
 forward from node 0. A trunk step resumes the same way at node 0, whose
 boundary is the network input: {"input": dataset.inputs}, gathered by the
-step's minibatch indices.
+step's minibatch indices. A Dataset may already carry boundary
+activations (Dataset.activations); train() then computes only what it
+lacks, and evaluate_accuracy resumes at the same boundary when it holds
+all of it. The branch grid fills them once per split for all its cells.
 
 A step that leaves a non-finite value in an array it updated, or a
 non-finite loss, raises ValueError naming the minibatch, so no run returns
@@ -164,16 +167,28 @@ class TrainLog:
 
 @dataclass
 class Dataset:
-    """In-memory labeled samples for one task."""
+    """In-memory labeled samples for one task.
+
+    activations may hold, by node name, inference-mode outputs of a frozen
+    prefix for every sample, row for row with inputs. train() and
+    evaluate_accuracy read them instead of running the prefix, so they
+    must come from the store's own prefix weights, computed in the chunks
+    those functions would use (batch_size and EVAL_CHUNK samples).
+    """
 
     inputs: np.ndarray   # (n, c, h, w) float32
     labels: np.ndarray   # (n,) int labels, or (n, m) binary for multilabel
+    activations: dict = field(default_factory=dict)  # node name -> (n, ...)
 
     def __post_init__(self):
         if self.inputs.ndim != 4:
             raise ValueError(f"inputs must be (n, c, h, w), got {self.inputs.shape}")
         if len(self.labels) != len(self.inputs):
             raise ValueError(f"{len(self.inputs)} inputs vs {len(self.labels)} labels")
+        for name, a in self.activations.items():
+            if len(a) != len(self.inputs):
+                raise ValueError(f"{len(self.inputs)} inputs vs {len(a)} rows "
+                                 f"of cached activation {name!r}")
 
     def __len__(self):
         return len(self.inputs)
@@ -194,6 +209,22 @@ def _head(graph):
     raise ValueError(f"the graph's last node {last!r} is not a head node")
 
 
+def _resume_point(graph, store, dataset, logits):
+    """(train_from, need, held): train_from is the index of the first node
+    owning an array the store flags trainable (len(graph.nodes) when none
+    does), need the names a pass resumed there reads (its boundary, plus
+    the logits when nothing trains), and held those of them the dataset
+    holds: its inputs as "input" and its cached activations."""
+    train_from = min((graph.index(param_owner(name))
+                      for name, flag in store.trainable.items() if flag),
+                     default=len(graph.nodes))
+    need = boundary(graph, train_from)
+    if train_from == len(graph.nodes):
+        need.add(logits)  # no step computes the logits then
+    have = {INPUT_NAME: dataset.inputs, **dataset.activations}
+    return train_from, need, {name: have[name] for name in need if name in have}
+
+
 def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
           config: TrainConfig) -> TrainLog:
     """Minibatch SGD over the dataset; mutates store, returns the log.
@@ -203,20 +234,16 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
     gradients. The optimizer updates only the arrays flagged trainable.
     """
     kind, logits, loss = _head(graph)
-    train_from = min((graph.index(param_owner(name))
-                      for name, flag in store.trainable.items() if flag),
-                     default=len(graph.nodes))
+    train_from, need, prefix = _resume_point(graph, store, dataset, logits)
     log = TrainLog(header={**config.to_mapping(prefix=""),
                            "loss": loss, "train_from": train_from})
     n = len(dataset)
     if n == 0 and config.max_minibatches > 0:
         raise ValueError("cannot train on an empty dataset")
-    prefix = {INPUT_NAME: dataset.inputs}
-    if train_from > 0 and n > 0:
-        keep = boundary(graph, train_from)
-        if train_from == len(graph.nodes):
-            keep.add(logits)  # no step computes the logits then
-        prefix = infer(graph, store, dataset.inputs, keep, config.batch_size)
+    missing = need - prefix.keys()
+    if missing and n > 0:
+        prefix.update(infer(graph, store, {INPUT_NAME: dataset.inputs},
+                            missing, config.batch_size))
     updated = [name for name, flag in store.trainable.items() if flag]
     saved = {}  # contexts from each step's forward, emptied by its backward
     for t in range(config.max_minibatches):
@@ -247,11 +274,15 @@ def evaluate_accuracy(graph: GraphSpec, store: ParamStore,
                       dataset: Dataset) -> float:
     """Inference-mode accuracy under the hit rule of the graph's head:
     exact match for a softmax head, element-wise agreement for a sigmoid
-    head."""
+    head. The pass resumes where train() would when the dataset caches
+    all of that boundary, and otherwise starts from the inputs."""
     kind, logits, _ = _head(graph)
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    out = infer(graph, store, dataset.inputs, {logits}, EVAL_CHUNK)[logits]
+    start, need, held = _resume_point(graph, store, dataset, logits)
+    if held.keys() != need:
+        start, held = 0, {INPUT_NAME: dataset.inputs}
+    out = infer(graph, store, held, {logits}, EVAL_CHUNK, start)[logits]
     return float(kind.hits(out, np.asarray(dataset.labels)).mean())
 
 

@@ -10,9 +10,9 @@ import numpy as np
 
 from branchnet import ops
 from branchnet.engine import forward_pass
-from branchnet.gradcheck import grad_check
 from branchnet.graph import GraphSpec, LayerNode
 from branchnet.params import ParamStore
+from gradcheck import grad_check
 
 
 def _away_from_zero(x, margin=0.05):

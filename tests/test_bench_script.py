@@ -54,3 +54,8 @@ def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
     assert bench["kinds"]["batchnorm"]["nodes"] == 24
     step = bench["train_step"]
     assert step["steps"] == 40 and 0 < step["min_ms"] <= step["median_ms"]
+    grid = bench["grid"]
+    assert (grid["layers"], grid["tasks"], grid["steps"]) == (6, 2, 20)
+    assert (grid["train_samples"], grid["val_samples"]) == (64, 16)
+    assert len(grid["calls_s"]) == 3 and min(grid["calls_s"]) > 0
+    assert grid["median_s"] == sorted(grid["calls_s"])[1]

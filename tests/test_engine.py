@@ -98,12 +98,25 @@ def test_infer_is_the_per_chunk_forwards_concatenated(desk_graph,
     graph, store = desk_graph, warm_desk_store
     x = desk_inputs(np.random.default_rng(3), 37)
     keep = {"input", "conv19", "fc"}
-    got = infer(graph, store, x, keep, 16)
+    got = infer(graph, store, {"input": x}, keep, 16)
     assert got.keys() == keep
     for name in keep:
         chunks = [forward_pass(graph, store, x[lo:lo + 16], mode="infer")[0][name]
                   for lo in range(0, len(x), 16)]
         assert same_bits(got[name], np.concatenate(chunks)), name
+
+
+@pytest.mark.parametrize("layer", ["conv17", "conv22", "fc"])
+def test_infer_resumed_from_a_boundary_is_the_full_pass(desk_graph,
+                                                        warm_desk_store, layer):
+    # conv17 also reads a residual skip from before its predecessor
+    graph, store = desk_graph, warm_desk_store
+    x = desk_inputs(np.random.default_rng(4), 37)
+    index = graph.index(layer)
+    full = infer(graph, store, {"input": x}, boundary(graph, index) | {"fc"}, 16)
+    sources = {name: full.pop(name) for name in boundary(graph, index)}
+    got = infer(graph, store, sources, {"fc"}, 16, start=index)
+    assert got.keys() == {"fc"} and same_bits(got["fc"], full["fc"])
 
 
 def _traced_peak(fn):

@@ -7,6 +7,8 @@ load_tasks: one read of a split's tensors shared by every task, and a
 ValueError for any manifest text it cannot load.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +25,9 @@ from branchnet.experiments import (REFERENCE_CELLS, GridResult, GridTask,
                                    branch_grid, format_grid_matrix,
                                    format_grid_table, format_probe_matrix,
                                    invariance_probe, load_tasks)
-from branchnet.train import Dataset, TrainConfig
+from branchnet.engine import infer
+from branchnet.train import (Dataset, TrainConfig, evaluate_accuracy, finetune,
+                             make_branch)
 
 TASKS = (GridTask("nuisance", "nuisance", 7),
          GridTask("binary", "binary", 2),
@@ -108,6 +112,67 @@ def test_branch_grid_wraps_cell_failures(desk_graph, warm_desk_store):
     with pytest.raises(RuntimeError, match=r"grid cell \(fc, t\) failed"):
         branch_grid(desk_graph, warm_desk_store, [task], {"t": bad},
                     {"t": bad}, cfg, master_seed=0, layers=["fc"])
+
+
+def recording(fn, calls):
+    """fn, appending each call's result to calls."""
+    def wrapper(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
+    return wrapper
+
+
+def test_branch_grid_equals_a_per_cell_loop_over_plain_datasets(
+        desk_graph, warm_desk_store, monkeypatch):
+    graph, store = desk_graph, warm_desk_store
+    rng = np.random.default_rng(8)
+
+    def split(n):  # one inputs array shared by every task, as load_tasks
+        x = desk_inputs(rng, n)
+        labels = {"nuisance": rng.integers(0, 7, n),
+                  "binary": rng.integers(0, 2, n),
+                  "tags": rng.integers(0, 2, (n, 9)).astype(np.float64)}
+        return {t: Dataset(x, y) for t, y in labels.items()}
+
+    train_sets, val_sets = split(10), split(5)  # 10: not a multiple of 4
+    cfg = TrainConfig.desk(batch_size=4, max_minibatches=2)
+    branches, passes, starts = [], [], []
+
+    def cell_infer(graph, store, sources, keep, batch, start=0):
+        starts.append(start)
+        return infer(graph, store, sources, keep, batch, start)
+
+    monkeypatch.setitem(branch_grid.__globals__, "make_branch",
+                        recording(make_branch, branches))
+    monkeypatch.setitem(branch_grid.__globals__, "infer",
+                        recording(infer, passes))
+    monkeypatch.setitem(finetune.__globals__, "infer", cell_infer)
+    grid = branch_grid(graph, store, TASKS, train_sets, val_sets, cfg,
+                       master_seed=3)
+    monkeypatch.undo()
+    coords = [(layer, t) for layer in graph.branch_points for t in TASKS]
+    # one prefix pass per split; a cell's only pass is its scoring, resumed
+    # at its branch
+    assert len(passes) == 2
+    assert starts == [graph.index(layer) for layer, _ in coords]
+    assert len(branches) == len(coords) == len(grid.cells)
+    for (layer, task), branch in zip(coords, branches):
+        seed = derive_seed(3, "grid", layer, task.name)
+        alone = make_branch(graph, store, layer, task.num_classes,
+                            loss=task.loss, init_std=cfg.init_std, seed=seed)
+        finetune(alone, train_sets[task.name], replace(cfg, seed=seed))
+        assert grid.cells[(layer, task.name)] == evaluate_accuracy(
+            alone.graph, alone.store, val_sets[task.name])
+        for name, flag in alone.store.trainable.items():
+            if flag:
+                for part in ("arrays", "momentum"):
+                    got = getattr(branch.store, part)[name]
+                    want = getattr(alone.store, part)[name]
+                    assert got.tobytes() == want.tobytes(), (layer, task, name)
+        for bn, rs in alone.store.running.items():
+            got = branch.store.running[bn]
+            assert (got.mean.tobytes(), got.var.tobytes(), got.count) == \
+                (rs.mean.tobytes(), rs.var.tobytes(), rs.count), (layer, bn)
 
 
 def test_probe_reads_a_linear_factor_from_pooled_input(desk_graph,

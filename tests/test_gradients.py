@@ -5,7 +5,7 @@ import pytest
 
 from branchnet import ops
 from branchnet.engine import backward_pass, forward_pass
-from branchnet.gradcheck import grad_check
+from gradcheck import grad_check
 from gradsuites import SUITES, residual_instance
 
 UNIT_SEEDS = range(5)

@@ -344,6 +344,32 @@ def test_trainable_flags_of_zero_and_one_load(trained_desk):
     assert store.trainable["fc/b"] is False and store.trainable["fc/w"] is True
 
 
+@pytest.mark.parametrize("value", [0.5, 1.5, 3.25, np.nan, np.inf])
+def test_running_count_must_be_a_whole_number(trained_desk, value):
+    data, _ = trained_desk
+    head, records = split_records(data)
+    count = [(name, raw[:-4] + struct.pack("<f", value) if name == "rc/bn2"
+              else raw) for name, raw in records]
+    with pytest.raises(ValueError, match="'rc/bn2' holds .*, not a count >= 0 "
+                                         "that is a whole number"):
+        parse_checkpoint(seal(head, count))
+    whole = [(name, raw[:-4] + struct.pack("<f", 2.0) if name == "rc/bn2"
+              else raw) for name, raw in records]
+    assert parse_checkpoint(seal(head, whole))[1].running["bn2"].count == 2
+
+
+def test_a_running_count_float32_cannot_hold_is_rejected_at_save():
+    store = fresh_store()
+    rs = store.running["bn320"]
+    store.running["bn320"] = RunningStats(rs.mean, rs.var, 2**24)
+    _, loaded = parse_checkpoint(checkpoint_bytes(GRAPH, store))
+    assert loaded.running["bn320"].count == 2**24
+    store.running["bn320"] = RunningStats(rs.mean, rs.var, 2**24 + 1)
+    with pytest.raises(ValueError, match="batchnorm 'bn320' has a running "
+                                         r"count of 16777217, above the 2\^24"):
+        checkpoint_bytes(GRAPH, store)
+
+
 # graph-text fuzz inside a checkpoint: the trained desk checkpoint, weights
 # only, with its graph text edited and the file re-sealed; it loads a model
 # that runs, or it is one ValueError

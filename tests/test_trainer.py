@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from branchnet import ops
-from branchnet.engine import backward_pass, forward_pass
+from branchnet.engine import backward_pass, boundary, forward_pass, infer
 from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, NODE_KINDS,
                              GraphSpec, LayerNode, build_trunk)
 from branchnet.ops import BatchStats
 from branchnet.params import (ParamStore, checkpoint_bytes, frozen_checksum,
                               parse_checkpoint)
-from branchnet.train import (Dataset, TrainConfig, _batch_indices,
+from branchnet.train import (EVAL_CHUNK, Dataset, TrainConfig, _batch_indices,
                              evaluate_accuracy, finetune, init_params, lr_at,
                              make_branch, sgd_momentum_step, train)
 from oracles import conv2d_backward_batch_gemm
@@ -270,6 +270,14 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), np.zeros(3))
 
 
+def test_a_cached_activation_must_have_a_row_per_sample():
+    x = np.zeros((3, 1, 2, 2), dtype=np.float32)
+    Dataset(x, np.zeros(3), {"relu1": np.zeros((3, 4, 2, 2), np.float32)})
+    with pytest.raises(ValueError, match="3 inputs vs 2 rows of cached "
+                                         "activation 'relu1'"):
+        Dataset(x, np.zeros(3), {"relu1": np.zeros((2, 4, 2, 2), np.float32)})
+
+
 def test_train_config_validation_and_desk_defaults():
     with pytest.raises(ValueError):
         TrainConfig(lr0=0.0)
@@ -508,6 +516,55 @@ def test_cached_prefix_finetune_is_bitwise_equal_to_full_forward(trunk, layer):
         np.testing.assert_array_equal(cached.store.running[bn].mean, rs.mean)
         np.testing.assert_array_equal(cached.store.running[bn].var, rs.var)
         assert cached.store.running[bn].count == rs.count
+
+
+def with_boundary(graph, store, data, index, chunk):
+    """data with its boundary activations at index, from store's prefix."""
+    acts = infer(graph, store, {"input": data.inputs},
+                 boundary(graph, index), chunk)
+    return Dataset(data.inputs, data.labels, acts)
+
+
+@pytest.mark.parametrize("layer", ["conv17", "fc"])
+def test_a_dataset_holding_its_boundary_skips_the_prefix(trunk, layer):
+    # the poisoned store's prefix weights and statistics are all NaN, so
+    # any prefix node that ran would leave NaN in the loss or the logits
+    graph, store = trunk
+    data, val = branch_dataset(n=20, seed=6), branch_dataset(n=9, seed=3)
+    cfg = TrainConfig.desk(batch_size=8, max_minibatches=3, seed=23)
+    plain = make_branch(graph, store, layer, 3, seed=13)
+    poisoned = make_branch(graph, store.copy(), layer, 3, seed=13)
+    index = plain.branch_index
+    for name, flag in poisoned.store.trainable.items():
+        if not flag:
+            poisoned.store.arrays[name][...] = np.nan
+    for bn, rs in poisoned.store.running.items():
+        if graph.index(bn) < index:
+            rs.mean[...] = np.nan
+    cached = with_boundary(graph, store, data, index, cfg.batch_size)
+    assert finetune(poisoned, cached, cfg).rows == finetune(plain, data, cfg).rows
+    for name, flag in plain.store.trainable.items():
+        if flag:
+            assert plain.store.arrays[name].tobytes() == \
+                poisoned.store.arrays[name].tobytes(), name
+    cached_val = with_boundary(graph, store, val, index, EVAL_CHUNK)
+    assert evaluate_accuracy(poisoned.graph, poisoned.store, cached_val) == \
+        evaluate_accuracy(plain.graph, plain.store, val)
+    with pytest.raises(ValueError, match="non-finite loss"):
+        finetune(poisoned, data, cfg)
+
+
+def test_a_trunk_step_runs_no_prefix_pass(trunk, monkeypatch):
+    graph, store = trunk
+    store = store.copy()
+
+    def no_infer(*args, **kwargs):
+        raise AssertionError("a trunk step ran an inference pass")
+
+    monkeypatch.setitem(train.__globals__, "infer", no_infer)
+    log = train(graph, store, branch_dataset(n=10, classes=6),
+                TrainConfig.desk(batch_size=4, max_minibatches=2, seed=2))
+    assert log.header["train_from"] == 0 and len(log.rows) == 2
 
 
 def test_evaluate_accuracy_multilabel_elementwise():
