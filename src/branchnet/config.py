@@ -135,6 +135,17 @@ def fields_from_mapping(base, mapping, prefix, what):
     return dataclasses.replace(base, **changes)
 
 
+def check_ranges(obj, ranges):
+    """ValueError naming the first field of obj outside its range, an
+    interval such as "[0, 1)" or "(0, inf)"; nan is outside every range."""
+    for name, interval in ranges.items():
+        value = getattr(obj, name)
+        lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+        if not ((value >= lo if interval[0] == "[" else value > lo) and
+                (value <= hi if interval[-1] == "]" else value < hi)):
+            raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
 def fields_to_mapping(obj, prefix) -> dict:
     """Every field of a dataclass instance as prefix + name -> string."""
     return {prefix + f.name: _format(f.type, getattr(obj, f.name))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import checksum64, derive_rng
-from .config import fields_from_mapping
+from .config import check_ranges, fields_from_mapping
 
 TENSOR_MAGIC = b"TNSR"
 TENSOR_VERSION = 1
@@ -221,15 +221,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_identities < 2 or self.samples_per_identity < 1:
-            raise ValueError("need at least 2 identities and 1 sample each")
-        if not 1 <= self.nuisance_levels:
-            raise ValueError("nuisance_levels must be >= 1")
+        check_ranges(self, {
+            "num_identities": "[2, inf)", "samples_per_identity": "[1, inf)",
+            "image_size": "[1, inf)", "nuisance_levels": "[1, inf)",
+            "flip_prob": "[0, 1]", "noise_std": "[0, inf)"})
         if not 1 <= self.min_active <= self.max_active <= self.multilabel_classes:
             raise ValueError("active-class bounds must satisfy "
                              "1 <= min <= max <= classes")
-        if not 0 <= self.flip_prob <= 1 or self.noise_std < 0:
-            raise ValueError("flip_prob in [0,1] and noise_std >= 0 required")
 
     @classmethod
     def from_mapping(cls, mapping):

@@ -9,21 +9,20 @@ Partial execution supports fine-tuning and shared-trunk evaluation:
   train_from   first node index trained; batchnorm nodes before it run in
                inference mode even when mode == "train"
   start/cache  begin execution at a node index, reading earlier activations
-               from a cached dict instead of recomputing them; train() resumes
-               every step this way, a fine-tune step from its cached frozen
-               prefix and a trunk step from {"input": minibatch} at node 0,
-               and multihead resumes every head from one shared trunk pass
+               from a cached dict instead of recomputing them, as infer(),
+               every train() step and every multihead head do
   keep         the names the caller reads; None returns all. Given a set,
                the pass stops after the last kept node and frees each
                other activation, cached ones too, after its last reader
                (liveness; Chen et al. 2016, arXiv 1604.06174)
 
 boundary(graph, i) names what a pass resumed at node i reads of the
-prefix. infer() is the one chunked inference loop, used by train()'s
-frozen prefix, evaluation, the branch grid's shared prefix pass and the
-probes; it starts at node 0 from {"input": x}, or at node i from the
-boundary's activations. multihead keeps the logits and each head's
-boundary, then resumes each head keeping only its last node.
+prefix. infer() is the one inference loop, CHUNK samples at a time, for
+train()'s frozen prefix, evaluation, the branch grid and the probes; it
+starts at node 0 from {"input": x}, or at node i from the boundary's
+activations. multihead keeps the logits and each head's boundary in one
+unchunked pass, since fc's bits differ in a 1-row chunk, then resumes
+each head keeping only its last node.
 
 Saved contexts let a backward skip work its forward already did. Given a
 `saved` dict, forward_pass stores there the context each node hands back
@@ -50,6 +49,8 @@ either way.
 import numpy as np
 
 from .graph import INPUT_NAME, NODE_KINDS, GraphSpec
+
+CHUNK = 32  # samples per infer chunk: the desk batch size
 
 
 def _node_params(store, node):
@@ -124,21 +125,24 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
     return acts, bn_updates
 
 
-def infer(graph: GraphSpec, store, sources, keep, batch, start=0):
+def infer(graph: GraphSpec, store, sources, keep, start=0):
     """Inference-mode passes resumed at node start over the named source
     arrays ({"input": x} from node 0, or boundary(graph, start)'s
-    activations), in chunks of batch samples; returns each kept activation
-    for every sample, concatenated over the chunks. The sources hold one
-    row per sample, at least one sample."""
-    parts = {name: [] for name in keep}
-    for lo in range(0, len(next(iter(sources.values()))), batch):
+    activations), CHUNK samples at a time; returns each kept activation
+    for every sample, allocated from its first chunk and filled chunk by
+    chunk. The sources hold one row per sample; zero rows run no pass."""
+    n = len(next(iter(sources.values())))
+    out = {}
+    for lo in range(0, n, CHUNK):
         acts, _ = forward_pass(graph, store, None, mode="infer", start=start,
-                               cache={name: a[lo:lo + batch]
+                               cache={name: a[lo:lo + CHUNK]
                                       for name, a in sources.items()},
                                keep=keep)
         for name, a in acts.items():
-            parts[name].append(a)
-    return {name: np.concatenate(chunks) for name, chunks in parts.items()}
+            if name not in out:
+                out[name] = np.empty((n,) + a.shape[1:], a.dtype)
+            out[name][lo:lo + len(a)] = a
+    return out
 
 
 def backward_pass(graph: GraphSpec, store, acts, out_grads, stop=0, saved=None,

@@ -25,16 +25,14 @@ from .dataio import (SynthSpec, generate_synthetic, load_batch, load_labels,
 from .engine import boundary, infer
 from .graph import INPUT_NAME, ArchConfig, GraphSpec, build_trunk
 from .params import save_checkpoint
-from .train import (EVAL_CHUNK, Dataset, TrainConfig, check_task,
-                    evaluate_accuracy, finetune, init_params, make_branch,
-                    train)
+from .train import (Dataset, TrainConfig, check_task, evaluate_accuracy,
+                    finetune, init_params, make_branch, train)
 
 # Reference accuracies shown alongside grid reports for orientation only;
 # they come from a full-scale study on real face data and are never
 # asserted against desk-scale synthetic results.
 REFERENCE_CELLS = (("emotion", "conv19", 0.68), ("age", "conv22", 0.40),
                    ("ethnicity", "fc", 0.72), ("gender", "fc", 0.99))
-PROBE_CHUNK = 128  # samples per inference pass over a probe split
 PROBE_RATE = 0.01  # step size of every linear probe's gradient descent
 PROBE_BATCH = 32  # samples per linear-probe gradient step
 
@@ -67,6 +65,13 @@ DESK_TASKS = (GridTask("nuisance", "nuisance", 7, "softmax"),
               GridTask("binary", "binary", 2, "softmax"))
 
 
+def _once(items, what):
+    """ValueError naming the first of items that is given twice."""
+    for item in items:
+        if items.count(item) > 1:
+            raise ValueError(f"{what} {item!r} is given twice")
+
+
 def load_tasks(manifest, tasks, split) -> dict:
     """{task name: Dataset} over one split of the manifest. The split's
     tensors are read once and every Dataset holds that one inputs array;
@@ -75,9 +80,7 @@ def load_tasks(manifest, tasks, split) -> dict:
     names = [t.name for t in tasks]
     if not names:
         raise ValueError("no tasks given")
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"task name {name!r} is given twice")
+    _once(names, "task name")
     ids = split_ids(manifest, split)
     if not ids:
         raise ValueError(f"no samples in split {split!r} of the manifest in "
@@ -118,21 +121,22 @@ def branch_grid(graph: GraphSpec, store, tasks, train_sets, val_sets,
     are re-raised with the cell coordinates attached.
 
     Every cell's branch shares the store's frozen prefix, so the grid runs
-    it once per distinct inputs array and chunk size: one inference pass
-    keeps the boundary of every requested layer, and each cell trains and
-    scores from those activations. The chunks are the ones train() and
-    evaluate_accuracy use, so every cell gets the bits it would get alone.
+    it once per distinct inputs array: one engine.infer pass keeps the
+    boundary of every requested layer, and each cell trains and scores
+    from those activations, the bits train() and evaluate_accuracy would
+    compute alone. A layer given twice is a ValueError.
     """
     layers = tuple(layers) if layers is not None else graph.branch_points
+    _once(layers, "layer")
     keep = set().union(*(boundary(graph, graph.branch_index(layer))
                          for layer in layers)) - {INPUT_NAME}
-    passes = {}  # (id of an inputs array, chunk) -> its boundary activations
+    passes = {}  # id of an inputs array -> its boundary activations
 
-    def cached(dataset, chunk):
-        key = (id(dataset.inputs), chunk)
+    def cached(dataset):
+        key = id(dataset.inputs)
         if key not in passes:
             passes[key] = infer(graph, store, {INPUT_NAME: dataset.inputs},
-                                keep, chunk)
+                                keep)
         return replace(dataset, activations=passes[key])
 
     cells = {}
@@ -143,10 +147,10 @@ def branch_grid(graph: GraphSpec, store, tasks, train_sets, val_sets,
                 branch = make_branch(graph, store, layer, task.num_classes,
                                      loss=task.loss, init_std=config.init_std,
                                      seed=cell_seed)
-                finetune(branch, cached(train_sets[task.name], config.batch_size),
+                finetune(branch, cached(train_sets[task.name]),
                          replace(config, seed=cell_seed))
                 acc = evaluate_accuracy(branch.graph, branch.store,
-                                        cached(val_sets[task.name], EVAL_CHUNK))
+                                        cached(val_sets[task.name]))
             except Exception as exc:
                 raise RuntimeError(f"grid cell ({layer}, {task.name}) failed: "
                                    f"{exc}") from exc
@@ -222,16 +226,15 @@ def invariance_probe(graph: GraphSpec, store, layers, factors,
     factors maps factor name -> number of classes; train_labels/val_labels
     map factor name -> integer label arrays. Activations are pooled to one
     value per channel, so a probe sees only channel statistics. Every
-    requested layer is read from one inference pass per split, not one
-    per layer.
+    requested layer is read from one engine.infer pass per split, not one
+    per layer. An unknown layer or one given twice is a ValueError.
     """
     for layer in layers:
         if layer != "input" and layer not in graph:
             raise ValueError(f"unknown probe layer {layer!r}")
-    train_acts = infer(graph, store, {INPUT_NAME: train_inputs}, set(layers),
-                       PROBE_CHUNK)
-    val_acts = infer(graph, store, {INPUT_NAME: val_inputs}, set(layers),
-                     PROBE_CHUNK)
+    _once(layers, "layer")
+    train_acts = infer(graph, store, {INPUT_NAME: train_inputs}, set(layers))
+    val_acts = infer(graph, store, {INPUT_NAME: val_inputs}, set(layers))
     cells = {}
     for layer in layers:
         ftr64 = _pooled(train_acts[layer]).astype(np.float64)

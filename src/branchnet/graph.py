@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import ops
-from .config import fields_from_mapping, fields_to_mapping
+from .config import check_ranges, fields_from_mapping, fields_to_mapping
 
 BRANCH_POINT_NAMES = ("conv17", "conv19", "conv21", "conv22", "conv-bn320", "fc")
 INPUT_NAME = "input"
@@ -312,18 +312,14 @@ class ArchConfig:
     scale_factor: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale_factor) and self.scale_factor > 0):
-            raise ValueError(f"scale_factor must be finite and positive, got "
-                             f"{self.scale_factor}")
+        check_ranges(self, {"scale_factor": "(0, inf)",
+                            "num_identities": "[2, inf)",
+                            "in_channels": "[1, inf)"})
         if len(self.stage_repeats) != len(self.stage_channels):
             raise ValueError("stage_repeats and stage_channels lengths differ: "
                              f"{len(self.stage_repeats)} vs {len(self.stage_channels)}")
         if any(r < 1 for r in self.stage_repeats):
             raise ValueError(f"stage repeats must be >= 1, got {self.stage_repeats}")
-        if self.num_identities < 2:
-            raise ValueError(f"need at least 2 identities, got {self.num_identities}")
-        if self.in_channels < 1:
-            raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
         scaled = [("stem_channels", self.stem_channels),
                   ("embedding_dim", self.embedding_dim),
                   ("input_size", self.input_size)]

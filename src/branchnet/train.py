@@ -15,15 +15,12 @@ shared with the donor store by reference, which both saves memory and makes
 any accidental mutation visible to checksum tests.
 
 The frozen prefix runs in inference mode on fixed weights, so each sample's
-output from it never changes: train() computes it once per call over the
-whole dataset and every step gathers its minibatch rows from there. No
-prefix node mixes samples, so those rows are bitwise equal to a per-step
-forward from node 0. A trunk step resumes the same way at node 0, whose
-boundary is the network input: {"input": dataset.inputs}, gathered by the
-step's minibatch indices. A Dataset may already carry boundary
-activations (Dataset.activations); train() then computes only what it
-lacks, and evaluate_accuracy resumes at the same boundary when it holds
-all of it. The branch grid fills them once per split for all its cells.
+output from it never changes: train() and evaluate_accuracy compute its
+boundary once per call over the whole dataset, or read it from the
+dataset (Dataset.activations, which the branch grid fills once per split),
+and resume there. No prefix node mixes samples, so each step's minibatch
+rows are bitwise equal to a per-step forward from node 0. A trunk step
+resumes the same way at node 0, from {"input": dataset.inputs}.
 
 A step that leaves a non-finite value in an array it updated, or a
 non-finite loss, raises ValueError naming the minibatch, so no run returns
@@ -36,13 +33,11 @@ import numpy as np
 
 from . import ops
 from .common import derive_rng
-from .config import fields_from_mapping, fields_to_mapping
+from .config import check_ranges, fields_from_mapping, fields_to_mapping
 from .engine import backward_pass, boundary, forward_pass, infer
 from .graph import INPUT_NAME, LOSS_KINDS, NODE_KINDS, GraphSpec, head_graph
 from .params import (ParamStore, batchnorm_nodes, param_owner, param_shapes,
                      share_prefix)
-
-EVAL_CHUNK = 256  # samples per inference pass in evaluate_accuracy
 
 
 @dataclass(frozen=True)
@@ -57,12 +52,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr0, self.lr_decay_factor, self.lr_decay_every,
-               self.batch_size) <= 0:
-            raise ValueError("rate, decay factor, decay interval and batch size "
-                             "must all be positive")
-        if self.init_std < 0 or self.max_minibatches < 0:
-            raise ValueError("init_std and max_minibatches must be nonnegative")
+        check_ranges(self, {
+            "lr0": "(0, inf)", "lr_decay_factor": "(0, inf)",
+            "lr_decay_every": "[1, inf)", "momentum_coeff": "[0, 1)",
+            "batch_size": "[1, inf)", "init_std": "[0, inf)",
+            "max_minibatches": "[0, inf)"})
 
     @classmethod
     def desk(cls, **overrides):
@@ -172,8 +166,7 @@ class Dataset:
     activations may hold, by node name, inference-mode outputs of a frozen
     prefix for every sample, row for row with inputs. train() and
     evaluate_accuracy read them instead of running the prefix, so they
-    must come from the store's own prefix weights, computed in the chunks
-    those functions would use (batch_size and EVAL_CHUNK samples).
+    must come from the store's own prefix weights (engine.infer).
     """
 
     inputs: np.ndarray   # (n, c, h, w) float32
@@ -209,20 +202,20 @@ def _head(graph):
     raise ValueError(f"the graph's last node {last!r} is not a head node")
 
 
-def _resume_point(graph, store, dataset, logits):
-    """(train_from, need, held): train_from is the index of the first node
-    owning an array the store flags trainable (len(graph.nodes) when none
-    does), need the names a pass resumed there reads (its boundary, plus
-    the logits when nothing trains), and held those of them the dataset
-    holds: its inputs as "input" and its cached activations."""
+def _prefix(graph, store, dataset, logits):
+    """(train_from, activations): train_from is the index of the first
+    node owning an array the store flags trainable (len(graph.nodes) when
+    none does), activations what a pass resumed there reads (its boundary,
+    or the logits when nothing trains): the dataset's own ("input" and its
+    cached activations) when it holds them all, else an infer pass's."""
     train_from = min((graph.index(param_owner(name))
                       for name, flag in store.trainable.items() if flag),
                      default=len(graph.nodes))
-    need = boundary(graph, train_from)
-    if train_from == len(graph.nodes):
-        need.add(logits)  # no step computes the logits then
+    need = boundary(graph, train_from) or {logits}
     have = {INPUT_NAME: dataset.inputs, **dataset.activations}
-    return train_from, need, {name: have[name] for name in need if name in have}
+    if need <= have.keys():
+        return train_from, {name: have[name] for name in need}
+    return train_from, infer(graph, store, {INPUT_NAME: dataset.inputs}, need)
 
 
 def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
@@ -234,16 +227,12 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
     gradients. The optimizer updates only the arrays flagged trainable.
     """
     kind, logits, loss = _head(graph)
-    train_from, need, prefix = _resume_point(graph, store, dataset, logits)
-    log = TrainLog(header={**config.to_mapping(prefix=""),
-                           "loss": loss, "train_from": train_from})
     n = len(dataset)
     if n == 0 and config.max_minibatches > 0:
         raise ValueError("cannot train on an empty dataset")
-    missing = need - prefix.keys()
-    if missing and n > 0:
-        prefix.update(infer(graph, store, {INPUT_NAME: dataset.inputs},
-                            missing, config.batch_size))
+    train_from, prefix = _prefix(graph, store, dataset, logits)
+    log = TrainLog(header={**config.to_mapping(prefix=""),
+                           "loss": loss, "train_from": train_from})
     updated = [name for name, flag in store.trainable.items() if flag]
     saved = {}  # contexts from each step's forward, emptied by its backward
     for t in range(config.max_minibatches):
@@ -274,15 +263,12 @@ def evaluate_accuracy(graph: GraphSpec, store: ParamStore,
                       dataset: Dataset) -> float:
     """Inference-mode accuracy under the hit rule of the graph's head:
     exact match for a softmax head, element-wise agreement for a sigmoid
-    head. The pass resumes where train() would when the dataset caches
-    all of that boundary, and otherwise starts from the inputs."""
+    head. The pass resumes where train() would, from the same prefix."""
     kind, logits, _ = _head(graph)
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    start, need, held = _resume_point(graph, store, dataset, logits)
-    if held.keys() != need:
-        start, held = 0, {INPUT_NAME: dataset.inputs}
-    out = infer(graph, store, held, {logits}, EVAL_CHUNK, start)[logits]
+    start, prefix = _prefix(graph, store, dataset, logits)
+    out = infer(graph, store, prefix, {logits}, start)[logits]
     return float(kind.hits(out, np.asarray(dataset.labels)).mean())
 
 

@@ -294,6 +294,33 @@ def test_probe_rejects_a_repeated_factor_or_none(capsys, tmp_path, corpus,
     assert not (tmp_path / "probe.txt").exists()
 
 
+@pytest.mark.parametrize("command, layers", [("branch-grid", "fc,fc"),
+                                             ("probe", "conv17,conv17")])
+def test_a_layer_given_twice_is_rejected(capsys, tmp_path, corpus, trunk_ckpt,
+                                         command, layers):
+    tasks = tmp_path / "tasks.txt"
+    tasks.write_text("binary binary 2 softmax\n")
+    what = (["--tasks", str(tasks)] if command == "branch-grid"
+            else ["--factors", "nuisance:nuisance:7"])
+    report = tmp_path / "report.txt"
+    rc, out, err = run_cli(capsys, command, "--trunk", trunk_ckpt, *what,
+                           "--data", corpus, "--layers", layers,
+                           "--report", str(report))
+    layer = layers.partition(",")[0]
+    assert (rc, out, err) == (2, "", f"error: layer {layer!r} is given twice\n")
+    assert not report.exists()
+
+
+def test_train_base_rejects_a_rate_that_is_not_finite(capsys, tmp_path, corpus):
+    out = tmp_path / "trunk.ckpt"
+    rc, stdout, err = run_cli(capsys, "train-base", "--data", corpus,
+                              "--out", str(out), *ARCH,
+                              "--set", "train.lr0=nan")
+    assert (rc, stdout) == (2, "")
+    assert err == "error: lr0 must lie in (0, inf), got nan\n"
+    assert not out.exists()
+
+
 def test_finetune_rejects_a_label_beyond_int64(capsys, tmp_path, corpus,
                                                trunk_ckpt):
     data = tmp_path / "data"

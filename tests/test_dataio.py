@@ -319,6 +319,14 @@ def test_nuisance_pattern_orientations_are_distinct():
             assert not np.allclose(flat[a], flat[b])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise_std", float("nan")), ("noise_std", float("inf")),
+    ("image_size", 0)])
+def test_a_synth_spec_that_cannot_run_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must lie in "):
+        SynthSpec(**{field: value})
+
+
 def test_synth_spec_validation_and_mapping():
     with pytest.raises(ValueError, match="identities"):
         SynthSpec(num_identities=1)

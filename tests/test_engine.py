@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from branchnet.engine import boundary, forward_pass, infer
+from branchnet.engine import CHUNK, boundary, forward_pass, infer
 from branchnet.graph import BRANCH_POINT_NAMES
 from branchnet.params import ParamStore
 from conftest import desk_inputs
@@ -96,13 +96,14 @@ def test_a_cached_input_at_node_zero_is_the_same_pass(desk_graph,
 def test_infer_is_the_per_chunk_forwards_concatenated(desk_graph,
                                                        warm_desk_store):
     graph, store = desk_graph, warm_desk_store
-    x = desk_inputs(np.random.default_rng(3), 37)
+    x = desk_inputs(np.random.default_rng(3), 37)  # the last chunk is partial
     keep = {"input", "conv19", "fc"}
-    got = infer(graph, store, {"input": x}, keep, 16)
+    got = infer(graph, store, {"input": x}, keep)
     assert got.keys() == keep
     for name in keep:
-        chunks = [forward_pass(graph, store, x[lo:lo + 16], mode="infer")[0][name]
-                  for lo in range(0, len(x), 16)]
+        chunks = [forward_pass(graph, store, x[lo:lo + CHUNK],
+                               mode="infer")[0][name]
+                  for lo in range(0, len(x), CHUNK)]
         assert same_bits(got[name], np.concatenate(chunks)), name
 
 
@@ -113,10 +114,31 @@ def test_infer_resumed_from_a_boundary_is_the_full_pass(desk_graph,
     graph, store = desk_graph, warm_desk_store
     x = desk_inputs(np.random.default_rng(4), 37)
     index = graph.index(layer)
-    full = infer(graph, store, {"input": x}, boundary(graph, index) | {"fc"}, 16)
+    full = infer(graph, store, {"input": x}, boundary(graph, index) | {"fc"})
     sources = {name: full.pop(name) for name in boundary(graph, index)}
-    got = infer(graph, store, sources, {"fc"}, 16, start=index)
+    got = infer(graph, store, sources, {"fc"}, start=index)
     assert got.keys() == {"fc"} and same_bits(got["fc"], full["fc"])
+
+
+def test_infer_holds_its_result_once(desk_graph, warm_desk_store):
+    # Each kept output is allocated once and filled chunk by chunk, so the
+    # pass peaks at its result plus one chunk's own working set (about 6
+    # MiB on the desk trunk); gathering chunks and joining them would peak
+    # at twice the result. 1000 samples, the branch grid's union of
+    # boundaries: a 16.4 MiB result, large enough to outweigh one chunk.
+    graph, store = desk_graph, warm_desk_store
+    keep = set().union(*(boundary(graph, graph.index(layer))
+                         for layer in BRANCH_POINT_NAMES)) - {"input"}
+    sources = {"input": desk_inputs(np.random.default_rng(6), 1000)}
+    infer(graph, store, sources, keep)  # warm
+    tracemalloc.start()
+    try:
+        got = infer(graph, store, sources, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in got.values())
+    assert peak < 1.5 * size, (peak, size)
 
 
 def _traced_peak(fn):

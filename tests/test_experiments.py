@@ -138,9 +138,9 @@ def test_branch_grid_equals_a_per_cell_loop_over_plain_datasets(
     cfg = TrainConfig.desk(batch_size=4, max_minibatches=2)
     branches, passes, starts = [], [], []
 
-    def cell_infer(graph, store, sources, keep, batch, start=0):
+    def cell_infer(graph, store, sources, keep, start=0):
         starts.append(start)
-        return infer(graph, store, sources, keep, batch, start)
+        return infer(graph, store, sources, keep, start)
 
     monkeypatch.setitem(branch_grid.__globals__, "make_branch",
                         recording(make_branch, branches))
@@ -188,6 +188,21 @@ def test_probe_reads_a_linear_factor_from_pooled_input(desk_graph,
                               {"offset": 2}, xt, {"offset": yt},
                               xv, {"offset": yv}, seed=5, budget=300)
     assert result.cells[("input", "offset")] == 1.0
+
+
+def test_a_layer_given_twice_is_rejected(desk_graph, warm_desk_store):
+    x = desk_inputs(np.random.default_rng(2), 4)
+    y = np.array([0, 1, 0, 1])
+    data = {"t": Dataset(x, y)}
+    cfg = TrainConfig.desk(batch_size=2, max_minibatches=1)
+    with pytest.raises(ValueError, match="^layer 'fc' is given twice$"):
+        branch_grid(desk_graph, warm_desk_store,
+                    [GridTask("t", "t", 2, "softmax")], data, data, cfg,
+                    master_seed=0, layers=["conv22", "fc", "fc"])
+    with pytest.raises(ValueError, match="^layer 'conv17' is given twice$"):
+        invariance_probe(desk_graph, warm_desk_store,
+                         ["conv17", "input", "conv17"], {"f": 2}, x,
+                         {"f": y}, x, {"f": y}, seed=0, budget=1)
 
 
 def test_probe_rejects_unknown_layer(desk_graph, warm_desk_store):

@@ -8,7 +8,7 @@ from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, NODE_KINDS,
 from branchnet.ops import BatchStats
 from branchnet.params import (ParamStore, checkpoint_bytes, frozen_checksum,
                               parse_checkpoint)
-from branchnet.train import (EVAL_CHUNK, Dataset, TrainConfig, _batch_indices,
+from branchnet.train import (Dataset, TrainConfig, _batch_indices,
                              evaluate_accuracy, finetune, init_params, lr_at,
                              make_branch, sgd_momentum_step, train)
 from oracles import conv2d_backward_batch_gemm
@@ -294,6 +294,20 @@ def test_train_config_validation_and_desk_defaults():
         (400, 10_000, 30_000)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr0", NAN), ("lr0", INF), ("lr_decay_factor", NAN),
+    ("lr_decay_factor", INF), ("lr_decay_factor", 0.0),
+    ("momentum_coeff", NAN), ("momentum_coeff", -3.0),
+    ("momentum_coeff", 7.0), ("momentum_coeff", 1.0),
+    ("init_std", NAN), ("init_std", INF)])
+def test_a_train_config_that_cannot_run_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must lie in "):
+        TrainConfig(**{field: value})
+
+
 def test_train_config_mapping_round_trip():
     cfg = TrainConfig.desk(seed=11, max_minibatches=77)
     assert TrainConfig.from_mapping(cfg.to_mapping()) == cfg
@@ -518,10 +532,9 @@ def test_cached_prefix_finetune_is_bitwise_equal_to_full_forward(trunk, layer):
         assert cached.store.running[bn].count == rs.count
 
 
-def with_boundary(graph, store, data, index, chunk):
+def with_boundary(graph, store, data, index):
     """data with its boundary activations at index, from store's prefix."""
-    acts = infer(graph, store, {"input": data.inputs},
-                 boundary(graph, index), chunk)
+    acts = infer(graph, store, {"input": data.inputs}, boundary(graph, index))
     return Dataset(data.inputs, data.labels, acts)
 
 
@@ -541,17 +554,55 @@ def test_a_dataset_holding_its_boundary_skips_the_prefix(trunk, layer):
     for bn, rs in poisoned.store.running.items():
         if graph.index(bn) < index:
             rs.mean[...] = np.nan
-    cached = with_boundary(graph, store, data, index, cfg.batch_size)
+    cached = with_boundary(graph, store, data, index)
     assert finetune(poisoned, cached, cfg).rows == finetune(plain, data, cfg).rows
     for name, flag in plain.store.trainable.items():
         if flag:
             assert plain.store.arrays[name].tobytes() == \
                 poisoned.store.arrays[name].tobytes(), name
-    cached_val = with_boundary(graph, store, val, index, EVAL_CHUNK)
+    cached_val = with_boundary(graph, store, val, index)
     assert evaluate_accuracy(poisoned.graph, poisoned.store, cached_val) == \
         evaluate_accuracy(plain.graph, plain.store, val)
     with pytest.raises(ValueError, match="non-finite loss"):
         finetune(poisoned, data, cfg)
+
+
+@pytest.mark.parametrize("layer", ["conv17", "fc"])
+def test_evaluate_resumes_at_the_branch_over_a_plain_or_cached_dataset(
+        trunk, layer, monkeypatch):
+    graph, store = trunk
+    branch = make_branch(graph, store, layer, 3, warm=True, seed=14)
+    index = branch.branch_index
+    val = branch_dataset(n=37, seed=8)  # not a multiple of CHUNK
+    cached = with_boundary(graph, store, val, index)
+    logits = forward_pass(branch.graph, branch.store, val.inputs,
+                          mode="infer")[0]["fc"]
+    whole = float((logits.argmax(axis=1) == val.labels).mean())
+    starts = []
+
+    def recorded(graph, store, sources, keep, start=0):
+        starts.append(start)
+        return infer(graph, store, sources, keep, start)
+
+    monkeypatch.setitem(evaluate_accuracy.__globals__, "infer", recorded)
+    assert evaluate_accuracy(branch.graph, branch.store, val) == whole
+    assert starts == [0, index]
+    assert evaluate_accuracy(branch.graph, branch.store, cached) == whole
+    assert starts == [0, index, index]
+
+
+def test_no_steps_on_an_empty_dataset_run_no_prefix_pass(trunk, monkeypatch):
+    graph, store = trunk
+    branch = make_branch(graph, store, "conv22", 3, seed=2)
+    empty = Dataset(np.zeros((0, 1, 56, 56), dtype=np.float32),
+                    np.zeros(0, dtype=np.int64))
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("an empty dataset ran a forward pass")
+
+    monkeypatch.setitem(infer.__globals__, "forward_pass", no_pass)
+    log = finetune(branch, empty, TrainConfig.desk(max_minibatches=0))
+    assert log.rows == [] and log.header["train_from"] == branch.branch_index
 
 
 def test_a_trunk_step_runs_no_prefix_pass(trunk, monkeypatch):
