@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Kernel and step bench for the desk trunk; writes BENCH_<label>.json.
+"""Per-node and end-to-end bench for the desk trunk; writes BENCH_<label>.json.
 
 Run from the root of a branchnet checkout:
 
@@ -9,32 +9,27 @@ It records:
   - the machine: CPU, core count, Python, numpy and BLAS versions, the BLAS
     thread count, and the single-GEMM ceiling (best of several float32
     n^3 matrix products);
+  - under `perfbench`, one untraced perfbench/run.py run of each workload
+    BENCHMARK.json names: the desk train step (trunk-train op_ms_p50), the
+    grid-plus-probe pass (branch-study) and the batch-1 request
+    (multihead-serve op_ms_p50, which that run calls predict_ms_p50);
   - every node of the desk trunk (ArchConfig.desk()) whose kind has a
-    backward, at --batch (default 32): forward and backward ms, each the
-    median of REPS timed calls of its graph.NODE_KINDS forward and
-    backward, set beside accounting.py's MACs for the batch and the GMAC/s
-    they imply where the kind has MACs; and the same summed per kind. Each
-    node runs on the activations of one train-mode forward_pass, as the
-    engine runs it in train(): the forward in train mode, the backward with
-    the context that pass saved and the engine's `need` tuple, which asks
-    for no gradient of the network input;
-  - the desk train step: STEPS one-step train() calls at the batch, each on
-    its own seeded minibatch, after two untimed warm-up steps; median,
-    quartiles and minimum ms;
-  - the branch grid at perfbench's branch-study size: GRID_CALLS
-    branch_grid calls over every branch point x DESK_TASKS, GRID_STEPS
-    fine-tune steps per cell at the batch, on GRID_TRAIN training and
-    GRID_VAL held-out samples of random data; seconds of each call and
-    their median. It runs on the store the train steps left.
+    backward: the median forward and backward ms of its calls inside STEPS
+    one-step train() calls at the batch, each on its own seeded minibatch,
+    beside accounting.py's MACs for the batch and the GMAC/s they imply
+    where the kind has MACs; and the same summed per kind. The engine calls
+    timed copies of the graph.NODE_KINDS records (timed_kinds) on train()'s
+    own activations, saved contexts and `need` tuples.
 
 Compare two files only when both were measured on one host. The machine
 block says which host that was.
 """
 
 import argparse
+import contextlib
 import json
 import os
-import statistics
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -46,55 +41,98 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from branchnet.accounting import count_flops  # noqa: E402
-from branchnet.engine import _node_params, forward_pass  # noqa: E402
-from branchnet.experiments import DESK_TASKS, branch_grid  # noqa: E402
-from branchnet.graph import INPUT_NAME, NODE_KINDS, ArchConfig, build_trunk  # noqa: E402
+from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk  # noqa: E402
 from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
 from harness import code_digest, fingerprint, gemm_ceiling_gmacs  # noqa: E402
 
-SEED = 1501  # weights, inputs, labels and output gradients
-REPS = 7  # timed calls per node and direction (median)
+SEED = 1501  # weights, inputs and labels of the steps, and perfbench's seed
 STEPS = 40  # timed train steps
 GEMM_SIZE = 1024  # n of the n^3 float32 GEMM ceiling
-GRID_CALLS = 3  # timed branch_grid calls
-GRID_STEPS = 20  # fine-tune steps per grid cell
-GRID_TRAIN, GRID_VAL = 64, 16  # training and held-out samples of the grid
+SIZES = {"full": (32, ["--seconds", "15"]),
+         "tiny": (2, ["--size", "tiny", "--seconds", "1"])}
 
 
-def median_ms(fn):
-    """Median wall ms of REPS calls of fn, after one untimed call."""
-    fn()
-    times = []
-    for _ in range(REPS):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e3
+def perfbench(workload, size_args):
+    """Attempted and failed counts and every metric of one untraced
+    perfbench run of the workload. A run that exits non-zero or fails an
+    operation ends the bench, naming the workload, before any file is
+    written."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(SEED), "--trace", "0", *size_args],
+        cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: perfbench {workload} exited {proc.returncode}: "
+                 f"{proc.stderr.strip()[-2000:]}")
+    details = proc.stdout.split("details in ")[-1].splitlines()[0]
+    with open(os.path.join(ROOT, details)) as f:  # the run's record
+        record = json.load(f)
+    counts = {key: record["result"][key] for key in ("attempted", "failed")}
+    if counts["failed"]:
+        sys.exit(f"error: perfbench {workload} failed {counts['failed']} of "
+                 f"{counts['attempted']} operations")
+    return {**counts, "metrics": record["metrics"]}
 
 
-def node_rows(graph, store, x):
-    """One row per node whose kind has a backward, on input batch x: fwd/bwd
-    ms, and MACs and GMAC/s where the kind has MACs."""
-    macs = count_flops(graph).per_node_macs
+@contextlib.contextmanager
+def timed_kinds(graph):
+    """Swaps each graph.NODE_KINDS record for a copy that times every call,
+    found by the id of the attrs dict the engine passes, and puts the
+    originals back on exit, also on an error. Yields (seconds, need): (node,
+    "fwd" or "bwd") -> seconds of each call; node -> its backward's need."""
+    names = {id(node.attrs): node.name for node in graph.nodes}
+    seconds, need = {}, {}
+
+    def timed(fn, direction):
+        def call(a, *rest):
+            t0 = time.perf_counter()
+            out = fn(a, *rest)
+            dt = time.perf_counter() - t0
+            seconds.setdefault((names[id(a)], direction), []).append(dt)
+            if direction == "bwd":
+                need[names[id(a)]] = rest[-1]
+            return out
+        return call
+
+    original = dict(NODE_KINDS)
+    try:
+        for name, kind in original.items():
+            NODE_KINDS[name] = replace(
+                kind, forward=timed(kind.forward, "fwd"),
+                backward=kind.backward and timed(kind.backward, "bwd"))
+        yield seconds, need
+    finally:
+        NODE_KINDS.update(original)
+
+
+def timed_steps(graph, batch):
+    """timed_kinds' (seconds, need) over STEPS one-step train() calls."""
+    cfg = TrainConfig.desk(batch_size=batch, seed=SEED, max_minibatches=1)
+    store = init_params(graph, cfg)
     rng = np.random.default_rng(SEED)
-    saved = {}
-    acts, _ = forward_pass(graph, store, x, mode="train", saved=saved)
+    shape = (4 * batch,) + tuple(graph.input_shape)
+    data = Dataset(rng.standard_normal(shape).astype(np.float32),
+                   rng.integers(0, graph.node("fc").attrs["out"], size=shape[0]))
+    with timed_kinds(graph) as timings:
+        for step in range(STEPS):
+            train(graph, store, data, replace(cfg, seed=SEED + step))
+    return timings
+
+
+def step_rows(graph, seconds, need, batch):
+    """One row per node whose kind has a backward: median fwd/bwd ms of its
+    calls, and MACs and GMAC/s where the kind has MACs."""
+    macs = count_flops(graph).per_node_macs
     rows = []
     for node in graph.nodes:
-        kind = NODE_KINDS[node.kind]
-        if kind.backward is None:
+        if NODE_KINDS[node.kind].backward is None:
             continue
-        a, p, ins = node.attrs, _node_params(store, node), [acts[s] for s in node.inputs]
-        running, context = store.running.get(node.name), saved.get(node.name)
-        gy = rng.standard_normal(acts[node.name].shape).astype(np.float32)
-        need = tuple(src != INPUT_NAME for src in node.inputs)
-        row = {"node": node.name, "kind": node.kind,
-               "input_shape": list(ins[0].shape),
-               "fwd_ms": median_ms(lambda: kind.forward(a, p, ins, running, "train")),
-               "bwd_ms": median_ms(lambda: kind.backward(a, p, ins, gy, context, need))}
+        row = {"node": node.name, "kind": node.kind}
+        for d in ("fwd", "bwd"):
+            row[f"{d}_ms"] = float(np.median(seconds[node.name, d])) * 1e3
         if node.name in macs:
-            row["fwd_macs"] = macs[node.name] * len(x)
-            row["bwd_macs"] = row["fwd_macs"] * (1 + need[0])
+            row["fwd_macs"] = macs[node.name] * batch
+            row["bwd_macs"] = row["fwd_macs"] * (1 + need[node.name][0])
             for d in ("fwd", "bwd"):
                 row[f"{d}_gmacs"] = row[f"{d}_macs"] / row[f"{d}_ms"] / 1e6
         rows.append(row)
@@ -115,62 +153,24 @@ def kind_totals(rows):
     return out
 
 
-def train_steps(graph, store, data, cfg):
-    """ms of each of STEPS one-step train() calls, after two warm-ups."""
-    times = []
-    for step in range(STEPS + 2):
-        step_cfg = replace(cfg, seed=cfg.seed + step, max_minibatches=1)
-        t0 = time.perf_counter()
-        train(graph, store, data, step_cfg)
-        if step >= 2:
-            times.append((time.perf_counter() - t0) * 1e3)
-    q1, _, q3 = statistics.quantiles(times, n=4)
-    return {"steps": STEPS, "median_ms": statistics.median(times),
-            "q1_ms": q1, "q3_ms": q3, "min_ms": min(times)}
-
-
-def grid_calls(graph, store, batch):
-    """Seconds of each of GRID_CALLS branch_grid calls, and their median."""
-    rng = np.random.default_rng(SEED + 1)
-
-    def split(n):  # one inputs array shared by every task, as load_tasks
-        x = rng.standard_normal((n,) + tuple(graph.input_shape)).astype(np.float32)
-        return {t.name: Dataset(x, rng.integers(0, t.num_classes, size=n))
-                for t in DESK_TASKS}
-
-    train_sets, val_sets = split(GRID_TRAIN), split(GRID_VAL)
-    cfg = TrainConfig.desk(batch_size=batch, max_minibatches=GRID_STEPS)
-    times = []
-    for _ in range(GRID_CALLS):
-        t0 = time.perf_counter()
-        branch_grid(graph, store, DESK_TASKS, train_sets, val_sets, cfg, SEED)
-        times.append(time.perf_counter() - t0)
-    return {"layers": len(graph.branch_points), "tasks": len(DESK_TASKS),
-            "steps": GRID_STEPS, "train_samples": GRID_TRAIN,
-            "val_samples": GRID_VAL, "calls_s": times,
-            "median_s": statistics.median(times)}
-
-
 def run(args):
+    batch, size_args = SIZES[args.size]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    runs = {w: perfbench(w, size_args) for w in workloads}
     graph = build_trunk(ArchConfig.desk())
-    cfg = TrainConfig.desk(batch_size=args.batch, seed=SEED)
-    store = init_params(graph, cfg)
-    rng = np.random.default_rng(SEED)
-    shape = (4 * args.batch,) + tuple(graph.input_shape)
-    data = Dataset(rng.standard_normal(shape).astype(np.float32),
-                   rng.integers(0, graph.node("fc").attrs["out"], size=shape[0]))
-    rows = node_rows(graph, store, data.inputs[:args.batch])
+    rows = step_rows(graph, *timed_steps(graph, batch), batch)
     return {
         "label": args.label,
         "code_digest": code_digest(os.path.join(ROOT, "src"))[:16],
         "machine": fingerprint(gemm_ceiling_gmacs(GEMM_SIZE)),
         "gemm_size": GEMM_SIZE,
-        "batch": args.batch,
-        "reps": REPS,
+        "size": args.size,
+        "batch": batch,
+        "steps": STEPS,
         "kinds": kind_totals(rows),
         "nodes": rows,
-        "train_step": train_steps(graph, store, data, cfg),
-        "grid": grid_calls(graph, store, args.batch),
+        "perfbench": runs,
     }
 
 
@@ -179,10 +179,10 @@ def main(argv=None):
     p.add_argument("--label", required=True,
                    help="names the output file BENCH_<label>.json")
     p.add_argument("--out-dir", default=os.path.join(ROOT, "bench"))
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--size", choices=SIZES, default="full",
+                   help="full: batch 32 and 15-s perfbench runs; tiny: "
+                        "batch 2 and perfbench's tiny size for 1 s")
     args = p.parse_args(argv)
-    if args.batch < 1:
-        p.error(f"--batch must be >= 1, got {args.batch}")
     if os.path.basename(args.label) != args.label or args.label in ("", ".", ".."):
         p.error(f"--label {args.label!r} must be a plain file-name part")
     result = run(args)
@@ -191,12 +191,9 @@ def main(argv=None):
     with open(path, "w") as f:
         json.dump(result, f, indent=1)
         f.write("\n")
-    k, step = result["kinds"], result["train_step"]
-    print(f"wrote {path}: conv fwd {k['conv']['fwd_ms']:.1f} ms, bwd "
-          f"{k['conv']['bwd_ms']:.1f} ms; batchnorm fwd "
-          f"{k['batchnorm']['fwd_ms']:.1f} ms, bwd {k['batchnorm']['bwd_ms']:.1f} "
-          f"ms; train step median {step['median_ms']:.1f} ms; branch grid "
-          f"median {result['grid']['median_s']:.2f} s")
+    print(f"wrote {path}: " + "; ".join(
+        f"{w} op_ms_p50 {r['metrics']['op_ms_p50']:.1f} ms"
+        for w, r in result["perfbench"].items()))
     return 0
 
 

@@ -207,29 +207,32 @@ def build_parser():
                     "fine-tuning, accounting and evaluation tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, overrides=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key")
+        if overrides:
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override a config key")
         return p
 
     p = add("arch-resolve", cmd_arch_resolve,
-            "enumerate and rank stage compositions")
+            "enumerate and rank stage compositions", overrides=True)
     p.add_argument("--constraints", help="constraints config file")
     p.add_argument("--report", help="also write the report here")
 
-    p = add("flops", cmd_flops, "per-layer parameter and cost table")
+    p = add("flops", cmd_flops, "per-layer parameter and cost table",
+            overrides=True)
     p.add_argument("--config", help="architecture config file")
 
-    p = add("train-base", cmd_train_base, "train the identity trunk")
+    p = add("train-base", cmd_train_base, "train the identity trunk",
+            overrides=True)
     p.add_argument("--config", help="arch + training config file")
     p.add_argument("--data", required=True, help="dataset manifest")
     p.add_argument("--out", required=True, help="output checkpoint")
     p.add_argument("--field", default="identity", help="label column")
     p.add_argument("--split", default="train")
 
-    p = add("finetune", cmd_finetune, "fine-tune one branch head")
+    p = add("finetune", cmd_finetune, "fine-tune one branch head", overrides=True)
     p.add_argument("--trunk", required=True, help="trunk checkpoint")
     p.add_argument("--branch", required=True, help="branch layer name")
     p.add_argument("--task", required=True, help="task name")
@@ -244,7 +247,8 @@ def build_parser():
     p.add_argument("--config", help="training config file")
     p.add_argument("--split", default="train")
 
-    p = add("branch-grid", cmd_branch_grid, "fine-tune at every branch depth")
+    p = add("branch-grid", cmd_branch_grid, "fine-tune at every branch depth",
+            overrides=True)
     p.add_argument("--trunk", required=True)
     p.add_argument("--tasks", required=True,
                    help="file of `name column classes loss` lines")
@@ -285,7 +289,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", required=True)
 
-    p = add("synth", cmd_synth, "generate the synthetic dataset")
+    p = add("synth", cmd_synth, "generate the synthetic dataset",
+            overrides=True)
     p.add_argument("--spec", help="synthetic-spec config file")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -298,7 +303,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        msg = exc.args[0] if exc.args else exc
+        # an OSError's args start with its errno; its text names the file
+        msg = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
 

@@ -52,7 +52,8 @@ TRUNK_FILE = "trunk.ckpt"
 class HeadSpec:
     """One line of heads.txt. The task names the head's checkpoint file, so
     it must be a plain file stem: not empty, no path separator, not "." or
-    "..", and not the trunk's."""
+    "..", and not the trunk's. It is also one whitespace-separated field of
+    its line, so it holds no whitespace and no "#", which starts a comment."""
 
     task: str
     branch_layer: str
@@ -66,6 +67,9 @@ class HeadSpec:
                 or f"{task}.ckpt" == TRUNK_FILE):
             raise ValueError(f"task {task!r} is not a plain file stem "
                              f"other than the trunk's")
+        if "#" in task or any(c.isspace() for c in task):
+            raise ValueError(f"task {task!r} holds whitespace or '#', which "
+                             f"{HEADS_FILE} cannot hold in one field")
 
 
 @dataclass

@@ -35,6 +35,11 @@ class SoftTarget:
     num_classes: int
     target: int
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be at least 2 for a branch "
+                             f"head, got {self.num_classes}")
+
 
 @dataclass(frozen=True)
 class Constraints:
@@ -80,9 +85,7 @@ class Resolution:
         return "mac" if "mac" in sel.conventions else sel.conventions[0]
 
 
-def _evaluate(repeats, constraints):
-    config = ArchConfig(stage_repeats=tuple(repeats))
-    graph = build_trunk(config)
+def _evaluate(repeats, graph, constraints):
     _, params = count_params(graph)
     macs = count_flops(graph).total_macs
     lo, hi = constraints.cost_window
@@ -117,13 +120,16 @@ def resolve_architecture(constraints: Constraints = Constraints()) -> Resolution
     clo, chi = constraints.cost_window
 
     passing, misses = [], []
-    for repeats in product(range(1, constraints.max_repeat + 1), repeat=4):
+    # each of the four parts is at least 1, so none exceeds blocks - 3
+    parts = range(1, min(constraints.max_repeat, blocks - 3) + 1)
+    for repeats in product(parts, repeat=4):
         if sum(repeats) != blocks:
             continue
         try:
-            cand = _evaluate(repeats, constraints)
+            graph = build_trunk(ArchConfig(stage_repeats=repeats))
         except ValueError:
             continue  # composition cannot be built (shape collapse)
+        cand = _evaluate(repeats, graph, constraints)
         if plo <= cand.params <= phi and cand.conventions:
             passing.append(cand)
         else:

@@ -1,29 +1,42 @@
-"""scripts/bench.py at a tiny size: it must run against the library as it
-stands and write a complete BENCH_<label>.json."""
+"""scripts/bench.py at its tiny size: it must run against the library and
+the benchmark as they stand and write a complete BENCH_<label>.json, and
+leave graph.NODE_KINDS as it found it."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from branchnet.accounting import count_flops
 from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk
+from branchnet.train import Dataset, TrainConfig, init_params, train
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def load_bench():
+    spec = importlib.util.spec_from_file_location(
+        "bench", os.path.join(ROOT, "scripts", "bench.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "scripts/bench.py", "--label", "tiny", "--batch", "2",
+        [sys.executable, "scripts/bench.py", "--label", "tiny", "--size", "tiny",
          "--out-dir", str(tmp_path)],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr[-3000:]
     with open(tmp_path / "BENCH_tiny.json") as f:
         bench = json.load(f)
-    assert bench["label"] == "tiny" and bench["batch"] == 2
-    assert bench["reps"] == 7 and bench["gemm_size"] == 1024
+    assert bench["label"] == "tiny" and bench["size"] == "tiny"
+    assert bench["batch"] == 2 and bench["steps"] == 40
+    assert bench["gemm_size"] == 1024
     assert bench["machine"]["gemm_ceiling_gmacs"] > 0
     assert {"cpu", "nproc", "numpy", "blas", "blas_version"} <= bench["machine"].keys()
 
@@ -52,10 +65,35 @@ def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
         assert ("fwd_gmacs" in total) == (kind in ("conv", "fc"))
     assert bench["kinds"]["conv"]["nodes"] == 28
     assert bench["kinds"]["batchnorm"]["nodes"] == 24
-    step = bench["train_step"]
-    assert step["steps"] == 40 and 0 < step["min_ms"] <= step["median_ms"]
-    grid = bench["grid"]
-    assert (grid["layers"], grid["tasks"], grid["steps"]) == (6, 2, 20)
-    assert (grid["train_samples"], grid["val_samples"]) == (64, 16)
-    assert len(grid["calls_s"]) == 3 and min(grid["calls_s"]) > 0
-    assert grid["median_s"] == sorted(grid["calls_s"])[1]
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        declared = json.load(f)
+    assert set(bench["perfbench"]) == {w["name"] for w in declared["workloads"]}
+    for run in bench["perfbench"].values():
+        assert run["failed"] == 0 and run["attempted"] >= 1
+        assert {m["name"] for m in declared["end_to_end"]} <= run["metrics"].keys()
+        assert run["metrics"]["op_ms_p50"] > 0
+
+
+def test_timed_steps_leave_the_kind_table_as_they_found_it():
+    bench = load_bench()
+    before = dict(NODE_KINDS)
+    graph = build_trunk(ArchConfig.desk())
+    seconds, need = bench.timed_steps(graph, 2)
+    # one call per node and direction in each step; no backward of the head
+    assert seconds.keys() == {(n.name, d) for n in graph.nodes
+                              for d in ("fwd", "bwd")
+                              if d == "fwd" or n.name in need}
+    assert {len(s) for s in seconds.values()} == {bench.STEPS}
+    assert len(need) == len(graph.nodes) - 1 and need["conv1"] == (False,)
+    assert NODE_KINDS.keys() == before.keys()
+    assert all(NODE_KINDS[k] is kind for k, kind in before.items())
+
+    # a step whose loss is not finite raises inside the timed window
+    cfg = TrainConfig.desk(batch_size=2, max_minibatches=1)
+    nan = np.full((2,) + tuple(graph.input_shape), np.nan, np.float32)
+    with pytest.raises(ValueError, match="non-finite loss"):
+        with bench.timed_kinds(graph) as (seconds, _):
+            train(graph, init_params(graph, cfg), Dataset(nan, np.zeros(2, int)), cfg)
+    assert seconds and NODE_KINDS.keys() == before.keys()
+    assert all(NODE_KINDS[k] is kind for k, kind in before.items())

@@ -696,3 +696,49 @@ def test_predict_rejects_a_bundle_whose_record_runs_past_the_checksum(
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'a/fc/b' runs past the checksum" in err
+
+
+def test_a_missing_file_is_one_error_line_naming_it(capsys, tmp_path):
+    missing = str(tmp_path / "absent")
+    for argv in (["flops", "--config", missing + ".arch"],
+                 ["branch-grid", "--trunk", missing + ".ckpt", "--tasks",
+                  missing + ".txt", "--data", missing + ".tsv",
+                  "--report", str(tmp_path / "grid.txt")]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert argv[2] in err
+
+
+@pytest.mark.parametrize("task", ["#x", "x#y", "a b"])
+def test_finetune_rejects_a_task_that_heads_txt_cannot_hold(
+        capsys, tmp_path, corpus, trunk_ckpt, task):
+    out = tmp_path / "bundle"
+    rc, stdout, err = run_cli(capsys, "finetune", "--trunk", trunk_ckpt,
+                              "--branch", "conv22", "--task", task,
+                              "--field", "binary", "--classes", "2",
+                              "--data", corpus, "--out", str(out),
+                              "--set", "train.batch_size=8",
+                              "--set", "train.max_minibatches=1")
+    assert rc == 2 and stdout == ""
+    assert err.startswith(f"error: task {task!r} holds whitespace or '#'")
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_set_is_given_only_to_the_commands_that_read_it(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--bundle", str(tmp_path), "--data",
+              str(tmp_path / "m.tsv"), "--out", str(tmp_path / "p.txt"),
+              "--set", "train.seed=1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --set train.seed=1" in capsys.readouterr().err
+    rc, out, _ = run_cli(capsys, "flops", "--set", "scale_factor=0.25")
+    assert rc == 0 and "total" in out.lower()
+
+
+def test_arch_resolve_rejects_a_soft_target_below_two_classes(capsys):
+    rc, out, err = run_cli(capsys, "arch-resolve", "--set",
+                           "soft_targets=conv19:1:100")
+    assert (rc, out) == (2, "")
+    assert err == ("error: soft_targets: num_classes must be at least 2 for "
+                   "a branch head, got 1\n")

@@ -365,3 +365,11 @@ def test_a_bundle_that_cannot_serve_is_rejected_at_load(tmp_path, model):
     with pytest.raises(ValueError, match=rf"late\.ckpt': batchnorm '{first}' has "
                                          rf"no running statistics"):
         load_bundle(tmp_path / "late")
+
+
+@pytest.mark.parametrize("task", ["#x", "x#y", "a b", "tab\there", "end\n"])
+def test_head_spec_rejects_a_task_heads_txt_cannot_hold(task):
+    # heads.txt splits a line on whitespace and reads "#" as a comment
+    with pytest.raises(ValueError, match=re.escape(f"task {task!r} holds "
+                                                   f"whitespace or '#'")):
+        HeadSpec(task, "conv19", 7, "softmax")

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -120,3 +122,23 @@ def test_default_report_matches_committed_file():
 def test_constraint_values_are_checked_against_their_field(key, raw):
     with pytest.raises(ValueError, match=key):
         Constraints.from_mapping({key: raw})
+
+
+def test_a_soft_target_below_two_classes_is_rejected_naming_the_field():
+    with pytest.raises(ValueError, match="num_classes must be at least 2"):
+        SoftTarget("conv19", 1, 100)
+    with pytest.raises(ValueError, match="soft_targets: num_classes"):
+        Constraints.from_mapping({"soft_targets": "conv19:1:100"})
+
+
+def test_a_large_max_repeat_returns_the_default_report():
+    # no part of a composition exceeds blocks - 3, so a larger bound adds
+    # nothing; the child must not walk max_repeat ** 4 tuples
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    runs = [subprocess.run([sys.executable, "-m", "branchnet.cli",
+                            "arch-resolve", *extra], env=env,
+                           capture_output=True, text=True, timeout=60)
+            for extra in ([], ["--set", "max_repeat=1000000"])]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[1].stdout == runs[0].stdout
