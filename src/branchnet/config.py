@@ -14,7 +14,7 @@ verification pairs) holds one dataclass instance per line, its fields
 separated by whitespace and each parsed from its annotated type the same
 way; comments and blank lines are handled as in a config file. A line with
 the wrong number of fields or a bad value is a ValueError naming
-source:line.
+source:line. format_records writes the lines parse_records reads back.
 """
 
 import dataclasses
@@ -58,6 +58,13 @@ def parse_records(kind, text: str, source="<records>") -> list:
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
     return records
+
+
+def format_records(records) -> str:
+    """The text parse_records reads back as records: one line each."""
+    return "".join(" ".join(_format(f.type, getattr(record, f.name))
+                            for f in dataclasses.fields(record)) + "\n"
+                   for record in records)
 
 
 def load_records(kind, path) -> list:

@@ -2,7 +2,8 @@
 
 Tensor container ("TNSR"): magic, version byte, rank byte, little-endian
 u32 dims, float32 little-endian payload, and a trailing 8-byte checksum
-over every preceding byte. Bitwise round-trip is a contract.
+over every preceding byte. Bitwise round-trip is a contract; a payload
+holding NaN or inf reads as a ValueError naming the container.
 
 Manifests are tab-separated with a header line; `id` and `path` columns are
 required, label columns are whatever the header declares. Paths are stored
@@ -70,8 +71,12 @@ def parse_tensor(data: bytes, name="tensor") -> np.ndarray:
     if len(data) != expected:
         raise ValueError(f"{name}: payload length {len(data)} does not match "
                          f"dims {dims} (expected {expected} bytes)")
-    return np.frombuffer(data, dtype="<f4", count=count, offset=off) \
+    arr = np.frombuffer(data, dtype="<f4", count=count, offset=off) \
         .reshape(dims).copy()
+    # min and max propagate NaN and hold any inf, with no temporary
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError(f"{name}: holds a non-finite value")
+    return arr
 
 
 def read_tensor(path) -> np.ndarray:

@@ -18,11 +18,10 @@ Partial execution supports fine-tuning and shared-trunk evaluation:
 
 boundary(graph, i) names what a pass resumed at node i reads of the
 prefix. infer() is the one inference loop, CHUNK samples at a time, for
-train()'s frozen prefix, evaluation, the branch grid and the probes; it
-starts at node 0 from {"input": x}, or at node i from the boundary's
-activations. multihead keeps the logits and each head's boundary in one
-unchunked pass, since fc's bits differ in a 1-row chunk, then resumes
-each head keeping only its last node.
+train()'s frozen prefix, evaluation, the branch grid, the probes and
+multihead, which keeps the logits and each head's boundary in one trunk
+pass, then resumes each head keeping only its last node; it starts at
+node 0 from {"input": x}, or at node i from the boundary's activations.
 
 Saved contexts let a backward skip work its forward already did. Given a
 `saved` dict, forward_pass stores there the context each node hands back
@@ -130,18 +129,22 @@ def infer(graph: GraphSpec, store, sources, keep, start=0):
     arrays ({"input": x} from node 0, or boundary(graph, start)'s
     activations), CHUNK samples at a time; returns each kept activation
     for every sample, allocated from its first chunk and filled chunk by
-    chunk. The sources hold one row per sample; zero rows run no pass."""
+    chunk. The sources hold one row per sample; zero rows run no pass. A
+    trailing 1-row chunk joins the one before it: fc takes numpy's
+    matrix-vector path on one row, whose bits differ, so no pass over
+    more than one sample takes it."""
     n = len(next(iter(sources.values())))
     out = {}
-    for lo in range(0, n, CHUNK):
+    for lo in range(0, n - (n > 1), CHUNK):
+        hi = lo + CHUNK if n - lo - CHUNK > 1 else n  # no trailing 1-row chunk
         acts, _ = forward_pass(graph, store, None, mode="infer", start=start,
-                               cache={name: a[lo:lo + CHUNK]
+                               cache={name: a[lo:hi]
                                       for name, a in sources.items()},
                                keep=keep)
         for name, a in acts.items():
             if name not in out:
                 out[name] = np.empty((n,) + a.shape[1:], a.dtype)
-            out[name][lo:lo + len(a)] = a
+            out[name][lo:hi] = a
     return out
 
 

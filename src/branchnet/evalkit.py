@@ -22,6 +22,9 @@ def cosine_similarity(a, b) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ValueError(f"vector shapes differ: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("cosine similarity is undefined for a non-finite "
+                         "vector")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine similarity is undefined for a zero vector")
@@ -148,7 +151,7 @@ def select_operating_point(scores, labels, target_fpr: float) -> OperatingPoint:
                          f"{scores.shape} and {labels.shape}")
     if scores.size == 0:
         raise ValueError("cannot calibrate on an empty score matrix")
-    if scores.min() < 0.0 or scores.max() > 1.0:
+    if not (scores.min() >= 0.0 and scores.max() <= 1.0):
         raise ValueError("scores must lie in [0, 1]")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be binary")

@@ -36,9 +36,9 @@ import numpy as np
 
 from . import ops
 from .accounting import count_flops, suffix_macs
-from .config import load_records
-from .engine import boundary, forward_pass
-from .graph import GraphSpec, head_graph
+from .config import format_records, load_records
+from .engine import boundary, forward_pass, infer
+from .graph import INPUT_NAME, GraphSpec, head_graph
 from .params import (RECORD_TABLE, ParamStore, batchnorm_nodes,
                      load_checkpoint, prefix_records, save_checkpoint,
                      share_prefix)
@@ -144,24 +144,24 @@ def predict_all(model: MultiHeadModel, x, stats=None) -> Prediction:
     stats, when given, is a mutable dict whose "trunk_forwards" counter is
     incremented once per call; tests use it to certify the sharing contract.
     """
-    if x.ndim != 4 or x.shape[1:] != tuple(model.trunk_graph.input_shape):
+    if (x.ndim != 4 or not len(x)
+            or x.shape[1:] != tuple(model.trunk_graph.input_shape)):
         raise ValueError(f"input shape {x.shape} does not match trunk input "
-                         f"{model.trunk_graph.input_shape}")
+                         f"{model.trunk_graph.input_shape} for one sample "
+                         f"or more")
     keep = {"fc"}
     for head in model.heads:
         keep |= boundary(head.graph, head.graph.index(head.spec.branch_layer))
-    trunk_acts, _ = forward_pass(model.trunk_graph, model.trunk_store, x,
-                                 mode="infer", keep=keep)
+    trunk_acts = infer(model.trunk_graph, model.trunk_store, {INPUT_NAME: x},
+                       keep)
     if stats is not None:
         stats["trunk_forwards"] = stats.get("trunk_forwards", 0) + 1
 
     tasks = {}
     for head in model.heads:
         last = head.graph.nodes[-1].name
-        acts, _ = forward_pass(head.graph, head.store, None, mode="infer",
-                               start=head.graph.index(head.spec.branch_layer),
-                               cache=trunk_acts, keep={last})
-        scores = acts[last]
+        scores = infer(head.graph, head.store, trunk_acts, {last},
+                       head.graph.index(head.spec.branch_layer))[last]
         tasks[head.spec.task] = TaskOutput(scores, scores.argmax(axis=1))
     logits = trunk_acts["fc"]
     return Prediction(logits, ops.softmax(logits), tasks)
@@ -192,14 +192,12 @@ def save_bundle(dirpath, model: MultiHeadModel):
     os.makedirs(dirpath, exist_ok=True)
     save_checkpoint(os.path.join(dirpath, TRUNK_FILE),
                     model.trunk_graph, _weights_only(model.trunk_store))
-    lines = []
-    for head in sorted(model.heads, key=lambda h: h.spec.task):
+    heads = sorted(model.heads, key=lambda h: h.spec.task)
+    for head in heads:
         save_checkpoint(os.path.join(dirpath, f"{head.spec.task}.ckpt"),
                         head.graph, _weights_only(head.store))
-        s = head.spec
-        lines.append(f"{s.task} {s.branch_layer} {s.num_classes} {s.loss}")
     with open(os.path.join(dirpath, HEADS_FILE), "w") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
+        f.write(format_records([head.spec for head in heads]))
 
 
 def load_bundle(dirpath) -> MultiHeadModel:

@@ -99,6 +99,10 @@ def test_arch_resolve_default_succeeds(capsys, tmp_path):
     assert text == out
     assert "1,1,5,4" in text
     assert "810,595,328" in text
+    committed = os.path.join(os.path.dirname(__file__), "..", "reports",
+                             "arch_resolution.txt")
+    with open(committed, "rb") as f:
+        assert report.read_bytes() == f.read()
 
 
 def test_arch_resolve_impossible_window_exits_one(capsys, tmp_path):
@@ -434,6 +438,33 @@ def test_operating_point_report(capsys, tmp_path):
     assert err == ""
     assert report.read_text() == out
     assert "0.05" in out
+
+
+def test_operating_point_rejects_a_nan_score(capsys, tmp_path):
+    scores_p = tmp_path / "scores.tnsr"
+    labels_p = tmp_path / "labels.tnsr"
+    report = tmp_path / "op.txt"
+    write_tensor(str(scores_p), np.array([[0.9, np.nan], [0.2, 0.1]]))
+    write_tensor(str(labels_p), np.array([[1, 1], [0, 0]]))
+    rc, out, err = run_cli(capsys, "operating-point", "--scores", str(scores_p),
+                           "--labels", str(labels_p), "--report", str(report))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {scores_p}: holds a non-finite value\n"
+    assert not report.exists()
+
+
+def test_eval_verify_rejects_a_nan_embedding(capsys, tmp_path):
+    table = np.array([[1.0, 0.0], [0.99, 0.01], [0.0, 1.0], [0.01, np.nan]])
+    emb = tmp_path / "emb.tnsr"
+    write_tensor(str(emb), table)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1 1 0\n2 3 1 0\n0 2 0 1\n1 3 0 1\n")
+    report = tmp_path / "verify.txt"
+    rc, out, err = run_cli(capsys, "eval-verify", "--pairs", str(pairs),
+                           "--embeddings", str(emb), "--report", str(report))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {emb}: holds a non-finite value\n"
+    assert not report.exists()
 
 
 def test_operating_point_rejects_shape_mismatch(capsys, tmp_path):

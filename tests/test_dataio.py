@@ -67,6 +67,17 @@ def test_tensor_rank_beyond_the_body_is_a_value_error(rank):
         parse_tensor(bytes(body) + checksum64(bytes(body)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_payload_is_a_value_error_naming_the_container(
+        tmp_path, value):
+    arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+    arr[1, 2] = value
+    path = tmp_path / "scores.tnsr"
+    write_tensor(path, arr)
+    with pytest.raises(ValueError, match=f"^{path}: holds a non-finite value$"):
+        read_tensor(path)
+
+
 def test_read_tensor_names_the_file_in_errors(tmp_path):
     path = tmp_path / "broken.tnsr"
     path.write_bytes(b"JUNKJUNKJUNKJUNK")

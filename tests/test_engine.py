@@ -107,6 +107,21 @@ def test_infer_is_the_per_chunk_forwards_concatenated(desk_graph,
         assert same_bits(got[name], np.concatenate(chunks)), name
 
 
+@pytest.mark.parametrize("n", [CHUNK + 1, 2 * CHUNK + 1])
+def test_infer_is_one_whole_batch_forward_when_one_sample_trails(
+        desk_graph, warm_desk_store, n):
+    # A 1-row chunk would take numpy's matrix-vector path at fc, whose bits
+    # differ from the same row's in a larger product; it joins the chunk
+    # before it instead.
+    graph, store = desk_graph, warm_desk_store
+    x = desk_inputs(np.random.default_rng(9), n)
+    keep = {"fc", graph.nodes[-1].name}
+    got = infer(graph, store, {"input": x}, keep)
+    full, _ = forward_pass(graph, store, x, mode="infer")
+    assert got.keys() == keep
+    assert_same(got, full)
+
+
 @pytest.mark.parametrize("layer", ["conv17", "conv22", "fc"])
 def test_infer_resumed_from_a_boundary_is_the_full_pass(desk_graph,
                                                         warm_desk_store, layer):

@@ -45,6 +45,14 @@ def test_cosine_rejects_zero_vectors_and_shape_mismatch():
         cosine_similarity(np.ones(3), np.ones(4))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cosine_rejects_non_finite_vectors(value):
+    bad = np.array([1.0, value, 0.5])
+    for a, b in ((bad, np.ones(3)), (np.ones(3), bad)):
+        with pytest.raises(ValueError, match="non-finite vector"):
+            cosine_similarity(a, b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0.01, 100.0), st.floats(0.01, 100.0))
 def test_cosine_scale_invariance(seed, alpha, beta):
@@ -197,6 +205,9 @@ def test_operating_point_validation():
         select_operating_point(ok, np.array([[1, 0, 1]]), 0.1)
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         select_operating_point(np.array([[1.5, 0.2]]), np.array([[1, 0]]), 0.1)
+    with pytest.raises(ValueError, match="\\[0, 1\\]"):
+        select_operating_point(np.array([[np.nan, 0.2]]), np.array([[1, 0]]),
+                               0.1)
     with pytest.raises(ValueError, match="binary"):
         select_operating_point(ok, np.array([[2, 0]]), 0.1)
     with pytest.raises(ValueError, match="target fpr"):

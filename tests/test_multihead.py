@@ -60,13 +60,14 @@ def test_trunk_runs_once_per_call(model):
 
 
 def test_cached_heads_match_standalone_bitwise(model):
-    x = inputs(17, 6)
-    pred = predict_all(model, x)
-    by_task = {h.spec.task: h for h in model.heads}
-    for task, head in by_task.items():
-        np.testing.assert_array_equal(pred.tasks[task].scores,
-                                      run_head_standalone(head, x))
-    assert set(pred.tasks) == {t for t, *_ in DESK_HEADS}
+    for n in (6, 33, 65):  # one chunk, and one sample past one or two
+        x = inputs(17, n)
+        pred = predict_all(model, x)
+        by_task = {h.spec.task: h for h in model.heads}
+        for task, head in by_task.items():
+            np.testing.assert_array_equal(pred.tasks[task].scores,
+                                          run_head_standalone(head, x))
+        assert set(pred.tasks) == {t for t, *_ in DESK_HEADS}
 
 
 def test_task_outputs_are_scored_and_labeled(model):
@@ -218,6 +219,8 @@ def test_add_head_validation(model):
 def test_predict_all_rejects_wrong_input_shape(model):
     with pytest.raises(ValueError, match="does not match trunk input"):
         predict_all(model, np.zeros((2, 3, 56, 56), dtype=np.float32))
+    with pytest.raises(ValueError, match="for one sample or more"):
+        predict_all(model, inputs(0, 0))
 
 
 def test_bundle_files_carry_no_momentum(tmp_path, model):

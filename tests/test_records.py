@@ -3,17 +3,19 @@ records that check their own fields, and Hypothesis fuzzing of every
 reader, up to a heads.txt inside a valid desk bundle."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from branchnet.config import (load_records, parse_config_text, parse_records,
-                              parse_value)
+from branchnet.config import (format_records, load_config, load_records,
+                              parse_config_text, parse_records, parse_value)
 from branchnet.engine import forward_pass
 from branchnet.evalkit import PairRecord
-from branchnet.experiments import GridTask, ProbeFactor
+from branchnet.experiments import (STUDY_SEED, TRUNK_MINIBATCHES, GridTask,
+                                   ProbeFactor)
 from branchnet.graph import ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel, combined_flops,
                                  format_prediction_lines, load_bundle,
@@ -85,6 +87,50 @@ def test_factors_parse_as_a_tuple_of_records():
         ProbeFactor("binary", "binary", 2))
     with pytest.raises(ValueError, match="expected 3 values joined by ':'"):
         parse_value(kind, "nuisance:7")
+
+
+def test_the_committed_configs_load_as_the_configs_they_name():
+    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+    canonical = load_config(os.path.join(configs, "canonical.arch"))
+    assert ArchConfig.from_mapping(canonical) == ArchConfig()
+    desk = load_config(os.path.join(configs, "desk_study.cfg"))
+    assert ArchConfig.from_mapping(desk) == ArchConfig.desk()
+    assert TrainConfig.from_mapping(desk) == TrainConfig.desk(
+        max_minibatches=TRUNK_MINIBATCHES, seed=STUDY_SEED)
+
+
+# one whitespace-free field of a record line: no "#", no line break
+FIELD = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z"),
+                              blacklist_characters="#"), min_size=1)
+
+
+@st.composite
+def valid_records(draw, kind):
+    values = []
+    for f in dataclasses.fields(kind):
+        if f.name == "loss":
+            values.append(draw(st.sampled_from(sorted(LOSS_KINDS))))
+        elif f.type is str:
+            values.append(draw(FIELD))
+        elif f.name == "num_classes":
+            values.append(draw(st.integers(2, 2 ** 70)))
+        elif f.name == "same":
+            values.append(draw(st.integers(0, 1)))
+        else:
+            values.append(draw(st.integers(-2 ** 70, 2 ** 70)))
+    try:
+        return kind(*values)
+    except ValueError:
+        assume(False)
+
+
+@FUZZ
+@given(data=st.data(), kind=st.sampled_from(RECORD_KINDS))
+def test_format_records_is_the_inverse_of_parse_records(data, kind):
+    records = data.draw(st.lists(valid_records(kind), max_size=4))
+    text = format_records(records)
+    assert text.count("\n") == len(records)
+    assert parse_records(kind, text) == records
 
 
 # fuzzing: every input parses to valid records or raises ValueError
