@@ -19,7 +19,11 @@ It records:
     beside accounting.py's MACs for the batch and the GMAC/s they imply
     where the kind has MACs; and the same summed per kind. The engine calls
     timed copies of the graph.NODE_KINDS records (timed_kinds) on train()'s
-    own activations, saved contexts and `need` tuples.
+    own activations, saved contexts and `need` tuples;
+  - under `study`, the phases of one run_desk_study into a temporary
+    directory: seconds of its top-level train (the trunk), evaluate_accuracy,
+    branch_grid and invariance_probe calls, and of the whole run. The tiny
+    size shortens the study to STUDY_TINY's trunk and fine-tune budgets.
 
 Compare two files only when both were measured on one host. The machine
 block says which host that was.
@@ -31,6 +35,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -40,6 +45,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+from branchnet import experiments  # noqa: E402
 from branchnet.accounting import count_flops  # noqa: E402
 from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk  # noqa: E402
 from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
@@ -50,6 +56,10 @@ STEPS = 40  # timed train steps
 GEMM_SIZE = 1024  # n of the n^3 float32 GEMM ceiling
 SIZES = {"full": (32, ["--seconds", "15"]),
          "tiny": (2, ["--size", "tiny", "--seconds", "1"])}
+# experiments' functions whose top-level calls are the study's phases
+STUDY_PHASES = {"train": "trunk_s", "evaluate_accuracy": "evaluation_s",
+                "branch_grid": "grid_s", "invariance_probe": "probe_s"}
+STUDY_TINY = {"TRUNK_MINIBATCHES": 2, "FINETUNE_MINIBATCHES": 1}
 
 
 def perfbench(workload, size_args):
@@ -103,6 +113,51 @@ def timed_kinds(graph):
         yield seconds, need
     finally:
         NODE_KINDS.update(original)
+
+
+@contextlib.contextmanager
+def timed_phases(**budgets):
+    """Swaps each STUDY_PHASES function of the experiments module for a
+    copy that times its top-level calls, those not made inside another of
+    them (branch_grid scores its cells with evaluate_accuracy), sets the
+    module's budgets given by name, and puts the originals back on exit,
+    also on an error. Yields phase -> summed seconds."""
+    seconds = dict.fromkeys(STUDY_PHASES.values(), 0.0)
+    depth = [0]
+
+    def timed(fn, phase):
+        def call(*args, **kwargs):
+            depth[0] += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+                if not depth[0]:
+                    seconds[phase] += time.perf_counter() - t0
+        return call
+
+    original = {name: getattr(experiments, name)
+                for name in [*STUDY_PHASES, *budgets]}
+    try:
+        for name, phase in STUDY_PHASES.items():
+            setattr(experiments, name, timed(original[name], phase))
+        for name, value in budgets.items():
+            setattr(experiments, name, value)
+        yield seconds
+    finally:
+        for name, value in original.items():
+            setattr(experiments, name, value)
+
+
+def study_times(budgets):
+    """timed_phases' seconds over one run_desk_study into a temporary
+    directory under the budgets, plus the whole run's as total_s."""
+    with tempfile.TemporaryDirectory() as out, timed_phases(**budgets) as seconds:
+        t0 = time.perf_counter()
+        experiments.run_desk_study(out)
+        total = time.perf_counter() - t0
+    return {**seconds, "total_s": total}
 
 
 def timed_steps(graph, batch):
@@ -160,6 +215,7 @@ def run(args):
     runs = {w: perfbench(w, size_args) for w in workloads}
     graph = build_trunk(ArchConfig.desk())
     rows = step_rows(graph, *timed_steps(graph, batch), batch)
+    study = study_times(STUDY_TINY if args.size == "tiny" else {})
     return {
         "label": args.label,
         "code_digest": code_digest(os.path.join(ROOT, "src"))[:16],
@@ -170,6 +226,7 @@ def run(args):
         "steps": STEPS,
         "kinds": kind_totals(rows),
         "nodes": rows,
+        "study": study,
         "perfbench": runs,
     }
 
@@ -193,7 +250,8 @@ def main(argv=None):
         f.write("\n")
     print(f"wrote {path}: " + "; ".join(
         f"{w} op_ms_p50 {r['metrics']['op_ms_p50']:.1f} ms"
-        for w, r in result["perfbench"].items()))
+        for w, r in result["perfbench"].items())
+        + f"; desk study {result['study']['total_s']:.1f} s")
     return 0
 
 

@@ -1,6 +1,6 @@
 """branchnet: a residual identity trunk with branchable task heads.
 
-From-scratch NCHW tensor ops with explicit backward passes, exact
+From-scratch channels-last tensor ops with explicit backward passes, exact
 parameter/cost accounting with a stage-composition resolver, branch
 fine-tuning with layer freezing, shared-trunk multi-head inference, and
 the evaluation protocols around them.

@@ -3,7 +3,8 @@
 Tensor container ("TNSR"): magic, version byte, rank byte, little-endian
 u32 dims, float32 little-endian payload, and a trailing 8-byte checksum
 over every preceding byte. Bitwise round-trip is a contract; a payload
-holding NaN or inf reads as a ValueError naming the container.
+holding NaN or inf reads as a ValueError naming the container, and is
+refused at write the same way, so no written container fails to read.
 
 Manifests are tab-separated with a header line; `id` and `path` columns are
 required, label columns are whatever the header declares. Paths are stored
@@ -39,7 +40,12 @@ TENSOR_VERSION = 1
 
 
 def tensor_bytes(arr) -> bytes:
-    arr = np.asarray(arr, dtype=np.float32)
+    """The container of arr as float32. A value that is NaN or inf once
+    cast (so also a float64 beyond float32's range) is a ValueError."""
+    with np.errstate(over="ignore"):  # out of range casts to inf, refused below
+        arr = np.asarray(arr, dtype=np.float32)
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError("tensor holds a non-finite value as float32")
     if arr.ndim > 255:
         raise ValueError(f"rank {arr.ndim} exceeds the container limit")
     head = TENSOR_MAGIC + struct.pack("<BB", TENSOR_VERSION, arr.ndim)
@@ -49,8 +55,10 @@ def tensor_bytes(arr) -> bytes:
 
 
 def write_tensor(path, arr):
+    """Write arr's container; a refused array leaves no file behind."""
+    data = tensor_bytes(arr)
     with open(path, "wb") as f:
-        f.write(tensor_bytes(arr))
+        f.write(data)
 
 
 def parse_tensor(data: bytes, name="tensor") -> np.ndarray:

@@ -23,6 +23,14 @@ multihead, which keeps the logits and each head's boundary in one trunk
 pass, then resumes each head keeping only its last node; it starts at
 node 0 from {"input": x}, or at node i from the boundary's activations.
 
+Layout: public inputs are (n, c, h, w), and every activation the engine
+holds is (n, h, w, c), the layout ops computes in (see ops). A pass that
+starts at node 0 converts the network input, given as x or as
+cache["input"], once; the activations it returns, "input" included, and
+every cache a pass resumed at node i > 0 reads are in the engine layout,
+as infer's boundary sources are. backward_pass hands the input gradient
+back as (n, c, h, w). Graph shapes stay per-sample (c, h, w).
+
 Saved contexts let a backward skip work its forward already did. Given a
 `saved` dict, forward_pass stores there the context each node hands back
 (see graph.NodeKind); only nodes that run in train mode have one, today
@@ -80,10 +88,12 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    if cache is not None:
+    if start == 0:  # the network input, (n, c, h, w), converted once
+        x = x if cache is None else cache.get(INPUT_NAME)
+        acts = {} if x is None else {
+            INPUT_NAME: np.ascontiguousarray(x.transpose(0, 2, 3, 1))}
+    elif cache is not None:
         acts = dict(cache)
-    elif start == 0:
-        acts = {INPUT_NAME: x}
     else:
         raise ValueError("starting mid-graph requires cached activations")
     stop, dead = len(graph.nodes), {}
@@ -198,4 +208,5 @@ def backward_pass(graph: GraphSpec, store, acts, out_grads, stop=0, saved=None,
             if keep:
                 grads[src] = grads[src] + g if src in grads else g
 
-    return param_grads, grads.get(INPUT_NAME)
+    gx = grads.get(INPUT_NAME)
+    return param_grads, None if gx is None else gx.transpose(0, 3, 1, 2)

@@ -18,6 +18,8 @@ import numpy as np
 
 
 def cosine_similarity(a, b) -> float:
+    """a.b / (|a| |b|), each vector first scaled by its largest magnitude,
+    so no finite nonzero vector overflows or underflows its norm."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
@@ -25,10 +27,11 @@ def cosine_similarity(a, b) -> float:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("cosine similarity is undefined for a non-finite "
                          "vector")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    sa, sb = np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)
+    if sa == 0.0 or sb == 0.0:
         raise ValueError("cosine similarity is undefined for a zero vector")
-    return float(a @ b / (na * nb))
+    a, b = a / sa, b / sb
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 @dataclass(frozen=True)

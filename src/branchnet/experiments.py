@@ -201,7 +201,7 @@ def format_grid_table(grid: GridResult) -> str:
 
 def _pooled(a):
     """Activations pooled to one value per channel."""
-    return a.mean(axis=(2, 3)) if a.ndim == 4 else a
+    return a.mean(axis=(1, 2)) if a.ndim == 4 else a
 
 
 def _train_linear_probe(feats, labels, num_classes, seed, budget):
@@ -227,8 +227,12 @@ def invariance_probe(graph: GraphSpec, store, layers, factors,
     map factor name -> integer label arrays. Activations are pooled to one
     value per channel, so a probe sees only channel statistics. Every
     requested layer is read from one engine.infer pass per split, not one
-    per layer. An unknown layer or one given twice is a ValueError.
+    per layer. An unknown layer, one given twice, or an empty training or
+    held-out input array is a ValueError.
     """
+    for what, inputs in (("training", train_inputs), ("held-out", val_inputs)):
+        if len(inputs) == 0:
+            raise ValueError(f"invariance_probe needs {what} inputs, got none")
     for layer in layers:
         if layer != "input" and layer not in graph:
             raise ValueError(f"unknown probe layer {layer!r}")

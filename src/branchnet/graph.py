@@ -48,7 +48,12 @@ class NodeKind:
     optional  attribute -> AttrType of the attributes a node may carry; it
               carries no attribute that neither declares
     arity     number of inputs every node of the kind reads
-    params    a -> {suffix: shape} of the parameters the node owns
+    params    a -> {suffix: shape} of the parameters the node owns, as the
+              store holds them and ops take them
+    stored    suffix -> axes, for each parameter the store holds in an
+              order of its own: the store's array is the checkpoint's
+              np.transpose(..., axes). Conv weights are (out, in, k, k)
+              in a checkpoint and (k, k, in, out) in the store
     shape     (a, input shapes) -> per-sample output shape; raises
               ValueError (without the node name) on inconsistent inputs
     cost      (a, input shapes, output shape) -> (multiply-accumulates, or
@@ -81,6 +86,7 @@ class NodeKind:
     optional: dict = field(default_factory=dict)
     arity: int = 1
     params: Callable = lambda a: {}
+    stored: dict = field(default_factory=dict)
     shape: Callable = lambda a, ins: ins[0]
     cost: Callable
     forward: Callable
@@ -134,7 +140,7 @@ def _grads(lg):
 
 
 def _conv_params(a):
-    shapes = {"w": (a["out"], a["in"], a["k"], a["k"])}
+    shapes = {"w": (a["k"], a["k"], a["in"], a["out"])}
     if a.get("bias"):
         shapes["b"] = (a["out"],)
     return shapes
@@ -212,7 +218,7 @@ NODE_KINDS = {
         attrs={"in": COUNT, "out": COUNT, "k": COUNT, "stride": COUNT,
                "pad": NATURAL},
         optional={"bias": FLAG},
-        params=_conv_params,
+        params=_conv_params, stored={"w": (2, 3, 1, 0)},
         shape=_conv_shape, cost=_conv_cost,
         forward=lambda a, p, ins, running, mode: (ops.conv2d_forward(
             ins[0], p["w"], p.get("b"), a["stride"], a["pad"]), None, None),

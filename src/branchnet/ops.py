@@ -1,44 +1,51 @@
-"""Layer primitives: pure forward and backward functions on NCHW arrays.
+"""Layer primitives: pure forward and backward functions on channels-last
+arrays.
 
 Every operation takes explicit inputs and returns new arrays; nothing here
-holds state. Tensors are numpy arrays laid out (batch, channel, height,
-width), float32 in normal use and float64 when checking gradients.
+holds state. Activations are numpy arrays laid out (batch, height, width,
+channel), float32 in normal use and float64 when checking gradients, and
+convolution weights (kernel row, kernel column, in, out). The engine holds
+every activation this way, so one layout serves forward and backward;
+graph shapes, graph text and the checkpoint keep (c, h, w) and (out, in,
+k, k) order (see engine and graph.NodeKind.stored).
 
-Convolution is evaluated as im2col plus matrix products, over columns
-gathered from one strided view of the (zero-padded) input's k x k windows.
-Patch rows run channel-major, then kernel row, then kernel column, matching
-the declared accumulation order; the inner summation itself is delegated to
+Convolution is im2col plus one matrix product in each direction, over one
+column matrix (n*oh*ow, k*k*c): row (b, i, j) holds the window under output
+pixel (i, j) of sample b, kernel row, then kernel column, then channel,
+gathered by _im2col from one strided view of the (zero-padded) input. With
+w2 the weights viewed (k*k*c, out):
+
+- the forward is cols @ w2, already (n, oh, ow, out);
+- the weight gradient is cols.T @ gy and the column gradient gy @ w2.T,
+  the output gradient gy viewed (n*oh*ow, out) with no transpose;
+- the input gradient scatters the column gradient into a zero-padded
+  (n, h, w, c) buffer, one strided += per kernel position, each adding
+  runs of c contiguous floats, and crops the padding.
+
+A plain 1x1 convolution (stride 1, no padding) gathers nothing in either
+direction: its columns are its input reshaped, a view of a contiguous
+input, and its input gradient is the column gradient reshaped. The
+backward gathers its columns again rather than keeping the forward's: a
+batch-32 desk step's columns are 11.4 MiB, which would stay alive from
+each conv's forward to its backward. The inner summation is delegated to
 BLAS, so comparisons against the naive loop oracle use the relaxed 1e-5
-relative tolerance rather than bit equality. The two directions lay their
-columns out differently:
-
-- The forward gathers (n, c*k*k, oh*ow) and takes one matrix product per
-  sample. A stride-1, unpadded 1x1 convolution is already a matrix product
-  over the input's own memory: the window view of a contiguous x is x
-  itself, so np.ascontiguousarray makes no copy.
-- The backward gathers (c*k*k, n*oh*ow), the batch folded into the
-  columns, and transposes the output gradient once to (c_out, n*oh*ow).
-  The weight gradient is then the one product gy @ cols.T, and the column
-  gradient the one product w.T @ gy. A stride-1, unpadded 1x1 convolution
-  returns its column gradient transposed to NCHW, with no zero buffer or
-  scatter. Every other convolution scatters it, read through a transposed
-  view, into a zero buffer laid out (h, w, n, c), one strided += per kernel
-  position, so each addition streams n*c contiguous values rather than a
-  short image row, and returns one contiguous NCHW copy; every element gets
-  the same additions in the same order as an NCHW scatter would give it.
+relative tolerance rather than bit equality.
 
 Convolution and fully connected backwards skip the input gradient, its
 matrix product and its scatter when the caller says it is not needed.
+Fully connected flattens a 4-d input in (c, h, w) order, so its weights
+mean what they did in the (c, h, w) graph shapes; over a 1x1 input that
+is a view.
 
-Max pooling takes np.maximum over the four strided views x[:, :, i::2, j::2]
+Max pooling takes np.maximum over the four strided views x[:, i::2, j::2]
 of the 2x2 windows. Its backward routes each window's gradient by equality
 with that maximum, trying the positions in row-major window order, so ties
 go to the first maximum and a window holding a NaN to its first NaN, as
 argmax would.
 
-Train-mode batchnorm views its input (n, c, h*w) and takes each
-per-channel sum as one einsum contraction over that view's first and last
-axes: the mean, then the variance from the once-centred input. It writes
+Train-mode batchnorm views its input (n*h*w, c) and takes each
+per-channel sum as one einsum contraction over that view's first axis:
+the mean, then the variance from the once-centred input. It writes
 (x - mean) * (gamma/std) + beta in place over the centred temporary. Its
 per-channel batch mean and std = sqrt(var + eps) are handed back as
 BatchStats, so the backward need not reduce over the batch again. The
@@ -91,9 +98,9 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
-def _check_nchw(x, name="input"):
+def _check_nhwc(x, name="input"):
     _require(isinstance(x, np.ndarray) and x.ndim == 4,
-             f"{name} must be a 4-d (n, c, h, w) array, got shape "
+             f"{name} must be a 4-d (n, h, w, c) array, got shape "
              f"{getattr(x, 'shape', None)}")
 
 
@@ -103,8 +110,8 @@ def conv_output_size(size, kernel, stride, padding):
 
 
 def _conv_geometry(x_shape, w_shape, stride, padding):
-    n, c, h, w = x_shape
-    c_out, c_in, kh, kw = w_shape
+    n, h, w, c = x_shape
+    kh, kw, c_in, c_out = w_shape
     _require(kh == kw, f"kernels must be square, got {kh}x{kw}")
     _require(c == c_in,
              f"channel mismatch: input has {c} channels, kernel expects {c_in}")
@@ -113,53 +120,50 @@ def _conv_geometry(x_shape, w_shape, stride, padding):
     _require(oh > 0 and ow > 0,
              f"non-positive output size {oh}x{ow} for input {h}x{w}, "
              f"kernel {kh}, stride {stride}, padding {padding}")
-    return n, c, h, w, c_out, kh, oh, ow
-
-
-def _windows(x, k, stride, padding, oh, ow):
-    """Read-only (n, c, k, k, oh, ow) view of x's k x k windows, over a
-    zero-padded copy when padding > 0."""
-    n, c, h, w = x.shape
-    if padding:
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        padded[:, :, padding:padding + h, padding:padding + w] = x
-        x = padded
-    sn, sc, sh, sw = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, k, k, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
+    return n, h, w, c, c_out, kh, oh, ow
 
 
 def _im2col(x, k, stride, padding, oh, ow):
-    """Forward columns (n, c*k*k, oh*ow); channel-major, kernel row, kernel column."""
-    n, c = x.shape[:2]
-    windows = _windows(x, k, stride, padding, oh, ow)
-    return np.ascontiguousarray(windows).reshape(n, c * k * k, oh * ow)
+    """Columns (n*oh*ow, k*k*c) of x's k x k windows: kernel row, kernel
+    column, then channel, copied from one strided view over a zero-padded
+    copy of x when padding > 0."""
+    n, h, w, c = x.shape
+    if padding:
+        padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        padded[:, padding:padding + h, padding:padding + w] = x
+        x = padded
+    sn, sh, sw, sc = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, oh, ow, k, k, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    return np.ascontiguousarray(windows).reshape(n * oh * ow, k * k * c)
 
 
-def _im2col_batch(x, k, stride, padding, oh, ow):
-    """Backward columns (c*k*k, n*oh*ow): the rows ordered as _im2col's,
-    the batch folded into the columns."""
-    n, c = x.shape[:2]
-    windows = _windows(x, k, stride, padding, oh, ow).transpose(1, 2, 3, 0, 4, 5)
-    return np.ascontiguousarray(windows).reshape(c * k * k, n * oh * ow)
+def _plain(k, stride, padding):
+    """Whether a convolution reads each input pixel once, as one column."""
+    return k == 1 and stride == 1 and padding == 0
+
+
+def _columns(x, k, stride, padding, oh, ow):
+    """The column matrix (n*oh*ow, k*k*c): x itself, reshaped, for a plain
+    1x1 convolution, else gathered by _im2col."""
+    if _plain(k, stride, padding):
+        return x.reshape(-1, x.shape[3])
+    return _im2col(x, k, stride, padding, oh, ow)
 
 
 def conv2d_forward(x, weights, bias=None, stride=1, padding=0):
-    """2-d convolution (cross-correlation), NCHW in, NCHW out."""
-    _check_nchw(x)
+    """2-d convolution (cross-correlation), (n, h, w, c) in, (n, oh, ow,
+    out) out, weights (k, k, in, out)."""
+    _check_nhwc(x)
     _require(weights.ndim == 4, f"weights must be 4-d, got shape {weights.shape}")
-    n, c, h, w, c_out, k, oh, ow = _conv_geometry(x.shape, weights.shape, stride, padding)
-    cols = _im2col(x, k, stride, padding, oh, ow)
-    wmat = weights.reshape(c_out, -1)
-    y = np.matmul(wmat, cols).reshape(n, c_out, oh, ow)
+    n, h, w, c, c_out, k, oh, ow = _conv_geometry(x.shape, weights.shape, stride, padding)
+    cols = _columns(x, k, stride, padding, oh, ow)
+    y = (cols @ weights.reshape(-1, c_out)).reshape(n, oh, ow, c_out)
     if bias is not None:
         _require(bias.shape == (c_out,),
                  f"bias shape {bias.shape} does not match {c_out} output channels")
-        y = y + bias[None, :, None, None]
+        y += bias
     return y
 
 
@@ -167,102 +171,100 @@ def conv2d_backward(x, weights, bias, output_grad, stride=1, padding=0,
                     input_grad=True):
     """Gradients of a scalar loss through conv2d_forward. With
     input_grad=False the input gradient is not computed and is None."""
-    _check_nchw(x)
-    n, c, h, w, c_out, k, oh, ow = _conv_geometry(x.shape, weights.shape, stride, padding)
-    _require(output_grad.shape == (n, c_out, oh, ow),
+    _check_nhwc(x)
+    n, h, w, c, c_out, k, oh, ow = _conv_geometry(x.shape, weights.shape, stride, padding)
+    _require(output_grad.shape == (n, oh, ow, c_out),
              f"output_grad shape {output_grad.shape} does not match forward "
-             f"output ({n}, {c_out}, {oh}, {ow})")
-    cols = _im2col_batch(x, k, stride, padding, oh, ow)
-    gy = np.ascontiguousarray(output_grad.transpose(1, 0, 2, 3)).reshape(c_out, -1)
+             f"output ({n}, {oh}, {ow}, {c_out})")
+    cols = _columns(x, k, stride, padding, oh, ow)
+    gy = output_grad.reshape(-1, c_out)
 
     grads = {}
     if bias is not None:
-        grads["b"] = gy.sum(axis=1)
-    grads["w"] = (gy @ cols.T).reshape(weights.shape)
+        grads["b"] = gy.sum(axis=0)
+    grads["w"] = (cols.T @ gy).reshape(weights.shape)
     if not input_grad:
         return LayerGrad(None, grads)
 
-    gcols = weights.reshape(c_out, -1).T @ gy  # (c*k*k, n*oh*ow)
-    if k == 1 and stride == 1 and padding == 0:  # each input read once: no scatter
-        return LayerGrad(np.ascontiguousarray(
-            gcols.reshape(c, n, h, w).transpose(1, 0, 2, 3)), grads)
-    # Scatter channels-last, so each += runs over n*c contiguous floats;
-    # every element receives the same additions in the same (i, j) order.
-    g6 = gcols.reshape(c, k, k, n, oh, ow).transpose(1, 2, 4, 5, 3, 0)
-    gx_pad = np.zeros((h + 2 * padding, w + 2 * padding, n, c), dtype=x.dtype)
+    gcols = gy @ weights.reshape(-1, c_out).T  # (n*oh*ow, k*k*c)
+    if _plain(k, stride, padding):  # each input pixel read once: no scatter
+        return LayerGrad(gcols.reshape(x.shape), grads)
+    g6 = gcols.reshape(n, oh, ow, k, k, c)
+    gx = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
-            gx_pad[i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[i, j]
-    gx = gx_pad[padding:padding + h, padding:padding + w]
-    return LayerGrad(np.ascontiguousarray(gx.transpose(2, 3, 0, 1)), grads)
+            gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[:, :, :, i, j]
+    if padding:
+        gx = np.ascontiguousarray(gx[:, padding:padding + h, padding:padding + w])
+    return LayerGrad(gx, grads)
 
 
 def maxpool2x2(x):
     """2x2 max pooling with stride 2. Input extents must be even."""
-    _check_nchw(x)
-    n, c, h, w = x.shape
+    _check_nhwc(x)
+    n, h, w, c = x.shape
     _require(h % 2 == 0 and w % 2 == 0,
              f"maxpool2x2 needs even spatial extents, got {h}x{w}")
-    return np.maximum(np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
-                      np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
+    return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+                      np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
 
 
 def maxpool2x2_backward(x, output_grad):
     """Routes each window's gradient to the first maximum in row-major window order."""
-    _check_nchw(x)
-    n, c, h, w = x.shape
+    _check_nhwc(x)
+    n, h, w, c = x.shape
     _require(h % 2 == 0 and w % 2 == 0,
              f"maxpool2x2 needs even spatial extents, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    _require(output_grad.shape == (n, c, h2, w2),
+    _require(output_grad.shape == (n, h2, w2, c),
              f"output_grad shape {output_grad.shape} does not match pooled "
-             f"shape ({n}, {c}, {h2}, {w2})")
+             f"shape ({n}, {h2}, {w2}, {c})")
     top = maxpool2x2(x)
     zero = x.dtype.type(0)
     gx = np.empty_like(x)
     free = np.ones(top.shape, dtype=bool)  # windows not yet routed
     # Window positions in row-major order; (1, 1) takes the windows left over.
     for i, j in ((0, 0), (0, 1), (1, 0)):
-        xv = x[:, :, i::2, j::2]
+        xv = x[:, i::2, j::2]
         hit = xv == top
         hit |= np.isnan(xv)  # a NaN window's maximum is NaN, equal to nothing
         hit &= free
         free ^= hit
-        gx[:, :, i::2, j::2] = np.where(hit, output_grad, zero)
-    gx[:, :, 1::2, 1::2] = np.where(free, output_grad, zero)
+        gx[:, i::2, j::2] = np.where(hit, output_grad, zero)
+    gx[:, 1::2, 1::2] = np.where(free, output_grad, zero)
     return gx
 
 
 def avgpool_global(x):
     """Global average pooling to spatial size 1x1."""
-    _check_nchw(x)
-    return x.mean(axis=(2, 3), keepdims=True)
+    _check_nhwc(x)
+    return x.mean(axis=(1, 2), keepdims=True)
 
 
 def avgpool_global_backward(x, output_grad):
-    n, c, h, w = x.shape
-    _require(output_grad.shape == (n, c, 1, 1),
-             f"output_grad shape {output_grad.shape} does not match ({n}, {c}, 1, 1)")
+    n, h, w, c = x.shape
+    _require(output_grad.shape == (n, 1, 1, c),
+             f"output_grad shape {output_grad.shape} does not match ({n}, 1, 1, {c})")
     return np.broadcast_to(output_grad / (h * w), x.shape).astype(x.dtype, copy=True)
 
 
 def _batch_moments(x, eps):
     """(mean, biased var, std, x - mean) per channel over the (n, h, w)
-    axes, the centred input laid out (n, c, h*w). Each sum is one einsum
-    contraction over that layout's first and last axes; the variance is
-    summed from the centred input."""
-    n, c = x.shape[:2]
+    axes, the centred input laid out (n*h*w, c). Each sum is one einsum
+    contraction over that layout's first axis; the variance is summed from
+    the centred input."""
+    c = x.shape[-1]
     m = x.size // c
-    x3 = x.reshape(n, c, -1)
-    mean = np.einsum("nck->c", x3) / m
-    d = x3 - mean[:, None]
-    var = np.einsum("nck,nck->c", d, d) / m
+    x2 = x.reshape(m, c)
+    mean = np.einsum("mc->c", x2) / m
+    d = x2 - mean
+    var = np.einsum("mc,mc->c", d, d) / m
     return mean, var, np.sqrt(var + eps), d
 
 
 def _check_batchnorm(x, gamma, beta):
-    _check_nchw(x)
-    c = x.shape[1]
+    _check_nhwc(x)
+    c = x.shape[3]
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match {c} channels")
 
@@ -276,8 +278,8 @@ def batchnorm_train(x, gamma, beta, running=None, eps=BN_EPS):
     """
     _check_batchnorm(x, gamma, beta)
     mean, var, std, y = _batch_moments(x, eps)
-    y *= (gamma / std)[:, None]
-    y += beta[:, None]
+    y *= gamma / std
+    y += beta
     if running is None or running.count == 0:
         new = RunningStats(mean.copy(), var.copy(), 1)
     else:
@@ -300,32 +302,30 @@ def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS):
         _require(running is not None and running.count > 0,
                  "inference-mode batchnorm with uninitialized running statistics")
         inv = 1.0 / np.sqrt(running.var + eps)
-        y = gamma[None, :, None, None] * (x - running.mean[None, :, None, None]) \
-            * inv[None, :, None, None] + beta[None, :, None, None]
-        return y, running
+        return gamma * (x - running.mean) * inv + beta, running
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 
 def batchnorm_backward(x, gamma, beta, output_grad, eps=BN_EPS, saved=None):
     """Train-mode batchnorm gradients. saved is the forward's BatchStats;
     without it the batch statistics are recomputed from x, to the same bits."""
-    _check_nchw(x)
+    _check_nhwc(x)
     _require(output_grad.shape == x.shape,
              f"output_grad shape {output_grad.shape} does not match input {x.shape}")
-    n, c = x.shape[:2]
+    c = x.shape[3]
     m = x.size // c
     if saved is None:
         _, _, std, t = _batch_moments(x, eps)
     else:
-        std, t = saved.std, x.reshape(n, c, -1) - saved.mean[:, None]
-    gy = output_grad.reshape(n, c, -1)
-    dbeta = np.einsum("nck->c", gy)
-    dgamma = np.einsum("nck,nck->c", gy, t) / std
+        std, t = saved.std, x.reshape(m, c) - saved.mean
+    gy = output_grad.reshape(m, c)
+    dbeta = np.einsum("mc->c", gy)
+    dgamma = np.einsum("mc,mc->c", gy, t) / std
     # dx = ((gy - t * (dgamma / (m*std))) - dbeta/m) * (gamma/std), in t's memory
-    t *= (dgamma / (m * std))[:, None]
+    t *= dgamma / (m * std)
     np.subtract(gy, t, out=t)
-    t -= (dbeta / m)[:, None]
-    t *= (gamma / std)[:, None]
+    t -= dbeta / m
+    t *= gamma / std
     return LayerGrad(t.reshape(x.shape), {"gamma": dgamma, "beta": dbeta})
 
 
@@ -350,9 +350,16 @@ def elementwise_add_backward(output_grad):
     return output_grad, output_grad
 
 
+def _chw_rows(x):
+    """x as (n, d) rows; a 4-d (n, h, w, c) input flattened in (c, h, w) order."""
+    if x.ndim == 4:
+        x = x.transpose(0, 3, 1, 2)
+    return x.reshape(x.shape[0], -1)
+
+
 def fully_connected(x, weights, bias):
-    """y = x W + b on inputs collapsed to (n, d)."""
-    x2 = x.reshape(x.shape[0], -1)
+    """y = x W + b on inputs collapsed to (n, d) (see _chw_rows)."""
+    x2 = _chw_rows(x)
     d, m = weights.shape
     _require(x2.shape[1] == d,
              f"fully_connected input dimension {x2.shape[1]} does not match "
@@ -364,13 +371,19 @@ def fully_connected(x, weights, bias):
 def fully_connected_backward(x, weights, output_grad, input_grad=True):
     """Gradients through fully_connected. With input_grad=False the input
     gradient is not computed and is None."""
-    x2 = x.reshape(x.shape[0], -1)
+    x2 = _chw_rows(x)
     n, m = output_grad.shape
     d = weights.shape[0]
     _require(output_grad.shape == (n, weights.shape[1]) and x2.shape == (n, d),
              f"fully_connected_backward shape mismatch: input {x.shape}, "
              f"weights {weights.shape}, output_grad {output_grad.shape}")
-    gx = (output_grad @ weights.T).reshape(x.shape) if input_grad else None
+    gx = None
+    if input_grad:
+        gx = output_grad @ weights.T
+        if x.ndim == 4:  # back from (c, h, w) order
+            n, h, w, c = x.shape
+            gx = gx.reshape(n, c, h, w).transpose(0, 2, 3, 1)
+        gx = gx.reshape(x.shape)
     return LayerGrad(gx, {"w": x2.T @ output_grad, "b": output_grad.sum(axis=0)})
 
 

@@ -15,6 +15,11 @@ Checkpoint layout (all integers little-endian):
       u32 name length, name (utf-8), u64 element count, float32 data
   trailing 8-byte checksum (sha256 prefix) over every preceding byte.
 
+A parameter whose kind stores it in an order of its own (param_axes:
+conv weights, (k, k, in, out) in the store) is written in the
+checkpoint's (out, in, k, k) order. The writer and parse_checkpoint
+permute it inside the copy every record gets anyway.
+
 RECORD_TABLE states each record kind once, keyed by its name's prefix.
 store_records names a store's state through it, the writer adds a zero
 "m/" record for each parameter without momentum when any has one, and
@@ -50,6 +55,20 @@ def param_shapes(graph: GraphSpec) -> dict:
     return {f"{node.name}/{suffix}": shape
             for node in graph.nodes
             for suffix, shape in NODE_KINDS[node.kind].params(node.attrs).items()}
+
+
+def param_axes(graph: GraphSpec) -> dict:
+    """Parameter name -> axes, for each parameter whose kind stores it in
+    an order of its own (graph.NodeKind.stored): the store holds the
+    checkpoint's array transposed by axes."""
+    return {f"{node.name}/{suffix}": axes for node in graph.nodes
+            for suffix, axes in NODE_KINDS[node.kind].stored.items()}
+
+
+def checkpoint_shape(shape, axes):
+    """The checkpoint's shape of a parameter the store holds, of shape,
+    transposed by axes."""
+    return tuple(shape[i] for i in np.argsort(axes))
 
 
 def batchnorm_nodes(graph: GraphSpec):
@@ -204,10 +223,16 @@ def checkpoint_bytes(graph: GraphSpec, store: ParamStore) -> bytes:
         store = replace(store, momentum={
             **{name: np.zeros_like(arr) for name, arr in store.arrays.items()},
             **store.momentum})
+    axes = param_axes(graph)
     for name, data in sorted(store_records(store).items()):
+        prefix, _, owner = name.partition("/")
+        if RECORD_TABLE[prefix].dtype is None and owner in axes:
+            # back to checkpoint order, in the copy astype makes anyway
+            data = data.reshape(store.arrays[owner].shape).transpose(
+                np.argsort(axes[owner]))
         nb = name.encode()
         chunks += [struct.pack("<I", len(nb)), nb, struct.pack("<Q", data.size),
-                   data.astype("<f4").tobytes()]
+                   data.astype("<f4", order="C").tobytes()]
     body = b"".join(chunks)
     return body + checksum64(body)
 
@@ -243,6 +268,7 @@ def parse_checkpoint(data: bytes):
     compute_shapes(graph)  # a graph that cannot run fails here, naming the node
     off += glen
 
+    axes = param_axes(graph)
     owners = {PARAMETER: param_shapes(graph),
               BATCHNORM: {bn: (graph.node(bn).attrs["ch"],)
                           for bn in batchnorm_nodes(graph)}}
@@ -277,8 +303,12 @@ def parse_checkpoint(data: bytes):
         if count != size:
             raise ValueError(f"checkpoint record {rname!r} has {count} "
                              f"elements, graph expects {size}")
-        flat = np.frombuffer(data, dtype="<f4", count=count, offset=off).copy()
-        slot[name] = kind.read(rname, flat, shape)
+        flat = np.frombuffer(data, dtype="<f4", count=count, offset=off)
+        if kind.owner == PARAMETER and kind.dtype is None and name in axes:
+            # into store order, in the one copy every record gets
+            flat = flat.reshape(checkpoint_shape(shape, axes[name])
+                                ).transpose(axes[name])
+        slot[name] = kind.read(rname, np.array(flat, order="C"), shape)
         off += 4 * count
 
     for prefix, kind in RECORD_TABLE.items():  # completeness, on the key sets

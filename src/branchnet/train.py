@@ -36,8 +36,8 @@ from .common import derive_rng
 from .config import check_ranges, fields_from_mapping, fields_to_mapping
 from .engine import backward_pass, boundary, forward_pass, infer
 from .graph import INPUT_NAME, LOSS_KINDS, NODE_KINDS, GraphSpec, head_graph
-from .params import (ParamStore, batchnorm_nodes, param_owner, param_shapes,
-                     share_prefix)
+from .params import (ParamStore, batchnorm_nodes, checkpoint_shape,
+                     param_axes, param_owner, param_shapes, share_prefix)
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,10 @@ def lr_at(t: int, config: TrainConfig) -> float:
 def init_params(graph: GraphSpec, config: TrainConfig) -> ParamStore:
     """Fresh store: weights N(0, init_std^2), biases and batchnorm shifts
     zero, batchnorm scales one, velocities zero, everything trainable."""
-    store = ParamStore()
+    store, axes = ParamStore(), param_axes(graph)
     for name, shape in sorted(param_shapes(graph).items()):
-        store.arrays[name] = _fresh_param(name, shape, config.init_std,
-                                          config.seed, "init")
+        store.arrays[name] = _fresh_param(name, shape, axes.get(name),
+                                          config.init_std, config.seed, "init")
         store.momentum[name] = np.zeros(shape, dtype=np.float32)
         store.trainable[name] = True
     for bn in batchnorm_nodes(graph):
@@ -105,13 +105,18 @@ def init_params(graph: GraphSpec, config: TrainConfig) -> ParamStore:
     return store
 
 
-def _fresh_param(name, shape, init_std, seed, *tags):
+def _fresh_param(name, shape, axes, init_std, seed, *tags):
     """Weights ("w") N(0, init_std^2) from derive_rng(seed, *tags, name),
-    batchnorm scales one, biases and shifts zero."""
+    drawn in checkpoint order and transposed by axes (None: as drawn) into
+    the store's (params.param_axes); batchnorm scales one, biases and
+    shifts zero."""
     suffix = name.rpartition("/")[2]
     if suffix == "w" and init_std > 0:
         rng = derive_rng(seed, *tags, name)
-        return rng.normal(0.0, init_std, size=shape).astype(np.float32)
+        if axes is None:
+            return rng.normal(0.0, init_std, size=shape).astype(np.float32)
+        drawn = rng.normal(0.0, init_std, size=checkpoint_shape(shape, axes))
+        return np.ascontiguousarray(drawn.transpose(axes), dtype=np.float32)
     return np.full(shape, 1.0 if suffix == "gamma" else 0.0, dtype=np.float32)
 
 
@@ -206,13 +211,16 @@ def _prefix(graph, store, dataset, logits):
     """(train_from, activations): train_from is the index of the first
     node owning an array the store flags trainable (len(graph.nodes) when
     none does), activations what a pass resumed there reads (its boundary,
-    or the logits when nothing trains): the dataset's own ("input" and its
-    cached activations) when it holds them all, else an infer pass's."""
+    or the logits when nothing trains): the dataset's own (its inputs at
+    node 0, else its cached activations) when it holds them all, else an
+    infer pass's."""
     train_from = min((graph.index(param_owner(name))
                       for name, flag in store.trainable.items() if flag),
                      default=len(graph.nodes))
     need = boundary(graph, train_from) or {logits}
-    have = {INPUT_NAME: dataset.inputs, **dataset.activations}
+    # a pass from node 0 reads the inputs themselves; any other reads
+    # activations, "input" among them, in the engine's layout
+    have = {INPUT_NAME: dataset.inputs} if train_from == 0 else dataset.activations
     if need <= have.keys():
         return train_from, {name: have[name] for name in need}
     return train_from, infer(graph, store, {INPUT_NAME: dataset.inputs}, need)
@@ -299,7 +307,7 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
     check_task(num_classes, loss)
     bidx = trunk_graph.branch_index(branch_layer)
     graph = head_graph(trunk_graph, num_classes, loss)
-    store = ParamStore()
+    store, axes = ParamStore(), param_axes(graph)
     share_prefix(graph, store, trunk_store, bidx)
     for name, shape in param_shapes(graph).items():
         if name in store.arrays:
@@ -309,8 +317,9 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
         if warm and param_owner(name) != "fc":
             store.arrays[name] = trunk_store.arrays[name].copy()
         else:
-            store.arrays[name] = _fresh_param(name, shape, init_std, seed,
-                                              "branch", branch_layer)
+            store.arrays[name] = _fresh_param(name, shape, axes.get(name),
+                                              init_std, seed, "branch",
+                                              branch_layer)
     for bn in batchnorm_nodes(graph):
         if bn in store.running:
             continue

@@ -2,7 +2,9 @@
 
 Each check builds a small random instance, evaluates a scalar projection of
 the op's output, and compares the analytic backward against central
-differences. Inputs to kinked ops (relu, maxpool) are nudged away from their
+differences. Instances are drawn (n, c, h, w) with (out, in, k, k)
+weights and handed to ops in the engine's (n, h, w, c) and (k, k, in,
+out) layouts. Inputs to kinked ops (relu, maxpool) are nudged away from their
 decision boundaries so the finite-difference step cannot cross one.
 """
 
@@ -12,6 +14,7 @@ from branchnet import ops
 from branchnet.engine import forward_pass
 from branchnet.graph import GraphSpec, LayerNode
 from branchnet.params import ParamStore
+from conftest import to_nhwc, to_store_weights
 from gradcheck import grad_check
 
 
@@ -35,8 +38,8 @@ def _pool_safe(rng, shape, gap=0.3, jitter=0.02):
 def check_conv(seed):
     rng = np.random.default_rng(seed)
     stride, padding, k = ((1, 0, 3), (2, 1, 3), (1, 0, 1))[seed % 3]
-    x = rng.standard_normal((2, 3, 6, 6))
-    w = 0.5 * rng.standard_normal((4, 3, k, k))
+    x = to_nhwc(rng.standard_normal((2, 3, 6, 6)))
+    w = to_store_weights(0.5 * rng.standard_normal((4, 3, k, k)))
     b = rng.standard_normal(4)
     y = ops.conv2d_forward(x, w, b, stride, padding)
     r = rng.standard_normal(y.shape)
@@ -50,10 +53,10 @@ def check_conv(seed):
 
 def check_batchnorm(seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 4, 5, 5))
+    x = to_nhwc(rng.standard_normal((3, 4, 5, 5)))
     gamma = 0.5 + rng.random(4)
     beta = rng.standard_normal(4)
-    r = rng.standard_normal(x.shape)
+    r = to_nhwc(rng.standard_normal((3, 4, 5, 5)))
     g = ops.batchnorm_backward(x, gamma, beta, r)
     # step 1e-4: the objective sums ~300 O(1) terms, so at 1e-5 float64
     # roundoff in (fp - fm) dominates small-gradient coordinates
@@ -67,7 +70,7 @@ def check_batchnorm(seed):
 
 def check_fully_connected(seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((4, 3, 2, 2))
+    x = to_nhwc(rng.standard_normal((4, 3, 2, 2)))
     w = rng.standard_normal((12, 5))
     b = rng.standard_normal(5)
     r = rng.standard_normal((4, 5))
@@ -90,8 +93,8 @@ def check_relu(seed):
 
 def check_maxpool(seed):
     rng = np.random.default_rng(seed)
-    x = _pool_safe(rng, (2, 3, 4, 6))
-    r = rng.standard_normal((2, 3, 2, 3))
+    x = to_nhwc(_pool_safe(rng, (2, 3, 4, 6)))
+    r = to_nhwc(rng.standard_normal((2, 3, 2, 3)))
     return grad_check(
         lambda: float((ops.maxpool2x2(x) * r).sum()),
         {"x": x}, {"x": ops.maxpool2x2_backward(x, r)}, seed=seed)
@@ -99,8 +102,8 @@ def check_maxpool(seed):
 
 def check_avgpool(seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 3, 4, 5))
-    r = rng.standard_normal((2, 3, 1, 1))
+    x = to_nhwc(rng.standard_normal((2, 3, 4, 5)))
+    r = to_nhwc(rng.standard_normal((2, 3, 1, 1)))
     return grad_check(
         lambda: float((ops.avgpool_global(x) * r).sum()),
         {"x": x}, {"x": ops.avgpool_global_backward(x, r)}, seed=seed)
@@ -180,8 +183,8 @@ def residual_instance(seed):
         rng = np.random.default_rng((seed, attempt))
         store = ParamStore()
         store.arrays = {
-            "conv_a/w": rng.standard_normal((2, 4, 1, 1)),
-            "conv_b/w": 0.3 * rng.standard_normal((4, 2, 3, 3)),
+            "conv_a/w": to_store_weights(rng.standard_normal((2, 4, 1, 1))),
+            "conv_b/w": to_store_weights(0.3 * rng.standard_normal((4, 2, 3, 3))),
             "bn_a/gamma": 0.5 + rng.random(2), "bn_a/beta": rng.standard_normal(2),
             "bn_b/gamma": 0.5 + rng.random(4), "bn_b/beta": rng.standard_normal(4),
         }

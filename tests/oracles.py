@@ -35,7 +35,19 @@ def conv2d_loops(x, w, bias=None, stride=1, padding=0):
 
 
 def im2col_np_pad(x, k, stride, padding, oh, ow):
-    """im2col over an np.pad copy: the bitwise reference for _im2col."""
+    """Columns (n*oh*ow, k*k*c) of an (n, h, w, c) input over an np.pad
+    copy: the bitwise reference for ops._im2col."""
+    n, c = x.shape[0], x.shape[3]
+    x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    sn, sh, sw, sc = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, oh, ow, k, k, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc))
+    return np.ascontiguousarray(windows).reshape(n * oh * ow, k * k * c)
+
+
+def _im2col_nchw(x, k, stride, padding, oh, ow):
+    """Per-sample columns (n, c*k*k, oh*ow) of an (n, c, h, w) input."""
     n, c = x.shape[:2]
     x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     sn, sc, sh, sw = x.strides
@@ -58,13 +70,14 @@ def _scatter_nchw(g6, x_shape, stride, padding):
 
 
 def conv2d_backward_per_sample(x, w, b, gy, stride, padding):
-    """(input, weight, bias) gradients of a convolution with one matrix
-    product per sample: the weight gradient summed over per-sample products,
-    the bias gradient reduced over the (n, h, w) axes of gy."""
+    """(input, weight, bias) gradients of a convolution on an (n, c, h, w)
+    input and (out, in, k, k) weights, with one matrix product per sample:
+    the weight gradient summed over per-sample products, the bias gradient
+    reduced over the (n, h, w) axes of gy."""
     n = x.shape[0]
     c_out, _, k, _ = w.shape
     oh, ow = gy.shape[2:]
-    cols = im2col_np_pad(x, k, stride, padding, oh, ow)
+    cols = _im2col_nchw(x, k, stride, padding, oh, ow)
     g = gy.reshape(n, c_out, oh * ow)
     gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     g6 = np.matmul(w.reshape(c_out, -1).T, g).reshape(n, -1, k, k, oh, ow)
@@ -72,25 +85,25 @@ def conv2d_backward_per_sample(x, w, b, gy, stride, padding):
 
 
 def conv2d_backward_batch_gemm(x, w, b, gy, stride, padding):
-    """(input, weight, bias) gradients of a convolution with the batch
-    folded into one matrix product: columns (c*k*k, n*oh*ow) over an np.pad
-    copy, gy transposed to (c_out, n*oh*ow), weight gradient gy @ cols.T,
-    column gradient w.T @ gy, scattered over NCHW slices. The bitwise
-    reference for conv2d_backward's channels-last scatter."""
-    n, c = x.shape[:2]
-    c_out, _, k, _ = w.shape
-    oh, ow = gy.shape[2:]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(c, k, k, n, oh, ow),
-        strides=(sc, sh, sw, sn, sh * stride, sw * stride))
-    cols = np.ascontiguousarray(windows).reshape(c * k * k, n * oh * ow)
-    g = np.ascontiguousarray(gy.transpose(1, 0, 2, 3)).reshape(c_out, n * oh * ow)
-    gw = (g @ cols.T).reshape(w.shape)
-    gcols = w.reshape(c_out, -1).T @ g
-    g6 = gcols.reshape(c, k, k, n, oh, ow).transpose(3, 0, 1, 2, 4, 5)
-    return _scatter_nchw(g6, x.shape, stride, padding), gw, g.sum(axis=1)
+    """(input, weight, bias) gradients of a convolution on an (n, h, w, c)
+    input and (k, k, in, out) weights, with the batch folded into one
+    matrix product: columns (n*oh*ow, k*k*c) over an np.pad copy, weight
+    gradient cols.T @ gy, column gradient gy @ w.T, each kernel position's
+    slice of it added into a zero-padded (n, h, w, c) buffer, cropped. The
+    bitwise reference for conv2d_backward."""
+    n, h, wd, c = x.shape
+    k, c_out = w.shape[0], w.shape[3]
+    oh, ow = gy.shape[1:3]
+    cols = im2col_np_pad(x, k, stride, padding, oh, ow)
+    g = gy.reshape(n * oh * ow, c_out)
+    w2 = w.reshape(k * k * c, c_out)
+    g6 = (g @ w2.T).reshape(n, oh, ow, k, k, c)
+    gx = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=g6.dtype)
+    for i in range(k):
+        for j in range(k):
+            gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += g6[:, :, :, i, j]
+    gx = gx[:, padding:padding + h, padding:padding + wd]
+    return gx, (cols.T @ g).reshape(w.shape), g.sum(axis=0)
 
 
 def maxpool2x2_scan(x):
@@ -152,6 +165,37 @@ def batchnorm_train_loops(x, gamma, beta, eps):
         var = float(((vals - mu) ** 2).sum()) / vals.size
         y[:, ch] = (vals - mu) / np.sqrt(var + eps) * float(gamma[ch]) + float(beta[ch])
     return y
+
+
+def forward_loops(graph, weights, x, eps=1e-5):
+    """Every node's train-mode output over an (n, c, h, w) input, node by
+    node in graph order with the oracles above, in float64 and in (n, c,
+    h, w) layout; weights maps parameter name -> array, conv weights
+    (out, in, k, k). Heads are left out: the logits are fc's output."""
+    acts = {"input": x.astype(np.float64)}
+    for node in graph.nodes:
+        a, ins = node.attrs, [acts[src] for src in node.inputs]
+        p = {s.rpartition("/")[2]: v for s, v in weights.items()
+             if s.rpartition("/")[0] == node.name}
+        if node.kind == "conv":
+            out = conv2d_loops(ins[0], p["w"], p.get("b"), a["stride"], a["pad"])
+        elif node.kind == "batchnorm":
+            out = batchnorm_train_loops(ins[0], p["gamma"], p["beta"],
+                                        a.get("eps", eps))
+        elif node.kind == "relu":
+            out = np.where(ins[0] > 0, ins[0], 0.0)
+        elif node.kind == "maxpool":
+            out = maxpool2x2_scan(ins[0])
+        elif node.kind == "avgpool":
+            out = avgpool_scan(ins[0])
+        elif node.kind == "add":
+            out = ins[0] + ins[1]
+        elif node.kind == "fc":
+            out = ins[0].reshape(len(ins[0]), -1) @ p["w"] + p["b"]
+        else:
+            continue
+        acts[node.name] = out
+    return acts
 
 
 def threshold_sweep(sims, labels):

@@ -9,6 +9,7 @@ from branchnet.graph import ArchConfig, GraphSpec, LayerNode, build_trunk
 from branchnet.graph import NODE_KINDS
 from branchnet.train import TrainConfig, init_params
 from branchnet.train import make_branch
+from conftest import to_nchw
 
 CANONICAL = build_trunk(ArchConfig())
 
@@ -160,6 +161,8 @@ def test_forward_shapes_match_compute_shapes_for_every_kind(desk_graph,
         acts, _ = forward_pass(graph, store, x, mode="train")
         shapes = compute_shapes(graph)
         for node in graph.nodes:
-            assert acts[node.name].shape == (2,) + shapes[node.name], node.name
+            a = acts[node.name]  # 4-d activations are (n, h, w, c)
+            shape = to_nchw(a).shape if a.ndim == 4 else a.shape
+            assert shape == (2,) + shapes[node.name], node.name
             kinds.add(node.kind)
     assert kinds == set(NODE_KINDS)

@@ -1,6 +1,6 @@
 """scripts/bench.py at its tiny size: it must run against the library and
 the benchmark as they stand and write a complete BENCH_<label>.json, and
-leave graph.NODE_KINDS as it found it."""
+leave graph.NODE_KINDS and the experiments module as it found them."""
 
 import importlib.util
 import json
@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from branchnet import experiments
 from branchnet.accounting import count_flops
 from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk
 from branchnet.train import Dataset, TrainConfig, init_params, train
@@ -66,6 +67,12 @@ def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
     assert bench["kinds"]["conv"]["nodes"] == 28
     assert bench["kinds"]["batchnorm"]["nodes"] == 24
 
+    study = bench["study"]
+    assert study.keys() == {"trunk_s", "evaluation_s", "grid_s", "probe_s",
+                            "total_s"}
+    phases = [v for k, v in study.items() if k != "total_s"]
+    assert all(v > 0 for v in phases) and study["total_s"] > sum(phases)
+
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         declared = json.load(f)
     assert set(bench["perfbench"]) == {w["name"] for w in declared["workloads"]}
@@ -97,3 +104,49 @@ def test_timed_steps_leave_the_kind_table_as_they_found_it():
             train(graph, init_params(graph, cfg), Dataset(nan, np.zeros(2, int)), cfg)
     assert seconds and NODE_KINDS.keys() == before.keys()
     assert all(NODE_KINDS[k] is kind for k, kind in before.items())
+
+
+def test_timed_phases_count_top_level_calls_and_restore_the_module(
+        desk_graph, warm_desk_store, monkeypatch):
+    bench = load_bench()
+    names = [*bench.STUDY_PHASES, *bench.STUDY_TINY]
+    before = {name: getattr(experiments, name) for name in names}
+
+    def restored():
+        return all(getattr(experiments, n) is v for n, v in before.items())
+
+    # a study whose trunk step raises, inside the timed train call
+    real_load = experiments.load_tasks
+
+    def poisoned(manifest, tasks, split):
+        sets = real_load(manifest, tasks, split)
+        for data in sets.values():
+            data.inputs[:] = np.nan
+        return sets
+
+    monkeypatch.setattr(experiments, "load_tasks", poisoned)
+    with pytest.raises(ValueError, match="non-finite loss"):
+        bench.study_times(bench.STUDY_TINY)
+    assert restored()
+
+    # branch_grid's own evaluate_accuracy calls count toward the grid
+    monkeypatch.setattr(experiments, "load_tasks", real_load)
+    calls = []
+    monkeypatch.setattr(experiments, "evaluate_accuracy",
+                        lambda *a: calls.append(a) or before["evaluate_accuracy"](*a))
+    graph, store = desk_graph, warm_desk_store
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.standard_normal((4, 1, 56, 56)).astype(np.float32),
+                   rng.integers(0, 2, size=4))
+    task = experiments.GridTask("t", "t", 2)
+    with bench.timed_phases(FINETUNE_MINIBATCHES=1) as seconds:
+        assert experiments.FINETUNE_MINIBATCHES == 1
+        experiments.branch_grid(graph, store, [task], {"t": data}, {"t": data},
+                                TrainConfig.desk(batch_size=2, max_minibatches=1),
+                                0, layers=["fc"])
+        assert len(calls) == 1 and seconds["evaluation_s"] == 0.0
+        experiments.evaluate_accuracy(graph, store, data)
+    assert len(calls) == 2
+    assert seconds["grid_s"] > 0 and seconds["evaluation_s"] > 0
+    assert seconds["trunk_s"] == seconds["probe_s"] == 0.0
+    assert experiments.FINETUNE_MINIBATCHES == before["FINETUNE_MINIBATCHES"]

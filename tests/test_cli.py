@@ -20,6 +20,7 @@ from branchnet.graph import ArchConfig, build_trunk
 from branchnet.multihead import HeadSpec, MultiHeadModel, save_bundle
 from branchnet.params import load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
+from conftest import write_unchecked_tensor
 
 # quarter-scale single-channel trunk over 4 identities, everywhere below
 ARCH = ["--set", "arch.scale_factor=0.25", "--set", "arch.in_channels=1",
@@ -444,7 +445,7 @@ def test_operating_point_rejects_a_nan_score(capsys, tmp_path):
     scores_p = tmp_path / "scores.tnsr"
     labels_p = tmp_path / "labels.tnsr"
     report = tmp_path / "op.txt"
-    write_tensor(str(scores_p), np.array([[0.9, np.nan], [0.2, 0.1]]))
+    write_unchecked_tensor(scores_p, np.array([[0.9, np.nan], [0.2, 0.1]]))
     write_tensor(str(labels_p), np.array([[1, 1], [0, 0]]))
     rc, out, err = run_cli(capsys, "operating-point", "--scores", str(scores_p),
                            "--labels", str(labels_p), "--report", str(report))
@@ -456,7 +457,7 @@ def test_operating_point_rejects_a_nan_score(capsys, tmp_path):
 def test_eval_verify_rejects_a_nan_embedding(capsys, tmp_path):
     table = np.array([[1.0, 0.0], [0.99, 0.01], [0.0, 1.0], [0.01, np.nan]])
     emb = tmp_path / "emb.tnsr"
-    write_tensor(str(emb), table)
+    write_unchecked_tensor(emb, table)
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("0 1 1 0\n2 3 1 0\n0 2 0 1\n1 3 0 1\n")
     report = tmp_path / "verify.txt"

@@ -12,6 +12,7 @@ from branchnet.dataio import (Manifest, SynthSpec, bitmask_to_vector,
                               load_labels, nuisance_pattern, parse_tensor,
                               read_tensor, split_ids, tensor_bytes,
                               write_tensor)
+from conftest import write_unchecked_tensor
 
 
 # tensor container
@@ -73,9 +74,23 @@ def test_a_non_finite_payload_is_a_value_error_naming_the_container(
     arr = np.arange(6, dtype=np.float32).reshape(2, 3)
     arr[1, 2] = value
     path = tmp_path / "scores.tnsr"
-    write_tensor(path, arr)
+    write_unchecked_tensor(path, arr)
     with pytest.raises(ValueError, match=f"^{path}: holds a non-finite value$"):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39],
+                         ids=["nan", "inf", "-inf", "1e39"])
+def test_a_non_finite_array_is_refused_at_write(tmp_path, value):
+    # 1e39 is finite as a float64 and inf once cast to float32
+    arr = np.arange(6, dtype=np.float64).reshape(2, 3)
+    arr[0, 1] = value
+    with pytest.raises(ValueError, match="non-finite value as float32"):
+        tensor_bytes(arr)
+    path = tmp_path / "refused.tnsr"
+    with pytest.raises(ValueError, match="non-finite value as float32"):
+        write_tensor(path, arr)
+    assert not path.exists()
 
 
 def test_read_tensor_names_the_file_in_errors(tmp_path):

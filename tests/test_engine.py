@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from branchnet.engine import CHUNK, boundary, forward_pass, infer
-from branchnet.graph import BRANCH_POINT_NAMES
-from branchnet.params import ParamStore
-from conftest import desk_inputs
+from branchnet.graph import BRANCH_POINT_NAMES, GraphSpec, LayerNode
+from branchnet.params import ParamStore, param_shapes
+from conftest import desk_inputs, to_checkpoint_weights, to_nchw, to_nhwc
 from gradsuites import residual_instance
+from oracles import forward_loops
 
 
 def same_bits(a, b):
@@ -42,6 +43,45 @@ def test_keeping_a_boundary_is_bitwise_the_full_forward_on_the_desk_trunk(
                            cache=prefix, keep={"fc", "softmax"})
     assert rest.keys() == {"fc", "softmax"}
     assert_same(rest, full)
+
+
+def every_kind_graph():
+    """Every node kind over a 2x6x6 input: padded, strided and plain 1x1
+    convs, a residual add, both pools, and an fc over a 2x2 extent."""
+    def conv(name, src, cin, k, stride, pad, bias=0):
+        return LayerNode(name, "conv", {"in": cin, "out": 4, "k": k,
+                                        "stride": stride, "pad": pad,
+                                        "bias": bias}, (src,))
+    nodes = (conv("c1", "input", 2, 3, 1, 1, bias=1),
+             LayerNode("b1", "batchnorm", {"ch": 4}, ("c1",)),
+             LayerNode("r1", "relu", {}, ("b1",)),
+             LayerNode("p1", "maxpool", {}, ("r1",)),
+             conv("c2", "p1", 4, 3, 2, 1),
+             conv("c3", "c2", 4, 1, 1, 0, bias=1),
+             conv("sc", "p1", 4, 1, 2, 0),
+             LayerNode("a1", "add", {}, ("c3", "sc")),
+             LayerNode("r2", "relu", {}, ("a1",)),
+             LayerNode("gap", "avgpool", {"global": 1}, ("r2",)),
+             LayerNode("fc", "fc", {"in": 16, "out": 3}, ("r2",)),
+             LayerNode("softmax", "softmax-head", {}, ("fc",)))
+    return GraphSpec(nodes, input_shape=(2, 6, 6), branch_points=())
+
+
+def test_forward_pass_on_nchw_input_matches_the_nchw_loop_oracle():
+    graph = every_kind_graph()
+    rng = np.random.default_rng(17)
+    store = ParamStore({name: rng.standard_normal(shape)
+                        for name, shape in param_shapes(graph).items()})
+    x = rng.standard_normal((3, 2, 6, 6))
+    acts, _ = forward_pass(graph, store, x, mode="train")
+    want = forward_loops(graph, {name: to_checkpoint_weights(a) if a.ndim == 4
+                                 else a for name, a in store.arrays.items()}, x)
+    assert want.keys() == acts.keys() - {"softmax"}
+    for name, a in want.items():
+        got = to_nchw(acts[name]) if acts[name].ndim == 4 else acts[name]
+        denom = np.maximum(np.maximum(np.abs(got), np.abs(a)), 1e-8)
+        assert got.shape == a.shape and np.max(np.abs(got - a) / denom) < 1e-5, name
+    assert acts["fc"].shape == (3, 3)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -76,7 +116,8 @@ def test_keep_runs_no_node_after_the_last_kept_one(desk_graph,
     assert acts.keys() == {"pool1"}
     assert_same(acts, full)
     acts, _ = forward_pass(graph, desk_store, x, mode="infer", keep={"input"})
-    assert acts.keys() == {"input"} and acts["input"] is x
+    assert acts.keys() == {"input"}
+    assert same_bits(acts["input"], to_nhwc(x))  # converted once, at node 0
 
 
 def test_a_cached_input_at_node_zero_is_the_same_pass(desk_graph,

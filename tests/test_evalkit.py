@@ -38,6 +38,14 @@ def test_cosine_reference_values():
     assert cosine_similarity(a, -a) == pytest.approx(-1.0)
 
 
+def test_cosine_holds_for_vectors_whose_squares_leave_float64():
+    # 1e200 squared overflows and 1e-170 squared underflows float64
+    big = cosine_similarity(np.array([1e200, 1e200]), np.array([1e200, 0.0]))
+    assert big == pytest.approx(1 / math.sqrt(2.0), rel=1e-15)
+    tiny = np.array([1e-170, 1e-170])
+    assert cosine_similarity(tiny, tiny) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_cosine_rejects_zero_vectors_and_shape_mismatch():
     with pytest.raises(ValueError, match="zero"):
         cosine_similarity(np.zeros(3), np.ones(3))

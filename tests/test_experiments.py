@@ -215,6 +215,18 @@ def test_probe_rejects_unknown_layer(desk_graph, warm_desk_store):
                          budget=1)
 
 
+@pytest.mark.parametrize("empty", ["training", "held-out"])
+def test_probe_rejects_an_empty_input_array(desk_graph, warm_desk_store, empty):
+    x = desk_inputs(np.random.default_rng(1), 4)
+    y = np.array([0, 1, 0, 1])
+    none = x[:0]
+    tr, va = (none, x) if empty == "training" else (x, none)
+    with pytest.raises(ValueError, match=f"needs {empty} inputs, got none"):
+        invariance_probe(desk_graph, warm_desk_store, ["conv17"], {"f": 2},
+                         tr, {"f": y[:len(tr)]}, va, {"f": y[:len(va)]},
+                         seed=0, budget=1)
+
+
 def test_probe_matrix_format(desk_graph, warm_desk_store):
     rng = np.random.default_rng(2)
     x = desk_inputs(rng, 6)

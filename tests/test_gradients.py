@@ -5,6 +5,7 @@ import pytest
 
 from branchnet import ops
 from branchnet.engine import backward_pass, forward_pass
+from conftest import to_nhwc
 from gradcheck import grad_check
 from gradsuites import SUITES, residual_instance
 
@@ -55,7 +56,7 @@ def test_linear_ops_nearly_exact(seed):
 @pytest.mark.parametrize("seed", UNIT_SEEDS)
 def test_residual_block_composite_gradient(seed):
     graph, store, x, rng = residual_instance(seed)
-    r = rng.standard_normal((2, 4, 6, 6))
+    r = to_nhwc(rng.standard_normal((2, 4, 6, 6)))  # relu_z's layout
 
     def fn():
         acts, _ = forward_pass(graph, store, x, mode="train")
@@ -63,6 +64,7 @@ def test_residual_block_composite_gradient(seed):
 
     acts, _ = forward_pass(graph, store, x, mode="train")
     grads, gx = backward_pass(graph, store, acts, {"relu_z": r})
+    assert gx.shape == x.shape  # the input gradient is (n, c, h, w)
     wrt = {"x": x}
     analytic = {"x": gx}
     for name, arr in store.arrays.items():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from branchnet import ops
 from branchnet.graph import ArchConfig, build_trunk, compute_shapes
+from conftest import to_checkpoint_weights, to_nchw, to_nhwc, to_store_weights
 from oracles import (avgpool_scan, batchnorm_train_loops,
                      conv2d_backward_batch_gemm, conv2d_backward_per_sample,
                      conv2d_loops, im2col_np_pad, maxpool2x2_backward_scan,
@@ -24,6 +25,18 @@ def bitwise_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def swap_hw(x):
+    """A non-contiguous (n, h, w, c) array with x's values."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+
+
+def conv_nchw(x, w, b, stride, padding):
+    """ops.conv2d_forward on an (n, c, h, w) input and (out, in, k, k)
+    weights, its output viewed (n, c, h, w)."""
+    return to_nchw(ops.conv2d_forward(to_nhwc(x), to_store_weights(w), b,
+                                      stride, padding))
+
+
 # convolution
 
 
@@ -35,7 +48,7 @@ def test_conv_matches_loop_oracle(stride, padding, k, with_bias):
     x = rng.standard_normal((2, 3, 8, 8))
     w = rng.standard_normal((4, 3, k, k))
     b = rng.standard_normal(4) if with_bias else None
-    got = ops.conv2d_forward(x, w, b, stride, padding)
+    got = conv_nchw(x, w, b, stride, padding)
     want = conv2d_loops(x, w, b, stride, padding)
     assert got.shape == want.shape
     assert rel_err(got, want) < 1e-5
@@ -47,30 +60,29 @@ def test_conv_identity_kernel():
     w = np.zeros((3, 3, 1, 1))
     for c in range(3):
         w[c, c, 0, 0] = 1.0
-    y = ops.conv2d_forward(x, w, None, 1, 0)
+    y = conv_nchw(x, w, None, 1, 0)
     np.testing.assert_allclose(y, x, rtol=1e-6)
 
 
 def test_conv_ones_kernel_constant_input():
-    x = np.full((1, 2, 6, 6), 0.5)
-    w = np.ones((1, 2, 3, 3))
+    x = np.full((1, 6, 6, 2), 0.5)
+    w = np.ones((3, 3, 2, 1))
     y = ops.conv2d_forward(x, w, None, 1, 0)
-    np.testing.assert_allclose(y, np.full((1, 1, 4, 4), 0.5 * 2 * 9), rtol=1e-6)
+    np.testing.assert_allclose(y, np.full((1, 4, 4, 1), 0.5 * 2 * 9), rtol=1e-6)
 
 
 def test_conv_bias_adds_per_channel():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((2, 2, 4, 4))
-    w = rng.standard_normal((3, 2, 3, 3))
+    x = rng.standard_normal((2, 4, 4, 2))
+    w = rng.standard_normal((3, 3, 2, 3))
     b = np.array([1.0, -2.0, 0.5])
     delta = ops.conv2d_forward(x, w, b, 1, 0) - ops.conv2d_forward(x, w, None, 1, 0)
-    np.testing.assert_allclose(delta, b[None, :, None, None] * np.ones_like(delta),
-                               rtol=0, atol=1e-6)
+    np.testing.assert_allclose(delta, b * np.ones_like(delta), rtol=0, atol=1e-6)
 
 
 def test_conv_preserves_float32():
-    x = np.ones((1, 1, 4, 4), dtype=np.float32)
-    w = np.ones((1, 1, 3, 3), dtype=np.float32)
+    x = np.ones((1, 4, 4, 1), dtype=np.float32)
+    w = np.ones((3, 3, 1, 1), dtype=np.float32)
     assert ops.conv2d_forward(x, w, None, 1, 0).dtype == np.float32
 
 
@@ -82,64 +94,85 @@ def test_conv_output_size_rule(h, k, s, p):
         return
     expected = (h + 2 * p - k) // s + 1
     assert ops.conv_output_size(h, k, s, p) == expected
-    x = np.zeros((1, 1, h, h))
-    w = np.zeros((1, 1, k, k))
-    assert ops.conv2d_forward(x, w, None, s, p).shape == (1, 1, expected, expected)
+    x = np.zeros((1, h, h, 1))
+    w = np.zeros((k, k, 1, 1))
+    assert ops.conv2d_forward(x, w, None, s, p).shape == (1, expected, expected, 1)
 
 
 def test_conv_rejects_undersized_input():
-    x = np.zeros((1, 1, 2, 2))
-    w = np.zeros((1, 1, 5, 5))
+    x = np.zeros((1, 2, 2, 1))
+    w = np.zeros((5, 5, 1, 1))
     with pytest.raises(ValueError):
         ops.conv2d_forward(x, w, None, 1, 0)
 
 
 def strided_pointwise_conv(x, w, b, gy):
-    """A stride-1 1x1 conv done the general im2col way: a contiguous copy of
-    the strided windows as forward columns (n, c, h*w) and as backward
-    columns (c, n*h*w), and the input gradient scattered into a zero
-    buffer. Returns (output, input grad, weight grad, bias grad)."""
-    n, c, h, wd = x.shape
-    c_out = w.shape[0]
-    sn, sc, sh, sw = x.strides
-    cols = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, 1, 1, h, wd), strides=(sn, sc, sh, sw, sh, sw))
-    ).reshape(n, c, h * wd)
-    wmat = w.reshape(c_out, c)
-    y = np.matmul(wmat, cols).reshape(n, c_out, h, wd) + b[None, :, None, None]
-    bcols = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
-        x, shape=(c, 1, 1, n, h, wd), strides=(sc, sh, sw, sn, sh, sw))
-    ).reshape(c, n * h * wd)
-    g = np.ascontiguousarray(gy.transpose(1, 0, 2, 3)).reshape(c_out, n * h * wd)
-    gw = (g @ bcols.T).reshape(w.shape)
+    """A stride-1 1x1 conv on an (n, h, w, c) input done the general im2col
+    way: a copy of the strided windows as columns (n*h*w, c), and the input
+    gradient added into a zero buffer. Returns (output, input grad, weight
+    grad, bias grad)."""
+    n, h, wd, c = x.shape
+    c_out = w.shape[3]
+    sn, sh, sw, sc = x.strides
+    cols = np.lib.stride_tricks.as_strided(
+        x, shape=(n, h, wd, 1, 1, c), strides=(sn, sh, sw, sh, sw, sc)
+    ).copy().reshape(n * h * wd, c)
+    w2 = w.reshape(c, c_out)
+    y = (cols @ w2).reshape(n, h, wd, c_out) + b
+    g = gy.reshape(n * h * wd, c_out)
+    gw = (cols.T @ g).reshape(w.shape)
     gx = np.zeros_like(x)
-    gx += (wmat.T @ g).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
-    return y, gx, gw, g.sum(axis=1)
+    gx += (g @ w2.T).reshape(x.shape)
+    return y, gx, gw, g.sum(axis=0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(32, 32, 7, 7), (2, 5, 3, 4), (1, 64, 14, 14)])
 def test_pointwise_conv_is_bitwise_the_strided_im2col_path(dtype, shape):
     rng = np.random.default_rng(sum(shape))
-    x = rng.standard_normal(shape).astype(dtype)
-    w = rng.standard_normal((9, shape[1], 1, 1)).astype(dtype)
+    n, c, h, wd = shape
+    x = to_nhwc(rng.standard_normal(shape).astype(dtype))
+    w = to_store_weights(rng.standard_normal((9, c, 1, 1)).astype(dtype))
     b = rng.standard_normal(9).astype(dtype)
-    gy = rng.standard_normal((shape[0], 9) + shape[2:]).astype(dtype)
-    gy[:, :, ::2] = -0.0  # whole spatial rows with no gradient
+    gy = to_nhwc(rng.standard_normal((n, 9, h, wd)).astype(dtype))
+    gy[:, ::2] = -0.0  # whole spatial rows with no gradient
     y, gx, gw, gb = strided_pointwise_conv(x, w, b, gy)
     # the columns are x itself, not a copy
-    assert np.shares_memory(ops._im2col(x, 1, 1, 0, *shape[2:]), x)
+    assert np.shares_memory(ops._columns(x, 1, 1, 0, h, wd), x)
     assert bitwise_equal(ops.conv2d_forward(x, w, b, 1, 0), y)
     grad = ops.conv2d_backward(x, w, b, gy, 1, 0)
     assert bitwise_equal(grad.input_grad, gx)
     assert bitwise_equal(grad.param_grads["w"], gw)
     assert bitwise_equal(grad.param_grads["b"], gb)
     # a non-contiguous input gives the same bits as its contiguous copy
-    xt = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    xt = swap_hw(x)
     assert bitwise_equal(ops.conv2d_forward(xt, w, b, 1, 0), y)
     grad_t = ops.conv2d_backward(xt, w, b, gy, 1, 0)
     assert bitwise_equal(grad_t.input_grad, gx)
     assert bitwise_equal(grad_t.param_grads["w"], gw)
+
+
+def test_a_plain_pointwise_conv_gathers_nothing_either_way(monkeypatch):
+    # The columns of a 1x1 stride-1 unpadded conv are its input, reshaped:
+    # neither direction calls the gather, and both read x's own memory.
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((4, 5, 6, 8)).astype(np.float32)
+    w = rng.standard_normal((1, 1, 8, 3)).astype(np.float32)
+    gy = rng.standard_normal((4, 5, 6, 3)).astype(np.float32)
+    columns, gathers = [], []
+    real_columns, real_im2col = ops._columns, ops._im2col
+    monkeypatch.setattr(ops, "_columns", lambda *a: columns.append(
+        real_columns(*a)) or columns[-1])
+    monkeypatch.setattr(ops, "_im2col", lambda *a: gathers.append(a) or real_im2col(*a))
+    ops.conv2d_forward(x, w, None, 1, 0)
+    grad = ops.conv2d_backward(x, w, None, gy, 1, 0)
+    assert len(columns) == 2 and not gathers
+    assert all(np.shares_memory(cols, x) for cols in columns)
+    assert grad.input_grad.shape == x.shape
+    # a strided or padded 1x1 conv gathers once each way
+    ops.conv2d_backward(x, w, None, gy[:, ::2, ::2], 2, 0)
+    ops.conv2d_forward(x, w, None, 1, 1)
+    assert len(gathers) == 2
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -147,14 +180,14 @@ def test_pointwise_conv_is_bitwise_the_strided_im2col_path(dtype, shape):
 @pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (7, 2)])
 def test_padded_im2col_is_bitwise_the_np_pad_path(dtype, padding, k, stride):
     rng = np.random.default_rng(padding * 10 + k + stride)
-    x = rng.standard_normal((2, 3, 9, 8)).astype(dtype)
-    x[0, 0, 0, :3] = (-0.0, np.nan, np.inf)
+    x = rng.standard_normal((2, 9, 8, 3)).astype(dtype)
+    x[0, 0, :3, 0] = (-0.0, np.nan, np.inf)
     oh = ops.conv_output_size(9, k, stride, padding)
     ow = ops.conv_output_size(8, k, stride, padding)
     want = im2col_np_pad(x, k, stride, padding, oh, ow)
     assert bitwise_equal(ops._im2col(x, k, stride, padding, oh, ow), want)
     # a non-contiguous input gives the same bits as its contiguous copy
-    xt = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    xt = swap_hw(x)
     assert not xt.flags.c_contiguous
     assert bitwise_equal(ops._im2col(xt, k, stride, padding, oh, ow), want)
 
@@ -177,17 +210,19 @@ def _conv_geometries():
 @pytest.mark.parametrize("geom", _conv_geometries(),
                          ids=lambda g: "%dto%d-%dx%d-k%ds%dp%d" % g)
 def test_conv_backward_is_bitwise_the_nchw_scatter(dtype, geom):
+    # The name is historical: the reference now scatters over (n, h, w, c)
+    # slices, the layout every activation has.
     c, c_out, h, wd, k, stride, padding = geom
     rng = np.random.default_rng(sum(geom))
     n = 3
-    x = rng.standard_normal((n, c, h, wd)).astype(dtype)
-    w = rng.standard_normal((c_out, c, k, k)).astype(dtype)
+    x = rng.standard_normal((n, h, wd, c)).astype(dtype)
+    w = rng.standard_normal((k, k, c, c_out)).astype(dtype)
     b = rng.standard_normal(c_out).astype(dtype)
     oh = ops.conv_output_size(h, k, stride, padding)
     ow = ops.conv_output_size(wd, k, stride, padding)
-    gy = rng.standard_normal((n, c_out, oh, ow)).astype(dtype)
+    gy = rng.standard_normal((n, oh, ow, c_out)).astype(dtype)
     gy[0] = -0.0  # a sample with no gradient at all
-    gy[1, 0, 0, :3] = (np.nan, np.inf, -np.inf)[:ow]
+    gy[1, 0, :3, 0] = (np.nan, np.inf, -np.inf)[:ow]
     gx, gw, gb = conv2d_backward_batch_gemm(x, w, b, gy, stride, padding)
     grad = ops.conv2d_backward(x, w, b, gy, stride, padding)
     assert bitwise_equal(grad.input_grad, gx)
@@ -203,7 +238,7 @@ def test_conv_backward_is_bitwise_the_nchw_scatter(dtype, geom):
 
 def test_fc_backward_skips_only_the_input_gradient():
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((4, 6, 1, 1)).astype(np.float32)
+    x = rng.standard_normal((4, 1, 1, 6)).astype(np.float32)
     w = rng.standard_normal((6, 5)).astype(np.float32)
     gy = rng.standard_normal((4, 5)).astype(np.float32)
     full = ops.fully_connected_backward(x, w, gy)
@@ -216,47 +251,55 @@ def test_fc_backward_skips_only_the_input_gradient():
 # pooling
 
 
+def maxpool_nchw(x):
+    return to_nchw(ops.maxpool2x2(to_nhwc(x)))
+
+
+def maxpool_backward_nchw(x, gy):
+    return to_nchw(ops.maxpool2x2_backward(to_nhwc(x), to_nhwc(gy)))
+
+
 def test_maxpool_matches_scan_oracle():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 4, 6, 8))
-    np.testing.assert_array_equal(ops.maxpool2x2(x), maxpool2x2_scan(x))
+    np.testing.assert_array_equal(maxpool_nchw(x), maxpool2x2_scan(x))
 
 
 def test_maxpool_arange():
-    x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-    np.testing.assert_array_equal(ops.maxpool2x2(x)[0, 0], [[5, 7], [13, 15]])
+    x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
+    np.testing.assert_array_equal(ops.maxpool2x2(x)[0, :, :, 0], [[5, 7], [13, 15]])
 
 
 def test_maxpool_rejects_odd_extents():
     with pytest.raises(ValueError, match="even"):
-        ops.maxpool2x2(np.zeros((1, 1, 5, 4)))
+        ops.maxpool2x2(np.zeros((1, 5, 4, 1)))
 
 
 def test_maxpool_backward_matches_scan_oracle():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 6, 4))
     gy = rng.standard_normal((2, 3, 3, 2))
-    np.testing.assert_array_equal(ops.maxpool2x2_backward(x, gy),
+    np.testing.assert_array_equal(maxpool_backward_nchw(x, gy),
                                   maxpool2x2_backward_scan(x, gy))
 
 
 def test_maxpool_backward_tie_routes_to_first_row_major():
-    x = np.zeros((1, 1, 2, 2))
+    x = np.zeros((1, 2, 2, 1))
     gy = np.ones((1, 1, 1, 1))
     gx = ops.maxpool2x2_backward(x, gy)
-    np.testing.assert_array_equal(gx[0, 0], [[1, 0], [0, 0]])
+    np.testing.assert_array_equal(gx[0, :, :, 0], [[1, 0], [0, 0]])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_maxpool_dominates_window(seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, 2, 4, 4))
+    x = rng.standard_normal((1, 4, 4, 2))
     y = ops.maxpool2x2(x)
     for i in range(2):
         for j in range(2):
-            assert np.all(y[:, :, i, j][..., None, None]
-                          >= x[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2] - 1e-12)
+            assert np.all(y[:, i, j][:, None, None]
+                          >= x[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2] - 1e-12)
 
 
 EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
@@ -270,34 +313,36 @@ def test_maxpool_is_bitwise_the_scan_oracle_on_edge_windows(dtype):
     x = windows.reshape(49, 49, 2, 2).transpose(0, 2, 1, 3).reshape(1, 1, 98, 98)
     x = np.concatenate([x, x[:, :, ::-1, ::-1]], axis=1)  # windows reversed
     gy = np.arange(1, x.size // 4 + 1, dtype=dtype).reshape(1, 2, 49, 49)
-    assert bitwise_equal(ops.maxpool2x2(x), maxpool2x2_scan(x))
-    assert bitwise_equal(ops.maxpool2x2_backward(x, gy),
+    assert bitwise_equal(maxpool_nchw(x), maxpool2x2_scan(x))
+    assert bitwise_equal(maxpool_backward_nchw(x, gy),
                          maxpool2x2_backward_scan(x, gy))
 
 
 def test_maxpool_backward_routes_a_nan_window_to_its_first_nan():
-    x = np.array([[[[1.0, np.nan], [np.nan, 5.0]]]])
+    x = np.array([[[[1.0], [np.nan]], [[np.nan], [5.0]]]])
     gx = ops.maxpool2x2_backward(x, np.full((1, 1, 1, 1), 2.0))
-    assert bitwise_equal(gx[0, 0], np.array([[0.0, 2.0], [0.0, 0.0]]))
+    assert bitwise_equal(gx[0, :, :, 0], np.array([[0.0, 2.0], [0.0, 0.0]]))
     assert np.isnan(ops.maxpool2x2(x)[0, 0, 0, 0])
 
 
 def test_avgpool_matches_scan_oracle():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 5, 3, 7))
-    got = ops.avgpool_global(x)
-    assert got.shape == (2, 5, 1, 1)
-    assert rel_err(got, avgpool_scan(x)) < 1e-12
+    got = ops.avgpool_global(to_nhwc(x))
+    assert got.shape == (2, 1, 1, 5)
+    assert rel_err(to_nchw(got), avgpool_scan(x)) < 1e-12
 
 
 def test_avgpool_backward_spreads_uniformly():
-    x = np.zeros((1, 1, 2, 2))
+    x = np.zeros((1, 2, 2, 1))
     gy = np.full((1, 1, 1, 1), 8.0)
     np.testing.assert_allclose(ops.avgpool_global_backward(x, gy),
-                               np.full((1, 1, 2, 2), 2.0))
+                               np.full((1, 2, 2, 1), 2.0))
 
 
 # batch normalization
+
+NHW = (0, 1, 2)  # the axes batchnorm reduces over
 
 
 def test_batchnorm_train_matches_loop_oracle():
@@ -305,44 +350,43 @@ def test_batchnorm_train_matches_loop_oracle():
     x = rng.standard_normal((4, 3, 5, 5))
     gamma = rng.standard_normal(3)
     beta = rng.standard_normal(3)
-    y, _ = ops.batchnorm(x, gamma, beta, mode="train")
-    assert rel_err(y, batchnorm_train_loops(x, gamma, beta, ops.BN_EPS)) < 1e-6
+    y, _ = ops.batchnorm(to_nhwc(x), gamma, beta, mode="train")
+    assert rel_err(to_nchw(y), batchnorm_train_loops(x, gamma, beta, ops.BN_EPS)) < 1e-6
 
 
 def test_batchnorm_train_output_statistics():
     rng = np.random.default_rng(6)
-    x = 3.0 * rng.standard_normal((8, 2, 6, 6)) + 1.5
+    x = 3.0 * rng.standard_normal((8, 6, 6, 2)) + 1.5
     gamma = np.array([2.0, 0.5])
     beta = np.array([-1.0, 3.0])
     y, _ = ops.batchnorm(x, gamma, beta, mode="train")
-    np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), beta, atol=1e-6)
-    np.testing.assert_allclose(y.std(axis=(0, 2, 3)), np.abs(gamma), rtol=1e-3)
+    np.testing.assert_allclose(y.mean(axis=NHW), beta, atol=1e-6)
+    np.testing.assert_allclose(y.std(axis=NHW), np.abs(gamma), rtol=1e-3)
 
 
 def test_batchnorm_running_stats_seed_then_ema():
     rng = np.random.default_rng(7)
     gamma, beta = np.ones(2), np.zeros(2)
-    x1 = rng.standard_normal((4, 2, 3, 3))
-    x2 = rng.standard_normal((4, 2, 3, 3)) + 2.0
+    x1 = rng.standard_normal((4, 3, 3, 2))
+    x2 = rng.standard_normal((4, 3, 3, 2)) + 2.0
     _, s1 = ops.batchnorm(x1, gamma, beta, running=None, mode="train")
     assert s1.count == 1
-    np.testing.assert_allclose(s1.mean, x1.mean(axis=(0, 2, 3)))
-    np.testing.assert_allclose(s1.var, x1.var(axis=(0, 2, 3)))
+    np.testing.assert_allclose(s1.mean, x1.mean(axis=NHW))
+    np.testing.assert_allclose(s1.var, x1.var(axis=NHW))
     _, s2 = ops.batchnorm(x2, gamma, beta, running=s1, mode="train")
     assert s2.count == 2
-    np.testing.assert_allclose(s2.mean, 0.9 * s1.mean + 0.1 * x2.mean(axis=(0, 2, 3)))
-    np.testing.assert_allclose(s2.var, 0.9 * s1.var + 0.1 * x2.var(axis=(0, 2, 3)))
+    np.testing.assert_allclose(s2.mean, 0.9 * s1.mean + 0.1 * x2.mean(axis=NHW))
+    np.testing.assert_allclose(s2.var, 0.9 * s1.var + 0.1 * x2.var(axis=NHW))
 
 
 def test_batchnorm_infer_uses_running_stats():
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((2, 2, 3, 3))
+    x = rng.standard_normal((2, 3, 3, 2))
     gamma = np.array([1.5, 0.5])
     beta = np.array([0.25, -0.75])
     stats = ops.RunningStats(np.array([0.5, -0.5]), np.array([4.0, 1.0]), 3)
     y, out_stats = ops.batchnorm(x, gamma, beta, running=stats, mode="infer")
-    want = gamma[None, :, None, None] * (x - stats.mean[None, :, None, None]) \
-        / np.sqrt(stats.var + ops.BN_EPS)[None, :, None, None] + beta[None, :, None, None]
+    want = gamma * (x - stats.mean) / np.sqrt(stats.var + ops.BN_EPS) + beta
     np.testing.assert_allclose(y, want, rtol=1e-6)
     assert out_stats is stats
 
@@ -359,13 +403,14 @@ def test_batchnorm_infer_requires_initialized_stats():
 
 def test_batchnorm_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
-        ops.batchnorm(np.zeros((1, 1, 2, 2)), np.ones(1), np.zeros(1), mode="test")
+        ops.batchnorm(np.zeros((1, 2, 2, 1)), np.ones(1), np.zeros(1), mode="test")
 
 
 def batchnorm_var_reference(x, gamma, beta, gy, eps=ops.BN_EPS):
-    """Train-mode batchnorm and its backward from x.mean and np.var, each
-    reducing over the batch on its own, and the backward through dxhat and
-    its two batch means. Returns (output, var, dx, dgamma, dbeta)."""
+    """Train-mode batchnorm and its backward on (n, c, h, w) arrays from
+    x.mean and np.var, each reducing over the batch on its own, and the
+    backward through dxhat and its two batch means. Returns (output, var,
+    dx, dgamma, dbeta)."""
     axes = (0, 2, 3)
     mean = x.mean(axis=axes)
     var = x.var(axis=axes)
@@ -380,24 +425,24 @@ def batchnorm_var_reference(x, gamma, beta, gy, eps=ops.BN_EPS):
 
 
 def batchnorm_closed_form_reference(x, gamma, beta, gy, eps=ops.BN_EPS):
-    """Train-mode batchnorm and its backward with every per-channel sum an
-    einsum over the (n, c, h*w) view: y = (x - mean) * (gamma/std) + beta,
-    and dx = gamma/std * ((gy - xhat * dgamma/m) - dbeta/m) with
+    """Train-mode batchnorm and its backward on (n, h, w, c) arrays with
+    every per-channel sum an einsum over the (n*h*w, c) view:
+    y = (x - mean) * (gamma/std) + beta, and
+    dx = gamma/std * ((gy - xhat * dgamma/m) - dbeta/m) with
     xhat * dgamma/m taken as (x - mean) * (dgamma / (m*std)). Returns
     (output, var, dx, dgamma, dbeta)."""
-    n, c = x.shape[:2]
+    c = x.shape[3]
     m = x.size // c
-    x3 = x.reshape(n, c, -1)
-    g3 = gy.reshape(n, c, -1)
-    mean = np.einsum("nck->c", x3) / m
-    d = x3 - mean[:, None]
-    var = np.einsum("nck,nck->c", d, d) / m
+    x2 = x.reshape(m, c)
+    g2 = gy.reshape(m, c)
+    mean = np.einsum("mc->c", x2) / m
+    d = x2 - mean
+    var = np.einsum("mc,mc->c", d, d) / m
     std = np.sqrt(var + eps)
-    y = d * (gamma / std)[:, None] + beta[:, None]
-    dbeta = np.einsum("nck->c", g3)
-    dgamma = np.einsum("nck,nck->c", g3, d) / std
-    dx = ((g3 - d * (dgamma / (m * std))[:, None]) - (dbeta / m)[:, None]) \
-        * (gamma / std)[:, None]
+    y = d * (gamma / std) + beta
+    dbeta = np.einsum("mc->c", g2)
+    dgamma = np.einsum("mc,mc->c", g2, d) / std
+    dx = ((g2 - d * (dgamma / (m * std))) - dbeta / m) * (gamma / std)
     return y.reshape(x.shape), var, dx.reshape(x.shape), dgamma, dbeta
 
 
@@ -406,7 +451,8 @@ BATCHNORM_SHAPES = [(32, 8, 28, 28), (32, 64, 4, 4), (32, 80, 1, 1),
 
 
 def batchnorm_case(dtype, shape):
-    """Seeded (x, gamma, beta, gy) with per-channel scales and offsets."""
+    """Seeded (x, gamma, beta, gy) of the (n, c, h, w) shape, laid out
+    (n, h, w, c), with per-channel scales and offsets."""
     rng = np.random.default_rng(sum(shape))
     c = shape[1]
     x = (rng.uniform(0.1, 5.0, c)[None, :, None, None] * rng.standard_normal(shape)
@@ -414,7 +460,7 @@ def batchnorm_case(dtype, shape):
     gamma = rng.standard_normal(c).astype(dtype)
     beta = rng.standard_normal(c).astype(dtype)
     gy = rng.standard_normal(shape).astype(dtype)
-    return x, gamma, beta, gy
+    return to_nhwc(x), gamma, beta, to_nhwc(gy)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -430,17 +476,17 @@ def test_batchnorm_train_is_bitwise_the_closed_form(dtype, shape):
     out, stats, saved = ops.batchnorm_train(x, gamma, beta)
     assert bitwise_equal(out, y)
     assert bitwise_equal(stats.var, var)
-    np.testing.assert_allclose(stats.var, np.var(x, axis=(0, 2, 3)),
+    np.testing.assert_allclose(stats.var, np.var(x, axis=NHW),
                                rtol=1e-5 if dtype == np.float32 else 1e-12)
     assert bitwise_equal(ops.batchnorm(x, gamma, beta, mode="train")[0], y)
-    assert saved.mean.shape == saved.std.shape == (x.shape[1],)
+    assert saved.mean.shape == saved.std.shape == (x.shape[3],)
     for context in (saved, None):
         grad = ops.batchnorm_backward(x, gamma, beta, gy, saved=context)
         assert bitwise_equal(grad.input_grad, dx)
         assert bitwise_equal(grad.param_grads["gamma"], dgamma)
         assert bitwise_equal(grad.param_grads["beta"], dbeta)
     # a non-contiguous input gives the same bits as its contiguous copy
-    xt = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    xt = swap_hw(x)
     out_t, _, saved_t = ops.batchnorm_train(xt, gamma, beta)
     assert bitwise_equal(out_t, y)
     assert bitwise_equal(ops.batchnorm_backward(xt, gamma, beta, gy,
@@ -452,9 +498,10 @@ def normwise_rel_err(got, want):
 
 
 def test_training_kernels_move_only_rounding_from_the_old_formulas():
-    # In float64 the one-GEMM conv backward and the closed-form batchnorm
-    # agree with the per-sample GEMMs and the np.var / dxhat-means
-    # formulation to 1e-12 of each result's largest magnitude.
+    # In float64 the one-GEMM channels-last conv backward and the
+    # closed-form batchnorm agree with the per-sample NCHW GEMMs and the
+    # np.var / dxhat-means formulation to 1e-12 of each result's largest
+    # magnitude.
     worst = 0.0
     for geom in _conv_geometries():
         c, c_out, h, wd, k, stride, padding = geom
@@ -465,17 +512,21 @@ def test_training_kernels_move_only_rounding_from_the_old_formulas():
         oh = ops.conv_output_size(h, k, stride, padding)
         ow = ops.conv_output_size(wd, k, stride, padding)
         gy = rng.standard_normal((3, c_out, oh, ow))
-        grad = ops.conv2d_backward(x, w, b, gy, stride, padding)
-        for got, want in zip((grad.input_grad, grad.param_grads["w"],
+        grad = ops.conv2d_backward(to_nhwc(x), to_store_weights(w), b,
+                                   to_nhwc(gy), stride, padding)
+        for got, want in zip((to_nchw(grad.input_grad),
+                              to_checkpoint_weights(grad.param_grads["w"]),
                               grad.param_grads["b"]),
                              conv2d_backward_per_sample(x, w, b, gy, stride, padding)):
             worst = max(worst, normwise_rel_err(got, want))
     for shape in BATCHNORM_SHAPES:
         x, gamma, beta, gy = batchnorm_case(np.float64, shape)
-        y, var, dx, dgamma, dbeta = batchnorm_var_reference(x, gamma, beta, gy)
+        y, var, dx, dgamma, dbeta = batchnorm_var_reference(
+            to_nchw(x), gamma, beta, to_nchw(gy))
         out, stats, saved = ops.batchnorm_train(x, gamma, beta)
         grad = ops.batchnorm_backward(x, gamma, beta, gy, saved=saved)
-        for got, want in ((out, y), (stats.var, var), (grad.input_grad, dx),
+        for got, want in ((to_nchw(out), y), (stats.var, var),
+                          (to_nchw(grad.input_grad), dx),
                           (grad.param_grads["gamma"], dgamma),
                           (grad.param_grads["beta"], dbeta)):
             worst = max(worst, normwise_rel_err(got, want))
@@ -522,10 +573,14 @@ def test_add_rejects_shape_mismatch():
 
 
 def test_fully_connected_flattens_row_major():
+    # in (c, h, w) order, whatever the layout of its (n, h, w, c) input
     x = np.arange(12, dtype=np.float64).reshape(1, 3, 2, 2)
     w = np.eye(12)
     b = np.zeros(12)
-    np.testing.assert_array_equal(ops.fully_connected(x, w, b)[0], np.arange(12))
+    np.testing.assert_array_equal(ops.fully_connected(to_nhwc(x), w, b)[0],
+                                  np.arange(12))
+    gx = ops.fully_connected_backward(to_nhwc(x), w, w[None, 5]).input_grad
+    assert bitwise_equal(to_nchw(gx), (x == 5).astype(x.dtype))
 
 
 def test_fully_connected_matches_matmul():

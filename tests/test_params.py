@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from conftest import apply_token_edits, graph_token_edits
 
 from branchnet.engine import forward_pass
-from branchnet.graph import ArchConfig, GraphSpec, build_trunk
+from branchnet.graph import NODE_KINDS, ArchConfig, GraphSpec, build_trunk
 from branchnet.ops import RunningStats
 from branchnet.params import (checkpoint_bytes, frozen_checksum, frozen_names,
                               load_checkpoint, param_owner, param_shapes,
@@ -26,14 +26,14 @@ def fresh_store(seed=3):
 
 def test_param_shapes_landmarks():
     shapes = param_shapes(build_trunk(ArchConfig()))
-    assert shapes["conv1/w"] == (32, 3, 7, 7)
+    assert shapes["conv1/w"] == (7, 7, 3, 32)  # (k, k, in, out)
     assert "conv1/b" not in shapes
-    assert shapes["conv-bn320/w"] == (320, 512, 1, 1)
+    assert shapes["conv-bn320/w"] == (1, 1, 512, 320)
     assert shapes["conv-bn320/b"] == (320,)
     assert shapes["fc/w"] == (320, 10_000)
     assert shapes["fc/b"] == (10_000,)
     assert shapes["bn1/gamma"] == (32,) and shapes["bn1/beta"] == (32,)
-    assert shapes["shortcut8/w"] == (512, 256, 1, 1)
+    assert shapes["shortcut8/w"] == (1, 1, 256, 512)
     assert "shortcut8/b" not in shapes
     assert param_owner("conv-bn320/w") == "conv-bn320"
 
@@ -82,6 +82,45 @@ def test_checkpoint_bytes_are_pinned():
         return hashlib.sha256(checkpoint_bytes(graph, store)).hexdigest()[:16]
     assert digest(graph, store) == "c3049edd93107aa5"
     assert digest(branch.graph, branch.store) == "138f125ed87ab9d4"
+
+
+def read_records_by_hand(data):
+    """Record name -> its float32 values, walked from the file layout."""
+    (glen,) = struct.unpack_from("<Q", data, 8)
+    off, records = 16 + glen, {}
+    while off < len(data) - 8:
+        (nlen,) = struct.unpack_from("<I", data, off)
+        name = data[off + 4:off + 4 + nlen].decode()
+        (count,) = struct.unpack_from("<Q", data, off + 4 + nlen)
+        off += 12 + nlen
+        records[name] = np.frombuffer(data, "<f4", count, off)
+        off += 4 * count
+    return records
+
+
+def test_conv_records_are_written_out_in_k_k_order():
+    # The store holds conv weights (k, k, in, out); a checkpoint holds
+    # them (out, in, k, k), the store's array under the inverse of the
+    # permutation the conv kind declares.
+    store = fresh_store()
+    for name, v in store.momentum.items():
+        v[...] = np.arange(v.size, dtype=v.dtype).reshape(v.shape)
+    records = read_records_by_hand(checkpoint_bytes(GRAPH, store))
+    axes = NODE_KINDS["conv"].stored["w"]
+    convs = [n for n in GRAPH.nodes if n.kind == "conv"]
+    assert len(convs) == 28
+    for node in convs:
+        a = node.attrs
+        for prefix, slot in (("a", store.arrays), ("m", store.momentum)):
+            flat = records[f"{prefix}/{node.name}/w"]
+            written = flat.reshape(a["out"], a["in"], a["k"], a["k"])
+            held = slot[f"{node.name}/w"]
+            assert held.shape == (a["k"], a["k"], a["in"], a["out"])
+            assert np.transpose(written, axes).tobytes() == held.tobytes()
+    _, back = parse_checkpoint(checkpoint_bytes(GRAPH, store))
+    for name, arr in store.arrays.items():
+        assert back.arrays[name].tobytes() == arr.tobytes()
+        assert back.arrays[name].flags.c_contiguous and back.arrays[name].flags.writeable
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -154,7 +193,7 @@ def test_checkpoint_whose_graph_cannot_run_is_rejected_at_load():
     graph, store = parse_checkpoint(checkpoint_bytes(
         good, init_params(good, TrainConfig.desk(seed=1))))
     x = np.zeros((1, 1, 8, 8), dtype=np.float32)
-    assert forward_pass(graph, store, x, mode="infer")[0]["c"].shape == (1, 2, 8, 8)
+    assert forward_pass(graph, store, x, mode="infer")[0]["c"].shape == (1, 8, 8, 2)
     bad = GraphSpec.parse(text.format(2))
     data = checkpoint_bytes(bad, init_params(bad, TrainConfig.desk(seed=1)))
     with pytest.raises(ValueError, match="node 'c' declares in=2"):

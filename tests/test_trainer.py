@@ -11,6 +11,7 @@ from branchnet.params import (ParamStore, checkpoint_bytes, frozen_checksum,
 from branchnet.train import (Dataset, TrainConfig, _batch_indices,
                              evaluate_accuracy, finetune, init_params, lr_at,
                              make_branch, sgd_momentum_step, train)
+from conftest import to_nchw
 from oracles import conv2d_backward_batch_gemm
 
 
@@ -696,9 +697,9 @@ def test_train_with_contexts_matches_a_context_free_loop(trunk):
 # input gradients nobody reads
 
 
-def nchw_reference_input_grad(graph, store, acts, gy):
-    """The input gradient of a full backward that computes and keeps every
-    input gradient, its convs scattering over NCHW slices."""
+def reference_input_grad(graph, store, acts, gy):
+    """The (n, c, h, w) input gradient of a full backward that computes and
+    keeps every input gradient, its convs those of the batch-GEMM oracle."""
     grads = {"fc": gy}
     for node in reversed(graph.nodes):
         g = grads.pop(node.name, None)
@@ -716,7 +717,7 @@ def nchw_reference_input_grad(graph, store, acts, gy):
                                         (True,) * len(ins))
         for src, gi in zip(node.inputs, in_grads):
             grads[src] = grads[src] + gi if src in grads else gi
-    return grads["input"]
+    return to_nchw(grads["input"])
 
 
 @pytest.fixture
@@ -745,8 +746,8 @@ def test_skipping_the_input_gradient_keeps_every_parameter_gradient(trunk):
     assert params_only.keys() == full.keys()
     for name, g in full.items():
         assert g.tobytes() == params_only[name].tobytes(), name
-    # the default call's input gradient is the NCHW-scatter full backward's
-    assert gx.tobytes() == nchw_reference_input_grad(graph, store, acts, gy).tobytes()
+    # the default call's input gradient is the oracle full backward's
+    assert gx.tobytes() == reference_input_grad(graph, store, acts, gy).tobytes()
 
 
 def test_train_asks_no_conv_for_the_network_input_gradient(trunk,
@@ -781,3 +782,22 @@ def test_boundary_input_gradient_is_skipped_and_changes_no_gradient(
             for n in reversed(convs)]
     assert conv_input_grad_flags == want
     assert layer == "fc" or not want[-1][1]
+
+
+def test_a_trunk_step_gathers_only_the_convs_that_are_not_plain_1x1(
+        trunk, monkeypatch):
+    # One gather per direction for each of the 15 convs with a window or a
+    # stride; the 13 plain 1x1 convs read their input as their columns.
+    graph, store = trunk
+    gathers = []
+    real = ops._im2col
+    monkeypatch.setattr(ops, "_im2col",
+                        lambda x, *geom: gathers.append(geom[:3]) or real(x, *geom))
+    cfg = TrainConfig.desk(batch_size=8, max_minibatches=1, seed=3)
+    train(graph, store.copy(), branch_dataset(n=8, seed=2, classes=6), cfg)
+    convs = [(n.attrs["k"], n.attrs["stride"], n.attrs["pad"])
+             for n in graph.nodes if n.kind == "conv"]
+    windowed = [geom for geom in convs if geom != (1, 1, 0)]
+    assert (len(convs), len(windowed)) == (28, 15)
+    assert len(gathers) == 30
+    assert sorted(gathers) == sorted(windowed * 2)
