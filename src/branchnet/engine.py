@@ -75,11 +75,12 @@ def boundary(graph: GraphSpec, index: int) -> set:
 
 def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
                  start=0, cache=None, saved=None, keep=None):
-    """Run nodes from start over a cached prefix, or over input x when no
-    cache is given and start == 0.
+    """Run nodes from start over a cached prefix, or from node 0 over the
+    (n, c, h, w) input: x, or cache["input"] when a cache is given.
 
     Returns (activations, bn_updates): activations maps node name -> output
-    plus the cached entries (or "input" -> x), bn_updates maps batchnorm
+    plus the cached entries (or "input" -> x in the engine layout),
+    bn_updates maps batchnorm
     node name -> new RunningStats for nodes that ran in train mode. Given a
     set keep, the pass stops after the last kept node, drops every other
     activation once its last reader has run, and returns only the kept

@@ -113,8 +113,7 @@ def _fresh_param(name, shape, axes, init_std, seed, *tags):
     suffix = name.rpartition("/")[2]
     if suffix == "w" and init_std > 0:
         rng = derive_rng(seed, *tags, name)
-        if axes is None:
-            return rng.normal(0.0, init_std, size=shape).astype(np.float32)
+        axes = axes or tuple(range(len(shape)))
         drawn = rng.normal(0.0, init_std, size=checkpoint_shape(shape, axes))
         return np.ascontiguousarray(drawn.transpose(axes), dtype=np.float32)
     return np.full(shape, 1.0 if suffix == "gamma" else 0.0, dtype=np.float32)

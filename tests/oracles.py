@@ -84,20 +84,22 @@ def conv2d_backward_per_sample(x, w, b, gy, stride, padding):
     return _scatter_nchw(g6, x.shape, stride, padding), gw, gy.sum(axis=(0, 2, 3))
 
 
-def conv2d_backward_batch_gemm(x, w, b, gy, stride, padding):
+def conv2d_backward_batch_gemm(x, w, b, gy, stride, padding, rows):
     """(input, weight, bias) gradients of a convolution on an (n, h, w, c)
-    input and (k, k, in, out) weights, with the batch folded into one
-    matrix product: columns (n*oh*ow, k*k*c) over an np.pad copy, weight
-    gradient cols.T @ gy, column gradient gy @ w.T, each kernel position's
-    slice of it added into a zero-padded (n, h, w, c) buffer, cropped. The
-    bitwise reference for conv2d_backward."""
+    input and (k, k, in, out) weights, with the batch folded into the
+    matrix products: columns (n*oh*ow, k*k*c) over an np.pad copy, weight
+    gradient cols.T @ gy, column gradient gy @ w.T in products of `rows`
+    rows, each kernel position's slice of it added into a zero-padded
+    (n, h, w, c) buffer, cropped. The bitwise reference for
+    conv2d_backward, given its GEMM_ROWS."""
     n, h, wd, c = x.shape
     k, c_out = w.shape[0], w.shape[3]
     oh, ow = gy.shape[1:3]
     cols = im2col_np_pad(x, k, stride, padding, oh, ow)
     g = gy.reshape(n * oh * ow, c_out)
     w2 = w.reshape(k * k * c, c_out)
-    g6 = (g @ w2.T).reshape(n, oh, ow, k, k, c)
+    g6 = np.concatenate([g[i:i + rows] @ w2.T for i in range(0, len(g), rows)]
+                        ).reshape(n, oh, ow, k, k, c)
     gx = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=g6.dtype)
     for i in range(k):
         for j in range(k):

@@ -163,6 +163,20 @@ def test_infer_is_one_whole_batch_forward_when_one_sample_trails(
     assert_same(got, full)
 
 
+@pytest.mark.parametrize("n", [CHUNK + 2, 2 * CHUNK + 2])
+def test_infer_gives_each_sample_its_whole_batch_bits(desk_graph,
+                                                       warm_desk_store, n):
+    # A conv forward takes each sample's rows in products of their own;
+    # one product over the batch would let BLAS pick another kernel for a
+    # 2-sample chunk than for the whole batch, and move its bits.
+    graph, store = desk_graph, warm_desk_store
+    x = desk_inputs(np.random.default_rng(10), n)
+    keep = {"conv1", "conv3", "relu15", "fc"}
+    got = infer(graph, store, {"input": x}, keep)
+    full, _ = forward_pass(graph, store, x, mode="infer")
+    assert_same(got, full)
+
+
 @pytest.mark.parametrize("layer", ["conv17", "conv22", "fc"])
 def test_infer_resumed_from_a_boundary_is_the_full_pass(desk_graph,
                                                         warm_desk_store, layer):

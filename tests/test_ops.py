@@ -108,9 +108,10 @@ def test_conv_rejects_undersized_input():
 
 def strided_pointwise_conv(x, w, b, gy):
     """A stride-1 1x1 conv on an (n, h, w, c) input done the general im2col
-    way: a copy of the strided windows as columns (n*h*w, c), and the input
-    gradient added into a zero buffer. Returns (output, input grad, weight
-    grad, bias grad)."""
+    way: a copy of the strided windows as columns (n*h*w, c), one product
+    per sample forward, the column gradient in products of GEMM_ROWS rows,
+    and the input gradient added into a zero buffer. Returns (output,
+    input grad, weight grad, bias grad)."""
     n, h, wd, c = x.shape
     c_out = w.shape[3]
     sn, sh, sw, sc = x.strides
@@ -118,11 +119,13 @@ def strided_pointwise_conv(x, w, b, gy):
         x, shape=(n, h, wd, 1, 1, c), strides=(sn, sh, sw, sh, sw, sc)
     ).copy().reshape(n * h * wd, c)
     w2 = w.reshape(c, c_out)
-    y = (cols @ w2).reshape(n, h, wd, c_out) + b
+    y = np.stack([cols[s:s + h * wd] @ w2 for s in range(0, len(cols), h * wd)])
+    y = y.reshape(n, h, wd, c_out) + b
     g = gy.reshape(n * h * wd, c_out)
     gw = (cols.T @ g).reshape(w.shape)
     gx = np.zeros_like(x)
-    gx += (g @ w2.T).reshape(x.shape)
+    gx += np.concatenate([g[i:i + ops.GEMM_ROWS] @ w2.T
+                          for i in range(0, len(g), ops.GEMM_ROWS)]).reshape(x.shape)
     return y, gx, gw, g.sum(axis=0)
 
 
@@ -223,7 +226,8 @@ def test_conv_backward_is_bitwise_the_nchw_scatter(dtype, geom):
     gy = rng.standard_normal((n, oh, ow, c_out)).astype(dtype)
     gy[0] = -0.0  # a sample with no gradient at all
     gy[1, 0, :3, 0] = (np.nan, np.inf, -np.inf)[:ow]
-    gx, gw, gb = conv2d_backward_batch_gemm(x, w, b, gy, stride, padding)
+    gx, gw, gb = conv2d_backward_batch_gemm(x, w, b, gy, stride, padding,
+                                            ops.GEMM_ROWS)
     grad = ops.conv2d_backward(x, w, b, gy, stride, padding)
     assert bitwise_equal(grad.input_grad, gx)
     assert grad.input_grad.flags.c_contiguous

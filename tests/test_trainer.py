@@ -711,7 +711,7 @@ def reference_input_grad(graph, store, acts, gy):
         if node.kind == "conv":
             in_grads = conv2d_backward_batch_gemm(
                 ins[0], params["w"], params.get("b"), g, node.attrs["stride"],
-                node.attrs["pad"])[:1]
+                node.attrs["pad"], ops.GEMM_ROWS)[:1]
         else:
             in_grads, _ = kind.backward(node.attrs, params, ins, g, None,
                                         (True,) * len(ins))
