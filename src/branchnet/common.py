@@ -18,9 +18,13 @@ def derive_rng(master_seed, *tags):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def checksum64(data: bytes) -> bytes:
-    """8-byte checksum: the first 8 bytes of SHA-256."""
-    return hashlib.sha256(data).digest()[:8]
+def checksum64(*chunks) -> bytes:
+    """8-byte checksum of the chunks (bytes-like) joined: the first 8
+    bytes of their SHA-256."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.digest()[:8]
 
 
 def derive_seed(master_seed, *tags) -> int:

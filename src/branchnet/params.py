@@ -227,14 +227,13 @@ def checkpoint_bytes(graph: GraphSpec, store: ParamStore) -> bytes:
     for name, data in sorted(store_records(store).items()):
         prefix, _, owner = name.partition("/")
         if RECORD_TABLE[prefix].dtype is None and owner in axes:
-            # back to checkpoint order, in the copy astype makes anyway
             data = data.reshape(store.arrays[owner].shape).transpose(
-                np.argsort(axes[owner]))
+                np.argsort(axes[owner]))  # back to checkpoint order
         nb = name.encode()
+        # a contiguous float32 record is joined from the store's own memory
         chunks += [struct.pack("<I", len(nb)), nb, struct.pack("<Q", data.size),
-                   data.astype("<f4", order="C").tobytes()]
-    body = b"".join(chunks)
-    return body + checksum64(body)
+                   np.ascontiguousarray(data, "<f4")]
+    return b"".join([*chunks, checksum64(*chunks)])
 
 
 def save_checkpoint(path, graph: GraphSpec, store: ParamStore):
@@ -253,7 +252,7 @@ def load_checkpoint(path):
 def parse_checkpoint(data: bytes):
     if len(data) < 24 or data[:4] != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic)")
-    if checksum64(data[:-8]) != data[-8:]:
+    if checksum64(memoryview(data)[:-8]) != data[-8:]:
         raise ValueError("checkpoint checksum mismatch; file is corrupt")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != CHECKPOINT_VERSION:
