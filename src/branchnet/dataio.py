@@ -3,8 +3,9 @@
 Tensor container ("TNSR"): magic, version byte, rank byte, little-endian
 u32 dims, float32 little-endian payload, and a trailing 8-byte checksum
 over every preceding byte. Bitwise round-trip is a contract; a payload
-holding NaN or inf reads as a ValueError naming the container, and is
-refused at write the same way, so no written container fails to read.
+holding NaN or inf reads as a ValueError naming the container, and
+tensor_bytes refuses one with a ValueError too, so no written container
+fails to read.
 
 Manifests are tab-separated with a header line; `id` and `path` columns are
 required, label columns are whatever the header declares. Paths are stored

@@ -190,6 +190,28 @@ def test_probe_reads_a_linear_factor_from_pooled_input(desk_graph,
     assert result.cells[("input", "offset")] == 1.0
 
 
+def test_probe_pools_each_channel_over_the_whole_image(desk_graph,
+                                                       warm_desk_store):
+    # "half" images are brighter on top and as much darker below, "side"
+    # ones likewise left and right, so no channel mean moves and a probe of
+    # pooled "input" reads neither; pooling that kept rows or columns
+    # would read one of them outright
+    rng = np.random.default_rng(6)
+    xt, xv = desk_inputs(rng, 24), desk_inputs(rng, 12)
+    labels = [{"half": np.arange(n) % 2, "side": np.arange(n) // 2 % 2}
+              for n in (24, 12)]
+    for x, y in zip((xt, xv), labels):
+        x[y["half"] == 1, :, :28] += 3.0
+        x[y["half"] == 1, :, 28:] -= 3.0
+        x[y["side"] == 1, :, :, :28] += 3.0
+        x[y["side"] == 1, :, :, 28:] -= 3.0
+    result = invariance_probe(desk_graph, warm_desk_store, ["input"],
+                              {"half": 2, "side": 2}, xt, labels[0],
+                              xv, labels[1], seed=5, budget=300)
+    assert result.cells[("input", "half")] <= 0.75
+    assert result.cells[("input", "side")] <= 0.75
+
+
 def test_a_layer_given_twice_is_rejected(desk_graph, warm_desk_store):
     x = desk_inputs(np.random.default_rng(2), 4)
     y = np.array([0, 1, 0, 1])
