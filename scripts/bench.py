@@ -20,10 +20,11 @@ It records:
     where the kind has MACs; and the same summed per kind. The engine calls
     timed copies of the graph.NODE_KINDS records (timed_kinds) on train()'s
     own activations, saved contexts and `need` tuples;
-  - under `study`, the phases of one run_desk_study into a temporary
-    directory: seconds of its top-level train (the trunk), evaluate_accuracy,
-    branch_grid and invariance_probe calls, and of the whole run. The tiny
-    size shortens the study to STUDY_TINY's trunk and fine-tune budgets.
+  - under `study`, the seconds one run_desk_study into a temporary
+    directory records of its phases (StudyResult.seconds): its trunk's
+    train and evaluate_accuracy calls, branch_grid, invariance_probe, and
+    the whole run. The tiny size shortens the study to STUDY_TINY's trunk
+    and fine-tune budgets.
 
 Compare two files only when both were measured on one host. The machine
 block says which host that was.
@@ -38,6 +39,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
@@ -56,9 +58,6 @@ STEPS = 40  # timed train steps
 GEMM_SIZE = 1024  # n of the n^3 float32 GEMM ceiling
 SIZES = {"full": (32, ["--seconds", "15"]),
          "tiny": (2, ["--size", "tiny", "--seconds", "1"])}
-# experiments' functions whose top-level calls are the study's phases
-STUDY_PHASES = {"train": "trunk_s", "evaluate_accuracy": "evaluation_s",
-                "branch_grid": "grid_s", "invariance_probe": "probe_s"}
 STUDY_TINY = {"TRUNK_MINIBATCHES": 2, "FINETUNE_MINIBATCHES": 1}
 
 
@@ -115,49 +114,14 @@ def timed_kinds(graph):
         NODE_KINDS.update(original)
 
 
-@contextlib.contextmanager
-def timed_phases(**budgets):
-    """Swaps each STUDY_PHASES function of the experiments module for a
-    copy that times its top-level calls, those not made inside another of
-    them (branch_grid scores its cells with evaluate_accuracy), sets the
-    module's budgets given by name, and puts the originals back on exit,
-    also on an error. Yields phase -> summed seconds."""
-    seconds = dict.fromkeys(STUDY_PHASES.values(), 0.0)
-    depth = [0]
-
-    def timed(fn, phase):
-        def call(*args, **kwargs):
-            depth[0] += 1
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-                if not depth[0]:
-                    seconds[phase] += time.perf_counter() - t0
-        return call
-
-    original = {name: getattr(experiments, name)
-                for name in [*STUDY_PHASES, *budgets]}
-    try:
-        for name, phase in STUDY_PHASES.items():
-            setattr(experiments, name, timed(original[name], phase))
-        for name, value in budgets.items():
-            setattr(experiments, name, value)
-        yield seconds
-    finally:
-        for name, value in original.items():
-            setattr(experiments, name, value)
-
-
 def study_times(budgets):
-    """timed_phases' seconds over one run_desk_study into a temporary
-    directory under the budgets, plus the whole run's as total_s."""
-    with tempfile.TemporaryDirectory() as out, timed_phases(**budgets) as seconds:
-        t0 = time.perf_counter()
-        experiments.run_desk_study(out)
-        total = time.perf_counter() - t0
-    return {**seconds, "total_s": total}
+    """StudyResult.seconds of one run_desk_study into a temporary directory,
+    with the experiments module's budgets named in budgets set for the run
+    (none at full size: patch.multiple refuses an empty set)."""
+    patched = (mock.patch.multiple(experiments, **budgets) if budgets
+               else contextlib.nullcontext())
+    with tempfile.TemporaryDirectory() as out, patched:
+        return experiments.run_desk_study(out).seconds
 
 
 def timed_steps(graph, batch):

@@ -238,6 +238,8 @@ class SynthSpec:
         check_ranges(self, {
             "num_identities": "[2, inf)", "samples_per_identity": "[1, inf)",
             "image_size": "[1, inf)", "nuisance_levels": "[1, inf)",
+            # a multilabel value is a bitmask that must fit in int64
+            "multilabel_classes": "[1, 63]",
             "flip_prob": "[0, 1]", "noise_std": "[0, inf)"})
         if not 1 <= self.min_active <= self.max_active <= self.multilabel_classes:
             raise ValueError("active-class bounds must satisfy "

@@ -76,7 +76,9 @@ def boundary(graph: GraphSpec, index: int) -> set:
 def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
                  start=0, cache=None, saved=None, keep=None):
     """Run nodes from start over a cached prefix, or from node 0 over the
-    (n, c, h, w) input: x, or cache["input"] when a cache is given.
+    (n, c, h, w) input: x, or cache["input"] when a cache is given. An
+    input whose per-sample shape is not the graph's input_shape is a
+    ValueError naming both shapes.
 
     Returns (activations, bn_updates): activations maps node name -> output
     plus the cached entries (or "input" -> x in the engine layout),
@@ -89,8 +91,11 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    if start == 0:  # the network input, (n, c, h, w), converted once
+    if start == 0:  # the network input, (n, c, h, w): checked, converted once
         x = x if cache is None else cache.get(INPUT_NAME)
+        if x is not None and x.shape[1:] != graph.input_shape:
+            raise ValueError(f"input of shape {x.shape} does not match the "
+                             f"graph's per-sample input {graph.input_shape}")
         acts = {} if x is None else {
             INPUT_NAME: np.ascontiguousarray(x.transpose(0, 2, 3, 1))}
     elif cache is not None:

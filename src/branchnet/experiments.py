@@ -14,6 +14,7 @@ row, since deeper branches are cheaper to fine-tune and serve.
 """
 
 import os
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -272,6 +273,15 @@ class StudyResult:
     grid: GridResult
     probe: GridResult
     report_paths: dict
+    seconds: dict  # wall seconds of each phase and of the whole run
+
+
+def _timed(seconds, phase, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its wall seconds recorded as seconds[phase]."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    seconds[phase] = time.perf_counter() - t0
+    return out
 
 
 def run_desk_study(out_dir, master_seed: int = STUDY_SEED) -> StudyResult:
@@ -282,8 +292,13 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED) -> StudyResult:
     split's "identity" task, beside the grid's DESK_TASKS.
 
     Deterministic per master_seed: a rerun into a fresh directory produces
-    byte-identical datasets, checkpoints and reports.
+    byte-identical datasets, checkpoints and reports. The result's seconds
+    hold the wall time of the trunk's train (trunk_s), its
+    evaluate_accuracy (evaluation_s), branch_grid (grid_s),
+    invariance_probe (probe_s) and the whole run (total_s); no file
+    records them.
     """
+    start, seconds = time.perf_counter(), {}
     os.makedirs(out_dir, exist_ok=True)
     spec = SynthSpec(seed=derive_seed(master_seed, "synth"))
     data_dir = os.path.join(out_dir, "data")
@@ -298,8 +313,10 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED) -> StudyResult:
     identity = GridTask("identity", "identity", spec.num_identities)
     train_sets = load_tasks(manifest, (identity,) + DESK_TASKS, "train")
     val_sets = load_tasks(manifest, DESK_TASKS, "val")
-    trunk_log = train(graph, store, train_sets["identity"], trunk_cfg)
-    trunk_acc = evaluate_accuracy(graph, store, train_sets["identity"])
+    trunk_log = _timed(seconds, "trunk_s", train, graph, store,
+                       train_sets["identity"], trunk_cfg)
+    trunk_acc = _timed(seconds, "evaluation_s", evaluate_accuracy, graph,
+                       store, train_sets["identity"])
 
     paths = {"trunk": os.path.join(out_dir, "trunk.ckpt"),
              "trunk_log": os.path.join(out_dir, "trunk_log.tsv"),
@@ -310,16 +327,17 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED) -> StudyResult:
     trunk_log.write(paths["trunk_log"])
 
     ft_cfg = TrainConfig.desk(max_minibatches=FINETUNE_MINIBATCHES)
-    grid = branch_grid(graph, store, DESK_TASKS, train_sets, val_sets, ft_cfg,
-                       master_seed)
+    grid = _timed(seconds, "grid_s", branch_grid, graph, store, DESK_TASKS,
+                  train_sets, val_sets, ft_cfg, master_seed)
     with open(paths["grid_matrix"], "w") as f:
         f.write(format_grid_matrix(grid))
     with open(paths["grid_table"], "w") as f:
         f.write(format_grid_table(grid))
 
     factors = {t.name: t.num_classes for t in DESK_TASKS if t.loss == "softmax"}
-    probe = invariance_probe(
-        graph, store, ("input",) + graph.branch_points, factors,
+    probe = _timed(
+        seconds, "probe_s", invariance_probe, graph, store,
+        ("input",) + graph.branch_points, factors,
         train_sets["identity"].inputs,
         {f: train_sets[f].labels for f in factors},
         val_sets[DESK_TASKS[0].name].inputs,
@@ -335,8 +353,9 @@ def run_desk_study(out_dir, master_seed: int = STUDY_SEED) -> StudyResult:
     summary = _study_summary(master_seed, trunk_cfg, trunk_acc, grid, probe)
     with open(paths["study"], "w") as f:
         f.write(summary)
+    seconds["total_s"] = time.perf_counter() - start
     return StudyResult(os.path.join(data_dir, "manifest.tsv"), trunk_acc,
-                       grid, probe, paths)
+                       grid, probe, paths, seconds)
 
 
 def _study_summary(seed, trunk_cfg, trunk_acc, grid: GridResult, probe) -> str:

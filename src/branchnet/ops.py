@@ -448,9 +448,10 @@ def softmax_cross_entropy(logits, labels):
     _require(m >= 2, f"softmax needs at least 2 classes, got {m}")
     idx = label_indices(labels, n, m)
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    loss = float((lse - z[np.arange(n), idx]).mean())
-    probs = softmax(logits)
+    e = np.exp(z)  # the one exponential: softmax(logits) is e / total
+    total = e.sum(axis=1, keepdims=True)
+    loss = float((np.log(total[:, 0]) - z[np.arange(n), idx]).mean())
+    probs = e / total
     grad = probs.copy()
     grad[np.arange(n), idx] -= 1.0
     grad /= n

@@ -18,7 +18,13 @@ Checkpoint layout (all integers little-endian):
 A parameter whose kind stores it in an order of its own (param_axes:
 conv weights, (k, k, in, out) in the store) is written in the
 checkpoint's (out, in, k, k) order. The writer and parse_checkpoint
-permute it inside the copy every record gets anyway.
+permute it inside the copy every record gets anyway; fill draws each
+fresh weight in checkpoint order and lays it out as parse_checkpoint does
+(_store_order). No other module applies the checkpoint's order.
+
+fill gives a store every array and running statistic of a graph that it
+lacks: a trunk's whole store (train.init_params), or a branch's layers
+from the branch on (train.make_branch, after share_prefix).
 
 RECORD_TABLE states each record kind once, keyed by its name's prefix.
 store_records names a store's state through it, the writer adds a zero
@@ -39,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ops
-from .common import checksum64
+from .common import checksum64, derive_rng
 from .graph import NODE_KINDS, GraphSpec, compute_shapes
 
 CHECKPOINT_MAGIC = b"CKPT"
@@ -65,10 +71,13 @@ def param_axes(graph: GraphSpec) -> dict:
             for suffix, axes in NODE_KINDS[node.kind].stored.items()}
 
 
-def checkpoint_shape(shape, axes):
-    """The checkpoint's shape of a parameter the store holds, of shape,
-    transposed by axes."""
-    return tuple(shape[i] for i in np.argsort(axes))
+def _store_order(flat, shape, axes):
+    """flat, a value's elements in checkpoint order, as the store's array
+    of shape: the checkpoint's array transposed by axes, or reshaped when
+    axes is None (a value stored in checkpoint order). A view of flat."""
+    if axes is None:
+        return flat.reshape(shape)
+    return flat.reshape([shape[i] for i in np.argsort(axes)]).transpose(axes)
 
 
 def batchnorm_nodes(graph: GraphSpec):
@@ -118,23 +127,24 @@ class RecordKind:
             return getattr(store, self.slot)
         return {bn: getattr(rs, self.slot) for bn, rs in store.running.items()}
 
-    def read(self, rname, flat, shape):
-        """The store value of record rname, whose data is flat; a value the
-        rule forbids is a ValueError naming the record."""
+    def read(self, rname, value):
+        """The store value of record rname, whose data is value: its one
+        element, or the array in store order; a value the rule forbids is
+        a ValueError naming the record."""
         if self.dtype is not None:  # one value: a 0/1 flag or a count >= 0
-            v, flag = flat[0], self.rule == "flag"
+            v, flag = value[0], self.rule == "flag"
             if not (v in (0.0, 1.0) if flag else v >= 0 and v.is_integer()):
                 what = ("a trainable flag of 0 or 1" if flag
                         else "a count >= 0 that is a whole number")
                 raise ValueError(f"checkpoint record {rname!r} holds {v}, not {what}")
             return bool(v) if flag else int(v)
         # min and max propagate NaN and hold any inf, with no temporary
-        lo, hi = flat.min(), flat.max()
+        lo, hi = value.min(), value.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError(f"checkpoint record {rname!r} holds a non-finite value")
         if self.rule == "variance" and lo < 0:
             raise ValueError(f"checkpoint record {rname!r} holds a negative variance")
-        return flat.reshape(shape)
+        return value
 
 
 RECORD_TABLE = {  # owner, slot, dtype, rule, served, cover, optional
@@ -194,6 +204,43 @@ def share_prefix(graph: GraphSpec, store: ParamStore, trunk: ParamStore,
                                  f"statistics: they are missing, so the "
                                  f"frozen prefix cannot run in inference mode")
             store.running[bn] = trunk.running[bn]
+
+
+def fill(graph: GraphSpec, store: ParamStore, init_std: float, seed: int,
+         *tags, donor: ParamStore | None = None) -> ParamStore:
+    """Give store every array and running statistic of graph that it
+    lacks, trainable and at rest, and return it. Each is a copy of donor's
+    when a donor is given, except the fc head's, which is always fresh.
+    A fresh weight ("w") is N(0, init_std^2), drawn from derive_rng(seed,
+    *tags, name) as one flat vector in checkpoint order and laid out in
+    store order; batchnorm scales are one, biases and shifts zero, running
+    statistics mean zero, variance one and count zero."""
+    axes = param_axes(graph)
+    for name, shape in param_shapes(graph).items():
+        if name in store.arrays:
+            continue
+        suffix = name.rpartition("/")[2]
+        if donor is not None and param_owner(name) != "fc":
+            array = donor.arrays[name].copy()
+        elif suffix == "w" and init_std > 0:
+            drawn = derive_rng(seed, *tags, name).normal(
+                0.0, init_std, size=math.prod(shape))
+            array = np.ascontiguousarray(
+                _store_order(drawn, shape, axes.get(name)), dtype=np.float32)
+        else:
+            array = np.full(shape, 1.0 if suffix == "gamma" else 0.0,
+                            dtype=np.float32)
+        store.arrays[name] = array
+        store.momentum[name] = np.zeros(shape, dtype=np.float32)
+        store.trainable[name] = True
+    for bn in batchnorm_nodes(graph):
+        if bn not in store.running:
+            ch = graph.node(bn).attrs["ch"]
+            rs = donor.running[bn] if donor is not None else ops.RunningStats(
+                np.zeros(ch, np.float32), np.ones(ch, np.float32), 0)
+            store.running[bn] = ops.RunningStats(rs.mean.copy(), rs.var.copy(),
+                                                 rs.count)
+    return store
 
 
 def frozen_checksum(graph: GraphSpec, store: ParamStore, branch_index: int) -> str:
@@ -303,11 +350,9 @@ def parse_checkpoint(data: bytes):
             raise ValueError(f"checkpoint record {rname!r} has {count} "
                              f"elements, graph expects {size}")
         flat = np.frombuffer(data, dtype="<f4", count=count, offset=off)
-        if kind.owner == PARAMETER and kind.dtype is None and name in axes:
-            # into store order, in the one copy every record gets
-            flat = flat.reshape(checkpoint_shape(shape, axes[name])
-                                ).transpose(axes[name])
-        slot[name] = kind.read(rname, np.array(flat, order="C"), shape)
+        if kind.dtype is None:  # into store order, in the one copy it gets
+            flat = _store_order(flat, shape, axes.get(name))
+        slot[name] = kind.read(rname, np.array(flat, order="C"))
         off += 4 * count
 
     for prefix, kind in RECORD_TABLE.items():  # completeness, on the key sets

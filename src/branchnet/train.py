@@ -12,7 +12,9 @@ that owns an array the store flags as trainable.
 Branching replaces the identity head with a task head and freezes every
 parameter owned by a node before the branch layer. Frozen parameters are
 shared with the donor store by reference, which both saves memory and makes
-any accidental mutation visible to checksum tests.
+any accidental mutation visible to checksum tests. init_params and
+make_branch get every other array from params.fill, which owns the draws
+and the checkpoint's weight order; nothing here knows that order.
 
 The frozen prefix runs in inference mode on fixed weights, so each sample's
 output from it never changes: train() and evaluate_accuracy compute its
@@ -31,13 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
 from .common import derive_rng
 from .config import check_ranges, fields_from_mapping, fields_to_mapping
 from .engine import backward_pass, boundary, forward_pass, infer
 from .graph import INPUT_NAME, LOSS_KINDS, NODE_KINDS, GraphSpec, head_graph
-from .params import (ParamStore, batchnorm_nodes, checkpoint_shape,
-                     param_axes, param_owner, param_shapes, share_prefix)
+from .params import ParamStore, fill, param_owner, share_prefix
 
 
 @dataclass(frozen=True)
@@ -92,37 +92,10 @@ def lr_at(t: int, config: TrainConfig) -> float:
 
 
 def init_params(graph: GraphSpec, config: TrainConfig) -> ParamStore:
-    """Fresh store: weights N(0, init_std^2), biases and batchnorm shifts
-    zero, batchnorm scales one, velocities zero, everything trainable."""
-    store, axes = ParamStore(), param_axes(graph)
-    for name, shape in sorted(param_shapes(graph).items()):
-        store.arrays[name] = _fresh_param(name, shape, axes.get(name),
-                                          config.init_std, config.seed, "init")
-        store.momentum[name] = np.zeros(shape, dtype=np.float32)
-        store.trainable[name] = True
-    for bn in batchnorm_nodes(graph):
-        store.running[bn] = _fresh_stats(graph, bn)
-    return store
-
-
-def _fresh_param(name, shape, axes, init_std, seed, *tags):
-    """Weights ("w") N(0, init_std^2) from derive_rng(seed, *tags, name),
-    drawn in checkpoint order and transposed by axes (None: as drawn) into
-    the store's (params.param_axes); batchnorm scales one, biases and
-    shifts zero."""
-    suffix = name.rpartition("/")[2]
-    if suffix == "w" and init_std > 0:
-        rng = derive_rng(seed, *tags, name)
-        axes = axes or tuple(range(len(shape)))
-        drawn = rng.normal(0.0, init_std, size=checkpoint_shape(shape, axes))
-        return np.ascontiguousarray(drawn.transpose(axes), dtype=np.float32)
-    return np.full(shape, 1.0 if suffix == "gamma" else 0.0, dtype=np.float32)
-
-
-def _fresh_stats(graph, bn):
-    ch = graph.node(bn).attrs["ch"]
-    return ops.RunningStats(np.zeros(ch, dtype=np.float32),
-                            np.ones(ch, dtype=np.float32), 0)
+    """Fresh store (params.fill): weights N(0, init_std^2), biases and
+    batchnorm shifts zero, batchnorm scales one, velocities zero,
+    everything trainable."""
+    return fill(graph, ParamStore(), config.init_std, config.seed, "init")
 
 
 def sgd_momentum_step(store: ParamStore, grads: dict, rate: float,
@@ -299,35 +272,17 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
     """Build a fine-tuning head branching at branch_layer.
 
     The state of nodes before the branch layer is the trunk store's own
-    (params.share_prefix). Layers from the branch on are re-initialized
-    (warm=False) or copied (warm=True), running statistics included; the
+    (params.share_prefix). params.fill gives the layers from the branch on
+    fresh arrays drawn under the tags ("branch", branch_layer) (warm=False)
+    or copies of the trunk's (warm=True), running statistics included; the
     final fc is always fresh at the task's width.
     """
     check_task(num_classes, loss)
     bidx = trunk_graph.branch_index(branch_layer)
-    graph = head_graph(trunk_graph, num_classes, loss)
-    store, axes = ParamStore(), param_axes(graph)
+    graph, store = head_graph(trunk_graph, num_classes, loss), ParamStore()
     share_prefix(graph, store, trunk_store, bidx)
-    for name, shape in param_shapes(graph).items():
-        if name in store.arrays:
-            continue
-        store.trainable[name] = True
-        store.momentum[name] = np.zeros(shape, dtype=np.float32)
-        if warm and param_owner(name) != "fc":
-            store.arrays[name] = trunk_store.arrays[name].copy()
-        else:
-            store.arrays[name] = _fresh_param(name, shape, axes.get(name),
-                                              init_std, seed, "branch",
-                                              branch_layer)
-    for bn in batchnorm_nodes(graph):
-        if bn in store.running:
-            continue
-        if warm:
-            rs = trunk_store.running[bn]
-            store.running[bn] = ops.RunningStats(rs.mean.copy(), rs.var.copy(),
-                                                 rs.count)
-        else:
-            store.running[bn] = _fresh_stats(graph, bn)
+    fill(graph, store, init_std, seed, "branch", branch_layer,
+         donor=trunk_store if warm else None)
     return Branch(graph, store, branch_layer)
 
 

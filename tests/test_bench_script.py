@@ -1,6 +1,7 @@
 """scripts/bench.py at its tiny size: it must run against the library and
 the benchmark as they stand and write a complete BENCH_<label>.json, and
-leave graph.NODE_KINDS and the experiments module as it found them."""
+leave graph.NODE_KINDS and the experiments module's budgets as it found
+them."""
 
 import importlib.util
 import json
@@ -106,18 +107,25 @@ def test_timed_steps_leave_the_kind_table_as_they_found_it():
     assert all(NODE_KINDS[k] is kind for k, kind in before.items())
 
 
-def test_timed_phases_count_top_level_calls_and_restore_the_module(
-        desk_graph, warm_desk_store, monkeypatch):
+def test_study_times_read_the_study_and_restore_its_budgets(monkeypatch):
     bench = load_bench()
-    names = [*bench.STUDY_PHASES, *bench.STUDY_TINY]
-    before = {name: getattr(experiments, name) for name in names}
+    before = {name: getattr(experiments, name) for name in bench.STUDY_TINY}
+    real_load, budgets = experiments.load_tasks, []
 
-    def restored():
-        return all(getattr(experiments, n) is v for n, v in before.items())
+    def spied(manifest, tasks, split):
+        budgets.append({name: getattr(experiments, name) for name in before})
+        return real_load(manifest, tasks, split)
 
-    # a study whose trunk step raises, inside the timed train call
-    real_load = experiments.load_tasks
+    monkeypatch.setattr(experiments, "load_tasks", spied)
+    seconds = bench.study_times(bench.STUDY_TINY)
+    assert budgets and all(b == bench.STUDY_TINY for b in budgets)
+    assert seconds.keys() == {"trunk_s", "evaluation_s", "grid_s", "probe_s",
+                              "total_s"}
+    phases = [v for k, v in seconds.items() if k != "total_s"]
+    assert all(v > 0 for v in phases) and seconds["total_s"] > sum(phases)
+    assert {n: getattr(experiments, n) for n in before} == before
 
+    # a study whose trunk step raises leaves the budgets as it found them
     def poisoned(manifest, tasks, split):
         sets = real_load(manifest, tasks, split)
         for data in sets.values():
@@ -127,26 +135,4 @@ def test_timed_phases_count_top_level_calls_and_restore_the_module(
     monkeypatch.setattr(experiments, "load_tasks", poisoned)
     with pytest.raises(ValueError, match="non-finite loss"):
         bench.study_times(bench.STUDY_TINY)
-    assert restored()
-
-    # branch_grid's own evaluate_accuracy calls count toward the grid
-    monkeypatch.setattr(experiments, "load_tasks", real_load)
-    calls = []
-    monkeypatch.setattr(experiments, "evaluate_accuracy",
-                        lambda *a: calls.append(a) or before["evaluate_accuracy"](*a))
-    graph, store = desk_graph, warm_desk_store
-    rng = np.random.default_rng(0)
-    data = Dataset(rng.standard_normal((4, 1, 56, 56)).astype(np.float32),
-                   rng.integers(0, 2, size=4))
-    task = experiments.GridTask("t", "t", 2)
-    with bench.timed_phases(FINETUNE_MINIBATCHES=1) as seconds:
-        assert experiments.FINETUNE_MINIBATCHES == 1
-        experiments.branch_grid(graph, store, [task], {"t": data}, {"t": data},
-                                TrainConfig.desk(batch_size=2, max_minibatches=1),
-                                0, layers=["fc"])
-        assert len(calls) == 1 and seconds["evaluation_s"] == 0.0
-        experiments.evaluate_accuracy(graph, store, data)
-    assert len(calls) == 2
-    assert seconds["grid_s"] > 0 and seconds["evaluation_s"] > 0
-    assert seconds["trunk_s"] == seconds["probe_s"] == 0.0
-    assert experiments.FINETUNE_MINIBATCHES == before["FINETUNE_MINIBATCHES"]
+    assert {n: getattr(experiments, n) for n in before} == before

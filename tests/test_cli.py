@@ -501,6 +501,33 @@ def test_unknown_synth_key_exits_two(capsys, tmp_path):
     assert "unknown synthetic-spec key" in err
 
 
+def test_synth_of_a_mask_wider_than_int64_exits_two(capsys, tmp_path):
+    out = tmp_path / "d"
+    rc, _, err = run_cli(capsys, "synth", "--out", str(out),
+                         "--set", "multilabel_classes=64")
+    assert rc == 2
+    assert err.startswith("error: multilabel_classes must lie in [1, 63]")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_train_base_on_images_of_another_size_writes_nothing(capsys, tmp_path):
+    data = tmp_path / "small"
+    assert main(["synth", "--out", str(data), "--set", "num_identities=4",
+                 "--set", "samples_per_identity=2", "--set", "image_size=40",
+                 "--set", "seed=9"]) == 0
+    out = tmp_path / "t.ckpt"
+    rc, _, err = run_cli(capsys, "train-base", "--data",
+                         str(data / "manifest.tsv"), "--out", str(out), *ARCH,
+                         "--set", "train.batch_size=2",
+                         "--set", "train.max_minibatches=1")
+    assert rc == 2
+    assert err.startswith("error: input of shape (2, 1, 40, 40) does not "
+                          "match the graph's per-sample input (1, 56, 56)")
+    assert len(err.splitlines()) == 1
+    assert not out.exists() and not os.path.exists(str(out) + ".log.tsv")
+
+
 def test_unknown_subcommand_raises_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -337,6 +337,25 @@ def test_load_batch_multilabel_matrix(tmp_path):
     assert masks.tolist() == [int(m.row(i)["multilabel"]) for i in m.ids]
 
 
+def test_a_63_class_multilabel_column_reads_back(tmp_path):
+    spec = SynthSpec(num_identities=2, samples_per_identity=4,
+                     multilabel_classes=63, max_active=63, flip_prob=0.5,
+                     seed=7)
+    m = generate_synthetic(spec, tmp_path)
+    masks = [int(m.row(i)["multilabel"]) for i in m.ids]
+    assert max(masks) >= 2 ** 62  # the top class is set somewhere
+    labels = load_labels(m, m.ids, "multilabel", bitmask_classes=63)
+    assert labels.shape == (8, 63)
+    for row, mask in zip(labels, masks):
+        assert sum(1 << j for j, v in enumerate(row) if v >= 0.5) == mask
+
+
+def test_a_multilabel_mask_that_leaves_int64_is_rejected():
+    with pytest.raises(ValueError, match=r"^multilabel_classes must lie in "
+                                         r"\[1, 63\], got 64"):
+        SynthSpec(multilabel_classes=64)
+
+
 def test_nuisance_pattern_orientations_are_distinct():
     spec = SynthSpec()
     flat = [nuisance_pattern(spec, j).ravel() for j in range(7)]

@@ -642,6 +642,21 @@ def test_cross_entropy_grad_formula():
     assert loss > 0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [2, 37, 10_000])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_cross_entropy_probabilities_are_softmax_bit_for_bit(dtype, m, scale):
+    logits = (scale * np.random.default_rng(m).standard_normal((5, m))
+              ).astype(dtype)
+    labels = np.arange(5) % m
+    loss, probs, _ = ops.softmax_cross_entropy(logits, labels)
+    assert probs.dtype == dtype
+    assert probs.tobytes() == ops.softmax(logits).tobytes()
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    assert loss == float((lse - z[np.arange(5), labels]).mean())
+
+
 def test_cross_entropy_one_hot_matches_indices():
     rng = np.random.default_rng(12)
     logits = rng.standard_normal((4, 3))

@@ -10,10 +10,11 @@ from conftest import apply_token_edits, graph_token_edits
 from branchnet.engine import forward_pass
 from branchnet.graph import NODE_KINDS, ArchConfig, GraphSpec, build_trunk
 from branchnet.ops import RunningStats
-from branchnet.params import (checkpoint_bytes, frozen_checksum, frozen_names,
-                              load_checkpoint, param_owner, param_shapes,
-                              parse_checkpoint, save_checkpoint)
-from branchnet.common import checksum64
+from branchnet.params import (ParamStore, checkpoint_bytes, fill,
+                              frozen_checksum, frozen_names, load_checkpoint,
+                              param_owner, param_shapes, parse_checkpoint,
+                              save_checkpoint)
+from branchnet.common import checksum64, derive_rng
 from branchnet.train import (Dataset, TrainConfig, init_params, make_branch,
                              train)
 
@@ -77,11 +78,36 @@ def test_checkpoint_bytes_are_pinned():
     graph = build_trunk(ArchConfig.desk())
     store = init_params(graph, TrainConfig.desk(seed=3))
     branch = make_branch(graph, store, "conv22", 7, seed=5)
+    warm = make_branch(graph, store, "conv22", 7, warm=True, seed=5)
 
     def digest(graph, store):
         return hashlib.sha256(checkpoint_bytes(graph, store)).hexdigest()[:16]
     assert digest(graph, store) == "c3049edd93107aa5"
     assert digest(branch.graph, branch.store) == "138f125ed87ab9d4"
+    assert digest(warm.graph, warm.store) == "11d29ae2174736ca"
+
+
+def test_fill_draws_a_conv_weight_in_checkpoint_order():
+    store = fill(GRAPH, ParamStore(), 0.1, 4, "init")
+    for name in ("conv1/w", "conv4/w", "conv22/w"):
+        shape = store.arrays[name].shape  # (k, k, in, out)
+        drawn = derive_rng(4, "init", name).normal(
+            0.0, 0.1, (shape[3], shape[2], shape[0], shape[1]))
+        expected = drawn.transpose(2, 3, 1, 0).astype(np.float32)
+        assert store.arrays[name].tobytes() == np.ascontiguousarray(
+            expected).tobytes()
+
+
+def test_fill_on_a_complete_store_adds_and_replaces_nothing():
+    store = fresh_store()
+    before = {slot: dict(getattr(store, slot))
+              for slot in ("arrays", "momentum", "trainable", "running")}
+    donor = fresh_store(seed=4)
+    assert fill(GRAPH, store, 0.1, 9, "init", donor=donor) is store
+    for slot, values in before.items():
+        now = getattr(store, slot)
+        assert now.keys() == values.keys()
+        assert all(now[k] is v for k, v in values.items())
 
 
 def read_records_by_hand(data):

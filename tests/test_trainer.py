@@ -446,7 +446,7 @@ def test_finetune_at_fc_equals_logistic_regression(trunk):
     cfg = TrainConfig(batch_size=8, max_minibatches=25, lr_decay_every=10, seed=13)
 
     acts, _ = forward_pass(graph, store, data.inputs, mode="infer")
-    feats = acts["relu320"]
+    feats = to_nchw(acts["relu320"])  # (n, 80, 1, 1), as fc_graph's input
     lr_graph = fc_graph(feats.shape[1], 3)
     lr_store = ParamStore()
     lr_store.arrays = {"fc/w": br.store.arrays["fc/w"].copy(),
@@ -461,6 +461,19 @@ def test_finetune_at_fc_equals_logistic_regression(trunk):
     assert [r[2] for r in log_branch.rows] == [r[2] for r in log_lr.rows]
     np.testing.assert_array_equal(br.store.arrays["fc/w"], lr_store.arrays["fc/w"])
     np.testing.assert_array_equal(br.store.arrays["fc/b"], lr_store.arrays["fc/b"])
+
+
+def test_inputs_of_another_size_than_the_graph_declares_are_refused(trunk):
+    graph, store = trunk
+    rng = np.random.default_rng(3)
+    small = Dataset(rng.standard_normal((8, 1, 40, 40)).astype(np.float32),
+                    rng.integers(0, 6, size=8))
+    shapes = r"\(\d+, 1, 40, 40\) does not match .* \(1, 56, 56\)"
+    with pytest.raises(ValueError, match=shapes):
+        train(graph, clone(store), small,
+              TrainConfig.desk(batch_size=4, max_minibatches=1))
+    with pytest.raises(ValueError, match=shapes):
+        evaluate_accuracy(graph, store, small)
 
 
 def test_training_with_everything_frozen_changes_nothing(trunk):
