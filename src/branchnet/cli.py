@@ -118,17 +118,13 @@ def cmd_branch_grid(args):
 
 
 def cmd_predict(args):
-    if args.batch_size < 1:
-        raise ValueError(f"--batch-size must be >= 1, got {args.batch_size}")
     model = load_bundle(args.bundle)
     manifest = Manifest.load(args.data)
     ids = split_ids(manifest, args.split)
     lines = []
-    for lo in range(0, len(ids), args.batch_size):
-        chunk = ids[lo:lo + args.batch_size]
-        x, _ = load_batch(manifest, chunk)
-        pred = predict_all(model, x)
-        lines.extend(format_prediction_lines(chunk, pred, model.heads))
+    if ids:  # one pass: engine.infer alone cuts the split into chunks
+        x, _ = load_batch(manifest, ids)
+        lines = format_prediction_lines(ids, predict_all(model, x), model.heads)
     text = "\n".join(lines) + "\n"
     with open(args.out, "w") as f:
         f.write(text)
@@ -263,7 +259,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="all")
-    p.add_argument("--batch-size", type=int, default=64)
 
     p = add("eval-verify", cmd_eval_verify, "split-based verification")
     p.add_argument("--pairs", required=True,
@@ -302,7 +297,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # an OSError's args start with its errno; its text names the file
         msg = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
         print(f"error: {msg}", file=sys.stderr)

@@ -51,8 +51,8 @@ def tensor_bytes(arr) -> bytes:
         raise ValueError(f"rank {arr.ndim} exceeds the container limit")
     head = TENSOR_MAGIC + struct.pack("<BB", TENSOR_VERSION, arr.ndim)
     dims = b"".join(struct.pack("<I", d) for d in arr.shape)
-    body = head + dims + arr.astype("<f4").tobytes()
-    return body + checksum64(body)
+    chunks = [head, dims, np.ascontiguousarray(arr, "<f4")]
+    return b"".join([*chunks, checksum64(*chunks)])  # the one copy
 
 
 def write_tensor(path, arr):
@@ -65,7 +65,7 @@ def write_tensor(path, arr):
 def parse_tensor(data: bytes, name="tensor") -> np.ndarray:
     if len(data) < 14 or data[:4] != TENSOR_MAGIC:
         raise ValueError(f"{name}: not a tensor container (bad magic)")
-    if checksum64(data[:-8]) != data[-8:]:
+    if checksum64(memoryview(data)[:-8]) != data[-8:]:
         raise ValueError(f"{name}: checksum mismatch; file is corrupt")
     version, rank = struct.unpack_from("<BB", data, 4)
     if version != TENSOR_VERSION:
@@ -152,17 +152,23 @@ class Manifest:
 
     @classmethod
     def load(cls, path):
+        """Read a manifest; blank lines are skipped, and a row whose field
+        count differs from the header's is a ValueError naming the file
+        and its line number."""
         with open(path) as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+            lines = [(lineno, ln.rstrip("\n"))
+                     for lineno, ln in enumerate(f, 1) if ln.strip()]
         if not lines:
             raise ValueError(f"manifest {path!r} is empty")
-        columns = tuple(lines[0].split("\t"))
+        (_, header), *body = lines
+        columns = tuple(header.split("\t"))
         rows = []
-        for ln in lines[1:]:
+        for lineno, ln in body:
             parts = ln.split("\t")
             if len(parts) != len(columns):
-                raise ValueError(f"manifest row has {len(parts)} fields, "
-                                 f"header declares {len(columns)}: {ln!r}")
+                raise ValueError(f"{path}:{lineno}: manifest row has "
+                                 f"{len(parts)} fields, header declares "
+                                 f"{len(columns)}: {ln!r}")
             rows.append(dict(zip(columns, parts)))
         return cls(columns, rows, root=os.path.dirname(os.path.abspath(path)))
 

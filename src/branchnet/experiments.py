@@ -118,8 +118,9 @@ def branch_grid(graph: GraphSpec, store, tasks, train_sets, val_sets,
     """Fine-tune one branch per (layer, task) cell and score it held out.
 
     train_sets/val_sets map task name -> Dataset (load_tasks). Each cell
-    derives its own seed from (master_seed, "grid", layer, task); failures
-    are re-raised with the cell coordinates attached.
+    derives its own seed from (master_seed, "grid", layer, task); a cell's
+    ValueError is re-raised as one with the cell coordinates attached, and
+    any other exception, a defect, passes through unchanged.
 
     Every cell's branch shares the store's frozen prefix, so the grid runs
     it once per distinct inputs array: one engine.infer pass keeps the
@@ -152,9 +153,9 @@ def branch_grid(graph: GraphSpec, store, tasks, train_sets, val_sets,
                          replace(config, seed=cell_seed))
                 acc = evaluate_accuracy(branch.graph, branch.store,
                                         cached(val_sets[task.name]))
-            except Exception as exc:
-                raise RuntimeError(f"grid cell ({layer}, {task.name}) failed: "
-                                   f"{exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"grid cell ({layer}, {task.name}) failed: "
+                                 f"{exc}") from exc
             cells[(layer, task.name)] = acc
     return GridResult(layers, tuple(t.name for t in tasks), cells, master_seed)
 

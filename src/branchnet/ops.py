@@ -460,7 +460,11 @@ def softmax_cross_entropy(logits, labels):
 
 def sigmoid(logits):
     """Numerically stable element-wise logistic function."""
-    e = np.exp(-np.abs(logits))
+    return _logistic(logits, np.exp(-np.abs(logits)))
+
+
+def _logistic(logits, e):
+    """sigmoid(logits), given e = exp(-|logits|)."""
     return np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
@@ -476,6 +480,7 @@ def sigmoid_multilabel_loss(logits, labels):
     _require(np.all((labels == 0) | (labels == 1)), "multilabel targets must be 0/1")
     n, m = logits.shape
     y = labels.astype(logits.dtype)
-    per = np.maximum(logits, 0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
-    scores = sigmoid(logits)
+    e = np.exp(-np.abs(logits))  # the one exponential: scores are sigmoid's
+    per = np.maximum(logits, 0) - logits * y + np.log1p(e)
+    scores = _logistic(logits, e)
     return float(per.mean()), scores, (scores - y) / (n * m)

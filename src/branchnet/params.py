@@ -289,11 +289,14 @@ def save_checkpoint(path, graph: GraphSpec, store: ParamStore):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (graph, store). Raises ValueError on any
-    structural or checksum problem."""
+    """Read a checkpoint; returns (graph, store). Any structural or
+    checksum problem is a ValueError whose message starts with the path."""
     with open(path, "rb") as f:
         data = f.read()
-    return parse_checkpoint(data)
+    try:
+        return parse_checkpoint(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_checkpoint(data: bytes):

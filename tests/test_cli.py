@@ -14,10 +14,13 @@ import pytest
 
 from branchnet.cli import main
 from branchnet.common import checksum64
-from branchnet.dataio import Manifest, read_tensor, split_ids, write_tensor
+from branchnet.dataio import (Manifest, load_batch, read_tensor, split_ids,
+                              write_tensor)
 from branchnet.experiments import GridTask, load_tasks
 from branchnet.graph import ArchConfig, build_trunk
-from branchnet.multihead import HeadSpec, MultiHeadModel, save_bundle
+from branchnet.multihead import (HeadSpec, MultiHeadModel,
+                                 format_prediction_lines, load_bundle,
+                                 predict_all, run_head_standalone, save_bundle)
 from branchnet.params import load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
 from conftest import write_unchecked_tensor
@@ -168,7 +171,7 @@ def test_predict_over_bundle(capsys, tmp_path, corpus, bundle_dir):
     out = tmp_path / "predictions.txt"
     rc, stdout, err = run_cli(capsys, "predict", "--bundle", bundle_dir,
                               "--data", corpus, "--out", str(out),
-                              "--split", "val", "--batch-size", "5")
+                              "--split", "val")
     assert rc == 0
     assert err == ""
     assert "combined cost" in stdout
@@ -177,16 +180,89 @@ def test_predict_over_bundle(capsys, tmp_path, corpus, bundle_dir):
     assert all("binary=" in line for line in lines)
 
 
-@pytest.mark.parametrize("size", ["0", "-3"])
-def test_predict_rejects_a_batch_size_below_one(capsys, tmp_path, corpus,
-                                                bundle_dir, size):
-    out = tmp_path / "predictions.txt"
+def subset_manifest(corpus, path, count, split=None):
+    """The corpus's first count rows, saved at path with absolute tensor
+    paths; split, when given, replaces every row's split value."""
+    manifest = Manifest.load(corpus)
+    rows = [{**row, "path": manifest.tensor_path(row["id"]),
+             **({} if split is None else {"split": str(split)})}
+            for row in manifest.rows[:count]]
+    Manifest(manifest.columns, rows).save(path)
+    return str(path)
+
+
+def test_predict_is_one_pass_over_its_split(capsys, tmp_path, corpus,
+                                            bundle_dir, monkeypatch):
+    # A 7-class head's fc takes other bits in a 2- or 3-row pass than
+    # inside a 32-row chunk; 34 samples leave infer a trailing 2-row chunk.
+    # The file rounds scores to 6 places, so the bits are read from the
+    # predict_all calls themselves.
+    calls = []
+
+    def recording(model, x):
+        calls.append((model, x, predict_all(model, x)))
+        return calls[-1][2]
+
+    monkeypatch.setattr("branchnet.cli.predict_all", recording)
+    model = load_bundle(bundle_dir)
+    branch = make_branch(model.trunk_graph, model.trunk_store, "conv19", 7,
+                         warm=True, seed=2)
+    model.add_head(HeadSpec("nuisance", "conv19", 7, "softmax"),
+                   branch.graph, branch.store)
+    bundle = tmp_path / "bundle"
+    save_bundle(bundle, model)
+    data = subset_manifest(corpus, tmp_path / "m.tsv", 34)
+    out = tmp_path / "p.txt"
+    rc, _, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                         "--data", data, "--out", str(out))
+    assert rc == 0, err
+    [(model, x, pred)] = calls
+    manifest = Manifest.load(data)
+    assert x.tobytes() == load_batch(manifest, manifest.ids)[0].tobytes()
+    assert out.read_text().splitlines() == format_prediction_lines(
+        manifest.ids, pred, model.heads)
+    assert len(model.heads) == 2
+    for head in model.heads:
+        scores = pred.tasks[head.spec.task].scores
+        assert scores.tobytes() == run_head_standalone(head, x).tobytes()
+
+
+def test_predict_over_an_empty_split_writes_no_prediction(capsys, tmp_path,
+                                                          corpus, bundle_dir):
+    data = subset_manifest(corpus, tmp_path / "m.tsv", 5, split=0)
+    out = tmp_path / "p.txt"
     rc, stdout, err = run_cli(capsys, "predict", "--bundle", bundle_dir,
-                              "--data", corpus, "--out", str(out),
-                              "--batch-size", size)
-    assert rc == 2
-    assert stdout == ""
-    assert err == f"error: --batch-size must be >= 1, got {size}\n"
+                              "--data", data, "--out", str(out),
+                              "--split", "val")
+    assert rc == 0 and err == ""
+    assert stdout.startswith(f"wrote 0 predictions to {out}")
+    assert out.read_text() == "\n"
+
+
+def test_predict_takes_no_batch_size(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--bundle", str(tmp_path), "--data",
+              str(tmp_path / "m.tsv"), "--out", str(tmp_path / "p.txt"),
+              "--batch-size", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --batch-size 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["trunk.ckpt", "binary.ckpt"])
+def test_predict_names_a_corrupt_checkpoint(capsys, tmp_path, corpus,
+                                            bundle_dir, name):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bundle)
+    path = bundle / name
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+    out = tmp_path / "p.txt"
+    rc, stdout, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                              "--data", corpus, "--out", str(out))
+    assert rc == 2 and stdout == ""
+    assert err == (f"error: {path}: checkpoint checksum mismatch; file is "
+                   f"corrupt\n")
     assert not out.exists()
 
 

@@ -152,6 +152,16 @@ def test_manifest_load_rejects_ragged_rows(tmp_path):
         Manifest.load(tmp_path / "empty.tsv")
 
 
+def test_a_short_manifest_row_names_the_file_and_its_line(tmp_path):
+    p = tmp_path / "m.tsv"
+    # line 3 is blank and skipped, yet it counts toward the line number
+    p.write_text("id\tpath\tidentity\na\tx\t0\n\nb\ty\n")
+    with pytest.raises(ValueError) as exc:
+        Manifest.load(p)
+    assert str(exc.value) == (f"{p}:4: manifest row has 2 fields, header "
+                              f"declares 3: 'b\\ty'")
+
+
 def test_label_errors_name_column_and_id(tmp_path):
     m = sample_manifest(tmp_path)
     with pytest.raises(ValueError, match="'nuisance'.*'s0'"):

@@ -9,6 +9,7 @@ import pytest
 from branchnet.engine import CHUNK, boundary, forward_pass, infer
 from branchnet.graph import BRANCH_POINT_NAMES, GraphSpec, LayerNode
 from branchnet.params import ParamStore, param_shapes
+from branchnet.train import make_branch
 from conftest import desk_inputs, to_checkpoint_weights, to_nchw, to_nhwc
 from gradsuites import residual_instance
 from oracles import forward_loops
@@ -174,6 +175,20 @@ def test_infer_gives_each_sample_its_whole_batch_bits(desk_graph,
     keep = {"conv1", "conv3", "relu15", "fc"}
     got = infer(graph, store, {"input": x}, keep)
     full, _ = forward_pass(graph, store, x, mode="infer")
+    assert_same(got, full)
+
+
+@pytest.mark.parametrize("n", [CHUNK + 2, CHUNK + 3])
+def test_infer_gives_a_seven_class_head_its_whole_batch_bits(desk_graph,
+                                                             warm_desk_store, n):
+    # A 7-class fc (80->7) takes other bits in a 2- or 3-row pass than for
+    # the same rows inside a 32-row chunk, yet infer's trailing 2- or 3-row
+    # chunk must give the bits of the one whole-batch forward.
+    branch = make_branch(desk_graph, warm_desk_store, "conv19", 7, warm=True,
+                         seed=3)
+    x = desk_inputs(np.random.default_rng(12), n)
+    got = infer(branch.graph, branch.store, {"input": x}, {"fc"})
+    full, _ = forward_pass(branch.graph, branch.store, x, mode="infer")
     assert_same(got, full)
 
 

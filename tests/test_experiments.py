@@ -109,9 +109,25 @@ def test_branch_grid_wraps_cell_failures(desk_graph, warm_desk_store):
     bad = Dataset(x, np.full(6, 5))  # every label exceeds the 2 classes
     task = GridTask("t", "t", 2, "softmax")
     cfg = TrainConfig.desk(batch_size=3, max_minibatches=1)
-    with pytest.raises(RuntimeError, match=r"grid cell \(fc, t\) failed"):
+    with pytest.raises(ValueError, match=r"grid cell \(fc, t\) failed"):
         branch_grid(desk_graph, warm_desk_store, [task], {"t": bad},
                     {"t": bad}, cfg, master_seed=0, layers=["fc"])
+
+
+def test_branch_grid_passes_a_defect_in_a_cell_through(desk_graph,
+                                                       warm_desk_store,
+                                                       monkeypatch):
+    def broken(branch, dataset, config):
+        raise TypeError("a defect")
+
+    monkeypatch.setattr("branchnet.experiments.finetune", broken)
+    x = desk_inputs(np.random.default_rng(0), 6)
+    data = Dataset(x, np.arange(6) % 2)
+    cfg = TrainConfig.desk(batch_size=3, max_minibatches=1)
+    with pytest.raises(TypeError, match="^a defect$"):
+        branch_grid(desk_graph, warm_desk_store, [GridTask("t", "t", 2)],
+                    {"t": data}, {"t": data}, cfg, master_seed=0,
+                    layers=["fc"])
 
 
 def recording(fn, calls):

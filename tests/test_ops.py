@@ -733,6 +733,20 @@ def test_sigmoid_loss_mean_over_duplicated_batch():
     assert abs(single - double) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_sigmoid_loss_scores_are_sigmoid_bit_for_bit(dtype, scale):
+    rng = np.random.default_rng(16)
+    logits = (scale * rng.standard_normal((5, 9))).astype(dtype)
+    labels = (rng.random((5, 9)) < 0.5).astype(dtype)
+    loss, scores, _ = ops.sigmoid_multilabel_loss(logits, labels)
+    assert scores.dtype == dtype
+    assert scores.tobytes() == ops.sigmoid(logits).tobytes()
+    per = (np.maximum(logits, 0) - logits * labels
+           + np.log1p(np.exp(-np.abs(logits))))
+    assert loss == float(per.mean())
+
+
 def test_sigmoid_loss_rejects_nonbinary_targets():
     with pytest.raises(ValueError, match="0/1"):
         ops.sigmoid_multilabel_loss(np.zeros((1, 2)), np.array([[0.5, 1.0]]))
