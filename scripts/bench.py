@@ -49,7 +49,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from branchnet import experiments  # noqa: E402
 from branchnet.accounting import count_flops  # noqa: E402
-from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk  # noqa: E402
+from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk, head  # noqa: E402
 from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
 from harness import code_digest, fingerprint, gemm_ceiling_gmacs  # noqa: E402
 
@@ -130,8 +130,9 @@ def timed_steps(graph, batch):
     store = init_params(graph, cfg)
     rng = np.random.default_rng(SEED)
     shape = (4 * batch,) + tuple(graph.input_shape)
+    classes = graph.node(head(graph)[1]).attrs["out"]
     data = Dataset(rng.standard_normal(shape).astype(np.float32),
-                   rng.integers(0, graph.node("fc").attrs["out"], size=shape[0]))
+                   rng.integers(0, classes, size=shape[0]))
     with timed_kinds(graph) as timings:
         for step in range(STEPS):
             train(graph, store, data, replace(cfg, seed=SEED + step))

@@ -8,12 +8,20 @@ directory. With the default seed, the outputs reproduce the committed
 reports byte for byte: study.txt matches reports/desk_study.txt, grid.txt
 matches reports/branch_grid.txt, probe.txt matches
 reports/invariance_probe.txt.
+
+After the report it prints one line to stderr with the wall seconds of
+each phase and of the whole run (StudyResult.seconds); no file the study
+writes holds them.
 """
 
 import argparse
+import os
 import sys
 
-from branchnet.experiments import STUDY_SEED, run_desk_study
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from branchnet.experiments import STUDY_SEED, run_desk_study  # noqa: E402
 
 
 def main():
@@ -27,6 +35,9 @@ def main():
     with open(result.report_paths["study"]) as f:
         sys.stdout.write(f.read())
     print(f"\nreports written under {args.out}")
+    print("seconds: " + " ".join(f"{phase}={s:.2f}"
+                                 for phase, s in result.seconds.items()),
+          file=sys.stderr)
     return 0
 
 

@@ -63,8 +63,6 @@ def branch_trainable_params(graph: GraphSpec, branch_layer: str,
     starts at branch_layer: those of its head graph (graph.head_graph)
     owned by nodes from the branch on."""
     bidx = graph.branch_index(branch_layer)
-    if num_classes < 2:
-        raise ValueError(f"a branch head needs at least 2 classes, got {num_classes}")
     head = head_graph(graph, num_classes, "softmax")
     return _from_branch(head, bidx, count_params(head)[0])
 

@@ -1,8 +1,9 @@
 """Command-line surface: thin shells over the module APIs.
 
 Every number a subcommand prints or writes comes from the same API calls
-the tests exercise. Failures exit nonzero with a single `error: ...` line
-on stderr; argparse handles unknown flags and subcommands with usage text.
+the tests exercise. A ValueError or OSError exits 2 with a single
+`error: ...` line on stderr; any other exception is a defect and shows its
+traceback. argparse handles unknown flags and subcommands with usage text.
 """
 
 import argparse
@@ -125,9 +126,8 @@ def cmd_predict(args):
     if ids:  # one pass: engine.infer alone cuts the split into chunks
         x, _ = load_batch(manifest, ids)
         lines = format_prediction_lines(ids, predict_all(model, x), model.heads)
-    text = "\n".join(lines) + "\n"
     with open(args.out, "w") as f:
-        f.write(text)
+        f.write("".join(f"{line}\n" for line in lines))
     total, per_head = combined_flops(model)
     print(f"wrote {len(ids)} predictions to {args.out}; combined cost "
           f"{total:,} macs ({len(per_head)} heads)")
@@ -297,7 +297,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # an OSError's args start with its errno; its text names the file
         msg = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
         print(f"error: {msg}", file=sys.stderr)

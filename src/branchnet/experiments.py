@@ -24,10 +24,10 @@ from .common import derive_rng, derive_seed
 from .dataio import (SynthSpec, generate_synthetic, load_batch, load_labels,
                      split_ids)
 from .engine import boundary, infer
-from .graph import INPUT_NAME, ArchConfig, GraphSpec, build_trunk
+from .graph import INPUT_NAME, ArchConfig, GraphSpec, build_trunk, check_task
 from .params import save_checkpoint
-from .train import (Dataset, TrainConfig, check_task, evaluate_accuracy,
-                    finetune, init_params, make_branch, train)
+from .train import (Dataset, TrainConfig, evaluate_accuracy, finetune,
+                    init_params, make_branch, train)
 
 # Reference accuracies shown alongside grid reports for orientation only;
 # they come from a full-scale study on real face data and are never

@@ -22,7 +22,7 @@ with the nodes present.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import ops
@@ -582,19 +582,38 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
     return spec
 
 
+def check_task(num_classes, loss):
+    """Raise ValueError unless a head of num_classes outputs under loss can
+    be built: at least 2 classes and a loss from LOSS_KINDS."""
+    if num_classes < 2:
+        raise ValueError(f"a task needs at least 2 classes, got {num_classes}")
+    if loss not in LOSS_KINDS:
+        raise ValueError(f"unknown loss {loss!r}; expected one of {', '.join(LOSS_KINDS)}")
+
+
+def head(graph: GraphSpec):
+    """(NodeKind, logits name, loss name) of the graph's head, its last
+    node. Its input, the logits node, is the classifier that training,
+    branching and serving use; ValueError unless that node is a head."""
+    for loss, kind in LOSS_KINDS.items():
+        if graph.nodes and graph.nodes[-1].kind == kind:
+            return NODE_KINDS[kind], graph.nodes[-1].inputs[0], loss
+    last = graph.nodes[-1].name if graph.nodes else None
+    raise ValueError(f"the graph's last node {last!r} is not a head node")
+
+
 def head_graph(trunk: GraphSpec, num_classes: int, loss: str) -> GraphSpec:
-    """The trunk with a task head in place of the identity head: fc
-    resized to num_classes outputs, then a node "head" of the kind
-    LOSS_KINDS names for loss. Every node before fc is the trunk's;
-    make_branch and the branch cost accounting both build on this graph."""
-    nodes = []
-    for node in trunk.nodes:
-        if node.kind in LOSS_KINDS.values():
-            continue
-        if node.kind == "fc":
-            node = LayerNode(node.name, "fc",
-                             {"in": node.attrs["in"], "out": num_classes},
-                             node.inputs)
-        nodes.append(node)
-    nodes.append(LayerNode("head", LOSS_KINDS[loss], {}, (nodes[-1].name,)))
+    """The trunk with a task head in place of its own: the fc node its head
+    reads (head()) resized to num_classes outputs, then a node "head" of
+    the kind LOSS_KINDS names for loss. Every other node is the trunk's;
+    make_branch and the branch cost accounting both build on this graph.
+    A task check_task rejects, or a head reading no fc node, is a
+    ValueError."""
+    check_task(num_classes, loss)
+    _, logits, _ = head(trunk)
+    if logits not in trunk or trunk.node(logits).kind != "fc":
+        raise ValueError(f"the trunk's head reads {logits!r}, not an fc node")
+    nodes = [replace(node, attrs={**node.attrs, "out": num_classes})
+             if node.name == logits else node for node in trunk.nodes[:-1]]
+    nodes.append(LayerNode("head", LOSS_KINDS[loss], {}, (logits,)))
     return GraphSpec(tuple(nodes), trunk.input_shape, trunk.branch_points)

@@ -8,12 +8,12 @@ the cached resume is bitwise identical to running the head standalone.
 add_head enforces that sharing. The branch layer must be one of the
 trunk's branch points; the head's graph must be graph.head_graph of the
 trunk for its spec's class count and loss, and so holds the trunk's input
-shape and nodes before fc; the two stores' params.prefix_records, momentum
-and trainable flags aside, must match name for name and bit for bit; and
-the task must be new to the model. A mismatch raises ValueError naming the
-record. params.share_prefix then points the head at the trunk's objects,
-so a model holds every prefix byte once, whether its heads came from
-make_branch or from separate checkpoint files.
+shape and every node but its classifier; the two stores' prefix_records,
+momentum and trainable flags aside, must match name for name and bit for
+bit; and the task must be new to the model. A mismatch raises ValueError
+naming the record. params.share_prefix then points the head at the
+trunk's objects, so a model holds every prefix byte once, whether its
+heads came from make_branch or from separate checkpoint files.
 
 Bundle layout on disk: a directory with trunk.ckpt, one <task>.ckpt per
 head, and heads.txt carrying one HeadSpec record per line (see
@@ -38,11 +38,10 @@ from . import ops
 from .accounting import count_flops, suffix_macs
 from .config import format_records, load_records
 from .engine import boundary, forward_pass, infer
-from .graph import INPUT_NAME, GraphSpec, head_graph
+from .graph import INPUT_NAME, GraphSpec, check_task, head, head_graph
 from .params import (RECORD_TABLE, ParamStore, batchnorm_nodes,
                      load_checkpoint, prefix_records, save_checkpoint,
                      share_prefix)
-from .train import check_task
 
 HEADS_FILE = "heads.txt"
 TRUNK_FILE = "trunk.ckpt"
@@ -140,6 +139,7 @@ class Prediction:
 
 def predict_all(model: MultiHeadModel, x, stats=None) -> Prediction:
     """Evaluate the trunk once and every head from its cached branch point.
+    The identity logits are the input of the trunk's head (graph.head).
 
     stats, when given, is a mutable dict whose "trunk_forwards" counter is
     incremented once per call; tests use it to certify the sharing contract.
@@ -149,21 +149,22 @@ def predict_all(model: MultiHeadModel, x, stats=None) -> Prediction:
         raise ValueError(f"input shape {x.shape} does not match trunk input "
                          f"{model.trunk_graph.input_shape} for one sample "
                          f"or more")
-    keep = {"fc"}
-    for head in model.heads:
-        keep |= boundary(head.graph, head.graph.index(head.spec.branch_layer))
+    _, identity, _ = head(model.trunk_graph)
+    keep = {identity}
+    for h in model.heads:
+        keep |= boundary(h.graph, h.graph.index(h.spec.branch_layer))
     trunk_acts = infer(model.trunk_graph, model.trunk_store, {INPUT_NAME: x},
                        keep)
     if stats is not None:
         stats["trunk_forwards"] = stats.get("trunk_forwards", 0) + 1
 
     tasks = {}
-    for head in model.heads:
-        last = head.graph.nodes[-1].name
-        scores = infer(head.graph, head.store, trunk_acts, {last},
-                       head.graph.index(head.spec.branch_layer))[last]
-        tasks[head.spec.task] = TaskOutput(scores, scores.argmax(axis=1))
-    logits = trunk_acts["fc"]
+    for h in model.heads:
+        last = h.graph.nodes[-1].name
+        scores = infer(h.graph, h.store, trunk_acts, {last},
+                       h.graph.index(h.spec.branch_layer))[last]
+        tasks[h.spec.task] = TaskOutput(scores, scores.argmax(axis=1))
+    logits = trunk_acts[identity]
     return Prediction(logits, ops.softmax(logits), tasks)
 
 

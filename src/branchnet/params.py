@@ -46,7 +46,7 @@ import numpy as np
 
 from . import ops
 from .common import checksum64, derive_rng
-from .graph import NODE_KINDS, GraphSpec, compute_shapes
+from .graph import NODE_KINDS, GraphSpec, compute_shapes, head
 
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
@@ -210,17 +210,18 @@ def fill(graph: GraphSpec, store: ParamStore, init_std: float, seed: int,
          *tags, donor: ParamStore | None = None) -> ParamStore:
     """Give store every array and running statistic of graph that it
     lacks, trainable and at rest, and return it. Each is a copy of donor's
-    when a donor is given, except the fc head's, which is always fresh.
+    when a donor is given; the classifier (graph.head) is always fresh.
     A fresh weight ("w") is N(0, init_std^2), drawn from derive_rng(seed,
     *tags, name) as one flat vector in checkpoint order and laid out in
     store order; batchnorm scales are one, biases and shifts zero, running
     statistics mean zero, variance one and count zero."""
     axes = param_axes(graph)
+    classifier = head(graph)[1] if donor is not None else None
     for name, shape in param_shapes(graph).items():
         if name in store.arrays:
             continue
         suffix = name.rpartition("/")[2]
-        if donor is not None and param_owner(name) != "fc":
+        if donor is not None and param_owner(name) != classifier:
             array = donor.arrays[name].copy()
         elif suffix == "w" and init_std > 0:
             drawn = derive_rng(seed, *tags, name).normal(

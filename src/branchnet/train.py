@@ -6,10 +6,10 @@ run produces bit-identical stores and logs. Minibatch composition at step t
 depends only on (config.seed, t), so runs are also resumable.
 
 The model says what to train: the loss and the hit rule are those of
-the graph's head, its last node, and training starts at the first node
+the graph's head (graph.head), and training starts at the first node
 that owns an array the store flags as trainable.
 
-Branching replaces the identity head with a task head and freezes every
+Branching swaps in a task head (graph.head_graph) and freezes every
 parameter owned by a node before the branch layer. Frozen parameters are
 shared with the donor store by reference, which both saves memory and makes
 any accidental mutation visible to checksum tests. init_params and
@@ -36,7 +36,7 @@ import numpy as np
 from .common import derive_rng
 from .config import check_ranges, fields_from_mapping, fields_to_mapping
 from .engine import backward_pass, boundary, forward_pass, infer
-from .graph import INPUT_NAME, LOSS_KINDS, NODE_KINDS, GraphSpec, head_graph
+from .graph import INPUT_NAME, GraphSpec, head, head_graph
 from .params import ParamStore, fill, param_owner, share_prefix
 
 
@@ -73,15 +73,6 @@ class TrainConfig:
         """base (default: the full-scale schedule) with the mapping's
         prefixed keys applied."""
         return fields_from_mapping(base or cls(), mapping, prefix, "training")
-
-
-def check_task(num_classes, loss):
-    """Raise ValueError unless a head of num_classes outputs under loss can
-    be built: at least 2 classes and a loss from LOSS_KINDS."""
-    if num_classes < 2:
-        raise ValueError(f"a task needs at least 2 classes, got {num_classes}")
-    if loss not in LOSS_KINDS:
-        raise ValueError(f"unknown loss {loss!r}; expected one of {', '.join(LOSS_KINDS)}")
 
 
 def lr_at(t: int, config: TrainConfig) -> float:
@@ -169,16 +160,6 @@ def _batch_indices(n, t, config):
     return rng.choice(n, size=config.batch_size, replace=n < config.batch_size)
 
 
-def _head(graph):
-    """(NodeKind, logits name, loss name) of the graph's head, its last
-    node; ValueError unless that node is a head."""
-    for loss, kind in LOSS_KINDS.items():
-        if graph.nodes and graph.nodes[-1].kind == kind:
-            return NODE_KINDS[kind], graph.nodes[-1].inputs[0], loss
-    last = graph.nodes[-1].name if graph.nodes else None
-    raise ValueError(f"the graph's last node {last!r} is not a head node")
-
-
 def _prefix(graph, store, dataset, logits):
     """(train_from, activations): train_from is the index of the first
     node owning an array the store flags trainable (len(graph.nodes) when
@@ -206,7 +187,7 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
     prefix: their batchnorms run in inference mode and they get no
     gradients. The optimizer updates only the arrays flagged trainable.
     """
-    kind, logits, loss = _head(graph)
+    kind, logits, loss = head(graph)
     n = len(dataset)
     if n == 0 and config.max_minibatches > 0:
         raise ValueError("cannot train on an empty dataset")
@@ -244,7 +225,7 @@ def evaluate_accuracy(graph: GraphSpec, store: ParamStore,
     """Inference-mode accuracy under the hit rule of the graph's head:
     exact match for a softmax head, element-wise agreement for a sigmoid
     head. The pass resumes where train() would, from the same prefix."""
-    kind, logits, _ = _head(graph)
+    kind, logits, _ = head(graph)
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     start, prefix = _prefix(graph, store, dataset, logits)
@@ -275,9 +256,9 @@ def make_branch(trunk_graph: GraphSpec, trunk_store: ParamStore,
     (params.share_prefix). params.fill gives the layers from the branch on
     fresh arrays drawn under the tags ("branch", branch_layer) (warm=False)
     or copies of the trunk's (warm=True), running statistics included; the
-    final fc is always fresh at the task's width.
+    classifier (graph.head_graph) is always fresh at the task's width. A
+    task or trunk head_graph rejects is a ValueError.
     """
-    check_task(num_classes, loss)
     bidx = trunk_graph.branch_index(branch_layer)
     graph, store = head_graph(trunk_graph, num_classes, loss), ParamStore()
     share_prefix(graph, store, trunk_store, bidx)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from branchnet.common import checksum64
 from branchnet.dataio import TENSOR_MAGIC, TENSOR_VERSION
 from branchnet.engine import forward_pass
-from branchnet.graph import ArchConfig, build_trunk
+from branchnet.graph import ArchConfig, GraphSpec, build_trunk
 from branchnet.train import TrainConfig, init_params
 
 
@@ -81,3 +81,49 @@ def apply_token_edits(text, edits):
     for row, col, token in edits:
         lines[row][col % len(lines[row])] = token
     return "".join(" ".join(t for t in tokens if t) + "\n" for tokens in lines)
+
+
+
+def retext(graph, *edits):
+    """graph parsed back from its text with each (old, new) of edits
+    replaced in turn; each old occurs once."""
+    text = graph.serialize()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return GraphSpec.parse(text)
+
+
+def fc_line(graph):
+    """The line of a build_trunk graph's text that declares its classifier."""
+    fc = graph.node("fc").attrs
+    return f"\nfc fc in={fc['in']} out={fc['out']} inputs=relu320\n"
+
+
+def named_cls(graph, store):
+    """A build_trunk graph and a copy of its store with the classifier node,
+    and its branch point, named cls instead of fc, as other graph text
+    could name it."""
+    line = fc_line(graph)
+    graph = retext(graph, (line, line.replace("fc fc", "cls fc")),
+                   ("inputs=fc\n", "inputs=cls\n"), (",fc\n", ",cls\n"))
+    store = store.copy()
+    for table in (store.arrays, store.momentum, store.trainable):
+        for suffix in ("w", "b"):
+            table[f"cls/{suffix}"] = table.pop(f"fc/{suffix}")
+    return graph, store
+
+
+def two_fc(graph):
+    """A build_trunk graph with a hidden fc0 of 40 outputs before its
+    classifier."""
+    fc = graph.node("fc").attrs
+    return retext(graph, (fc_line(graph),
+                          f"\nfc0 fc in={fc['in']} out=40 inputs=relu320\n"
+                          f"fc fc in=40 out={fc['out']} inputs=fc0\n"))
+
+
+def head_on_relu320(graph):
+    """A build_trunk graph without its classifier: the head reads relu320."""
+    return retext(graph, (fc_line(graph), "\n"),
+                  ("inputs=fc\n", "inputs=relu320\n"), (",fc\n", "\n"))

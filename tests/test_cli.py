@@ -23,7 +23,7 @@ from branchnet.multihead import (HeadSpec, MultiHeadModel,
                                  predict_all, run_head_standalone, save_bundle)
 from branchnet.params import load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
-from conftest import write_unchecked_tensor
+from conftest import head_on_relu320, named_cls, write_unchecked_tensor
 
 # quarter-scale single-channel trunk over 4 identities, everywhere below
 ARCH = ["--set", "arch.scale_factor=0.25", "--set", "arch.in_channels=1",
@@ -236,7 +236,42 @@ def test_predict_over_an_empty_split_writes_no_prediction(capsys, tmp_path,
                               "--split", "val")
     assert rc == 0 and err == ""
     assert stdout.startswith(f"wrote 0 predictions to {out}")
-    assert out.read_text() == "\n"
+    assert out.read_text() == ""
+
+
+def test_a_classifier_named_cls_fine_tunes_warm_and_serves(capsys, tmp_path,
+                                                           corpus, trunk_ckpt):
+    trunk = str(tmp_path / "cls.ckpt")
+    save_checkpoint(trunk, *named_cls(*load_checkpoint(trunk_ckpt)))
+    bundle = str(tmp_path / "bundle")
+    rc, _, err = run_cli(capsys, "finetune", "--trunk", trunk, "--warm",
+                         "--branch", "conv22", "--task", "binary",
+                         "--classes", "2", "--data", corpus, "--out", bundle,
+                         "--set", "train.batch_size=8",
+                         "--set", "train.max_minibatches=2")
+    assert rc == 0, err
+    out = tmp_path / "p.txt"
+    rc, _, err = run_cli(capsys, "predict", "--bundle", bundle,
+                         "--data", corpus, "--out", str(out))
+    assert rc == 0, err
+    assert len(out.read_text().splitlines()) == len(Manifest.load(corpus).ids)
+
+
+def test_finetune_rejects_a_trunk_whose_head_reads_no_fc_node(capsys, tmp_path,
+                                                             corpus, trunk_ckpt):
+    graph, store = load_checkpoint(trunk_ckpt)
+    for table in (store.arrays, store.momentum, store.trainable):
+        del table["fc/w"], table["fc/b"]
+    trunk = str(tmp_path / "relu320.ckpt")
+    save_checkpoint(trunk, head_on_relu320(graph), store)
+    bundle = tmp_path / "bundle"
+    rc, out, err = run_cli(capsys, "finetune", "--trunk", trunk,
+                           "--branch", "conv22", "--task", "binary",
+                           "--classes", "2", "--data", corpus,
+                           "--out", str(bundle))
+    assert rc == 2 and out == ""
+    assert err == "error: the trunk's head reads 'relu320', not an fc node\n"
+    assert not bundle.exists()
 
 
 def test_predict_takes_no_batch_size(capsys, tmp_path):

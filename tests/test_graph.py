@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from conftest import apply_token_edits, graph_token_edits
+from conftest import (apply_token_edits, graph_token_edits, head_on_relu320,
+                      two_fc)
 
 from branchnet.engine import forward_pass
 from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, GraphSpec,
                              LayerNode, build_trunk, compute_shapes,
                              head_graph)
-from branchnet.train import TrainConfig, init_params
+from branchnet.train import (Dataset, TrainConfig, finetune, init_params,
+                             make_branch)
 
 
 def test_canonical_has_24_nonshortcut_convs():
@@ -111,6 +113,37 @@ def test_graph_text_is_pinned():
             (head_graph(desk, 9, "sigmoid-multilabel"), "8f78ae66a19fe770")):
         text = graph.serialize().encode()
         assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+
+def test_head_graph_resizes_only_the_classifier_the_head_reads(desk_graph):
+    trunk = two_fc(desk_graph)
+    graph = head_graph(trunk, 7, "softmax")
+    assert graph.node("fc0").attrs == {"in": 80, "out": 40}
+    assert graph.node("fc").attrs == {"in": 40, "out": 7}
+    assert graph.nodes[-1].inputs == ("fc",)
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.standard_normal((4, 1, 56, 56)).astype(np.float32),
+                   rng.integers(0, 7, size=4))
+    store = init_params(trunk, TrainConfig.desk(seed=4))
+    store.running.update(forward_pass(trunk, store, data.inputs)[1])
+    br = make_branch(trunk, store, "conv22", 7, seed=2)
+    assert br.graph == graph
+    log = finetune(br, data, TrainConfig.desk(batch_size=4, max_minibatches=1))
+    assert len(log.rows) == 1
+
+
+def test_a_head_that_reads_no_fc_node_has_no_classifier(desk_graph):
+    trunk = head_on_relu320(desk_graph)
+    message = "the trunk's head reads 'relu320', not an fc node"
+    with pytest.raises(ValueError, match=message):
+        head_graph(trunk, 7, "softmax")
+    store = init_params(trunk, TrainConfig.desk(seed=4))
+    with pytest.raises(ValueError, match=message):
+        make_branch(trunk, store, "conv22", 7, warm=True)
+    bare = GraphSpec((LayerNode("softmax", "softmax-head", {}, ("input",)),),
+                     (2, 1, 1))
+    with pytest.raises(ValueError, match="reads 'input', not an fc node"):
+        head_graph(bare, 2, "softmax")
 
 
 def test_build_is_deterministic():

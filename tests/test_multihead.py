@@ -11,6 +11,7 @@ from branchnet.multihead import (HeadSpec, MultiHeadModel, combined_flops,
                                  predict_all, run_head_standalone, save_bundle)
 from branchnet.params import frozen_names, load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
+from conftest import named_cls
 
 DESK_HEADS = (("nuisance", "conv19", 7, "softmax"),
               ("stage", "conv22", 14, "softmax"),
@@ -376,3 +377,22 @@ def test_head_spec_rejects_a_task_heads_txt_cannot_hold(task):
     with pytest.raises(ValueError, match=re.escape(f"task {task!r} holds "
                                                    f"whitespace or '#'")):
         HeadSpec(task, "conv19", 7, "softmax")
+
+
+def test_a_classifier_named_cls_serves_and_round_trips(tmp_path, desk_graph,
+                                                       warm_desk_store):
+    graph, store = named_cls(desk_graph, warm_desk_store)
+    br = make_branch(graph, store, "conv22", 7, warm=True, seed=5)
+    model = MultiHeadModel(graph, store)
+    model.add_head(HeadSpec("nuisance", "conv22", 7, "softmax"), br.graph,
+                   br.store)
+    x = inputs(3, 4)
+    pred = predict_all(model, x)
+    acts, _ = forward_pass(graph, store, x, mode="infer")
+    assert pred.identity_logits.tobytes() == acts["cls"].tobytes()
+    assert pred.tasks["nuisance"].scores.shape == (4, 7)
+    save_bundle(tmp_path / "bundle", model)
+    again = predict_all(load_bundle(tmp_path / "bundle"), x)
+    assert again.identity_logits.tobytes() == pred.identity_logits.tobytes()
+    assert (again.tasks["nuisance"].scores.tobytes()
+            == pred.tasks["nuisance"].scores.tobytes())

@@ -16,11 +16,11 @@ from branchnet.engine import forward_pass
 from branchnet.evalkit import PairRecord
 from branchnet.experiments import (STUDY_SEED, TRUNK_MINIBATCHES, GridTask,
                                    ProbeFactor)
-from branchnet.graph import ArchConfig, build_trunk
+from branchnet.graph import LOSS_KINDS, ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel, combined_flops,
                                  format_prediction_lines, load_bundle,
                                  predict_all, save_bundle)
-from branchnet.train import LOSS_KINDS, TrainConfig, init_params, make_branch
+from branchnet.train import TrainConfig, init_params, make_branch
 
 RECORD_KINDS = (GridTask, HeadSpec, PairRecord)
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,

@@ -11,7 +11,7 @@ from branchnet.params import (ParamStore, checkpoint_bytes, frozen_checksum,
 from branchnet.train import (Dataset, TrainConfig, _batch_indices,
                              evaluate_accuracy, finetune, init_params, lr_at,
                              make_branch, sgd_momentum_step, train)
-from conftest import to_nchw
+from conftest import named_cls, to_nchw
 from oracles import conv2d_backward_batch_gemm
 
 
@@ -374,6 +374,21 @@ def test_make_branch_on_a_weights_only_trunk(trunk):
         if flag:
             np.testing.assert_array_equal(loaded.momentum[name],
                                           br.store.momentum[name])
+
+
+def test_a_warm_branch_draws_a_classifier_named_cls_fresh(desk_graph,
+                                                          warm_desk_store):
+    graph, store = named_cls(desk_graph, warm_desk_store)
+    warm = make_branch(graph, store, "conv22", 7, warm=True, seed=3)
+    cold = make_branch(graph, store, "conv22", 7, seed=3)
+    assert warm.store.arrays["cls/w"].shape == (80, 7)
+    np.testing.assert_array_equal(warm.store.arrays["cls/w"],
+                                  cold.store.arrays["cls/w"])
+    np.testing.assert_array_equal(warm.store.arrays["conv-bn320/w"],
+                                  store.arrays["conv-bn320/w"])
+    log = finetune(warm, branch_dataset(n=8, classes=7),
+                   TrainConfig.desk(batch_size=4, max_minibatches=1))
+    assert len(log.rows) == 1
 
 
 def test_make_branch_rejects_a_trunk_without_running_statistics(trunk):
