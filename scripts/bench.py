@@ -24,7 +24,13 @@ It records:
     directory records of its phases (StudyResult.seconds): its trunk's
     train and evaluate_accuracy calls, branch_grid, invariance_probe, and
     the whole run. The tiny size shortens the study to STUDY_TINY's trunk
-    and fine-tune budgets.
+    and fine-tune budgets;
+  - under `bundle`, a serving bundle of the ACCEPTANCE 05 head layout
+    (perfbench's head_model: heads at conv19, conv22, fc and fc, copied
+    warm) over the canonical trunk, or over the desk trunk at the tiny
+    size: the bytes of each file save_bundle writes, the median seconds of
+    BUNDLE_REPS save_bundle and load_bundle calls, and the peak tracemalloc
+    sees during one more load_bundle.
 
 Compare two files only when both were measured on one host. The machine
 block says which host that was.
@@ -38,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -49,9 +56,12 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from branchnet import experiments  # noqa: E402
 from branchnet.accounting import count_flops  # noqa: E402
+from branchnet.engine import forward_pass  # noqa: E402
 from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk, head  # noqa: E402
+from branchnet.multihead import load_bundle, save_bundle  # noqa: E402
 from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
 from harness import code_digest, fingerprint, gemm_ceiling_gmacs  # noqa: E402
+from workloads import head_model  # noqa: E402
 
 SEED = 1501  # weights, inputs and labels of the steps, and perfbench's seed
 STEPS = 40  # timed train steps
@@ -59,6 +69,8 @@ GEMM_SIZE = 1024  # n of the n^3 float32 GEMM ceiling
 SIZES = {"full": (32, ["--seconds", "15"]),
          "tiny": (2, ["--size", "tiny", "--seconds", "1"])}
 STUDY_TINY = {"TRUNK_MINIBATCHES": 2, "FINETUNE_MINIBATCHES": 1}
+BUNDLE_REPS = 5  # timed save_bundle and load_bundle calls
+MiB = 2 ** 20
 
 
 def perfbench(workload, size_args):
@@ -173,6 +185,46 @@ def kind_totals(rows):
     return out
 
 
+def bundle_io(arch):
+    """The bundle block: files, bytes and timings of the ACCEPTANCE 05
+    layout over arch's trunk, its batchnorms counted by one train-mode
+    pass over two seeded inputs."""
+    graph = build_trunk(arch)
+    store = init_params(graph, TrainConfig(seed=SEED))
+    x = np.random.default_rng(SEED).standard_normal(
+        (2,) + tuple(graph.input_shape)).astype(np.float32)
+    store.running.update(forward_pass(graph, store, x, mode="train")[1])
+    model = head_model(graph, store, SEED)
+    save_s, load_s = [], []
+    with tempfile.TemporaryDirectory() as out:
+        for _ in range(BUNDLE_REPS):
+            t0 = time.perf_counter()
+            save_bundle(out, model)
+            save_s.append(time.perf_counter() - t0)
+        for _ in range(BUNDLE_REPS):
+            t0 = time.perf_counter()
+            load_bundle(out)
+            load_s.append(time.perf_counter() - t0)
+        tracemalloc.start()
+        try:
+            load_bundle(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        files = {name: os.path.getsize(os.path.join(out, name))
+                 for name in sorted(os.listdir(out))}
+    return {
+        "input_shape": list(graph.input_shape),
+        "heads": [[h.spec.task, h.spec.branch_layer] for h in model.heads],
+        "reps": BUNDLE_REPS,
+        "file_bytes": files,
+        "total_mib": sum(files.values()) / MiB,
+        "save_s": float(np.median(save_s)),
+        "load_s": float(np.median(load_s)),
+        "load_peak_mib": peak / MiB,
+    }
+
+
 def run(args):
     batch, size_args = SIZES[args.size]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -181,6 +233,7 @@ def run(args):
     graph = build_trunk(ArchConfig.desk())
     rows = step_rows(graph, *timed_steps(graph, batch), batch)
     study = study_times(STUDY_TINY if args.size == "tiny" else {})
+    bundle = bundle_io(ArchConfig.desk() if args.size == "tiny" else ArchConfig())
     return {
         "label": args.label,
         "code_digest": code_digest(os.path.join(ROOT, "src"))[:16],
@@ -192,6 +245,7 @@ def run(args):
         "kinds": kind_totals(rows),
         "nodes": rows,
         "study": study,
+        "bundle": bundle,
         "perfbench": runs,
     }
 
@@ -216,7 +270,9 @@ def main(argv=None):
     print(f"wrote {path}: " + "; ".join(
         f"{w} op_ms_p50 {r['metrics']['op_ms_p50']:.1f} ms"
         for w, r in result["perfbench"].items())
-        + f"; desk study {result['study']['total_s']:.1f} s")
+        + f"; desk study {result['study']['total_s']:.1f} s"
+        + f"; bundle {result['bundle']['total_mib']:.1f} MiB, load "
+          f"{result['bundle']['load_s']:.2f} s")
     return 0
 
 

@@ -12,9 +12,12 @@ fields_to_mapping formats the other way.
 A record file (the branch-grid task table, a bundle's heads.txt, the
 verification pairs) holds one dataclass instance per line, its fields
 separated by whitespace and each parsed from its annotated type the same
-way; comments and blank lines are handled as in a config file. A line with
-the wrong number of fields or a bad value is a ValueError naming
-source:line. format_records writes the lines parse_records reads back.
+way; comments and blank lines are handled as in a config file. A line
+cannot hold an empty field, so a trailing str field whose dataclass
+default is "" is optional: omitted, it takes that default, and
+format_records omits it when it is empty. A line with the wrong number of
+fields or a bad value is a ValueError naming source:line. format_records
+writes the lines parse_records reads back.
 """
 
 import dataclasses
@@ -50,11 +53,12 @@ def load_config(path) -> dict:
 def parse_records(kind, text: str, source="<records>") -> list:
     """One instance of the dataclass kind per line of text."""
     types = [f.type for f in dataclasses.fields(kind)]
+    least = len(_stated(dataclasses.fields(kind), lambda f: f.default))
     records = []
     for lineno, _, line in _lines(text):
         try:
             records.append(_compose(kind, types, line.split(),
-                                    "separated by whitespace", line))
+                                    "separated by whitespace", line, least))
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
     return records
@@ -63,8 +67,18 @@ def parse_records(kind, text: str, source="<records>") -> list:
 def format_records(records) -> str:
     """The text parse_records reads back as records: one line each."""
     return "".join(" ".join(_format(f.type, getattr(record, f.name))
-                            for f in dataclasses.fields(record)) + "\n"
-                   for record in records)
+                            for f in _stated(dataclasses.fields(record),
+                                             lambda f: getattr(record, f.name)))
+                   + "\n" for record in records)
+
+
+def _stated(fields, value):
+    """fields less the trailing str fields for which value(field) is "",
+    which a line of whitespace-separated fields cannot hold."""
+    fields = list(fields)
+    while fields and fields[-1].type is str and value(fields[-1]) == "":
+        fields.pop()
+    return fields
 
 
 def load_records(kind, path) -> list:
@@ -107,10 +121,15 @@ def parse_value(kind, raw: str):
     return _compose(kind, types, items, f"joined by {sep!r}", raw)
 
 
-def _compose(kind, types, items, joined, raw):
-    """A tuple or dataclass instance from one item per type."""
-    if len(items) != len(types):
-        raise ValueError(f"expected {len(types)} values {joined}, got {raw!r}")
+def _compose(kind, types, items, joined, raw, least=None):
+    """A tuple or dataclass instance from one item per type, or from one
+    item for each of the first `least` types or more, the rest left to the
+    dataclass's defaults."""
+    least = len(types) if least is None else least
+    if not least <= len(items) <= len(types):
+        expected = (len(types) if least == len(types)
+                    else f"{least} to {len(types)}")
+        raise ValueError(f"expected {expected} values {joined}, got {raw!r}")
     values = [parse_value(t, item) for t, item in zip(types, items)]
     return kind(*values) if dataclasses.is_dataclass(kind) else tuple(values)
 

@@ -54,8 +54,8 @@ class NodeKind:
               order of its own: the store's array is the checkpoint's
               np.transpose(..., axes). Conv weights are (out, in, k, k)
               in a checkpoint and (k, k, in, out) in the store. params
-              alone applies it: the checkpoint writer, parse_checkpoint
-              and fill, which draws fresh weights in checkpoint order
+              alone applies it: the checkpoint writer and reader, and
+              fill, which draws fresh weights in checkpoint order
     shape     (a, input shapes) -> per-sample output shape; raises
               ValueError (without the node name) on inconsistent inputs
     cost      (a, input shapes, output shape) -> (multiply-accumulates, or

@@ -18,19 +18,31 @@ heads came from make_branch or from separate checkpoint files.
 Bundle layout on disk: a directory with trunk.ckpt, one <task>.ckpt per
 head, and heads.txt carrying one HeadSpec record per line (see
 config.parse_records):
-    task branch_layer num_classes loss
+    task branch_layer num_classes loss prefix_sha256
+The trunk is stored once. A head file holds only the head's records from
+its branch layer on (a partial record set, params.read_checkpoint's
+start), and prefix_sha256 is prefix_digests' sha256 of the trunk's
+served records before that layer. load_bundle checks the digest against
+trunk.ckpt, loads the suffix, and add_head gives the head the trunk's
+prefix objects, so its bit comparison passes on identical objects. A
+4-field line, as bundles written before suffix-only head files hold,
+names a head file with its whole prefix, which loads and is compared
+record by record as it always was.
+
 Each checkpoint holds weights only: trainable flags, parameters and
 running statistics, no momentum, which serving never reads. load_bundle
 also drops momentum that a bundle written with it carries. A missing
-file, a heads.txt line that does not parse, a checkpoint with a batchnorm
-whose running statistics are missing or were never counted (count 0, as
-init_params leaves them), or a head that add_head rejects is a
-ValueError naming the file, line, node or record, so a bundle that loads
-serves every request.
+file, a heads.txt line that does not parse, a prefix digest that does
+not match trunk.ckpt, a checkpoint with a batchnorm whose running
+statistics are missing or were never counted (count 0, as init_params
+leaves them), or a head that add_head rejects is a ValueError naming the
+file, line, node or record, so a bundle that loads serves every request.
 """
 
+import hashlib
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,8 +52,8 @@ from .config import format_records, load_records
 from .engine import boundary, forward_pass, infer
 from .graph import INPUT_NAME, GraphSpec, check_task, head, head_graph
 from .params import (RECORD_TABLE, ParamStore, batchnorm_nodes,
-                     load_checkpoint, prefix_records, save_checkpoint,
-                     share_prefix)
+                     load_checkpoint, prefix_records, record_owner,
+                     save_checkpoint, share_prefix, store_records)
 
 HEADS_FILE = "heads.txt"
 TRUNK_FILE = "trunk.ckpt"
@@ -52,12 +64,18 @@ class HeadSpec:
     """One line of heads.txt. The task names the head's checkpoint file, so
     it must be a plain file stem: not empty, no path separator, not "." or
     "..", and not the trunk's. It is also one whitespace-separated field of
-    its line, so it holds no whitespace and no "#", which starts a comment."""
+    its line, so it holds no whitespace and no "#", which starts a comment.
+
+    prefix_sha256 is the trunk's prefix digest at the branch layer
+    (prefix_digests) for a head whose file holds only its suffix, or "" for
+    a head file that holds its whole prefix, as a bundle written before
+    suffix-only head files does (a 4-field line)."""
 
     task: str
     branch_layer: str
     num_classes: int
     loss: str
+    prefix_sha256: str = ""
 
     def __post_init__(self):
         check_task(self.num_classes, self.loss)
@@ -69,6 +87,11 @@ class HeadSpec:
         if "#" in task or any(c.isspace() for c in task):
             raise ValueError(f"task {task!r} holds whitespace or '#', which "
                              f"{HEADS_FILE} cannot hold in one field")
+        if self.prefix_sha256 and not re.fullmatch("[0-9a-f]{64}",
+                                                   self.prefix_sha256):
+            raise ValueError(f"head {task!r} prefix digest "
+                             f"{self.prefix_sha256!r} is not 64 lowercase hex "
+                             f"digits")
 
 
 @dataclass
@@ -84,18 +107,28 @@ class MultiHeadModel:
     trunk_store: ParamStore
     heads: list = field(default_factory=list)
 
-    def add_head(self, spec: HeadSpec, graph: GraphSpec, store: ParamStore):
-        """Validate the head against the trunk and attach it; on success
-        the head's store shares the trunk's prefix (params.share_prefix)."""
+    def branch_index(self, spec: HeadSpec) -> int:
+        """The trunk's index of the head's branch layer; ValueError unless
+        it is one of the trunk's branch points."""
         if spec.branch_layer not in self.trunk_graph.branch_points:
             raise ValueError(f"head {spec.task!r} branches at "
                              f"{spec.branch_layer!r}, which the trunk lacks "
                              f"as a branch point")
+        return self.trunk_graph.index(spec.branch_layer)
+
+    def add_head(self, spec: HeadSpec, graph: GraphSpec, store: ParamStore,
+                 suffix_only=False):
+        """Validate the head against the trunk and attach it; on success
+        the head's store shares the trunk's prefix (params.share_prefix).
+        With suffix_only, store holds the head's state from its branch layer
+        on, and takes the trunk's prefix before the comparison."""
+        bidx = self.branch_index(spec)
         if graph != head_graph(self.trunk_graph, spec.num_classes, spec.loss):
             raise ValueError(f"head {spec.task!r} is not the trunk's head for "
                              f"{spec.num_classes} classes and loss "
                              f"{spec.loss!r}")
-        bidx = self.trunk_graph.index(spec.branch_layer)
+        if suffix_only:
+            share_prefix(graph, store, self.trunk_store, bidx)
         mine = prefix_records(graph, store, bidx)
         theirs = prefix_records(self.trunk_graph, self.trunk_store, bidx)
         for rname in sorted(mine.keys() | theirs.keys()):
@@ -189,32 +222,79 @@ def _weights_only(store: ParamStore) -> ParamStore:
     return ParamStore(store.arrays, {}, store.trainable, store.running)
 
 
+def prefix_digests(graph: GraphSpec, store: ParamStore) -> dict:
+    """Branch point -> sha256 hex digest of the store's served records
+    (RECORD_TABLE kinds marked served) owned by the nodes before it: each
+    record's name, then its bytes in store order, node by node in graph
+    order and by name within a node. One pass over the store: each branch
+    point reads the running hash as it stands when the pass reaches it."""
+    records = store_records(store)
+    owned = {}
+    for rname in sorted(records):
+        if RECORD_TABLE[rname.partition("/")[0]].served:
+            owned.setdefault(record_owner(rname), []).append(rname)
+    digest, digests = hashlib.sha256(), {}
+    for node in graph.nodes:
+        if node.name in graph.branch_points:
+            digests[node.name] = digest.hexdigest()
+        for rname in owned.get(node.name, ()):
+            digest.update(rname.encode())
+            digest.update(records[rname])
+    return digests
+
+
 def save_bundle(dirpath, model: MultiHeadModel):
+    """Write trunk.ckpt, each head's records from its branch layer on to
+    <task>.ckpt, and heads.txt, whose lines carry the prefix digests."""
     os.makedirs(dirpath, exist_ok=True)
     save_checkpoint(os.path.join(dirpath, TRUNK_FILE),
                     model.trunk_graph, _weights_only(model.trunk_store))
-    heads = sorted(model.heads, key=lambda h: h.spec.task)
-    for head in heads:
+    digests = prefix_digests(model.trunk_graph, model.trunk_store)
+    specs = []
+    for head in sorted(model.heads, key=lambda h: h.spec.task):
+        layer = head.spec.branch_layer
         save_checkpoint(os.path.join(dirpath, f"{head.spec.task}.ckpt"),
-                        head.graph, _weights_only(head.store))
+                        head.graph, _weights_only(head.store), start=layer)
+        specs.append(replace(head.spec, prefix_sha256=digests[layer]))
     with open(os.path.join(dirpath, HEADS_FILE), "w") as f:
-        f.write(format_records([head.spec for head in heads]))
+        f.write(format_records(specs))
 
 
 def load_bundle(dirpath) -> MultiHeadModel:
+    """The model a bundle holds. A head with a prefix digest loads only its
+    suffix, once the trunk's digest at its branch layer matches; a head
+    without one loads its whole file and is compared record by record."""
     model = MultiHeadModel(*_load_servable(dirpath, TRUNK_FILE))
-    for spec in load_records(HeadSpec, _bundle_file(dirpath, HEADS_FILE)):
-        model.add_head(spec, *_load_servable(dirpath, f"{spec.task}.ckpt"))
+    specs = load_records(HeadSpec, _bundle_file(dirpath, HEADS_FILE))
+    digests = (prefix_digests(model.trunk_graph, model.trunk_store)
+               if any(spec.prefix_sha256 for spec in specs) else {})
+    for spec in specs:
+        start = None
+        if spec.prefix_sha256:
+            model.branch_index(spec)
+            if digests[spec.branch_layer] != spec.prefix_sha256:
+                raise ValueError(f"head {spec.task!r}: the served records of "
+                                 f"{os.path.join(dirpath, TRUNK_FILE)!r} before "
+                                 f"{spec.branch_layer!r} do not match the "
+                                 f"head's prefix digest")
+            start = spec.branch_layer
+        graph, store = _load_servable(dirpath, f"{spec.task}.ckpt", start)
+        model.add_head(spec, graph, store, suffix_only=start is not None)
     return model
 
 
-def _load_servable(dirpath, name):
-    """(graph, store) of a bundle checkpoint, momentum dropped. Every
-    batchnorm runs in inference mode, so one without running statistics
-    counted at least once is a ValueError naming the file and the node."""
+def _load_servable(dirpath, name, start=None):
+    """(graph, store) of a bundle checkpoint, momentum dropped; with start,
+    a head file holding the records from that node on. Every batchnorm
+    runs in inference mode, so one the file holds without running
+    statistics counted at least once is a ValueError naming the file and
+    the node."""
     path = _bundle_file(dirpath, name)
-    graph, store = load_checkpoint(path)
+    graph, store = load_checkpoint(path, start)
+    cut = graph.index(start) if start is not None else 0
     for bn in batchnorm_nodes(graph):
+        if graph.index(bn) < cut:
+            continue
         if bn not in store.running or store.running[bn].count < 1:
             raise ValueError(f"bundle checkpoint {path!r}: batchnorm {bn!r} has "
                              f"no running statistics with a count >= 1, so it "

@@ -17,10 +17,26 @@ Checkpoint layout (all integers little-endian):
 
 A parameter whose kind stores it in an order of its own (param_axes:
 conv weights, (k, k, in, out) in the store) is written in the
-checkpoint's (out, in, k, k) order. The writer and parse_checkpoint
-permute it inside the copy every record gets anyway; fill draws each
-fresh weight in checkpoint order and lays it out as parse_checkpoint does
-(_store_order). No other module applies the checkpoint's order.
+checkpoint's (out, in, k, k) order. The writer and the reader each
+permute it through one scratch buffer that serves every such record;
+fill draws each fresh weight in checkpoint
+order and lays it out as the reader does (_store_order). No other module
+applies the checkpoint's order.
+
+write_checkpoint and read_checkpoint stream a file one record at a time,
+each byte fed to a running sha256 as it is written or read, so neither
+holds the file: the reader allocates each record's final array and
+readinto's it, and a load peaks at the store it returns plus the largest
+record. checkpoint_bytes, save_checkpoint, parse_checkpoint and
+load_checkpoint wrap them over bytes (io.BytesIO) or a path. A checksum
+mismatch takes precedence over every other error after the magic: when
+the body fails to parse, the reader hashes the rest of the file first and
+reports a corrupt file as such.
+
+A checkpoint may hold a partial record set declared by a start node, as a
+bundle's head file does: no record owned by a node before start, and
+every record the completeness rules ask for from start on. The writer and
+the reader take the same start.
 
 fill gives a store every array and running statistic of a graph that it
 lacks: a trunk's whole store (train.init_params), or a branch's layers
@@ -29,15 +45,18 @@ from the branch on (train.make_branch, after share_prefix).
 RECORD_TABLE states each record kind once, keyed by its name's prefix.
 store_records names a store's state through it, the writer adds a zero
 "m/" record for each parameter without momentum when any has one, and
-parse_checkpoint reads the records back in one pass. Records are written
+read_checkpoint reads the records back in one pass. Records are written
 sorted by name, so a checkpoint for given contents is byte-identical
 across runs. A record set the table does not allow, a repeated record, a
 record of the wrong size or one whose name or data runs past the
-checksum, or a value outside its kind's rule is a ValueError naming the
-record or its offset.
+checksum (each length is checked against the bytes left before anything
+is allocated), or a value outside its kind's rule is a ValueError naming
+the record or its offset. So is a branch point after the classifier
+(graph.head) in a graph whose last node is a head.
 """
 
 import hashlib
+import io
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -45,8 +64,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ops
-from .common import checksum64, derive_rng
-from .graph import NODE_KINDS, GraphSpec, compute_shapes, head
+from .common import derive_rng
+from .graph import LOSS_KINDS, NODE_KINDS, GraphSpec, compute_shapes, head
 
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
@@ -158,6 +177,13 @@ RECORD_TABLE = {  # owner, slot, dtype, rule, served, cover, optional
 }
 
 
+def record_owner(rname: str) -> str:
+    """The node that owns record rname: the batchnorm node it names, or the
+    node owning the parameter it names."""
+    prefix, _, name = rname.partition("/")
+    return name if RECORD_TABLE[prefix].owner == BATCHNORM else param_owner(name)
+
+
 def frozen_names(graph: GraphSpec, branch_index: int):
     """Parameter names owned by nodes strictly before the branch index."""
     shapes = param_shapes(graph)
@@ -179,11 +205,8 @@ def store_records(store: ParamStore) -> dict:
 def prefix_records(graph: GraphSpec, store: ParamStore, index: int) -> dict:
     """The store's records owned by nodes before index: the batchnorm node
     a record names, or the node owning the parameter it names."""
-    def owner(rname):
-        prefix, _, name = rname.partition("/")
-        return name if RECORD_TABLE[prefix].owner == BATCHNORM else param_owner(name)
     return {rname: flat for rname, flat in store_records(store).items()
-            if graph.index(owner(rname)) < index}
+            if graph.index(record_owner(rname)) < index}
 
 
 def share_prefix(graph: GraphSpec, store: ParamStore, trunk: ParamStore,
@@ -255,89 +278,198 @@ def frozen_checksum(graph: GraphSpec, store: ParamStore, branch_index: int) -> s
     return digest.hexdigest()
 
 
-def checkpoint_bytes(graph: GraphSpec, store: ParamStore) -> bytes:
-    """The checkpoint of graph and store. Every value is written as
-    float32, so a running count above COUNT_LIMIT, which float32 cannot
-    hold exactly, is a ValueError naming its batchnorm."""
+def _start_index(graph: GraphSpec, start) -> int:
+    """The index of the start node a partial record set begins at: 0 for
+    None, and a ValueError naming start when the graph lacks it."""
+    if start is None:
+        return 0
+    if start not in graph:
+        raise ValueError(f"checkpoint start node {start!r} names no node")
+    return graph.index(start)
+
+
+def write_checkpoint(f, graph: GraphSpec, store: ParamStore, start=None):
+    """Write the checkpoint of graph and store to the binary file f, one
+    record at a time, each hashed as it is written. With start, a node
+    name, only the records owned by start and the nodes after it are
+    written (the partial record set read_checkpoint accepts with that
+    start). Every value is written as float32, so a running count above
+    COUNT_LIMIT, which float32 cannot hold exactly, is a ValueError naming
+    its batchnorm, raised before anything is written."""
     for bn, rs in store.running.items():
         if rs.count > COUNT_LIMIT:
             raise ValueError(f"batchnorm {bn!r} has a running count of "
                              f"{rs.count}, above the 2^24 a checkpoint holds "
                              f"exactly")
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
+    cut = _start_index(graph, start)
+    digest = hashlib.sha256()
+
+    def put(*chunks):
+        for chunk in chunks:
+            digest.update(chunk)
+            f.write(chunk)
+
     gtext = graph.serialize().encode()
-    chunks += [struct.pack("<Q", len(gtext)), gtext]
-    if store.momentum:  # a parameter without a velocity is at rest
-        store = replace(store, momentum={
-            **{name: np.zeros_like(arr) for name, arr in store.arrays.items()},
-            **store.momentum})
+    put(CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+        struct.pack("<Q", len(gtext)), gtext)
+    records = store_records(store)
+    if store.momentum:  # a parameter without a velocity is at rest: zeros
+        for name in store.arrays:
+            records.setdefault(f"m/{name}", None)
     axes = param_axes(graph)
-    for name, data in sorted(store_records(store).items()):
-        prefix, _, owner = name.partition("/")
-        if RECORD_TABLE[prefix].dtype is None and owner in axes:
-            data = data.reshape(store.arrays[owner].shape).transpose(
-                np.argsort(axes[owner]))  # back to checkpoint order
-        nb = name.encode()
-        # a contiguous float32 record is joined from the store's own memory
-        chunks += [struct.pack("<I", len(nb)), nb, struct.pack("<Q", data.size),
-                   np.ascontiguousarray(data, "<f4")]
-    return b"".join([*chunks, checksum64(*chunks)])
+    # conv weights go back to checkpoint order through one buffer
+    scratch = np.empty(max([store.arrays[n].size for n in axes
+                            if n in store.arrays], default=0), "<f4")
+    for rname in sorted(records):
+        if cut and graph.index(record_owner(rname)) < cut:
+            continue
+        prefix, _, owner = rname.partition("/")
+        data = records[rname]
+        if data is None:
+            data = np.zeros(store.arrays[owner].size, np.float32)
+        elif RECORD_TABLE[prefix].dtype is None and owner in axes:
+            ordered = data.reshape(store.arrays[owner].shape).transpose(
+                np.argsort(axes[owner]))
+            data = scratch[:data.size]
+            np.copyto(data.reshape(ordered.shape), ordered)
+        # a contiguous float32 record is written from the store's own memory
+        data = np.ascontiguousarray(data, "<f4").reshape(-1)
+        nb = rname.encode()
+        put(struct.pack("<I", len(nb)), nb, struct.pack("<Q", data.size), data)
+    f.write(digest.digest()[:8])
 
 
-def save_checkpoint(path, graph: GraphSpec, store: ParamStore):
+def checkpoint_bytes(graph: GraphSpec, store: ParamStore, start=None) -> bytes:
+    """The checkpoint write_checkpoint writes, as bytes."""
+    buf = io.BytesIO()
+    write_checkpoint(buf, graph, store, start)
+    return buf.getvalue()
+
+
+def save_checkpoint(path, graph: GraphSpec, store: ParamStore, start=None):
     with open(path, "wb") as f:
-        f.write(checkpoint_bytes(graph, store))
+        write_checkpoint(f, graph, store, start)
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, start=None):
     """Read a checkpoint; returns (graph, store). Any structural or
     checksum problem is a ValueError whose message starts with the path."""
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        return parse_checkpoint(data)
+        with open(path, "rb") as f:
+            return read_checkpoint(f, start)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def parse_checkpoint(data: bytes):
-    if len(data) < 24 or data[:4] != CHECKPOINT_MAGIC:
+def parse_checkpoint(data: bytes, start=None):
+    """The (graph, store) of checkpoint bytes, read as read_checkpoint
+    reads a file."""
+    return read_checkpoint(io.BytesIO(data), start)
+
+
+class _Stream:
+    """The body of a checkpoint file, the bytes before its 8-byte checksum,
+    read in order: every byte read is fed to a running sha256, and off
+    counts them. A read past the body is a ValueError."""
+
+    def __init__(self, f, size):
+        self.f, self.end, self.off = f, size - 8, 0
+        self.digest = hashlib.sha256()
+
+    @property
+    def left(self):
+        return self.end - self.off
+
+    def into(self, buf):
+        """Fill the writable buffer buf from the stream."""
+        view = memoryview(buf).cast("B")
+        if len(view) > self.left or self.f.readinto(view) != len(view):
+            raise ValueError(f"checkpoint ends inside the {len(view)} bytes "
+                             f"at offset {self.off}")
+        self.digest.update(view)
+        self.off += len(view)
+        return buf
+
+    def take(self, n):
+        """The next n bytes of the stream."""
+        return self.into(bytearray(n))
+
+    def finish(self):
+        """Hash what is left of the body, then compare the checksum: a
+        mismatch is a ValueError."""
+        while self.left:
+            self.take(min(self.left, 1 << 20))
+        if self.f.read(8) != self.digest.digest()[:8]:
+            raise ValueError("checkpoint checksum mismatch; file is corrupt")
+
+
+def read_checkpoint(f, start=None):
+    """Read the checkpoint in the binary file f; returns (graph, store).
+
+    Each record goes once from the file into its final array (readinto); a
+    conv weight lands in one reusable scratch buffer and is permuted from
+    there into store order. A running sha256 sees every byte as it
+    arrives. With start, a node name, the file holds a partial record set:
+    no record owned by a node before start, and every record the
+    completeness rules ask for from start on. A checksum mismatch takes
+    precedence: when the body fails to parse, the rest of the file is
+    hashed first, and a corrupt file is reported as such."""
+    size = f.seek(0, io.SEEK_END)
+    f.seek(0)
+    stream = _Stream(f, size)
+    if size < 24 or stream.take(4) != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic)")
-    if checksum64(memoryview(data)[:-8]) != data[-8:]:
-        raise ValueError("checkpoint checksum mismatch; file is corrupt")
-    (version,) = struct.unpack_from("<I", data, 4)
+    try:
+        result = _read_body(stream, start)
+    except ValueError:
+        stream.finish()
+        raise
+    stream.finish()
+    return result
+
+
+def _read_body(stream: _Stream, start):
+    (version,) = struct.unpack("<I", stream.take(4))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    end = len(data) - 8
-    (glen,) = struct.unpack_from("<Q", data, 8)
-    off = 16
-    if glen > end - off:
+    (glen,) = struct.unpack("<Q", stream.take(8))
+    if glen > stream.left:
         raise ValueError(f"checkpoint graph text of {glen} bytes runs past "
                          f"the checksum")
-    graph = GraphSpec.parse(data[off:off + glen].decode())
+    graph = GraphSpec.parse(stream.take(glen).decode())
     compute_shapes(graph)  # a graph that cannot run fails here, naming the node
-    off += glen
+    _check_branch_points(graph)
+    cut = _start_index(graph, start)
 
     axes = param_axes(graph)
     owners = {PARAMETER: param_shapes(graph),
               BATCHNORM: {bn: (graph.node(bn).attrs["ch"],)
                           for bn in batchnorm_nodes(graph)}}
+    wanted = {kind: {name for name in names
+                     if graph.index(name if kind == BATCHNORM
+                                    else param_owner(name)) >= cut}
+              for kind, names in owners.items()}
+    # checkpoint-order conv weights land in one buffer
+    scratch = np.empty(max([math.prod(owners[PARAMETER][n]) for n in axes
+                            if n in wanted[PARAMETER]], default=0), "<f4")
     store, parts = ParamStore(), {}  # parts: RunningStats field -> bn -> value
     slots = {prefix: getattr(store, kind.slot) if kind.owner == PARAMETER
              else parts.setdefault(kind.slot, {})
              for prefix, kind in RECORD_TABLE.items()}
-    while off < end:
+    while stream.left:
         # each length is checked against the bytes left before the checksum
         # (a record needs 12 besides its name and data) before it is used
-        (nlen,) = struct.unpack_from("<I", data, off)
-        if nlen > end - off - 12:
+        off = stream.off
+        if stream.left < 12:
+            raise ValueError(f"checkpoint record name at offset {off} runs "
+                             f"past the checksum ({stream.left} bytes left)")
+        (nlen,) = struct.unpack("<I", stream.take(4))
+        if nlen > stream.left - 8:
             raise ValueError(f"checkpoint record name at offset {off} runs "
                              f"past the checksum ({nlen} bytes)")
-        rname = data[off + 4:off + 4 + nlen].decode()
-        off += 4 + nlen
-        (count,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        if count > (end - off) // 4:
+        rname = stream.take(nlen).decode()
+        (count,) = struct.unpack("<Q", stream.take(8))
+        if count > stream.left // 4:
             raise ValueError(f"checkpoint record {rname!r} runs past the "
                              f"checksum ({count} elements)")
         prefix, _, name = rname.partition("/")
@@ -347,20 +479,26 @@ def parse_checkpoint(data: bytes):
         shape = owners[kind.owner].get(name)
         if shape is None:
             raise ValueError(f"checkpoint names unknown {kind.owner} {name!r}")
+        if name not in wanted[kind.owner]:
+            raise ValueError(f"checkpoint record {rname!r} belongs to a node "
+                             f"before its start node {start!r}")
         if name in slot:
             raise ValueError(f"checkpoint repeats record {rname!r}")
         size = math.prod(shape) if kind.dtype is None else 1
         if count != size:
             raise ValueError(f"checkpoint record {rname!r} has {count} "
                              f"elements, graph expects {size}")
-        flat = np.frombuffer(data, dtype="<f4", count=count, offset=off)
-        if kind.dtype is None:  # into store order, in the one copy it gets
-            flat = _store_order(flat, shape, axes.get(name))
-        slot[name] = kind.read(rname, np.array(flat, order="C"))
-        off += 4 * count
+        value = np.empty(shape if kind.dtype is None else 1, "<f4")
+        if kind.dtype is None and name in axes:  # into store order
+            flat = stream.into(scratch[:count])
+            np.copyto(value, _store_order(flat, shape, axes[name]))
+        else:
+            stream.into(value)
+        slot[name] = kind.read(rname, value)
 
     for prefix, kind in RECORD_TABLE.items():  # completeness, on the key sets
-        missing = [name for name in owners[kind.owner] if name not in slots[prefix]]
+        missing = [name for name in owners[kind.owner]
+                   if name in wanted[kind.owner] and name not in slots[prefix]]
         if missing and not (kind.optional and not any(
                 slots[p] for p, k in RECORD_TABLE.items() if k.cover == kind.cover)):
             raise ValueError(f"checkpoint lacks record "
@@ -368,3 +506,19 @@ def parse_checkpoint(data: bytes):
     store.running = {bn: ops.RunningStats(**{f: p[bn] for f, p in parts.items()})
                      for bn in owners[BATCHNORM] if bn in parts["count"]}
     return graph, store
+
+
+def _check_branch_points(graph: GraphSpec):
+    """In a graph whose last node is a head, a branch point after the
+    classifier (graph.head) is a ValueError naming it: a branch there would
+    freeze the trunk's classifier, of the trunk's width, into a head that
+    declares its task's."""
+    if not graph.nodes or graph.nodes[-1].kind not in LOSS_KINDS.values():
+        return
+    logits = head(graph)[1]
+    if logits not in graph:
+        return
+    for name in graph.branch_points:
+        if graph.index(name) > graph.index(logits):
+            raise ValueError(f"branch point {name!r} comes after the "
+                             f"classifier {logits!r}")

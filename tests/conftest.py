@@ -1,4 +1,6 @@
+import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from branchnet.common import checksum64
 from branchnet.dataio import TENSOR_MAGIC, TENSOR_VERSION
 from branchnet.engine import forward_pass
+from branchnet.config import format_records
 from branchnet.graph import ArchConfig, GraphSpec, build_trunk
+from branchnet.params import ParamStore, save_checkpoint
 from branchnet.train import TrainConfig, init_params
 
 
@@ -127,3 +131,21 @@ def head_on_relu320(graph):
     """A build_trunk graph without its classifier: the head reads relu320."""
     return retext(graph, (fc_line(graph), "\n"),
                   ("inputs=fc\n", "inputs=relu320\n"), (",fc\n", "\n"))
+
+
+def save_full_prefix_bundle(dirpath, model):
+    """model written as a bundle was before head files held only their
+    suffix: weights-only checkpoints, each head file with its whole prefix,
+    and heads.txt lines of 4 fields, no prefix digest."""
+    def weights(store):
+        return ParamStore(store.arrays, {}, store.trainable, store.running)
+    os.makedirs(dirpath, exist_ok=True)
+    save_checkpoint(os.path.join(dirpath, "trunk.ckpt"), model.trunk_graph,
+                    weights(model.trunk_store))
+    heads = sorted(model.heads, key=lambda h: h.spec.task)
+    for head in heads:
+        save_checkpoint(os.path.join(dirpath, f"{head.spec.task}.ckpt"),
+                        head.graph, weights(head.store))
+    with open(os.path.join(dirpath, "heads.txt"), "w") as f:
+        f.write(format_records([replace(h.spec, prefix_sha256="")
+                                for h in heads]))

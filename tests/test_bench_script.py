@@ -1,7 +1,7 @@
 """scripts/bench.py at its tiny size: it must run against the library and
-the benchmark as they stand and write a complete BENCH_<label>.json, and
-leave graph.NODE_KINDS and the experiments module's budgets as it found
-them."""
+the benchmark as they stand and write a complete BENCH_<label>.json, its
+bundle block included, and leave graph.NODE_KINDS and the experiments
+module's budgets as it found them."""
 
 import importlib.util
 import json
@@ -73,6 +73,21 @@ def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
                             "total_s"}
     phases = [v for k, v in study.items() if k != "total_s"]
     assert all(v > 0 for v in phases) and study["total_s"] > sum(phases)
+
+    # the ACCEPTANCE 05 layout over the desk trunk at the tiny size
+    bundle = bench["bundle"]
+    assert bundle["input_shape"] == [1, 56, 56] and bundle["reps"] == 5
+    assert bundle["heads"] == [["nuisance", "conv19"], ["stage", "conv22"],
+                               ["tags", "fc"], ["binary", "fc"]]
+    files = bundle["file_bytes"]
+    assert sorted(files) == ["binary.ckpt", "heads.txt", "nuisance.ckpt",
+                             "stage.ckpt", "tags.ckpt", "trunk.ckpt"]
+    assert bundle["total_mib"] == pytest.approx(sum(files.values()) / 2 ** 20)
+    # suffix-only head files: the deepest head is a small share of the trunk
+    assert files["nuisance.ckpt"] < files["trunk.ckpt"]
+    assert files["binary.ckpt"] < files["trunk.ckpt"] / 100
+    assert bundle["save_s"] > 0 and bundle["load_s"] > 0
+    assert 0 < bundle["load_peak_mib"] < 2 * bundle["total_mib"]
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         declared = json.load(f)

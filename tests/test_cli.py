@@ -20,10 +20,12 @@ from branchnet.experiments import GridTask, load_tasks
 from branchnet.graph import ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel,
                                  format_prediction_lines, load_bundle,
-                                 predict_all, run_head_standalone, save_bundle)
+                                 predict_all, prefix_digests,
+                                 run_head_standalone, save_bundle)
 from branchnet.params import load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
-from conftest import head_on_relu320, named_cls, write_unchecked_tensor
+from conftest import (head_on_relu320, named_cls, save_full_prefix_bundle,
+                      write_unchecked_tensor)
 
 # quarter-scale single-channel trunk over 4 identities, everywhere below
 ARCH = ["--set", "arch.scale_factor=0.25", "--set", "arch.in_channels=1",
@@ -152,8 +154,14 @@ def test_finetune_writes_bundle(bundle_dir):
     names = sorted(os.listdir(bundle_dir))
     assert names == ["binary.ckpt", "binary.log.tsv", "heads.txt",
                      "trunk.ckpt"]
+    digest = prefix_digests(*load_checkpoint(
+        os.path.join(bundle_dir, "trunk.ckpt")))["conv22"]
     with open(os.path.join(bundle_dir, "heads.txt")) as f:
-        assert f.read().splitlines() == ["binary conv22 2 softmax"]
+        assert f.read().splitlines() == [f"binary conv22 2 softmax {digest}"]
+    # the head file holds the head from its branch layer on
+    _, head = load_checkpoint(os.path.join(bundle_dir, "binary.ckpt"),
+                              start="conv22")
+    assert "conv22/w" in head.arrays and "conv21/w" not in head.arrays
 
 
 def test_finetune_rejects_unknown_branch(capsys, tmp_path, corpus,
@@ -682,8 +690,9 @@ def test_finetune_override_keeps_desk_schedule(capsys, tmp_path, corpus,
 @pytest.mark.parametrize("record", ["conv1/w", "bn1"])
 def test_predict_rejects_a_head_whose_prefix_differs(capsys, tmp_path, corpus,
                                                      bundle_dir, record):
+    # a bundle in the full-prefix form: its head file holds conv1/w and bn1
     bundle = tmp_path / "bundle"
-    shutil.copytree(bundle_dir, bundle)
+    save_full_prefix_bundle(bundle, load_bundle(bundle_dir))
     path = str(bundle / "binary.ckpt")
     graph, store = load_checkpoint(path)
     if record == "bn1":
@@ -704,9 +713,9 @@ def test_predict_rejects_a_bundle_with_a_non_finite_weight(capsys, tmp_path,
     bundle = tmp_path / "bundle"
     shutil.copytree(bundle_dir, bundle)
     path = str(bundle / "binary.ckpt")
-    graph, store = load_checkpoint(path)
+    graph, store = load_checkpoint(path, start="conv22")
     store.arrays["fc/w"][0, 0] = np.nan
-    save_checkpoint(path, graph, store)
+    save_checkpoint(path, graph, store, start="conv22")
     rc, out, err = run_cli(capsys, "predict", "--bundle", str(bundle),
                            "--data", corpus, "--out", str(tmp_path / "p.txt"))
     assert rc == 2
@@ -719,11 +728,11 @@ def test_predict_rejects_a_bundle_without_running_statistics(capsys, tmp_path,
                                                             corpus, bundle_dir):
     bundle = tmp_path / "bundle"
     shutil.copytree(bundle_dir, bundle)
-    for name in ("trunk.ckpt", "binary.ckpt"):
+    for name, start in (("trunk.ckpt", None), ("binary.ckpt", "conv22")):
         path = str(bundle / name)
-        graph, store = load_checkpoint(path)
+        graph, store = load_checkpoint(path, start)
         store.running.clear()
-        save_checkpoint(path, graph, store)
+        save_checkpoint(path, graph, store, start)
     rc, out, err = run_cli(capsys, "predict", "--bundle", str(bundle),
                            "--data", corpus, "--out", str(tmp_path / "p.txt"))
     assert rc == 2
@@ -761,7 +770,9 @@ def test_predict_rejects_a_heads_line_that_does_not_match_its_head(
         capsys, tmp_path, corpus, bundle_dir, heads):
     bundle = tmp_path / "bundle"
     shutil.copytree(bundle_dir, bundle)
-    (bundle / "heads.txt").write_text(heads + "\n")
+    digest = (bundle / "heads.txt").read_text().split()[4]
+    (bundle / "heads.txt").write_text("".join(
+        f"{line} {digest}\n" for line in heads.splitlines()))
     out = tmp_path / "p.txt"
     rc, stdout, err = run_cli(capsys, "predict", "--bundle", str(bundle),
                               "--data", corpus, "--out", str(out))

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -8,10 +9,12 @@ from branchnet.engine import forward_pass
 from branchnet.graph import ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel, combined_flops,
                                  format_prediction_lines, load_bundle,
-                                 predict_all, run_head_standalone, save_bundle)
-from branchnet.params import frozen_names, load_checkpoint, save_checkpoint
+                                 predict_all, prefix_digests,
+                                 run_head_standalone, save_bundle)
+from branchnet.params import (BATCHNORM, RECORD_TABLE, frozen_names, load_checkpoint,
+                              param_owner, prefix_records, save_checkpoint)
 from branchnet.train import TrainConfig, init_params, make_branch
-from conftest import named_cls
+from conftest import named_cls, save_full_prefix_bundle
 
 DESK_HEADS = (("nuisance", "conv19", 7, "softmax"),
               ("stage", "conv22", 14, "softmax"),
@@ -116,6 +119,22 @@ def test_adding_heads_never_decreases_cost(model):
         last = now
 
 
+def served_prefix_digest(graph, store, layer):
+    """sha256 hex of the store's served records owned by nodes before
+    layer, each as its name then its bytes, by owner index, then name."""
+    records = prefix_records(graph, store, graph.index(layer))
+
+    def owner(rname):
+        prefix, _, name = rname.partition("/")
+        return (name if RECORD_TABLE[prefix].owner == BATCHNORM
+                else param_owner(name))
+    digest = hashlib.sha256()
+    for rname in sorted(records, key=lambda r: (graph.index(owner(r)), r)):
+        if RECORD_TABLE[rname.partition("/")[0]].served:
+            digest.update(rname.encode() + records[rname].tobytes())
+    return digest.hexdigest()
+
+
 def test_bundle_round_trip(tmp_path, model):
     out = tmp_path / "bundle"
     save_bundle(out, model)
@@ -123,10 +142,31 @@ def test_bundle_round_trip(tmp_path, model):
     assert names == ["binary.ckpt", "heads.txt", "nuisance.ckpt", "stage.ckpt",
                      "tags.ckpt", "trunk.ckpt"]
     lines = (out / "heads.txt").read_text().splitlines()
-    assert lines[0] == "binary fc 2 softmax"
-    assert lines[2] == "stage conv22 14 softmax"
+    graph, store = model.trunk_graph, model.trunk_store
+    fc = served_prefix_digest(graph, store, "fc")
+    assert lines[0] == f"binary fc 2 softmax {fc}"
+    assert lines[2] == ("stage conv22 14 softmax "
+                        + served_prefix_digest(graph, store, "conv22"))
+    assert lines[3] == f"tags fc 9 sigmoid-multilabel {fc}"
+    assert fc != served_prefix_digest(graph, store, "conv22")
+
+    # each head file holds its records from its branch layer on, no more
+    for head in model.heads:
+        path = out / f"{head.spec.task}.ckpt"
+        _, suffix = load_checkpoint(path, start=head.spec.branch_layer)
+        bidx = head.graph.index(head.spec.branch_layer)
+        assert sorted(suffix.arrays) == sorted(
+            name for name in head.store.arrays
+            if head.graph.index(param_owner(name)) >= bidx)
+        for name, arr in suffix.arrays.items():
+            assert arr.tobytes() == head.store.arrays[name].tobytes(), name
+        assert path.stat().st_size < (out / "trunk.ckpt").stat().st_size
+        with pytest.raises(ValueError, match=f"^{path}: checkpoint lacks record"):
+            load_checkpoint(path)
 
     loaded = load_bundle(out)
+    assert [h.spec.prefix_sha256 for h in loaded.heads] == [
+        line.split()[4] for line in lines]
     x = inputs(29, 4)
     a = predict_all(model, x)
     b = predict_all(loaded, x)
@@ -150,25 +190,34 @@ def test_load_bundle_requires_heads_file(tmp_path, model):
 
 
 @pytest.mark.parametrize("heads, message", [
-    # a head's line must describe the head its checkpoint holds
-    ("nuisance conv19 3 softmax",
+    # a head's line must describe the head its checkpoint holds; {layer}
+    # stands for the trunk's prefix digest at that layer
+    ("nuisance conv19 3 softmax {conv19}",
      "'nuisance' is not the trunk's head for 3 classes and loss 'softmax'"),
-    ("nuisance conv19 7 sigmoid-multilabel",
+    ("nuisance conv19 7 sigmoid-multilabel {conv19}",
      "'nuisance' is not the trunk's head for 7 classes and loss "
      "'sigmoid-multilabel'"),
-    ("nuisance conv19 7 softmax\nnuisance conv19 7 softmax",
+    ("nuisance conv19 7 softmax {conv19}\nnuisance conv19 7 softmax {conv19}",
      "'nuisance' is already in the model"),
-    ("nuisance conv19 0 softmax",
+    ("nuisance conv19 0 softmax {conv19}",
      "heads.txt:1: a task needs at least 2 classes, got 0"),
-    ("nuisance relu5 7 softmax", "lacks as a branch point"),
-    ("nuisance conv19 7 softmax\nmissing fc 2 softmax", "lacks missing.ckpt"),
+    ("nuisance relu5 7 softmax {conv19}", "lacks as a branch point"),
+    ("nuisance conv19 7 softmax {conv19}\nmissing fc 2 softmax {fc}",
+     "lacks missing.ckpt"),
+    # a 4-field line names a full-prefix head file, which this one is not
+    ("nuisance conv19 7 softmax", "nuisance.ckpt: checkpoint lacks record"),
+    ("nuisance conv19 7 softmax {fc}", "do not match the head's prefix digest"),
+    ("nuisance conv19 7 softmax {conv19}x",
+     "heads.txt:1: head 'nuisance' prefix digest"),
 ], ids=["class-count", "loss", "listed-twice", "no-classes",
-        "not-a-branch-point", "missing-file"])
+        "not-a-branch-point", "missing-file", "four-fields", "other-digest",
+        "not-a-digest"])
 def test_load_bundle_rejects_a_heads_line_that_does_not_match_its_head(
         tmp_path, model, heads, message):
     out = tmp_path / "bundle"
     save_bundle(out, model)
-    (out / "heads.txt").write_text(heads + "\n")
+    digests = prefix_digests(model.trunk_graph, model.trunk_store)
+    (out / "heads.txt").write_text(heads.format(**digests) + "\n")
     with pytest.raises(ValueError) as exc:
         load_bundle(out)
     assert message in str(exc.value)
@@ -227,8 +276,11 @@ def test_predict_all_rejects_wrong_input_shape(model):
 def test_bundle_files_carry_no_momentum(tmp_path, model):
     out = tmp_path / "bundle"
     save_bundle(out, model)
+    starts = {h.spec.task: h.spec.branch_layer for h in model.heads}
+    assert sorted(p.stem for p in out.glob("*.ckpt")) == sorted(
+        [*starts, "trunk"])
     for path in out.glob("*.ckpt"):
-        _, store = load_checkpoint(path)
+        _, store = load_checkpoint(path, start=starts.get(path.stem))
         assert store.momentum == {} and store.arrays
 
 
@@ -265,13 +317,13 @@ def test_loaded_bundle_holds_each_byte_once(tmp_path, model):
     assert sum(a.nbytes for a in unique.values()) == want
 
 
-def reseal_head(bundle, task, change):
-    """Apply change(store) to a head checkpoint and write it back with a
-    valid checksum."""
+def reseal_head(bundle, task, change, start=None):
+    """Apply change(store) to a head checkpoint (its records from start on,
+    or all of them) and write it back with a valid checksum."""
     path = bundle / f"{task}.ckpt"
-    graph, store = load_checkpoint(path)
+    graph, store = load_checkpoint(path, start)
     change(store)
-    save_checkpoint(path, graph, store)
+    save_checkpoint(path, graph, store, start)
 
 
 def bump_first(arr):
@@ -290,20 +342,95 @@ PERTURBATIONS = {
 @pytest.mark.parametrize("record", sorted(PERTURBATIONS))
 def test_head_prefix_that_differs_from_the_trunk_is_rejected(tmp_path, model,
                                                              record):
+    # a full-prefix head file, as older bundles hold, is compared record by
+    # record
     assert model.trunk_store.arrays["bn1/beta"][0] == 0.0
     out = tmp_path / "bundle"
-    save_bundle(out, model)
+    save_full_prefix_bundle(out, model)
     reseal_head(out, "stage", PERTURBATIONS[record])
     with pytest.raises(ValueError, match=f"head 'stage' record '{record}' "
                                          "does not match the trunk"):
         load_bundle(out)
 
 
+@pytest.mark.parametrize("record", sorted(PERTURBATIONS))
+def test_a_suffix_head_over_a_trunk_that_differs_is_rejected(tmp_path, model,
+                                                             record):
+    # one served prefix bit of trunk.ckpt: every head's digest names it
+    out = tmp_path / "bundle"
+    save_bundle(out, model)
+    reseal_head(out, "trunk", PERTURBATIONS[record])
+    with pytest.raises(ValueError, match=re.escape(
+            f"head 'binary': the served records of "
+            f"{str(out / 'trunk.ckpt')!r} before 'fc' do not match the "
+            f"head's prefix digest")):
+        load_bundle(out)
+
+
+def test_a_trunk_record_inference_does_not_read_keeps_the_digest(tmp_path,
+                                                                  model):
+    out = tmp_path / "bundle"
+    save_bundle(out, model)
+    reseal_head(out, "trunk",
+                lambda s: s.trainable.__setitem__("conv1/w", False))
+    loaded = load_bundle(out)
+    assert loaded.trunk_store.trainable["conv1/w"] is False
+    assert len(loaded.heads) == 4
+
+
+def test_a_full_prefix_bundle_loads_and_serves_the_same_bits(tmp_path, model):
+    save_bundle(tmp_path / "suffix", model)
+    old = tmp_path / "full"
+    save_full_prefix_bundle(old, model)
+    assert all(len(line.split()) == 4
+               for line in (old / "heads.txt").read_text().splitlines())
+    for head in model.heads:  # the old head file holds the whole prefix
+        full = load_checkpoint(old / f"{head.spec.task}.ckpt")[1]
+        assert full.arrays.keys() == head.store.arrays.keys()
+        assert ((old / f"{head.spec.task}.ckpt").stat().st_size
+                > (tmp_path / "suffix" / f"{head.spec.task}.ckpt").stat().st_size)
+
+    loaded = load_bundle(old)
+    assert [h.spec.prefix_sha256 for h in loaded.heads] == [""] * 4
+    for head in loaded.heads:  # the prefix is still held once
+        assert head.store.arrays["conv1/w"] is loaded.trunk_store.arrays["conv1/w"]
+    x = inputs(41, 3)
+    a, b = predict_all(model, x), predict_all(loaded, x)
+    assert a.identity_logits.tobytes() == b.identity_logits.tobytes()
+    for task in a.tasks:
+        assert a.tasks[task].scores.tobytes() == b.tasks[task].scores.tobytes()
+
+    # saved again, it is written in the suffix-only form
+    save_bundle(tmp_path / "again", loaded)
+    for path in (tmp_path / "suffix").iterdir():
+        assert path.read_bytes() == (tmp_path / "again" / path.name).read_bytes()
+
+
+def test_prefix_digests_are_pinned_and_follow_the_served_records():
+    # seeded float32 draws and no BLAS call: the same digests on any host
+    graph = build_trunk(ArchConfig.desk())
+    store = init_params(graph, TrainConfig.desk(seed=3))
+    digests = prefix_digests(graph, store)
+    assert list(digests) == list(graph.branch_points)
+    for layer, digest in digests.items():
+        assert digest == served_prefix_digest(graph, store, layer), layer
+    assert digests["conv22"][:16] == "ea3390c534acb148"
+    assert digests["fc"][:16] == "39de0259fccf0ee6"
+    # momentum and trainable flags are not served: the digests stay
+    store.momentum["conv1/w"][0] = 1.0
+    store.trainable["conv1/w"] = False
+    assert prefix_digests(graph, store) == digests
+    bump_first(store.running["bn1"].var)
+    moved = prefix_digests(graph, store)
+    assert all(moved[layer] != digests[layer] for layer in digests)
+
+
 def test_head_suffix_may_differ_from_the_trunk(tmp_path, model):
     # conv22 is where the stage head branches: retrained, not verified
     out = tmp_path / "bundle"
     save_bundle(out, model)
-    reseal_head(out, "stage", lambda s: bump_first(s.arrays["conv22/w"]))
+    reseal_head(out, "stage", lambda s: bump_first(s.arrays["conv22/w"]),
+                "conv22")
     loaded = load_bundle(out)
     stage = next(h for h in loaded.heads if h.spec.task == "stage")
     assert stage.store.arrays["conv22/w"] is not \
@@ -334,8 +461,10 @@ def test_bundle_written_with_momentum_loads_without_it(tmp_path, model):
     save_bundle(out, model)
     save_checkpoint(out / "trunk.ckpt", model.trunk_graph, model.trunk_store)
     for head in model.heads:
-        save_checkpoint(out / f"{head.spec.task}.ckpt", head.graph, head.store)
+        save_checkpoint(out / f"{head.spec.task}.ckpt", head.graph, head.store,
+                        start=head.spec.branch_layer)
     assert load_checkpoint(out / "trunk.ckpt")[1].momentum
+    assert load_checkpoint(out / "stage.ckpt", start="conv22")[1].momentum
 
     loaded = load_bundle(out)
     assert loaded.trunk_store.momentum == {}

@@ -1,11 +1,12 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from conftest import apply_token_edits, graph_token_edits
+from conftest import apply_token_edits, graph_token_edits, retext
 
 from branchnet.engine import forward_pass
 from branchnet.graph import NODE_KINDS, ArchConfig, GraphSpec, build_trunk
@@ -19,6 +20,7 @@ from branchnet.train import (Dataset, TrainConfig, init_params, make_branch,
                              train)
 
 GRAPH = build_trunk(ArchConfig.desk(num_identities=5))
+MiB = 2 ** 20
 
 
 def fresh_store(seed=3):
@@ -470,3 +472,122 @@ def test_fuzzed_graph_text_in_a_checkpoint_runs_or_is_one_value_error(
     except ValueError:
         return
     forward_pass(graph, store, x, mode="infer")
+
+
+def test_a_branch_point_after_the_classifier_is_rejected_at_load(desk_graph,
+                                                                 desk_store):
+    # a branch there would freeze the trunk's 20-way fc into a 7-way head
+    late = retext(desk_graph, ("\nsoftmax softmax-head inputs=fc",
+                               "\ndead relu inputs=fc\n"
+                               "softmax softmax-head inputs=fc"),
+                  (",fc\n", ",fc,dead\n"))
+    assert late.branch_points[-1] == "dead"
+    with pytest.raises(ValueError, match="branch point 'dead' comes after the "
+                                         "classifier 'fc'"):
+        parse_checkpoint(checkpoint_bytes(late, desk_store))
+    # the classifier itself stays a branch point
+    parse_checkpoint(checkpoint_bytes(desk_graph, desk_store))
+
+
+# streamed reading and writing: one copy, errors that name the file
+
+def traced_peak(fn, *args):
+    """(result, peak bytes tracemalloc saw) of fn(*args)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_io_holds_one_copy_of_each_record(tmp_path, desk_graph,
+                                                     desk_store):
+    path = tmp_path / "trunk.ckpt"
+    _, peak = traced_peak(save_checkpoint, path, desk_graph, desk_store)
+    largest = max(a.nbytes for a in desk_store.arrays.values())
+    assert peak <= largest + MiB, (peak, largest)
+    assert path.stat().st_size > 3 * MiB  # the whole file never in memory
+
+    (graph, store), peak = traced_peak(load_checkpoint, path)
+    kept = sum(a.nbytes for table in (store.arrays, store.momentum)
+               for a in table.values())
+    kept += sum(rs.mean.nbytes + rs.var.nbytes for rs in store.running.values())
+    assert peak <= kept + largest + MiB, (peak, kept)
+    assert checkpoint_bytes(graph, store) == path.read_bytes()
+
+
+# a checkpoint small enough to cut and corrupt at every byte: a conv, its
+# batchnorm and the head, with momentum
+SMALL = GraphSpec.parse(
+    "graph input_shape=1,4,4 branch_points=c\n"
+    "c conv bias=1 in=1 k=3 out=2 pad=1 stride=1 inputs=input\n"
+    "bn batchnorm ch=2 eps=1e-05 inputs=c\n"
+    "fc fc in=32 out=3 inputs=bn\n"
+    "softmax softmax-head inputs=fc\n")
+SMALL_DATA = checkpoint_bytes(SMALL, init_params(SMALL, TrainConfig.desk(seed=1)))
+
+
+def test_a_truncated_checkpoint_is_one_value_error_naming_it(tmp_path,
+                                                             trained_desk):
+    assert parse_checkpoint(SMALL_DATA)[0] == SMALL
+    # every cut of the small file: each record boundary and inside each
+    # record; the desk file at the boundaries and middles of its first and
+    # last records, conv weights among them
+    data, _ = trained_desk
+    head, records = split_records(data)
+    starts = [len(head)]
+    for _, raw in records:
+        starts.append(starts[-1] + len(raw))
+    desk_cuts = {cut for at in starts[:12] + starts[-12:]
+                 for cut in (at, at + 6, at - 9)}
+    path = tmp_path / "cut.ckpt"
+    for whole, cuts in ((SMALL_DATA, range(len(SMALL_DATA))),
+                        (data, sorted(desk_cuts))):
+        for cut in cuts:
+            path.write_bytes(whole[:cut])
+            with pytest.raises(ValueError, match=f"^{path}: ") as exc:
+                load_checkpoint(path)
+            assert exc.type is ValueError, cut
+
+
+def test_a_flipped_byte_is_a_checksum_mismatch_wherever_it_lands():
+    for at in range(len(SMALL_DATA)):
+        flipped = bytearray(SMALL_DATA)
+        flipped[at] ^= 0x80
+        message = "bad magic" if at < 4 else "checksum mismatch"
+        with pytest.raises(ValueError, match=message):
+            parse_checkpoint(bytes(flipped))
+
+
+def test_a_partial_record_set_starts_at_its_declared_node(trained_desk):
+    data, _ = trained_desk
+    graph, store = parse_checkpoint(data)
+    suffix = checkpoint_bytes(graph, store, start="conv22")
+    assert len(suffix) < len(data) // 2
+    g2, part = parse_checkpoint(suffix, start="conv22")
+    assert g2 == graph
+    want = {n for n in store.arrays
+            if graph.index(param_owner(n)) >= graph.index("conv22")}
+    assert part.arrays.keys() == part.momentum.keys() == want
+    assert part.running.keys() == {bn for bn in store.running
+                                   if graph.index(bn) > graph.index("conv22")}
+    for name in want:
+        assert part.arrays[name].tobytes() == store.arrays[name].tobytes()
+    # a partial file is only read as one, from its own start node
+    with pytest.raises(ValueError, match="lacks record 'a/conv1/w'"):
+        parse_checkpoint(suffix)
+    with pytest.raises(ValueError, match="lacks record 'a/conv21/w'"):
+        parse_checkpoint(suffix, start="conv21")
+    with pytest.raises(ValueError, match="record 'a/bn22/beta' belongs to a "
+                                         "node before its start node 'fc'"):
+        parse_checkpoint(suffix, start="fc")
+    with pytest.raises(ValueError, match="start node 'nowhere' names no node"):
+        parse_checkpoint(suffix, start="nowhere")
+    # every record from the start on is still required
+    head, records = split_records(suffix)
+    kept = [r for r in records if r[0] != "rv/bn23"]
+    with pytest.raises(ValueError, match="lacks record 'rv/bn23'"):
+        parse_checkpoint(seal(head, kept), start="conv22")
+    assert parse_checkpoint(checkpoint_bytes(graph, store, start="conv1"),
+                            start="conv1")[1].arrays.keys() == store.arrays.keys()

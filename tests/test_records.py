@@ -3,7 +3,9 @@ records that check their own fields, and Hypothesis fuzzing of every
 reader, up to a heads.txt inside a valid desk bundle."""
 
 import dataclasses
+import functools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +21,10 @@ from branchnet.experiments import (STUDY_SEED, TRUNK_MINIBATCHES, GridTask,
 from branchnet.graph import LOSS_KINDS, ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel, combined_flops,
                                  format_prediction_lines, load_bundle,
-                                 predict_all, save_bundle)
+                                 predict_all, prefix_digests, save_bundle)
+from branchnet.params import load_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
+from conftest import save_full_prefix_bundle
 
 RECORD_KINDS = (GridTask, HeadSpec, PairRecord)
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
@@ -35,6 +39,25 @@ def test_records_parse_typed_fields_and_skip_comments_and_blank_lines():
         GridTask("binary", "binary", 2, "softmax"),
         GridTask("tags", "multilabel", 9, "sigmoid-multilabel")]
     assert parse_records(GridTask, "# only a comment\n\n") == []
+
+
+def test_a_trailing_field_whose_default_is_empty_may_be_omitted():
+    digest = "0123456789abcdef" * 4
+    text = f"old fc 2 softmax\nnew conv19 7 softmax {digest}\n"
+    assert parse_records(HeadSpec, text) == [
+        HeadSpec("old", "fc", 2, "softmax"),
+        HeadSpec("new", "conv19", 7, "softmax", digest)]
+    assert format_records(parse_records(HeadSpec, text)) == text
+    for line in ("old fc 2", f"new conv19 7 softmax {digest} extra"):
+        with pytest.raises(ValueError, match=r"^<records>:1: expected 4 to 5 "
+                                             r"values separated by whitespace"):
+            parse_records(HeadSpec, line)
+    # a default other than "" does not make a field optional
+    with pytest.raises(ValueError, match="expected 4 values"):
+        parse_records(GridTask, "binary binary 2")
+    with pytest.raises(ValueError, match="prefix digest 'ABC' is not 64 "
+                                         "lowercase hex digits"):
+        parse_records(HeadSpec, "t fc 2 softmax ABC")
 
 
 @pytest.mark.parametrize("line, message", [
@@ -116,6 +139,9 @@ def valid_records(draw, kind):
             values.append(draw(st.integers(2, 2 ** 70)))
         elif f.name == "same":
             values.append(draw(st.integers(0, 1)))
+        elif f.name == "prefix_sha256":  # empty, or 64 lowercase hex digits
+            values.append(draw(st.one_of(st.just(""), st.text(
+                "0123456789abcdef", min_size=64, max_size=64))))
         else:
             values.append(draw(st.integers(-2 ** 70, 2 ** 70)))
     try:
@@ -190,23 +216,41 @@ def test_fuzzed_factors_parse_or_raise_value_error(text):
         check_record(ProbeFactor, factor)
 
 
-DESK_BUNDLE_HEADS = (("nuisance", "conv19", 7, "softmax"),
-                     ("tags", "fc", 3, "sigmoid-multilabel"))
+# the last column, "@<layer>", stands for the trunk's prefix digest there
+DESK_BUNDLE_HEADS = (("nuisance", "conv19", 7, "softmax", "@conv19"),
+                     ("tags", "fc", 3, "sigmoid-multilabel", "@fc"))
 
 
 @pytest.fixture(scope="module")
-def desk_bundle(tmp_path_factory):
+def desk_model():
     graph = build_trunk(ArchConfig.desk(num_identities=4))
     store = init_params(graph, TrainConfig.desk(seed=3))
     x = np.random.default_rng(4).standard_normal((4, 1, 56, 56))
     _, updates = forward_pass(graph, store, x.astype(np.float32), mode="train")
     store.running.update(updates)
     model = MultiHeadModel(graph, store)
-    for task, layer, k, loss in DESK_BUNDLE_HEADS:
+    for task, layer, k, loss, _ in DESK_BUNDLE_HEADS:
         br = make_branch(graph, store, layer, k, loss=loss, warm=True, seed=5)
         model.add_head(HeadSpec(task, layer, k, loss), br.graph, br.store)
+    return model
+
+
+@pytest.fixture(scope="module")
+def desk_bundle(tmp_path_factory, desk_model):
     out = tmp_path_factory.mktemp("fuzz") / "bundle"
-    save_bundle(out, model)
+    save_bundle(out, desk_model)
+    digests = prefix_digests(desk_model.trunk_graph, desk_model.trunk_store)
+    assert (out / "heads.txt").read_text() == "".join(
+        f"{' '.join(map(str, head[:4]))} {digests[head[1]]}\n"
+        for head in DESK_BUNDLE_HEADS)
+    return out
+
+
+@pytest.fixture(scope="module")
+def full_prefix_desk_bundle(tmp_path_factory, desk_model):
+    """The same model in the older form: whole head files, 4-field lines."""
+    out = tmp_path_factory.mktemp("fuzz") / "full"
+    save_full_prefix_bundle(out, desk_model)
     return out
 
 
@@ -214,7 +258,11 @@ SUBSTITUTES = (["nuisance", "tags", "trunk", "missing", "..", "a/b"],
                ["conv17", "conv19", "conv22", "fc", "relu5", "input",
                 "nowhere"],
                ["7", "3", "2", "1", "0", "-7", "007", "x"],
-               [*LOSS_KINDS, "mse"])
+               [*LOSS_KINDS, "mse"],
+               # wrong (another layer's, zeros), empty (a 4-field line) and
+               # not hex
+               ["@conv19", "@fc", "@conv22", "0" * 64, "", "g" * 64,
+                "@fc0", "xyz"])
 
 
 @st.composite
@@ -230,14 +278,24 @@ def heads_text(draw):
     return "\n".join(draw(st.permutations(lines)))
 
 
+@functools.cache
+def bundle_digests(bundle):
+    """The prefix digests of the bundle's trunk.ckpt, by branch point."""
+    return prefix_digests(*load_checkpoint(bundle / "trunk.ckpt"))
+
+
 def check_heads_file(bundle, text):
-    """heads.txt holding text either fails to load with ValueError or
-    loads a model that serves a request and reports its cost."""
+    """heads.txt holding text, each "@<layer>" put as the trunk's prefix
+    digest at that layer, either fails to load with ValueError or loads a
+    model that serves a request and reports its cost."""
+    digests = {f"@{layer}": digest for layer, digest in bundle_digests(
+        bundle).items()}
+    text = re.sub("@[a-z0-9-]+", lambda m: digests.get(m[0], m[0]), text)
     (bundle / "heads.txt").write_text(text, encoding="utf-8")
     try:
         model = load_bundle(bundle)
     except ValueError:
-        return
+        return None
     x = np.random.default_rng(6).standard_normal((1, 1, 56, 56))
     pred = predict_all(model, x.astype(np.float32))
     assert len(pred.tasks) == len(model.heads)
@@ -246,18 +304,23 @@ def check_heads_file(bundle, text):
         assert scores.shape == (1, head.spec.num_classes)
     combined_flops(model)
     format_prediction_lines(["s"], pred, model.heads)
+    return len(model.heads)
 
 
 @pytest.mark.parametrize("head", DESK_BUNDLE_HEADS, ids=lambda h: h[0])
-def test_every_single_field_substitution_in_heads_file(desk_bundle, head):
-    valid = [" ".join(map(str, h)) for h in DESK_BUNDLE_HEADS]
-    for i, choices in enumerate(SUBSTITUTES):
-        for value in choices:
-            fields = [str(f) for f in head]
-            fields[i] = value
-            line = " ".join(fields)
-            check_heads_file(desk_bundle, "\n".join(valid + [line]))
-            check_heads_file(desk_bundle, line)
+def test_every_single_field_substitution_in_heads_file(
+        desk_bundle, full_prefix_desk_bundle, head):
+    # 5-field lines over suffix-only head files, 4-field lines over whole ones
+    for bundle, width in ((desk_bundle, 5), (full_prefix_desk_bundle, 4)):
+        valid = [" ".join(map(str, h[:width])) for h in DESK_BUNDLE_HEADS]
+        assert check_heads_file(bundle, "\n".join(valid)) == 2
+        for i, choices in enumerate(SUBSTITUTES[:width]):
+            for value in choices:
+                fields = [str(f) for f in head[:width]]
+                fields[i] = value
+                line = " ".join(fields)
+                check_heads_file(bundle, "\n".join(valid + [line]))
+                check_heads_file(bundle, line)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
