@@ -4,7 +4,8 @@ serialization.
 A GraphSpec is an ordered list of LayerNodes wired by name. The reserved
 upstream name "input" refers to the network input; no node may use it.
 Node evaluation order is the list order, which is a topological order by
-construction.
+construction. A GraphSpec checks every graph rule when it is made (see
+GraphSpec), so every GraphSpec sizes and runs.
 
 Everything a node kind means is defined once, in its NODE_KINDS record:
 the attributes it requires or allows and the values each accepts (and so
@@ -208,6 +209,12 @@ def _add_shape(a, ins):
     return ins[0]
 
 
+def _head_shape(a, ins):
+    if len(ins[0]) != 1 or ins[0][0] < 2:
+        raise ValueError(f"needs (m,) logits with m >= 2, got shape {ins[0]}")
+    return ins[0]
+
+
 def _fc_shape(a, ins):
     if a["in"] != math.prod(ins[0]):
         raise ValueError(f"declares in={a['in']} but its input {ins[0]} has "
@@ -263,12 +270,14 @@ NODE_KINDS = {
         backward=lambda a, p, ins, gy, saved, need: _grads(
             ops.fully_connected_backward(ins[0], p["w"], gy, need[0]))),
     "softmax-head": NodeKind(
-        cost=_elementwise("head"), forward=_unary(ops.softmax),
+        shape=_head_shape, cost=_elementwise("head"),
+        forward=_unary(ops.softmax),
         loss=ops.softmax_cross_entropy,
         hits=lambda logits, labels: logits.argmax(axis=1) == ops.label_indices(
             labels, *logits.shape)),
     "sigmoid-head": NodeKind(
-        cost=_elementwise("head"), forward=_unary(ops.sigmoid),
+        shape=_head_shape, cost=_elementwise("head"),
+        forward=_unary(ops.sigmoid),
         loss=ops.sigmoid_multilabel_loss,
         hits=lambda logits, labels: (ops.sigmoid(logits) >= 0.5) == (
             labels >= 0.5)),
@@ -378,6 +387,22 @@ class ArchConfig:
 
 @dataclass(frozen=True)
 class GraphSpec:
+    """A graph that runs: every GraphSpec, however it is made (parse,
+    build_trunk, head_graph or constructed directly), is checked against
+    every graph rule once, when it is made, and a graph that breaks one is
+    a ValueError naming the node or branch point:
+
+    - node names are unique, none is "input", and each input is "input" or
+      an earlier node; input_shape is three positive integers and each
+      branch point names a node;
+    - every node sizes (compute_shapes): its kind accepts its inputs'
+      shapes, and a head reads (m,) logits with m >= 2;
+    - in a graph whose last node is a head, no branch point comes after
+      the classifier the head reads (head());
+    - every node but the last is read by a later node;
+    - a head kind is the last node, or absent.
+    """
+
     nodes: tuple
     input_shape: tuple  # (c, h, w)
     branch_points: tuple = ()
@@ -406,6 +431,23 @@ class GraphSpec:
                 raise ValueError(f"branch point {name!r} names no node")
         object.__setattr__(self, "input_shape", shape)
         object.__setattr__(self, "_index", seen)
+        compute_shapes(self)
+        if self.nodes and NODE_KINDS[self.nodes[-1].kind].loss:
+            # a branch there would freeze the trunk's classifier, of the
+            # trunk's width, into a head that declares its task's
+            logits = self.nodes[-1].inputs[0]
+            for name in self.branch_points:
+                if seen[name] > seen[logits]:
+                    raise ValueError(f"branch point {name!r} comes after the "
+                                     f"classifier {logits!r}")
+        # a node no later node reads would get no gradient, and no
+        # gradient flows back through a head
+        read = {src for node in self.nodes for src in node.inputs}
+        for node in self.nodes[:-1]:
+            if node.name not in read:
+                raise ValueError(f"node {node.name!r} is read by no later node")
+            if NODE_KINDS[node.kind].loss:
+                raise ValueError(f"head node {node.name!r} is not the last node")
 
     def node(self, name):
         try:
@@ -521,9 +563,9 @@ def compute_shapes(graph: GraphSpec) -> dict:
 def build_trunk(config: ArchConfig) -> GraphSpec:
     """Materialize the residual identity trunk for a configuration.
 
-    The finished graph is sized once through compute_shapes, so any
-    inconsistency (an odd stem output, a resolution driven to zero by too
-    many stride-2 stages) is rejected with the offending node named.
+    The finished GraphSpec checks itself, so any inconsistency (an odd
+    stem output, a resolution driven to zero by too many stride-2 stages)
+    is rejected with the offending node named.
     """
     nodes = []
 
@@ -576,10 +618,8 @@ def build_trunk(config: ArchConfig) -> GraphSpec:
 
     present = [name for name in BRANCH_POINT_NAMES
                if any(n.name == name for n in nodes)]
-    spec = GraphSpec(tuple(nodes), (config.in_channels, config.eff_input_size,
+    return GraphSpec(tuple(nodes), (config.in_channels, config.eff_input_size,
                                     config.eff_input_size), tuple(present))
-    compute_shapes(spec)
-    return spec
 
 
 def check_task(num_classes, loss):
@@ -608,10 +648,10 @@ def head_graph(trunk: GraphSpec, num_classes: int, loss: str) -> GraphSpec:
     the kind LOSS_KINDS names for loss. Every other node is the trunk's;
     make_branch and the branch cost accounting both build on this graph.
     A task check_task rejects, or a head reading no fc node, is a
-    ValueError."""
+    ValueError; the result is a GraphSpec, so it meets every graph rule."""
     check_task(num_classes, loss)
     _, logits, _ = head(trunk)
-    if logits not in trunk or trunk.node(logits).kind != "fc":
+    if trunk.node(logits).kind != "fc":
         raise ValueError(f"the trunk's head reads {logits!r}, not an fc node")
     nodes = [replace(node, attrs={**node.attrs, "out": num_classes})
              if node.name == logits else node for node in trunk.nodes[:-1]]

@@ -51,8 +51,9 @@ across runs. A record set the table does not allow, a repeated record, a
 record of the wrong size or one whose name or data runs past the
 checksum (each length is checked against the bytes left before anything
 is allocated), or a value outside its kind's rule is a ValueError naming
-the record or its offset. So is a branch point after the classifier
-(graph.head) in a graph whose last node is a head.
+the record or its offset. The graph text is read by GraphSpec.parse, so a
+graph that breaks a graph rule (see GraphSpec) is a ValueError naming its
+node before any record is read.
 """
 
 import hashlib
@@ -65,7 +66,7 @@ import numpy as np
 
 from . import ops
 from .common import derive_rng
-from .graph import LOSS_KINDS, NODE_KINDS, GraphSpec, compute_shapes, head
+from .graph import NODE_KINDS, GraphSpec, head
 
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
@@ -436,9 +437,7 @@ def _read_body(stream: _Stream, start):
     if glen > stream.left:
         raise ValueError(f"checkpoint graph text of {glen} bytes runs past "
                          f"the checksum")
-    graph = GraphSpec.parse(stream.take(glen).decode())
-    compute_shapes(graph)  # a graph that cannot run fails here, naming the node
-    _check_branch_points(graph)
+    graph = GraphSpec.parse(stream.take(glen).decode())  # checks every graph rule
     cut = _start_index(graph, start)
 
     axes = param_axes(graph)
@@ -507,18 +506,3 @@ def _read_body(stream: _Stream, start):
                      for bn in owners[BATCHNORM] if bn in parts["count"]}
     return graph, store
 
-
-def _check_branch_points(graph: GraphSpec):
-    """In a graph whose last node is a head, a branch point after the
-    classifier (graph.head) is a ValueError naming it: a branch there would
-    freeze the trunk's classifier, of the trunk's width, into a head that
-    declares its task's."""
-    if not graph.nodes or graph.nodes[-1].kind not in LOSS_KINDS.values():
-        return
-    logits = head(graph)[1]
-    if logits not in graph:
-        return
-    for name in graph.branch_points:
-        if graph.index(name) > graph.index(logits):
-            raise ValueError(f"branch point {name!r} comes after the "
-                             f"classifier {logits!r}")

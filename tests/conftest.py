@@ -88,14 +88,19 @@ def apply_token_edits(text, edits):
 
 
 
-def retext(graph, *edits):
-    """graph parsed back from its text with each (old, new) of edits
-    replaced in turn; each old occurs once."""
+def edited_text(graph, *edits):
+    """graph's text with each (old, new) of edits replaced in turn; each
+    old occurs once."""
     text = graph.serialize()
     for old, new in edits:
         assert text.count(old) == 1
         text = text.replace(old, new)
-    return GraphSpec.parse(text)
+    return text
+
+
+def retext(graph, *edits):
+    """graph parsed back from edited_text(graph, *edits)."""
+    return GraphSpec.parse(edited_text(graph, *edits))
 
 
 def fc_line(graph):
@@ -128,9 +133,45 @@ def two_fc(graph):
 
 
 def head_on_relu320(graph):
-    """A build_trunk graph without its classifier: the head reads relu320."""
-    return retext(graph, (fc_line(graph), "\n"),
-                  ("inputs=fc\n", "inputs=relu320\n"), (",fc\n", "\n"))
+    """The text of a build_trunk graph without its classifier: the head
+    reads relu320, an (80, 1, 1) activation at desk scale, so no GraphSpec
+    holds it."""
+    return edited_text(graph, (fc_line(graph), "\n"),
+                       ("inputs=fc\n", "inputs=relu320\n"), (",fc\n", "\n"))
+
+
+def head_on_relu_over_fc(graph):
+    """A build_trunk graph whose head reads fc_relu, a relu over its fc:
+    logits of the classifier's width from a node that is not an fc."""
+    return retext(graph, ("\nsoftmax softmax-head inputs=fc\n",
+                          "\nfc_relu relu inputs=fc\n"
+                          "softmax softmax-head inputs=fc_relu\n"))
+
+
+def split_records(data):
+    """(head bytes, [(record name, record bytes)]) of a checkpoint."""
+    (glen,) = struct.unpack_from("<Q", data, 8)
+    off = 16 + glen
+    head, records = data[:off], []
+    while off < len(data) - 8:
+        (nlen,) = struct.unpack_from("<I", data, off)
+        (count,) = struct.unpack_from("<Q", data, off + 4 + nlen)
+        end = off + 12 + nlen + 4 * count
+        records.append((data[off + 4:off + 4 + nlen].decode(), data[off:end]))
+        off = end
+    return head, records
+
+
+def seal(head, records):
+    body = head + b"".join(raw for _, raw in records)
+    return body + checksum64(body)
+
+
+def with_graph_text(data, text):
+    """The weights of checkpoint data under graph text, re-sealed."""
+    head, records = split_records(data)
+    head = head[:8] + struct.pack("<Q", len(text)) + text.encode()
+    return seal(head, [r for r in records if not r[0].startswith("m/")])
 
 
 def save_full_prefix_bundle(dirpath, model):

@@ -22,9 +22,10 @@ from branchnet.multihead import (HeadSpec, MultiHeadModel,
                                  format_prediction_lines, load_bundle,
                                  predict_all, prefix_digests,
                                  run_head_standalone, save_bundle)
-from branchnet.params import load_checkpoint, save_checkpoint
+from branchnet.params import checkpoint_bytes, load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
-from conftest import (head_on_relu320, named_cls, save_full_prefix_bundle,
+from conftest import (head_on_relu320, head_on_relu_over_fc, named_cls,
+                      save_full_prefix_bundle, with_graph_text,
                       write_unchecked_tensor)
 
 # quarter-scale single-channel trunk over 4 identities, everywhere below
@@ -268,18 +269,37 @@ def test_a_classifier_named_cls_fine_tunes_warm_and_serves(capsys, tmp_path,
 def test_finetune_rejects_a_trunk_whose_head_reads_no_fc_node(capsys, tmp_path,
                                                              corpus, trunk_ckpt):
     graph, store = load_checkpoint(trunk_ckpt)
-    for table in (store.arrays, store.momentum, store.trainable):
-        del table["fc/w"], table["fc/b"]
-    trunk = str(tmp_path / "relu320.ckpt")
-    save_checkpoint(trunk, head_on_relu320(graph), store)
+    trunk = str(tmp_path / "fc_relu.ckpt")
+    save_checkpoint(trunk, head_on_relu_over_fc(graph), store)
     bundle = tmp_path / "bundle"
     rc, out, err = run_cli(capsys, "finetune", "--trunk", trunk,
                            "--branch", "conv22", "--task", "binary",
                            "--classes", "2", "--data", corpus,
                            "--out", str(bundle))
     assert rc == 2 and out == ""
-    assert err == "error: the trunk's head reads 'relu320', not an fc node\n"
+    assert err == "error: the trunk's head reads 'fc_relu', not an fc node\n"
     assert not bundle.exists()
+
+
+def test_predict_rejects_a_bundle_whose_trunk_head_reads_relu320(
+        capsys, tmp_path, corpus, trunk_ckpt):
+    # the trunk's records without fc's, under the text of a graph whose
+    # head reads the (80, 1, 1) relu320: a bundle with no heads
+    graph, store = load_checkpoint(trunk_ckpt)
+    for table in (store.arrays, store.momentum, store.trainable):
+        del table["fc/w"], table["fc/b"]
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "heads.txt").write_text("")
+    (bundle / "trunk.ckpt").write_bytes(with_graph_text(
+        checkpoint_bytes(graph, store), head_on_relu320(graph)))
+    out = tmp_path / "p.txt"
+    rc, stdout, err = run_cli(capsys, "predict", "--bundle", str(bundle),
+                              "--data", corpus, "--out", str(out))
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "node 'softmax' needs (m,) logits with m >= 2, got shape (80, 1, 1)" in err
+    assert not out.exists()
 
 
 def test_predict_takes_no_batch_size(capsys, tmp_path):

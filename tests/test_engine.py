@@ -48,7 +48,8 @@ def test_keeping_a_boundary_is_bitwise_the_full_forward_on_the_desk_trunk(
 
 def every_kind_graph():
     """Every node kind over a 2x6x6 input: padded, strided and plain 1x1
-    convs, a residual add, both pools, and an fc over a 2x2 extent."""
+    convs, residual adds, both pools (the global one padded back to 2x2 by
+    a 2x2 conv), and an fc over a 2x2 extent."""
     def conv(name, src, cin, k, stride, pad, bias=0):
         return LayerNode(name, "conv", {"in": cin, "out": 4, "k": k,
                                         "stride": stride, "pad": pad,
@@ -63,7 +64,9 @@ def every_kind_graph():
              LayerNode("a1", "add", {}, ("c3", "sc")),
              LayerNode("r2", "relu", {}, ("a1",)),
              LayerNode("gap", "avgpool", {"global": 1}, ("r2",)),
-             LayerNode("fc", "fc", {"in": 16, "out": 3}, ("r2",)),
+             conv("up", "gap", 4, 2, 1, 1),
+             LayerNode("a2", "add", {}, ("r2", "up")),
+             LayerNode("fc", "fc", {"in": 16, "out": 3}, ("a2",)),
              LayerNode("softmax", "softmax-head", {}, ("fc",)))
     return GraphSpec(nodes, input_shape=(2, 6, 6), branch_points=())
 

@@ -1,19 +1,26 @@
 import hashlib
 import re
+import tempfile
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from conftest import (apply_token_edits, graph_token_edits, head_on_relu320,
-                      two_fc)
+from conftest import (apply_token_edits, graph_token_edits,
+                      head_on_relu_over_fc, two_fc)
 
+from branchnet.accounting import suffix_macs
 from branchnet.engine import forward_pass
-from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, GraphSpec,
-                             LayerNode, build_trunk, compute_shapes,
-                             head_graph)
+from branchnet.graph import (ArchConfig, BRANCH_POINT_NAMES, LOSS_KINDS,
+                             GraphSpec, LayerNode, build_trunk,
+                             compute_shapes, head_graph)
+from branchnet.multihead import (HeadSpec, MultiHeadModel, load_bundle,
+                                 predict_all, run_head_standalone, save_bundle)
+from branchnet.resolver import resolve_architecture
 from branchnet.train import (Dataset, TrainConfig, finetune, init_params,
-                             make_branch)
+                             make_branch, train)
 
 
 def test_canonical_has_24_nonshortcut_convs():
@@ -133,17 +140,13 @@ def test_head_graph_resizes_only_the_classifier_the_head_reads(desk_graph):
 
 
 def test_a_head_that_reads_no_fc_node_has_no_classifier(desk_graph):
-    trunk = head_on_relu320(desk_graph)
-    message = "the trunk's head reads 'relu320', not an fc node"
+    trunk = head_on_relu_over_fc(desk_graph)
+    message = "the trunk's head reads 'fc_relu', not an fc node"
     with pytest.raises(ValueError, match=message):
         head_graph(trunk, 7, "softmax")
     store = init_params(trunk, TrainConfig.desk(seed=4))
     with pytest.raises(ValueError, match=message):
         make_branch(trunk, store, "conv22", 7, warm=True)
-    bare = GraphSpec((LayerNode("softmax", "softmax-head", {}, ("input",)),),
-                     (2, 1, 1))
-    with pytest.raises(ValueError, match="reads 'input', not an fc node"):
-        head_graph(bare, 2, "softmax")
 
 
 def test_build_is_deterministic():
@@ -406,3 +409,136 @@ def test_fuzzed_graph_text_runs_or_is_one_value_error(edits):
     store = init_params(graph, TrainConfig(init_std=0.0))
     x = np.ones((2,) + graph.input_shape, dtype=np.float32)
     forward_pass(graph, store, x, mode="train")
+
+
+# the pipeline over the same edits: a graph that constructs and ends in a
+# head, as every trunk does, takes a train step, branches cold and warm at
+# each of its branch points with a finetune step, goes through a bundle,
+# and serves each head bit for bit as its standalone forward
+UNREAD_ADD5 = [(42, 5, "inputs=relu7")]  # relu11 reads relu7: no node reads add5
+MID_HEAD = [(38, 1, "softmax-head")]  # relu10 as a head over the (32, 4, 4) bn10
+UNEDITED = [(1, 0, "conv1")]
+
+
+def run_pipeline(graph):
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.standard_normal((8,) + graph.input_shape).astype(
+        np.float32), np.arange(8) % 2)
+    config = TrainConfig.desk(batch_size=8, max_minibatches=1)
+    store = init_params(graph, config)
+    train(graph, store, data, config)
+    model = MultiHeadModel(graph, store)
+    for layer in graph.branch_points:
+        for warm in (False, True):
+            branch = make_branch(graph, store, layer, 2, warm=warm)
+            finetune(branch, data, config)
+            spec = HeadSpec(f"{layer}-{'warm' if warm else 'cold'}", layer, 2,
+                            "softmax")
+            model.add_head(spec, branch.graph, branch.store)
+    with tempfile.TemporaryDirectory() as bundle:
+        save_bundle(bundle, model)
+        model = load_bundle(bundle)
+    assert len(model.heads) == 2 * len(graph.branch_points)
+    prediction = predict_all(model, data.inputs)
+    for h in model.heads:
+        alone = run_head_standalone(h, data.inputs)
+        assert prediction.tasks[h.spec.task].scores.tobytes() == alone.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=graph_token_edits(DESK_TEXT))
+@example(edits=UNEDITED)
+@example(edits=UNREAD_ADD5)
+@example(edits=MID_HEAD)
+def test_fuzzed_graph_text_that_constructs_trains_branches_and_serves(edits):
+    try:
+        graph = GraphSpec.parse(apply_token_edits(DESK_TEXT, edits))
+    except ValueError:
+        return
+    if graph.nodes[-1].kind not in LOSS_KINDS.values():  # not a trunk
+        with pytest.raises(ValueError, match="is not a head node"):
+            init_params(graph, TrainConfig())
+        return
+    run_pipeline(graph)
+
+
+# every graph rule holds whichever way a graph is made: parsed from text or
+# constructed from nodes
+
+def graph_text(nodes, input_shape, branch_points):
+    """The text GraphSpec.serialize writes for these fields, written
+    without making a GraphSpec."""
+    return GraphSpec.serialize(SimpleNamespace(
+        nodes=nodes, input_shape=input_shape, branch_points=branch_points))
+
+
+def replaced(name, node):
+    """DESK's nodes with node in place of the node called name."""
+    return tuple(node if n.name == name else n for n in DESK.nodes)
+
+
+BN1, RELU11, FC, HEAD = (DESK.node(name) for name in
+                         ("bn1", "relu11", "fc", "softmax"))
+FC_AT, BPS = DESK.index("fc"), DESK.branch_points
+FC0 = LayerNode("fc0", "fc", {"in": 80, "out": 40}, ("relu320",))
+MID = LayerNode("mid", "softmax-head", {}, ("fc0",))
+LOGITS = r"node 'softmax' needs \(m,\) logits with m >= 2, got shape "
+REJECTED = [
+    pytest.param(replaced("bn1", replace(BN1, attrs={**BN1.attrs, "ch": 9})),
+                 BPS, "node 'bn1' declares ch=9 but its input has 8 channels",
+                 id="channels"),
+    pytest.param(DESK.nodes[:FC_AT + 1]
+                 + (LayerNode("dead", "relu", {}, ("fc",)), HEAD),
+                 BPS + ("dead",),
+                 "branch point 'dead' comes after the classifier 'fc'",
+                 id="late-branch-point"),
+    pytest.param(DESK.nodes[:FC_AT] + (replace(HEAD, inputs=("relu320",)),),
+                 BPS[:-1], LOGITS + r"\(80, 1, 1\)", id="head-on-relu320"),
+    pytest.param(replaced("fc", replace(FC, attrs={"in": 80, "out": 1})),
+                 BPS, LOGITS + r"\(1,\)", id="one-class"),
+    pytest.param(replaced("relu11", replace(RELU11, inputs=("relu7",))),
+                 BPS, "node 'add5' is read by no later node", id="unread-node"),
+    pytest.param(DESK.nodes[:FC_AT] + (FC0, MID, replace(
+        FC, attrs={"in": 40, "out": 5}, inputs=("mid",)), HEAD),
+                 BPS, "head node 'mid' is not the last node", id="mid-head"),
+]
+
+
+@pytest.mark.parametrize("nodes, branch_points, message", REJECTED)
+def test_a_graph_that_breaks_a_rule_is_rejected_when_made(nodes, branch_points,
+                                                          message):
+    with pytest.raises(ValueError, match=message):
+        GraphSpec(nodes, DESK.input_shape, branch_points)
+    text = graph_text(nodes, DESK.input_shape, branch_points)
+    with pytest.raises(ValueError, match=message):
+        GraphSpec.parse(text)
+
+
+def test_a_head_reads_logits_of_two_classes_or_more():
+    logits = LayerNode("f", "fc", {"in": 4, "out": 2}, ("input",))
+    for kind in LOSS_KINDS.values():
+        GraphSpec((logits, LayerNode("h", kind, {}, ("f",))), (4, 1, 1))
+        with pytest.raises(ValueError, match=r"node 'h' needs \(m,\) logits"):
+            GraphSpec((LayerNode("h", kind, {}, ("input",)),), (2, 1, 1))
+
+
+# the rules reject nothing the program itself builds
+
+def program_trunks():
+    yield build_trunk(ArchConfig())
+    yield build_trunk(ArchConfig.desk())
+    for candidate in resolve_architecture().candidates:
+        yield build_trunk(ArchConfig(stage_repeats=candidate.stage_repeats))
+
+
+def test_every_trunk_and_head_graph_the_program_builds_constructs():
+    trunks = list(program_trunks())
+    assert len(trunks) == 2 + 25
+    for trunk in trunks:
+        for loss in LOSS_KINDS:
+            graph = head_graph(trunk, 7, loss)
+            for layer in trunk.branch_points:
+                assert graph.branch_index(layer) == trunk.index(layer)
+        for layer in trunk.branch_points:
+            assert suffix_macs(trunk, layer, 7) > 0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from conftest import apply_token_edits, graph_token_edits, retext
+from conftest import (apply_token_edits, edited_text, graph_token_edits, seal,
+                      split_records, with_graph_text)
 
 from branchnet.engine import forward_pass
 from branchnet.graph import NODE_KINDS, ArchConfig, GraphSpec, build_trunk
@@ -15,7 +16,7 @@ from branchnet.params import (ParamStore, checkpoint_bytes, fill,
                               frozen_checksum, frozen_names, load_checkpoint,
                               param_owner, param_shapes, parse_checkpoint,
                               save_checkpoint)
-from branchnet.common import checksum64, derive_rng
+from branchnet.common import derive_rng
 from branchnet.train import (Dataset, TrainConfig, init_params, make_branch,
                              train)
 
@@ -213,38 +214,17 @@ def test_checkpoint_rejects_element_count_mismatch():
 
 
 def test_checkpoint_whose_graph_cannot_run_is_rejected_at_load():
-    # A conv declaring 2 input channels on a 1-channel input: the store is
-    # consistent with the declared shapes, only the graph itself is not.
+    # A conv declaring 2 input channels on a 1-channel input, spliced into
+    # a valid checkpoint: the graph text is read before any record.
     text = ("graph input_shape=1,8,8 branch_points=\n"
             "c conv bias=0 in={} k=3 out=2 pad=1 stride=1 inputs=input\n")
     good = GraphSpec.parse(text.format(1))
-    graph, store = parse_checkpoint(checkpoint_bytes(
-        good, init_params(good, TrainConfig.desk(seed=1))))
+    data = checkpoint_bytes(good, init_params(good, TrainConfig.desk(seed=1)))
+    graph, store = parse_checkpoint(data)
     x = np.zeros((1, 1, 8, 8), dtype=np.float32)
     assert forward_pass(graph, store, x, mode="infer")[0]["c"].shape == (1, 8, 8, 2)
-    bad = GraphSpec.parse(text.format(2))
-    data = checkpoint_bytes(bad, init_params(bad, TrainConfig.desk(seed=1)))
     with pytest.raises(ValueError, match="node 'c' declares in=2"):
-        parse_checkpoint(data)
-
-
-def split_records(data):
-    """(head bytes, [(record name, record bytes)]) of a checkpoint."""
-    (glen,) = struct.unpack_from("<Q", data, 8)
-    off = 16 + glen
-    head, records = data[:off], []
-    while off < len(data) - 8:
-        (nlen,) = struct.unpack_from("<I", data, off)
-        (count,) = struct.unpack_from("<Q", data, off + 4 + nlen)
-        end = off + 12 + nlen + 4 * count
-        records.append((data[off + 4:off + 4 + nlen].decode(), data[off:end]))
-        off = end
-    return head, records
-
-
-def seal(head, records):
-    body = head + b"".join(raw for _, raw in records)
-    return body + checksum64(body)
+        parse_checkpoint(with_graph_text(data, text.format(2)))
 
 
 @pytest.fixture(scope="module")
@@ -443,13 +423,6 @@ def test_a_running_count_float32_cannot_hold_is_rejected_at_save():
 DESK_TEXT = GRAPH.serialize()
 
 
-def with_graph_text(data, text):
-    """The weights of checkpoint data under graph text, re-sealed."""
-    head, records = split_records(data)
-    head = head[:8] + struct.pack("<Q", len(text)) + text.encode()
-    return seal(head, [r for r in records if not r[0].startswith("m/")])
-
-
 def test_a_pool_that_declares_another_window_is_rejected_at_load(trained_desk):
     data, _ = trained_desk
     text = DESK_TEXT.replace("pool1 maxpool k=2", "pool1 maxpool k=3")
@@ -477,16 +450,17 @@ def test_fuzzed_graph_text_in_a_checkpoint_runs_or_is_one_value_error(
 def test_a_branch_point_after_the_classifier_is_rejected_at_load(desk_graph,
                                                                  desk_store):
     # a branch there would freeze the trunk's 20-way fc into a 7-way head
-    late = retext(desk_graph, ("\nsoftmax softmax-head inputs=fc",
-                               "\ndead relu inputs=fc\n"
-                               "softmax softmax-head inputs=fc"),
-                  (",fc\n", ",fc,dead\n"))
-    assert late.branch_points[-1] == "dead"
+    late = edited_text(desk_graph, ("\nsoftmax softmax-head inputs=fc",
+                                    "\ndead relu inputs=fc\n"
+                                    "softmax softmax-head inputs=fc"),
+                       (",fc\n", ",fc,dead\n"))
+    assert "branch_points=conv17,conv19,conv21,conv22,conv-bn320,fc,dead\n" in late
+    data = checkpoint_bytes(desk_graph, desk_store)
     with pytest.raises(ValueError, match="branch point 'dead' comes after the "
                                          "classifier 'fc'"):
-        parse_checkpoint(checkpoint_bytes(late, desk_store))
+        parse_checkpoint(with_graph_text(data, late))
     # the classifier itself stays a branch point
-    parse_checkpoint(checkpoint_bytes(desk_graph, desk_store))
+    parse_checkpoint(data)
 
 
 # streamed reading and writing: one copy, errors that name the file
