@@ -8,20 +8,20 @@ pooling, bias additions) involves no multiply-accumulate chains and is
 tallied separately as output-element counts.
 """
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import NODE_KINDS, GraphSpec, compute_shapes, head_graph
-from .params import param_owner, param_shapes
 
 
 def count_params(graph: GraphSpec):
-    """Returns (per_node, total): learnable element counts by node name."""
+    """Returns (per_node, total): learnable element counts by node name,
+    for each node that owns a parameter (NodeKind.params)."""
     per_node = {}
-    for pname, shape in param_shapes(graph).items():
-        owner = param_owner(pname)
-        per_node[owner] = per_node.get(owner, 0) + int(np.prod(shape))
+    for node in graph.nodes:
+        shapes = NODE_KINDS[node.kind].params(node.attrs).values()
+        if shapes:
+            per_node[node.name] = sum(math.prod(shape) for shape in shapes)
     return per_node, sum(per_node.values())
 
 

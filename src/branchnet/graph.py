@@ -369,7 +369,7 @@ class ArchConfig:
 
     @property
     def eff_input_size(self):
-        return max(1, round(self.input_size * self.scale_factor))
+        return self._scaled(self.input_size)
 
     @classmethod
     def desk(cls, num_identities=20, in_channels=1):
@@ -450,10 +450,7 @@ class GraphSpec:
                 raise ValueError(f"head node {node.name!r} is not the last node")
 
     def node(self, name):
-        try:
-            return self.nodes[self._index[name]]
-        except KeyError:
-            raise KeyError(f"no node named {name!r}") from None
+        return self.nodes[self.index(name)]
 
     def index(self, name):
         try:

@@ -10,10 +10,11 @@ trunk's branch points; the head's graph must be graph.head_graph of the
 trunk for its spec's class count and loss, and so holds the trunk's input
 shape and every node but its classifier; the two stores' prefix_records,
 momentum and trainable flags aside, must match name for name and bit for
-bit; and the task must be new to the model. A mismatch raises ValueError
-naming the record. params.share_prefix then points the head at the
-trunk's objects, so a model holds every prefix byte once, whether its
-heads came from make_branch or from separate checkpoint files.
+bit, unless the head's store holds no prefix record (a suffix-only head);
+and the task must be new to the model. A mismatch raises ValueError
+naming the record. Once every check passes, params.share_prefix points
+the head at the trunk's objects, so a model holds every prefix byte once,
+whether its heads came from make_branch or from separate checkpoint files.
 
 Bundle layout on disk: a directory with trunk.ckpt, one <task>.ckpt per
 head, and heads.txt carrying one HeadSpec record per line (see
@@ -23,8 +24,8 @@ The trunk is stored once. A head file holds only the head's records from
 its branch layer on (a partial record set, params.read_checkpoint's
 start), and prefix_sha256 is prefix_digests' sha256 of the trunk's
 served records before that layer. load_bundle checks the digest against
-trunk.ckpt, loads the suffix, and add_head gives the head the trunk's
-prefix objects, so its bit comparison passes on identical objects. A
+trunk.ckpt and loads the suffix; the head then holds no prefix record, so
+add_head has nothing to compare and shares the trunk's prefix once. A
 4-field line, as bundles written before suffix-only head files hold,
 names a head file with its whole prefix, which loads and is compared
 record by record as it always was.
@@ -116,21 +117,19 @@ class MultiHeadModel:
                              f"as a branch point")
         return self.trunk_graph.index(spec.branch_layer)
 
-    def add_head(self, spec: HeadSpec, graph: GraphSpec, store: ParamStore,
-                 suffix_only=False):
+    def add_head(self, spec: HeadSpec, graph: GraphSpec, store: ParamStore):
         """Validate the head against the trunk and attach it; on success
         the head's store shares the trunk's prefix (params.share_prefix).
-        With suffix_only, store holds the head's state from its branch layer
-        on, and takes the trunk's prefix before the comparison."""
+        A store with no record before the branch layer, as a suffix-only
+        head file loads (load_checkpoint's start), has nothing to compare."""
         bidx = self.branch_index(spec)
         if graph != head_graph(self.trunk_graph, spec.num_classes, spec.loss):
             raise ValueError(f"head {spec.task!r} is not the trunk's head for "
                              f"{spec.num_classes} classes and loss "
                              f"{spec.loss!r}")
-        if suffix_only:
-            share_prefix(graph, store, self.trunk_store, bidx)
         mine = prefix_records(graph, store, bidx)
-        theirs = prefix_records(self.trunk_graph, self.trunk_store, bidx)
+        theirs = (prefix_records(self.trunk_graph, self.trunk_store, bidx)
+                  if mine else {})
         for rname in sorted(mine.keys() | theirs.keys()):
             if (RECORD_TABLE[rname.partition("/")[0]].served
                     and not _same_bits(mine.get(rname), theirs.get(rname))):
@@ -279,7 +278,7 @@ def load_bundle(dirpath) -> MultiHeadModel:
                                  f"head's prefix digest")
             start = spec.branch_layer
         graph, store = _load_servable(dirpath, f"{spec.task}.ckpt", start)
-        model.add_head(spec, graph, store, suffix_only=start is not None)
+        model.add_head(spec, graph, store)
     return model
 
 

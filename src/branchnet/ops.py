@@ -22,10 +22,10 @@ w2 the weights viewed (k*k*c, out):
   (n, h, w, c) buffer, one strided += per kernel position, each adding
   runs of c contiguous floats, and crops the padding.
 
-A plain 1x1 convolution (stride 1, no padding) gathers nothing in either
-direction: its columns are its input reshaped, a view of a contiguous
-input, and its input gradient is the column gradient reshaped. The
-backward gathers its columns again rather than keeping the forward's: a
+A plain 1x1 convolution (stride 1, no padding) copies nothing in either
+direction: _im2col's view of a contiguous input is that input, and its
+input gradient is the column gradient reshaped. The backward gathers its
+columns again rather than keeping the forward's: a
 batch-32 desk step's columns are 11.4 MiB, which would stay alive from
 each conv's forward to its backward. The inner summation is delegated to
 BLAS, so comparisons against the naive loop oracle use the relaxed 1e-5
@@ -138,7 +138,8 @@ def _conv_geometry(x_shape, w_shape, stride, padding):
 def _im2col(x, k, stride, padding, oh, ow):
     """Columns (n*oh*ow, k*k*c) of x's k x k windows: kernel row, kernel
     column, then channel, copied from one strided view over a zero-padded
-    copy of x when padding > 0."""
+    copy of x when padding > 0, unless that view is already contiguous, as
+    a plain 1x1 conv's over a contiguous x is: then x's own memory."""
     n, h, w, c = x.shape
     if padding:
         padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
@@ -154,14 +155,6 @@ def _im2col(x, k, stride, padding, oh, ow):
 def _plain(k, stride, padding):
     """Whether a convolution reads each input pixel once, as one column."""
     return k == 1 and stride == 1 and padding == 0
-
-
-def _columns(x, k, stride, padding, oh, ow):
-    """The column matrix (n*oh*ow, k*k*c): x itself, reshaped, for a plain
-    1x1 convolution, else gathered by _im2col."""
-    if _plain(k, stride, padding):
-        return x.reshape(-1, x.shape[3])
-    return _im2col(x, k, stride, padding, oh, ow)
 
 
 def _row_products(a, b, n=1):
@@ -181,7 +174,7 @@ def conv2d_forward(x, weights, bias=None, stride=1, padding=0):
     _check_nhwc(x)
     _require(weights.ndim == 4, f"weights must be 4-d, got shape {weights.shape}")
     n, h, w, c, c_out, k, oh, ow = _conv_geometry(x.shape, weights.shape, stride, padding)
-    cols = _columns(x, k, stride, padding, oh, ow)
+    cols = _im2col(x, k, stride, padding, oh, ow)
     y = _row_products(cols, weights.reshape(-1, c_out), n).reshape(n, oh, ow, c_out)
     if bias is not None:
         _require(bias.shape == (c_out,),
@@ -199,7 +192,7 @@ def conv2d_backward(x, weights, bias, output_grad, stride=1, padding=0,
     _require(output_grad.shape == (n, oh, ow, c_out),
              f"output_grad shape {output_grad.shape} does not match forward "
              f"output ({n}, {oh}, {ow}, {c_out})")
-    cols = _columns(x, k, stride, padding, oh, ow)
+    cols = _im2col(x, k, stride, padding, oh, ow)
     gy = output_grad.reshape(-1, c_out)
 
     grads = {}
@@ -234,15 +227,10 @@ def maxpool2x2(x):
 
 def maxpool2x2_backward(x, output_grad):
     """Routes each window's gradient to the first maximum in row-major window order."""
-    _check_nhwc(x)
-    n, h, w, c = x.shape
-    _require(h % 2 == 0 and w % 2 == 0,
-             f"maxpool2x2 needs even spatial extents, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    _require(output_grad.shape == (n, h2, w2, c),
-             f"output_grad shape {output_grad.shape} does not match pooled "
-             f"shape ({n}, {h2}, {w2}, {c})")
     top = maxpool2x2(x)
+    _require(output_grad.shape == top.shape,
+             f"output_grad shape {output_grad.shape} does not match pooled "
+             f"shape {top.shape}")
     zero = x.dtype.type(0)
     gx = np.empty_like(x)
     free = np.ones(top.shape, dtype=bool)  # windows not yet routed

@@ -289,6 +289,17 @@ def _start_index(graph: GraphSpec, start) -> int:
     return graph.index(start)
 
 
+def _writable(graph: GraphSpec, store: ParamStore, start) -> int:
+    """_start_index, once the store is one write_checkpoint can write: a
+    running count above COUNT_LIMIT is a ValueError naming its batchnorm."""
+    for bn, rs in store.running.items():
+        if rs.count > COUNT_LIMIT:
+            raise ValueError(f"batchnorm {bn!r} has a running count of "
+                             f"{rs.count}, above the 2^24 a checkpoint holds "
+                             f"exactly")
+    return _start_index(graph, start)
+
+
 def write_checkpoint(f, graph: GraphSpec, store: ParamStore, start=None):
     """Write the checkpoint of graph and store to the binary file f, one
     record at a time, each hashed as it is written. With start, a node
@@ -297,12 +308,7 @@ def write_checkpoint(f, graph: GraphSpec, store: ParamStore, start=None):
     start). Every value is written as float32, so a running count above
     COUNT_LIMIT, which float32 cannot hold exactly, is a ValueError naming
     its batchnorm, raised before anything is written."""
-    for bn, rs in store.running.items():
-        if rs.count > COUNT_LIMIT:
-            raise ValueError(f"batchnorm {bn!r} has a running count of "
-                             f"{rs.count}, above the 2^24 a checkpoint holds "
-                             f"exactly")
-    cut = _start_index(graph, start)
+    cut = _writable(graph, store, start)
     digest = hashlib.sha256()
 
     def put(*chunks):
@@ -348,6 +354,8 @@ def checkpoint_bytes(graph: GraphSpec, store: ParamStore, start=None) -> bytes:
 
 
 def save_checkpoint(path, graph: GraphSpec, store: ParamStore, start=None):
+    """Write the checkpoint to path; a refused store leaves path as it was."""
+    _writable(graph, store, start)
     with open(path, "wb") as f:
         write_checkpoint(f, graph, store, start)
 

@@ -24,9 +24,9 @@ and resume there. No prefix node mixes samples, so each step's minibatch
 rows are bitwise equal to a per-step forward from node 0. A trunk step
 resumes the same way at node 0, from {"input": dataset.inputs}.
 
-A step that leaves a non-finite value in an array it updated, or a
-non-finite loss, raises ValueError naming the minibatch, so no run returns
-weights that a checkpoint could not hold.
+A step that leaves a non-finite value in an array or running statistic it
+updated, or a non-finite loss, raises ValueError naming the minibatch, so
+no run returns weights that a checkpoint could not hold.
 """
 
 from dataclasses import dataclass, field
@@ -201,13 +201,16 @@ def train(graph: GraphSpec, store: ParamStore, dataset: Dataset,
         idx = _batch_indices(n, t, config)
         yb = dataset.labels[idx]
         acts, bn_updates = forward_pass(
-            graph, store, None, mode="train", train_from=train_from,
-            start=train_from,
+            graph, store, None, mode="train", start=train_from,
             cache={name: a[idx] for name, a in prefix.items()}, saved=saved)
-        store.running.update(bn_updates)
         value, _, logit_grad = kind.loss(acts[logits], yb)
         if not np.isfinite(value):
             raise ValueError(f"non-finite loss at minibatch {t}; training aborted")
+        for bn, stats in bn_updates.items():
+            if not (np.isfinite(stats.mean).all() and np.isfinite(stats.var).all()):
+                raise ValueError(f"non-finite running statistics of batchnorm "
+                                 f"{bn!r} after minibatch {t}; training aborted")
+        store.running.update(bn_updates)
         acc = float(kind.hits(acts[logits], yb).mean())
         grads, _ = backward_pass(graph, store, acts, {logits: logit_grad},
                                  stop=train_from, saved=saved, input_grad=False)

@@ -80,6 +80,33 @@ def graph_token_edits(text):
     return st.lists(edit, min_size=1, max_size=2)
 
 
+def graph_column_edits(text):
+    """Hypothesis strategy over one or two edits of a graph text, each
+    replacing one whitespace token with another token of the same text
+    from its column, or deleting it (""): a node name for a node name, a
+    kind for a kind, and a key=value token for one of the same key
+    (inputs= too)."""
+    lines = [line.split() for line in text.splitlines()]
+
+    def column(row, col):
+        key, sep, _ = lines[row][col].partition("=")
+        return key if sep else (min(row, 1), col)  # the header's "graph" alone
+
+    columns = {}
+    for row, tokens in enumerate(lines):
+        for col, token in enumerate(tokens):
+            columns.setdefault(column(row, col), set()).add(token)
+    spots = [(row, col) for row, tokens in enumerate(lines)
+             for col in range(len(tokens))]
+
+    def edit(spot):
+        row, col = spot
+        others = sorted(columns[column(row, col)] - {lines[row][col]})
+        return st.tuples(st.just(row), st.just(col), st.sampled_from(others + [""]))
+
+    return st.lists(st.sampled_from(spots).flatmap(edit), min_size=1, max_size=2)
+
+
 def apply_token_edits(text, edits):
     lines = [line.split() for line in text.splitlines()]
     for row, col, token in edits:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from conftest import (apply_token_edits, graph_token_edits,
+from conftest import (apply_token_edits, graph_column_edits, graph_token_edits,
                       head_on_relu_over_fc, two_fc)
 
 from branchnet.accounting import suffix_macs
@@ -445,9 +445,9 @@ def run_pipeline(graph):
         assert prediction.tasks[h.spec.task].scores.tobytes() == alone.tobytes()
 
 
-@settings(max_examples=400, deadline=None, derandomize=True,
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(edits=graph_token_edits(DESK_TEXT))
+@given(edits=graph_column_edits(DESK_TEXT))
 @example(edits=UNEDITED)
 @example(edits=UNREAD_ADD5)
 @example(edits=MID_HEAD)

@@ -456,6 +456,42 @@ def test_add_head_shares_a_bitwise_equal_prefix(model):
     assert len(bare.heads) == 1
 
 
+def suffix_store(tmp_path, head):
+    """The head's store as its suffix-only checkpoint loads: no record
+    before the branch layer."""
+    path, layer = tmp_path / "head.ckpt", head.spec.branch_layer
+    save_checkpoint(path, head.graph, head.store, start=layer)
+    return load_checkpoint(path, start=layer)[1]
+
+
+def test_add_head_takes_a_suffix_only_store_as_it_is(tmp_path, model):
+    head = model.heads[0]  # nuisance, branching at conv19
+    store = suffix_store(tmp_path, head)
+    bidx = head.graph.index("conv19")
+    assert not prefix_records(head.graph, store, bidx)
+    bare = MultiHeadModel(model.trunk_graph, model.trunk_store)
+    bare.add_head(head.spec, head.graph, store)
+    for name in frozen_names(head.graph, bidx):
+        assert store.arrays[name] is model.trunk_store.arrays[name]
+        assert store.trainable[name] is False
+    assert store.running["bn1"] is model.trunk_store.running["bn1"]
+    np.testing.assert_array_equal(predict_all(bare, inputs(4, 3)).tasks[
+        "nuisance"].scores, run_head_standalone(head, inputs(4, 3)))
+
+
+def test_a_refused_head_leaves_its_store_unchanged(tmp_path, model):
+    head = model.heads[0]
+    other = build_trunk(ArchConfig.desk(num_identities=12, in_channels=3))
+    for store in (head.store.copy(), suffix_store(tmp_path, head)):
+        tables = (store.arrays, store.momentum, store.trainable, store.running)
+        before = [{k: id(v) for k, v in t.items()} for t in tables]
+        with pytest.raises(ValueError, match="already in the model"):
+            model.add_head(head.spec, head.graph, store)
+        with pytest.raises(ValueError, match="is not the trunk's head"):
+            model.add_head(HeadSpec("t", "conv19", 7, "softmax"), other, store)
+        assert [{k: id(v) for k, v in t.items()} for t in tables] == before
+
+
 def test_bundle_written_with_momentum_loads_without_it(tmp_path, model):
     out = tmp_path / "bundle"
     save_bundle(out, model)

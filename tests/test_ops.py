@@ -140,8 +140,6 @@ def test_pointwise_conv_is_bitwise_the_strided_im2col_path(dtype, shape):
     gy = to_nhwc(rng.standard_normal((n, 9, h, wd)).astype(dtype))
     gy[:, ::2] = -0.0  # whole spatial rows with no gradient
     y, gx, gw, gb = strided_pointwise_conv(x, w, b, gy)
-    # the columns are x itself, not a copy
-    assert np.shares_memory(ops._columns(x, 1, 1, 0, h, wd), x)
     assert bitwise_equal(ops.conv2d_forward(x, w, b, 1, 0), y)
     grad = ops.conv2d_backward(x, w, b, gy, 1, 0)
     assert bitwise_equal(grad.input_grad, gx)
@@ -156,26 +154,27 @@ def test_pointwise_conv_is_bitwise_the_strided_im2col_path(dtype, shape):
 
 
 def test_a_plain_pointwise_conv_gathers_nothing_either_way(monkeypatch):
-    # The columns of a 1x1 stride-1 unpadded conv are its input, reshaped:
-    # neither direction calls the gather, and both read x's own memory.
+    # The columns of a 1x1 stride-1 unpadded conv over a contiguous input
+    # are that input's own memory in both directions; a strided or padded
+    # 1x1 conv, or one over a non-contiguous input, copies its columns.
     rng = np.random.default_rng(21)
-    x = rng.standard_normal((4, 5, 6, 8)).astype(np.float32)
+    x = rng.standard_normal((4, 6, 6, 8)).astype(np.float32)
     w = rng.standard_normal((1, 1, 8, 3)).astype(np.float32)
-    gy = rng.standard_normal((4, 5, 6, 3)).astype(np.float32)
-    columns, gathers = [], []
-    real_columns, real_im2col = ops._columns, ops._im2col
-    monkeypatch.setattr(ops, "_columns", lambda *a: columns.append(
-        real_columns(*a)) or columns[-1])
-    monkeypatch.setattr(ops, "_im2col", lambda *a: gathers.append(a) or real_im2col(*a))
-    ops.conv2d_forward(x, w, None, 1, 0)
-    grad = ops.conv2d_backward(x, w, None, gy, 1, 0)
-    assert len(columns) == 2 and not gathers
-    assert all(np.shares_memory(cols, x) for cols in columns)
-    assert grad.input_grad.shape == x.shape
-    # a strided or padded 1x1 conv gathers once each way
-    ops.conv2d_backward(x, w, None, gy[:, ::2, ::2], 2, 0)
-    ops.conv2d_forward(x, w, None, 1, 1)
-    assert len(gathers) == 2
+    shared = []
+    real = ops._im2col
+
+    def gather(a, *geom):
+        cols = real(a, *geom)
+        shared.append(np.shares_memory(cols, a))
+        return cols
+    monkeypatch.setattr(ops, "_im2col", gather)
+    for xs, stride, pad, copied in ((x, 1, 0, False), (x, 2, 0, True),
+                                    (x, 1, 1, True), (swap_hw(x), 1, 0, True)):
+        del shared[:]
+        y = ops.conv2d_forward(xs, w, None, stride, pad)
+        grad = ops.conv2d_backward(xs, w, None, y, stride, pad)
+        assert shared == [not copied] * 2, (stride, pad)
+        assert grad.input_grad.shape == x.shape
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -405,16 +405,23 @@ def test_running_count_must_be_a_whole_number(trained_desk, value):
     assert parse_checkpoint(seal(head, whole))[1].running["bn2"].count == 2
 
 
-def test_a_running_count_float32_cannot_hold_is_rejected_at_save():
+def test_a_running_count_float32_cannot_hold_is_rejected_at_save(tmp_path):
     store = fresh_store()
     rs = store.running["bn320"]
     store.running["bn320"] = RunningStats(rs.mean, rs.var, 2**24)
     _, loaded = parse_checkpoint(checkpoint_bytes(GRAPH, store))
     assert loaded.running["bn320"].count == 2**24
+    path = tmp_path / "desk.ckpt"
+    save_checkpoint(path, GRAPH, store)
+    saved = path.read_bytes()
     store.running["bn320"] = RunningStats(rs.mean, rs.var, 2**24 + 1)
-    with pytest.raises(ValueError, match="batchnorm 'bn320' has a running "
-                                         r"count of 16777217, above the 2\^24"):
-        checkpoint_bytes(GRAPH, store)
+    for refuse in (lambda: checkpoint_bytes(GRAPH, store),
+                   lambda: save_checkpoint(path, GRAPH, store)):
+        with pytest.raises(ValueError, match="batchnorm 'bn320' has a running "
+                                             r"count of 16777217, above the 2\^24"):
+            refuse()
+    # the refused store leaves the file it was saved over as it was
+    assert path.read_bytes() == saved
 
 
 # graph-text fuzz inside a checkpoint: the trained desk checkpoint, weights

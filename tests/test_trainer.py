@@ -11,7 +11,7 @@ from branchnet.params import (ParamStore, checkpoint_bytes, frozen_checksum,
 from branchnet.train import (Dataset, TrainConfig, _batch_indices,
                              evaluate_accuracy, finetune, init_params, lr_at,
                              make_branch, sgd_momentum_step, train)
-from conftest import named_cls, to_nchw
+from conftest import apply_token_edits, named_cls, to_nchw
 from oracles import conv2d_backward_batch_gemm
 
 
@@ -228,6 +228,24 @@ def test_a_step_that_leaves_a_non_finite_weight_aborts():
     with pytest.raises(ValueError, match=r"^non-finite value in 'fc/[bw]' "
                                          r"after minibatch 0; training"):
         train(graph, store, toy_dataset(), cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_step_that_leaves_non_finite_running_statistics_aborts():
+    # relu1 made a maxpool: the cold branch's step 0 has a finite loss and
+    # finite arrays, but bn320's batch variance overflows float32
+    text = build_trunk(ArchConfig.desk(num_identities=5)).serialize()
+    graph = GraphSpec.parse(apply_token_edits(text, [(3, 7, "maxpool")]))
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.standard_normal((2,) + graph.input_shape).astype(
+        np.float32), np.arange(2) % 2)
+    cfg = TrainConfig.desk(batch_size=2, max_minibatches=1)
+    store = init_params(graph, cfg)
+    train(graph, store, data, cfg)
+    branch = make_branch(graph, store, "conv-bn320", 2)
+    with pytest.raises(ValueError, match=r"^non-finite running statistics of "
+                                         r"batchnorm 'bn320' after minibatch 0"):
+        finetune(branch, data, cfg)
 
 
 def test_empty_dataset_is_rejected():
@@ -814,18 +832,23 @@ def test_boundary_input_gradient_is_skipped_and_changes_no_gradient(
 
 def test_a_trunk_step_gathers_only_the_convs_that_are_not_plain_1x1(
         trunk, monkeypatch):
-    # One gather per direction for each of the 15 convs with a window or a
-    # stride; the 13 plain 1x1 convs read their input as their columns.
+    # One column copy per direction for each of the 15 convs with a window
+    # or a stride; the 13 plain 1x1 convs read their input's own memory.
     graph, store = trunk
-    gathers = []
+    copies = []
     real = ops._im2col
-    monkeypatch.setattr(ops, "_im2col",
-                        lambda x, *geom: gathers.append(geom[:3]) or real(x, *geom))
+
+    def gather(a, *geom):
+        cols = real(a, *geom)
+        if not np.shares_memory(cols, a):
+            copies.append(geom[:3])
+        return cols
+    monkeypatch.setattr(ops, "_im2col", gather)
     cfg = TrainConfig.desk(batch_size=8, max_minibatches=1, seed=3)
     train(graph, store.copy(), branch_dataset(n=8, seed=2, classes=6), cfg)
     convs = [(n.attrs["k"], n.attrs["stride"], n.attrs["pad"])
              for n in graph.nodes if n.kind == "conv"]
     windowed = [geom for geom in convs if geom != (1, 1, 0)]
     assert (len(convs), len(windowed)) == (28, 15)
-    assert len(gathers) == 30
-    assert sorted(gathers) == sorted(windowed * 2)
+    assert len(copies) == 30
+    assert sorted(copies) == sorted(windowed * 2)
