@@ -2,10 +2,15 @@
 
 Tensor container ("TNSR"): magic, version byte, rank byte, little-endian
 u32 dims, float32 little-endian payload, and a trailing 8-byte checksum
-over every preceding byte. Bitwise round-trip is a contract; a payload
+over every preceding byte. The magic and the checksum are the frame that
+checkpoints share, written and checked by common.write_framed and
+common.read_framed; this module reads and writes only the body. The
+reader checks the rank and then the dims against the bytes left, as
+Python ints, before it allocates the array, and reads the payload from
+the file straight into it. Bitwise round-trip is a contract; a payload
 holding NaN or inf reads as a ValueError naming the container, and
-tensor_bytes refuses one with a ValueError too, so no written container
-fails to read.
+tensor_bytes refuses one with a ValueError too, as it refuses a shape
+the header cannot hold, so no written container fails to read.
 
 Manifests are tab-separated with a header line; `id` and `path` columns are
 required, label columns are whatever the header declares. Paths are stored
@@ -27,71 +32,88 @@ Identity is invariant to the nuisance factor by construction; the binary
 factor is perfectly aligned with identity.
 """
 
+import io
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .common import checksum64, derive_rng
+from .common import derive_rng, read_framed, write_framed
 from .config import check_ranges, fields_from_mapping
 
 TENSOR_MAGIC = b"TNSR"
 TENSOR_VERSION = 1
 
 
-def tensor_bytes(arr) -> bytes:
-    """The container of arr as float32. A value that is NaN or inf once
-    cast (so also a float64 beyond float32's range) is a ValueError."""
+def _chunks(arr):
+    """The chunks of arr's container after its magic, arr cast to float32,
+    or the ValueError tensor_bytes states."""
     with np.errstate(over="ignore"):  # out of range casts to inf, refused below
         arr = np.asarray(arr, dtype=np.float32)
     if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError("tensor holds a non-finite value as float32")
-    if arr.ndim > 255:
-        raise ValueError(f"rank {arr.ndim} exceeds the container limit")
-    head = TENSOR_MAGIC + struct.pack("<BB", TENSOR_VERSION, arr.ndim)
-    dims = b"".join(struct.pack("<I", d) for d in arr.shape)
-    chunks = [head, dims, np.ascontiguousarray(arr, "<f4")]
-    return b"".join([*chunks, checksum64(*chunks)])  # the one copy
+    if arr.ndim > 255 or max(arr.shape, default=0) >= 2 ** 32:
+        raise ValueError(f"shape {arr.shape} exceeds the container's limits")
+    head = struct.pack(f"<BB{arr.ndim}I", TENSOR_VERSION, arr.ndim, *arr.shape)
+    return head, np.ascontiguousarray(arr, "<f4")
+
+
+def tensor_bytes(arr) -> bytes:
+    """The container of arr as float32, as write_tensor writes it. A value
+    that is NaN or inf once cast (so also a float64 beyond float32's range)
+    is a ValueError, as is a rank above 255 or an extent of 2^32 or more,
+    which the header cannot hold."""
+    buf = io.BytesIO()
+    write_framed(buf, TENSOR_MAGIC, _chunks(arr))
+    return buf.getvalue()
 
 
 def write_tensor(path, arr):
     """Write arr's container; a refused array leaves no file behind."""
-    data = tensor_bytes(arr)
+    chunks = _chunks(arr)
     with open(path, "wb") as f:
-        f.write(data)
+        write_framed(f, TENSOR_MAGIC, chunks)
 
 
-def parse_tensor(data: bytes, name="tensor") -> np.ndarray:
-    if len(data) < 14 or data[:4] != TENSOR_MAGIC:
-        raise ValueError(f"{name}: not a tensor container (bad magic)")
-    if checksum64(memoryview(data)[:-8]) != data[-8:]:
-        raise ValueError(f"{name}: checksum mismatch; file is corrupt")
-    version, rank = struct.unpack_from("<BB", data, 4)
+def _read_body(frame):
+    version, rank = frame.take(2)
     if version != TENSOR_VERSION:
-        raise ValueError(f"{name}: unsupported container version {version}")
-    if len(data) < 6 + 4 * rank + 8:
-        raise ValueError(f"{name}: {len(data)} bytes cannot hold the dims of "
-                         f"a rank-{rank} tensor")
-    dims = struct.unpack_from(f"<{rank}I", data, 6)
-    off = 6 + 4 * rank
-    count = int(np.prod(dims)) if rank else 1
-    expected = off + 4 * count + 8
-    if len(data) != expected:
-        raise ValueError(f"{name}: payload length {len(data)} does not match "
-                         f"dims {dims} (expected {expected} bytes)")
-    arr = np.frombuffer(data, dtype="<f4", count=count, offset=off) \
-        .reshape(dims).copy()
+        raise ValueError(f"unsupported container version {version}")
+    if 4 * rank > frame.left:
+        raise ValueError(f"{frame.left} bytes cannot hold the dims of a "
+                         f"rank-{rank} tensor")
+    dims = struct.unpack(f"<{rank}I", frame.take(4 * rank))
+    if 4 * math.prod(dims) != frame.left:
+        raise ValueError(f"payload of {frame.left} bytes does not match "
+                         f"dims {dims}")
+    arr = frame.into(np.empty(dims, "<f4"))
     # min and max propagate NaN and hold any inf, with no temporary
     if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ValueError(f"{name}: holds a non-finite value")
+        raise ValueError("holds a non-finite value")
     return arr
 
 
+def _read_tensor(f, name):
+    try:
+        return read_framed(f, TENSOR_MAGIC, "tensor container", _read_body)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def parse_tensor(data: bytes, name="tensor") -> np.ndarray:
+    """The array of container bytes, read as read_tensor reads a file;
+    an error's message starts with name."""
+    return _read_tensor(io.BytesIO(data), name)
+
+
 def read_tensor(path) -> np.ndarray:
+    """The array in the container at path, read from the file straight into
+    it. Any problem with the bytes is a ValueError whose message starts
+    with the path."""
     with open(path, "rb") as f:
-        data = f.read()
-    return parse_tensor(data, name=str(path))
+        return _read_tensor(f, str(path))
 
 
 @dataclass

@@ -23,14 +23,16 @@ fill draws each fresh weight in checkpoint
 order and lays it out as the reader does (_store_order). No other module
 applies the checkpoint's order.
 
-write_checkpoint and read_checkpoint stream a file one record at a time,
-each byte fed to a running sha256 as it is written or read, so neither
-holds the file: the reader allocates each record's final array and
-readinto's it, and a load peaks at the store it returns plus the largest
-record. checkpoint_bytes, save_checkpoint, parse_checkpoint and
-load_checkpoint wrap them over bytes (io.BytesIO) or a path. A checksum
-mismatch takes precedence over every other error after the magic: when
-the body fails to parse, the reader hashes the rest of the file first and
+The magic and the trailing checksum are the frame that tensor containers
+share, written and checked by common.write_framed and common.read_framed;
+this module reads and writes only the body between them. write_checkpoint
+and read_checkpoint stream it one record at a time, so neither holds the
+file: the reader allocates each record's final array and reads into it,
+and a load peaks at the store it returns plus the largest record.
+checkpoint_bytes, save_checkpoint, parse_checkpoint and load_checkpoint
+wrap them over bytes (io.BytesIO) or a path. A checksum mismatch takes
+precedence over every other error after the magic: when the body fails
+to parse, the frame's reader hashes the rest of the file first and
 reports a corrupt file as such.
 
 A checkpoint may hold a partial record set declared by a start node, as a
@@ -65,7 +67,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ops
-from .common import derive_rng
+from .common import Frame, derive_rng, read_framed, write_framed
 from .graph import NODE_KINDS, GraphSpec, head
 
 CHECKPOINT_MAGIC = b"CKPT"
@@ -302,23 +304,22 @@ def _writable(graph: GraphSpec, store: ParamStore, start) -> int:
 
 def write_checkpoint(f, graph: GraphSpec, store: ParamStore, start=None):
     """Write the checkpoint of graph and store to the binary file f, one
-    record at a time, each hashed as it is written. With start, a node
+    record at a time, through common.write_framed. With start, a node
     name, only the records owned by start and the nodes after it are
     written (the partial record set read_checkpoint accepts with that
     start). Every value is written as float32, so a running count above
     COUNT_LIMIT, which float32 cannot hold exactly, is a ValueError naming
     its batchnorm, raised before anything is written."""
     cut = _writable(graph, store, start)
-    digest = hashlib.sha256()
+    write_framed(f, CHECKPOINT_MAGIC, _chunks(graph, store, cut))
 
-    def put(*chunks):
-        for chunk in chunks:
-            digest.update(chunk)
-            f.write(chunk)
 
+def _chunks(graph: GraphSpec, store: ParamStore, cut: int):
+    """The checkpoint's chunks after its magic, leaving out the records of
+    nodes before index cut; a conv weight's chunk is a scratch buffer that
+    the next one reuses."""
     gtext = graph.serialize().encode()
-    put(CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-        struct.pack("<Q", len(gtext)), gtext)
+    yield struct.pack("<IQ", CHECKPOINT_VERSION, len(gtext)) + gtext
     records = store_records(store)
     if store.momentum:  # a parameter without a velocity is at rest: zeros
         for name in store.arrays:
@@ -342,8 +343,8 @@ def write_checkpoint(f, graph: GraphSpec, store: ParamStore, start=None):
         # a contiguous float32 record is written from the store's own memory
         data = np.ascontiguousarray(data, "<f4").reshape(-1)
         nb = rname.encode()
-        put(struct.pack("<I", len(nb)), nb, struct.pack("<Q", data.size), data)
-    f.write(digest.digest()[:8])
+        yield struct.pack("<I", len(nb)) + nb + struct.pack("<Q", data.size)
+        yield data
 
 
 def checkpoint_bytes(graph: GraphSpec, store: ParamStore, start=None) -> bytes:
@@ -376,72 +377,23 @@ def parse_checkpoint(data: bytes, start=None):
     return read_checkpoint(io.BytesIO(data), start)
 
 
-class _Stream:
-    """The body of a checkpoint file, the bytes before its 8-byte checksum,
-    read in order: every byte read is fed to a running sha256, and off
-    counts them. A read past the body is a ValueError."""
-
-    def __init__(self, f, size):
-        self.f, self.end, self.off = f, size - 8, 0
-        self.digest = hashlib.sha256()
-
-    @property
-    def left(self):
-        return self.end - self.off
-
-    def into(self, buf):
-        """Fill the writable buffer buf from the stream."""
-        view = memoryview(buf).cast("B")
-        if len(view) > self.left or self.f.readinto(view) != len(view):
-            raise ValueError(f"checkpoint ends inside the {len(view)} bytes "
-                             f"at offset {self.off}")
-        self.digest.update(view)
-        self.off += len(view)
-        return buf
-
-    def take(self, n):
-        """The next n bytes of the stream."""
-        return self.into(bytearray(n))
-
-    def finish(self):
-        """Hash what is left of the body, then compare the checksum: a
-        mismatch is a ValueError."""
-        while self.left:
-            self.take(min(self.left, 1 << 20))
-        if self.f.read(8) != self.digest.digest()[:8]:
-            raise ValueError("checkpoint checksum mismatch; file is corrupt")
-
-
 def read_checkpoint(f, start=None):
-    """Read the checkpoint in the binary file f; returns (graph, store).
+    """Read the checkpoint in the binary file f through common.read_framed;
+    returns (graph, store).
 
-    Each record goes once from the file into its final array (readinto); a
-    conv weight lands in one reusable scratch buffer and is permuted from
-    there into store order. A running sha256 sees every byte as it
-    arrives. With start, a node name, the file holds a partial record set:
-    no record owned by a node before start, and every record the
-    completeness rules ask for from start on. A checksum mismatch takes
-    precedence: when the body fails to parse, the rest of the file is
-    hashed first, and a corrupt file is reported as such."""
-    size = f.seek(0, io.SEEK_END)
-    f.seek(0)
-    stream = _Stream(f, size)
-    if size < 24 or stream.take(4) != CHECKPOINT_MAGIC:
-        raise ValueError("not a checkpoint file (bad magic)")
-    try:
-        result = _read_body(stream, start)
-    except ValueError:
-        stream.finish()
-        raise
-    stream.finish()
-    return result
+    Each record goes once from the file into its final array; a conv
+    weight lands in one reusable scratch buffer and is permuted from there
+    into store order. With start, a node name, the file holds a partial
+    record set: no record owned by a node before start, and every record
+    the completeness rules ask for from start on."""
+    return read_framed(f, CHECKPOINT_MAGIC, "checkpoint",
+                       lambda frame: _read_body(frame, start))
 
 
-def _read_body(stream: _Stream, start):
-    (version,) = struct.unpack("<I", stream.take(4))
+def _read_body(stream: Frame, start):
+    version, glen = struct.unpack("<IQ", stream.take(12))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    (glen,) = struct.unpack("<Q", stream.take(8))
     if glen > stream.left:
         raise ValueError(f"checkpoint graph text of {glen} bytes runs past "
                          f"the checksum")

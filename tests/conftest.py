@@ -1,12 +1,13 @@
+import hashlib
 import os
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from branchnet.common import checksum64
 from branchnet.dataio import TENSOR_MAGIC, TENSOR_VERSION
 from branchnet.engine import forward_pass
 from branchnet.config import format_records
@@ -37,6 +38,26 @@ def warm_desk_store(desk_graph, desk_store):
 
 def desk_inputs(rng, n):
     return rng.standard_normal((n, 1, 56, 56)).astype(np.float32)
+
+
+def checksum64(*chunks) -> bytes:
+    """The 8-byte checksum that ends a tensor container or checkpoint whose
+    bytes before it are the chunks (bytes-like) joined: the first 8 bytes
+    of their SHA-256. Tests use it to re-seal an edited body."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.digest()[:8]
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes tracemalloc saw) of fn(*args)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_unchecked_tensor(path, arr):

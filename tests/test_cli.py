@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from branchnet.cli import main
-from branchnet.common import checksum64
 from branchnet.dataio import (Manifest, load_batch, read_tensor, split_ids,
                               write_tensor)
 from branchnet.experiments import GridTask, load_tasks
@@ -24,8 +23,8 @@ from branchnet.multihead import (HeadSpec, MultiHeadModel,
                                  run_head_standalone, save_bundle)
 from branchnet.params import checkpoint_bytes, load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
-from conftest import (head_on_relu320, head_on_relu_over_fc, named_cls,
-                      save_full_prefix_bundle, with_graph_text,
+from conftest import (checksum64, head_on_relu320, head_on_relu_over_fc,
+                      named_cls, save_full_prefix_bundle, with_graph_text,
                       write_unchecked_tensor)
 
 # quarter-scale single-channel trunk over 4 identities, everywhere below

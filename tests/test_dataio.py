@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchnet.common import checksum64
-from branchnet.dataio import (Manifest, SynthSpec, bitmask_to_vector,
-                              generate_synthetic, identity_glyph, load_batch,
-                              load_labels, nuisance_pattern, parse_tensor,
-                              read_tensor, split_ids, tensor_bytes,
-                              write_tensor)
-from conftest import write_unchecked_tensor
+from branchnet.dataio import (TENSOR_MAGIC, TENSOR_VERSION, Manifest,
+                              SynthSpec, bitmask_to_vector, generate_synthetic,
+                              identity_glyph, load_batch, load_labels,
+                              nuisance_pattern, parse_tensor, read_tensor,
+                              split_ids, tensor_bytes, write_tensor)
+from conftest import checksum64, traced_peak, write_unchecked_tensor
+
+KiB = 2 ** 10
 
 
 # tensor container
@@ -50,7 +52,6 @@ def test_tensor_truncation_and_bad_magic():
 def test_tensor_version_gate():
     data = bytearray(tensor_bytes(np.zeros(2, dtype=np.float32)))
     data[4] = 9
-    from branchnet.common import checksum64
     fixed = bytes(data[:-8])
     with pytest.raises(ValueError, match="version 9"):
         parse_tensor(fixed + checksum64(fixed))
@@ -60,7 +61,6 @@ def test_tensor_version_gate():
 def test_tensor_rank_beyond_the_body_is_a_value_error(rank):
     # A re-sealed 18-byte body declaring more dims than it can hold; from
     # rank 6 on the dims run past the end of the whole container.
-    from branchnet.common import checksum64
     body = bytearray(tensor_bytes(np.zeros(2, dtype=np.float32))[:-8])
     assert len(body) == 18
     body[5] = rank
@@ -98,6 +98,73 @@ def test_read_tensor_names_the_file_in_errors(tmp_path):
     path.write_bytes(b"JUNKJUNKJUNKJUNK")
     with pytest.raises(ValueError, match="broken.tnsr"):
         read_tensor(path)
+
+
+def test_an_extent_the_header_cannot_hold_is_refused_at_write(tmp_path):
+    arr = np.zeros((2 ** 32, 0), np.float32)  # dims are u32
+    with pytest.raises(ValueError, match="exceeds the container's limits"):
+        tensor_bytes(arr)
+    path = tmp_path / "refused.tnsr"
+    with pytest.raises(ValueError, match="exceeds the container's limits"):
+        write_tensor(path, arr)
+    assert not path.exists()
+
+
+def test_dims_whose_product_wraps_in_int64_are_an_error_naming_the_file(
+        tmp_path):
+    # 2^31 * 2^31 * 4 elements wrap to 0 in int64, as many as the payload
+    body = TENSOR_MAGIC + struct.pack("<BB3I", TENSOR_VERSION, 3, 2 ** 31,
+                                      2 ** 31, 4)
+    path = tmp_path / "wrapped.tnsr"
+    path.write_bytes(body + checksum64(body))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: payload "
+                                         f"of 0 bytes does not match dims"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 0), (1, 5, 5), (2, 3, 4, 5)])
+def test_tensor_bytes_are_the_hand_built_container(tmp_path, shape):
+    arr = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
+    path = tmp_path / "hand.tnsr"
+    write_unchecked_tensor(path, arr)
+    assert tensor_bytes(arr) == path.read_bytes()
+
+
+# a container small enough to cut and corrupt at every byte
+SMALL_TENSOR = tensor_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+
+
+def test_a_truncated_tensor_container_is_one_value_error_naming_it(tmp_path):
+    path = tmp_path / "cut.tnsr"
+    for cut in range(len(SMALL_TENSOR)):
+        path.write_bytes(SMALL_TENSOR[:cut])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as exc:
+            read_tensor(path)
+        assert exc.type is ValueError, cut
+
+
+def test_a_flipped_tensor_byte_is_a_checksum_mismatch_wherever_it_lands(
+        tmp_path):
+    path = tmp_path / "flipped.tnsr"
+    for at in range(len(SMALL_TENSOR)):
+        flipped = bytearray(SMALL_TENSOR)
+        flipped[at] ^= 0x80
+        path.write_bytes(flipped)
+        message = "bad magic" if at < 4 else "checksum mismatch"
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: .*{message}"):
+            read_tensor(path)
+
+
+def test_tensor_io_holds_no_second_copy(tmp_path):
+    arr = np.random.default_rng(2).standard_normal((4, 256, 256)).astype(
+        np.float32)  # 1 MiB
+    path = tmp_path / "big.tnsr"
+    _, peak = traced_peak(write_tensor, path, arr)
+    assert peak <= 64 * KiB, peak
+    back, peak = traced_peak(read_tensor, path)
+    np.testing.assert_array_equal(back, arr)
+    assert peak <= back.nbytes + 64 * KiB, (peak, back.nbytes)
 
 
 # manifest

@@ -1,13 +1,13 @@
 import hashlib
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from conftest import (apply_token_edits, edited_text, graph_token_edits, seal,
-                      split_records, with_graph_text)
+from conftest import (apply_token_edits, checksum64, edited_text,
+                      graph_token_edits, seal, split_records, traced_peak,
+                      with_graph_text)
 
 from branchnet.engine import forward_pass
 from branchnet.graph import NODE_KINDS, ArchConfig, GraphSpec, build_trunk
@@ -189,7 +189,6 @@ def test_checkpoint_corruption_is_detected():
 
 
 def test_checkpoint_version_gate():
-    from branchnet.common import checksum64
     data = bytearray(checkpoint_bytes(GRAPH, fresh_store()))
     data[4] = 9
     body = bytes(data[:-8])
@@ -471,16 +470,6 @@ def test_a_branch_point_after_the_classifier_is_rejected_at_load(desk_graph,
 
 
 # streamed reading and writing: one copy, errors that name the file
-
-def traced_peak(fn, *args):
-    """(result, peak bytes tracemalloc saw) of fn(*args)."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
 
 def test_checkpoint_io_holds_one_copy_of_each_record(tmp_path, desk_graph,
                                                      desk_store):
