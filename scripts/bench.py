@@ -30,7 +30,12 @@ It records:
     warm) over the canonical trunk, or over the desk trunk at the tiny
     size: the bytes of each file save_bundle writes, the median seconds of
     BUNDLE_REPS save_bundle and load_bundle calls, and the peak tracemalloc
-    sees during one more load_bundle.
+    sees during one more load_bundle;
+  - under `serve`, SERVE_REQUESTS seeded batch-1 predict_all requests to
+    the model that last load_bundle read: the median ms of a request, the
+    forward ms per request of each node kind, from timed_kinds around real
+    predict_all calls over the trunk's and every head's graph, and the peak
+    tracemalloc sees during one more request.
 
 Compare two files only when both were measured on one host. The machine
 block says which host that was.
@@ -58,7 +63,7 @@ from branchnet import experiments  # noqa: E402
 from branchnet.accounting import count_flops  # noqa: E402
 from branchnet.engine import forward_pass  # noqa: E402
 from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk, head  # noqa: E402
-from branchnet.multihead import load_bundle, save_bundle  # noqa: E402
+from branchnet.multihead import load_bundle, predict_all, save_bundle  # noqa: E402
 from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
 from harness import code_digest, fingerprint, gemm_ceiling_gmacs  # noqa: E402
 from workloads import head_model  # noqa: E402
@@ -70,6 +75,7 @@ SIZES = {"full": (32, ["--seconds", "15"]),
          "tiny": (2, ["--size", "tiny", "--seconds", "1"])}
 STUDY_TINY = {"TRUNK_MINIBATCHES": 2, "FINETUNE_MINIBATCHES": 1}
 BUNDLE_REPS = 5  # timed save_bundle and load_bundle calls
+SERVE_REQUESTS = 50  # timed predict_all requests, each of one sample
 MiB = 2 ** 20
 
 
@@ -96,12 +102,14 @@ def perfbench(workload, size_args):
 
 
 @contextlib.contextmanager
-def timed_kinds(graph):
+def timed_kinds(*graphs, key=lambda node: node.name):
     """Swaps each graph.NODE_KINDS record for a copy that times every call,
     found by the id of the attrs dict the engine passes, and puts the
     originals back on exit, also on an error. Yields (seconds, need): (node,
-    "fwd" or "bwd") -> seconds of each call; node -> its backward's need."""
-    names = {id(node.attrs): node.name for node in graph.nodes}
+    "fwd" or "bwd") -> seconds of each call; node -> its backward's need.
+    Each node of the graphs enters these under key(node), its name unless
+    key says otherwise."""
+    names = {id(node.attrs): key(node) for graph in graphs for node in graph.nodes}
     seconds, need = {}, {}
 
     def timed(fn, direction):
@@ -185,10 +193,19 @@ def kind_totals(rows):
     return out
 
 
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def bundle_io(arch):
-    """The bundle block: files, bytes and timings of the ACCEPTANCE 05
-    layout over arch's trunk, its batchnorms counted by one train-mode
-    pass over two seeded inputs."""
+    """(the model the last load_bundle read, the bundle block): files,
+    bytes and timings of the ACCEPTANCE 05 layout over arch's trunk, its
+    batchnorms counted by one train-mode pass over two seeded inputs."""
     graph = build_trunk(arch)
     store = init_params(graph, TrainConfig(seed=SEED))
     x = np.random.default_rng(SEED).standard_normal(
@@ -205,15 +222,10 @@ def bundle_io(arch):
             t0 = time.perf_counter()
             load_bundle(out)
             load_s.append(time.perf_counter() - t0)
-        tracemalloc.start()
-        try:
-            load_bundle(out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        loaded, peak = traced_peak(load_bundle, out)
         files = {name: os.path.getsize(os.path.join(out, name))
                  for name in sorted(os.listdir(out))}
-    return {
+    return loaded, {
         "input_shape": list(graph.input_shape),
         "heads": [[h.spec.task, h.spec.branch_layer] for h in model.heads],
         "reps": BUNDLE_REPS,
@@ -225,6 +237,34 @@ def bundle_io(arch):
     }
 
 
+def serve_times(model):
+    """The serve block: per-request wall ms and per-kind forward ms of
+    SERVE_REQUESTS seeded batch-1 predict_all calls, and one more call's
+    traced peak."""
+    rng = np.random.default_rng(SEED)
+    shape = (1,) + tuple(model.trunk_graph.input_shape)
+    requests = [rng.standard_normal(shape).astype(np.float32)
+                for _ in range(SERVE_REQUESTS + 1)]
+    predict_all(model, requests[-1])  # warm
+    wall = []
+    for x in requests[:-1]:
+        t0 = time.perf_counter()
+        predict_all(model, x)
+        wall.append(time.perf_counter() - t0)
+    graphs = [model.trunk_graph] + [h.graph for h in model.heads]
+    with timed_kinds(*graphs, key=lambda node: node.kind) as (seconds, _):
+        for x in requests[:-1]:
+            predict_all(model, x)
+    _, peak = traced_peak(predict_all, model, requests[-1])
+    return {
+        "requests": SERVE_REQUESTS,
+        "request_ms_p50": float(np.median(wall)) * 1e3,
+        "kind_fwd_ms": {kind: sum(calls) / SERVE_REQUESTS * 1e3
+                        for (kind, _), calls in sorted(seconds.items())},
+        "peak_mib": peak / MiB,
+    }
+
+
 def run(args):
     batch, size_args = SIZES[args.size]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -233,7 +273,8 @@ def run(args):
     graph = build_trunk(ArchConfig.desk())
     rows = step_rows(graph, *timed_steps(graph, batch), batch)
     study = study_times(STUDY_TINY if args.size == "tiny" else {})
-    bundle = bundle_io(ArchConfig.desk() if args.size == "tiny" else ArchConfig())
+    model, bundle = bundle_io(ArchConfig.desk() if args.size == "tiny"
+                              else ArchConfig())
     return {
         "label": args.label,
         "code_digest": code_digest(os.path.join(ROOT, "src"))[:16],
@@ -246,6 +287,7 @@ def run(args):
         "nodes": rows,
         "study": study,
         "bundle": bundle,
+        "serve": serve_times(model),
         "perfbench": runs,
     }
 
@@ -272,7 +314,8 @@ def main(argv=None):
         for w, r in result["perfbench"].items())
         + f"; desk study {result['study']['total_s']:.1f} s"
         + f"; bundle {result['bundle']['total_mib']:.1f} MiB, load "
-          f"{result['bundle']['load_s']:.2f} s")
+          f"{result['bundle']['load_s']:.2f} s"
+        + f"; predict_all {result['serve']['request_ms_p50']:.1f} ms")
     return 0
 
 

@@ -213,24 +213,29 @@ def load_labels(manifest: Manifest, ids, label_column, bitmask_classes=None):
 
 
 def load_batch(manifest: Manifest, ids, label_column=None):
-    """Stack the tensors for `ids` (order preserved) into one batch.
+    """Stack the tensors for `ids` (order preserved) into one batch,
+    allocated from the first tensor's shape and filled row by row as each
+    is read, so at most one tensor is held beside it.
 
     Returns (batch, labels); labels is None without a label_column, and
     the column's int64 vector otherwise.
     """
     if not ids:
         raise ValueError("load_batch needs at least one id")
-    tensors = []
-    for sample_id in ids:
+    batch = None
+    for row, sample_id in enumerate(ids):
         path = manifest.tensor_path(sample_id)
         try:
-            tensors.append(read_tensor(path))
+            tensor = read_tensor(path)
         except (OSError, ValueError) as exc:
             raise ValueError(f"failed to load id {sample_id!r}: {exc}") from None
-    shapes = {t.shape for t in tensors}
-    if len(shapes) != 1:
-        raise ValueError(f"inconsistent tensor shapes in batch: {sorted(shapes)}")
-    batch = np.stack(tensors)
+        if batch is None:
+            batch = np.empty((len(ids),) + tensor.shape, tensor.dtype)
+        elif tensor.shape != batch.shape[1:]:
+            raise ValueError(f"inconsistent tensor shapes in batch: id "
+                             f"{sample_id!r} has {tensor.shape}, id {ids[0]!r} "
+                             f"has {batch.shape[1:]}")
+        batch[row] = tensor
     if label_column is None:
         return batch, None
     return batch, load_labels(manifest, ids, label_column)

@@ -16,6 +16,17 @@ Partial execution supports fine-tuning and shared-trunk evaluation:
                other activation, cached ones too, after its last reader
                (liveness; Chen et al. 2016, arXiv 1604.06174)
 
+Under keep, a node may also write its output into the buffer of an input
+that dies at it (the in-place half of Chen et al.): the engine tells each
+node's forward which inputs are free (see graph.NodeKind), and relu, add
+and inference-mode batchnorm take one whose shape and dtype fit, to the
+same bits. Only an activation a node of this pass made, that no later
+node reads, that is not kept and that the node reads once is free. The
+network input, which at node 0 may be a view of the caller's x, and every
+cached entry belong to the caller and are never written. Without keep
+nothing is free: train(), backward_pass and every keep=None pass run
+out of place.
+
 boundary(graph, i) names what a pass resumed at node i reads of the
 prefix. infer() is the one inference loop, CHUNK samples at a time, for
 train()'s frozen prefix, evaluation, the branch grid, the probes and
@@ -85,8 +96,9 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
     bn_updates maps batchnorm
     node name -> new RunningStats for nodes that ran in train mode. Given a
     set keep, the pass stops after the last kept node, drops every other
-    activation once its last reader has run, and returns only the kept
-    ones. When saved is a dict, the saved context of every node that keeps
+    activation once its last reader has run, returns only the kept ones,
+    and lets a node write into an input that dies at it (see above). When
+    saved is a dict, the saved context of every node that keeps
     one is stored in it by node name.
     """
     if mode not in ("train", "infer"):
@@ -125,9 +137,14 @@ def forward_pass(graph: GraphSpec, store, x, mode="train", train_from=0,
             raise ValueError(f"node {node.name!r} needs activation {exc.args[0]!r} "
                              f"which is not available") from None
         node_mode = "train" if (mode == "train" and index >= train_from) else "infer"
+        # an input is free when this pass made it, it dies here and this
+        # node reads it once; "input" and the cache are the caller's
+        free = tuple(src in dead.get(index, ()) and src != INPUT_NAME
+                     and graph.index(src) >= start and node.inputs.count(src) == 1
+                     for src in node.inputs)
         out, stats, context = NODE_KINDS[node.kind].forward(
             node.attrs, _node_params(store, node), ins,
-            store.running.get(node.name), node_mode)
+            store.running.get(node.name), node_mode, free)
         if stats is not None:
             bn_updates[node.name] = stats
         if saved is not None and context is not None:

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+import numpy as np
+
 from . import ops
 from .config import check_ranges, fields_from_mapping, fields_to_mapping
 
@@ -61,9 +63,11 @@ class NodeKind:
               ValueError (without the node name) on inconsistent inputs
     cost      (a, input shapes, output shape) -> (multiply-accumulates, or
               None for element-wise kinds, {aux key: element count})
-    forward   (a, params, inputs, running, mode) -> (output, new running
-              statistics or None, saved context or None); mode is the
-              node's own "train"/"infer"
+    forward   (a, params, inputs, running, mode, free) -> (output, new
+              running statistics or None, saved context or None); mode is
+              the node's own "train"/"infer". free holds one bool per
+              input: whether the pass drops that input once the node has
+              run, so the node may write its output into it (see below)
     backward  (a, params, inputs, output grad, saved context or None,
               need) -> (one gradient per input, {suffix: parameter
               gradient}); None where the kind cannot be differentiated.
@@ -83,6 +87,14 @@ class NodeKind:
     its per-channel batch mean and std (ops.BatchStats), a few KB. An
     inference-mode forward keeps nothing, and every backward accepts None
     and then recomputes what it needs from its inputs, to the same bits.
+
+    A free input is one the engine's pass made itself and drops at this
+    node, read once by it (see engine). relu, add and inference-mode
+    batchnorm write their output into the first free input that has the
+    output's shape and dtype, the result dtype of every operand, so
+    nothing is cast where a new array would be wider; the ufuncs run in
+    the same order, so the bits are a new array's. Every other kind, and
+    train-mode batchnorm, ignores free.
     """
 
     attrs: dict = field(default_factory=dict)
@@ -131,7 +143,15 @@ def _elementwise(key):
 
 
 def _unary(fn):
-    return lambda a, p, ins, running, mode: (fn(ins[0]), None, None)
+    return lambda a, p, ins, running, mode, free: (fn(ins[0]), None, None)
+
+
+def _free_out(free, ins, *operands):
+    """The first free input that can hold the output: ins[0]'s shape and
+    the result dtype of ins and operands. None when there is none."""
+    dtype = np.result_type(*ins, *operands)
+    return next((x for x, f in zip(ins, free)
+                 if f and x.shape == ins[0].shape and x.dtype == dtype), None)
 
 
 def _unary_backward(fn):
@@ -178,12 +198,14 @@ def _conv_cost(a, ins, out):
     return macs, ({"bias": c_out * oh * ow} if a.get("bias") else {})
 
 
-def _batchnorm_forward(a, p, ins, running, mode):
+def _batchnorm_forward(a, p, ins, running, mode, free):
     eps = a.get("eps", ops.BN_EPS)
     if mode == "train":
         return ops.batchnorm_train(ins[0], p["gamma"], p["beta"], running, eps)
-    out, _ = ops.batchnorm(ins[0], p["gamma"], p["beta"], running=running,
-                           mode=mode, eps=eps)
+    stats = () if running is None else (running.mean, running.var)
+    out, _ = ops.batchnorm(
+        ins[0], p["gamma"], p["beta"], running=running, mode=mode, eps=eps,
+        out=_free_out(free, ins, p["gamma"], p["beta"], *stats))
     return out, None, None
 
 
@@ -229,7 +251,7 @@ NODE_KINDS = {
         optional={"bias": FLAG},
         params=_conv_params, stored={"w": (2, 3, 1, 0)},
         shape=_conv_shape, cost=_conv_cost,
-        forward=lambda a, p, ins, running, mode: (ops.conv2d_forward(
+        forward=lambda a, p, ins, running, mode, free: (ops.conv2d_forward(
             ins[0], p["w"], p.get("b"), a["stride"], a["pad"]), None, None),
         backward=lambda a, p, ins, gy, saved, need: _grads(ops.conv2d_backward(
             ins[0], p["w"], p.get("b"), gy, a["stride"], a["pad"], need[0]))),
@@ -242,7 +264,9 @@ NODE_KINDS = {
             ins[0], p["gamma"], p["beta"], gy, eps=a.get("eps", ops.BN_EPS),
             saved=saved))),
     "relu": NodeKind(
-        cost=_elementwise("relu"), forward=_unary(ops.relu),
+        cost=_elementwise("relu"),
+        forward=lambda a, p, ins, running, mode, free: (
+            ops.relu(ins[0], out=_free_out(free, ins)), None, None),
         backward=_unary_backward(ops.relu_backward)),
     "maxpool": NodeKind(
         optional={"k": TWO, "stride": TWO},
@@ -256,8 +280,9 @@ NODE_KINDS = {
         backward=_unary_backward(ops.avgpool_global_backward)),
     "add": NodeKind(
         arity=2, shape=_add_shape, cost=_elementwise("add"),
-        forward=lambda a, p, ins, running, mode: (
-            ops.elementwise_add(ins[0], ins[1]), None, None),
+        forward=lambda a, p, ins, running, mode, free: (
+            ops.elementwise_add(ins[0], ins[1], out=_free_out(free, ins)),
+            None, None),
         backward=lambda a, p, ins, gy, saved, need: (
             ops.elementwise_add_backward(gy), {})),
     "fc": NodeKind(
@@ -265,7 +290,7 @@ NODE_KINDS = {
         params=lambda a: {"w": (a["in"], a["out"]), "b": (a["out"],)},
         shape=_fc_shape,
         cost=lambda a, ins, out: (a["in"] * a["out"], {"bias": a["out"]}),
-        forward=lambda a, p, ins, running, mode: (
+        forward=lambda a, p, ins, running, mode, free: (
             ops.fully_connected(ins[0], p["w"], p["b"]), None, None),
         backward=lambda a, p, ins, gy, saved, need: _grads(
             ops.fully_connected_backward(ins[0], p["w"], gy, need[0]))),

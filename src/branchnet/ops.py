@@ -1,8 +1,11 @@
 """Layer primitives: pure forward and backward functions on channels-last
 arrays.
 
-Every operation takes explicit inputs and returns new arrays; nothing here
-holds state. Activations are numpy arrays laid out (batch, height, width,
+Every operation takes explicit inputs and returns new arrays, except where
+relu, elementwise_add and inference-mode batchnorm are handed out=, an
+array of the output's shape and dtype (the input itself may be): they
+write into it, to the bits a new array would hold. Nothing here holds
+state. Activations are numpy arrays laid out (batch, height, width,
 channel), float32 in normal use and float64 when checking gradients, and
 convolution weights (kernel row, kernel column, in, out). The engine holds
 every activation this way, so one layout serves forward and backward;
@@ -67,6 +70,15 @@ order in place over one centred temporary:
 
 over m = n*h*w values a channel, with dbeta = sum(gy) and dgamma =
 sum(gy * (x - mean)) / std standing in for the two batch means.
+
+Inference-mode batchnorm, with inv = 1 / sqrt(running var + eps), is
+
+    y = x - mean;  y = gamma * y;  y *= inv;  y += beta
+
+the ufuncs of gamma * (x - mean) * inv + beta in that order, over one
+array: out when given, else a new one. A step whose operand is wider than
+y (float64 statistics over a float32 input, say) takes a new array of the
+wider dtype instead, as the expression would, so no result is cast.
 """
 
 from dataclasses import dataclass
@@ -108,6 +120,13 @@ class LayerGrad:
 def _require(cond, msg):
     if not cond:
         raise ValueError(msg)
+
+
+def _into(ufunc, a, b, y):
+    """ufunc(a, b) written over y when the result has y's dtype, so it is
+    the bits a new array would hold; a new array when a wider operand
+    widens the result."""
+    return ufunc(a, b, out=y if np.result_type(a, b) == y.dtype else None)
 
 
 def _check_nhwc(x, name="input"):
@@ -300,11 +319,14 @@ def batchnorm_train(x, gamma, beta, running=None, eps=BN_EPS):
     return y.reshape(x.shape), new, BatchStats(mean, std)
 
 
-def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS):
+def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS,
+              out=None):
     """Per-channel batch normalization over the (n, h, w) axes.
 
     Train mode is batchnorm_train. Inference mode uses the running
-    statistics and requires count > 0. Returns (output, RunningStats).
+    statistics and requires count > 0; it writes its output into out when
+    one is given (x itself may be), and into a new array otherwise.
+    Returns (output, RunningStats).
     """
     if mode == "train":
         return batchnorm_train(x, gamma, beta, running, eps)[:2]
@@ -313,7 +335,11 @@ def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS):
         _require(running is not None and running.count > 0,
                  "inference-mode batchnorm with uninitialized running statistics")
         inv = 1.0 / np.sqrt(running.var + eps)
-        return gamma * (x - running.mean) * inv + beta, running
+        # gamma * (x - mean) * inv + beta, one ufunc at a time over y
+        y = np.subtract(x, running.mean, out=out)
+        y = _into(np.multiply, gamma, y, y)
+        y = _into(np.multiply, y, inv, y)
+        return _into(np.add, y, beta, y), running
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 
@@ -340,8 +366,8 @@ def batchnorm_backward(x, gamma, beta, output_grad, eps=BN_EPS, saved=None):
     return LayerGrad(t.reshape(x.shape), {"gamma": dgamma, "beta": dbeta})
 
 
-def relu(x):
-    return np.maximum(x, 0)
+def relu(x, out=None):
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(x, output_grad):
@@ -351,10 +377,10 @@ def relu_backward(x, output_grad):
     return output_grad * (x > 0)
 
 
-def elementwise_add(a, b):
+def elementwise_add(a, b, out=None):
     _require(a.shape == b.shape,
              f"elementwise_add shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
+    return np.add(a, b, out=out)
 
 
 def elementwise_add_backward(output_grad):

@@ -89,6 +89,16 @@ def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
     assert bundle["save_s"] > 0 and bundle["load_s"] > 0
     assert 0 < bundle["load_peak_mib"] < 2 * bundle["total_mib"]
 
+    # batch-1 predict_all over the bundle just loaded, every kind it runs
+    serve = bench["serve"]
+    assert serve.keys() == {"requests", "request_ms_p50", "kind_fwd_ms",
+                            "peak_mib"}
+    assert serve["requests"] == 50 and serve["request_ms_p50"] > 0
+    assert set(serve["kind_fwd_ms"]) == SERVED_KINDS
+    assert all(ms > 0 for ms in serve["kind_fwd_ms"].values())
+    # one request's activations, far below the bundle's weights
+    assert 0 < serve["peak_mib"] < bundle["total_mib"]
+
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         declared = json.load(f)
     assert set(bench["perfbench"]) == {w["name"] for w in declared["workloads"]}
@@ -96,6 +106,28 @@ def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
         assert run["failed"] == 0 and run["attempted"] >= 1
         assert {m["name"] for m in declared["end_to_end"]} <= run["metrics"].keys()
         assert run["metrics"]["op_ms_p50"] > 0
+
+
+# the kinds predict_all runs over the ACCEPTANCE 05 layout: the trunk to its
+# logits, three softmax heads and one sigmoid head
+SERVED_KINDS = {"conv", "batchnorm", "relu", "maxpool", "avgpool", "add", "fc",
+                "softmax-head", "sigmoid-head"}
+
+
+def test_serve_times_time_every_kind_of_real_requests(monkeypatch):
+    bench = load_bench()
+    before = dict(NODE_KINDS)
+    model, _ = bench.bundle_io(ArchConfig.desk())
+    calls = []
+    real = bench.predict_all
+    monkeypatch.setattr(bench, "predict_all",
+                        lambda m, x: calls.append(x.shape) or real(m, x))
+    serve = bench.serve_times(model)
+    # a warm request, the wall-timed and the kind-timed ones, a traced one
+    assert calls == [(1, 1, 56, 56)] * (2 * bench.SERVE_REQUESTS + 2)
+    assert set(serve["kind_fwd_ms"]) == SERVED_KINDS
+    assert NODE_KINDS.keys() == before.keys()
+    assert all(NODE_KINDS[k] is kind for k, kind in before.items())
 
 
 def test_timed_steps_leave_the_kind_table_as_they_found_it():

@@ -256,6 +256,27 @@ def test_load_batch_errors(tmp_path):
         load_batch(m, [])
 
 
+def test_load_batch_names_the_first_tensor_of_another_shape(tmp_path):
+    m = sample_manifest(tmp_path)
+    write_tensor(m.tensor_path("s2"), np.zeros((1, 2, 3), np.float32))
+    with pytest.raises(ValueError, match=r"inconsistent tensor shapes in "
+                       r"batch: id 's2' has \(1, 2, 3\), id 's0' has \(1, 2, 2\)"):
+        load_batch(m, ["s0", "s1", "s2", "s3"])
+
+
+def test_load_batch_holds_the_batch_once(tmp_path):
+    # 64 desk-sized tensors: the batch plus one tensor in flight, not a
+    # list of every tensor beside the stacked copy
+    rows = []
+    for i in range(64):
+        write_tensor(tmp_path / f"{i}.tnsr", np.full((1, 56, 56), i, np.float32))
+        rows.append({"id": f"s{i}", "path": f"{i}.tnsr"})
+    m = Manifest(("id", "path"), rows, root=str(tmp_path))
+    (batch, _), peak = traced_peak(load_batch, m, m.ids)
+    assert [row[0, 0, 0] for row in batch] == list(range(64))
+    assert peak < batch.nbytes + 3 * batch[0].nbytes + 64 * KiB
+
+
 def test_split_ids_deciles(tmp_path):
     m = sample_manifest(tmp_path)  # splits 0, 2, 5, 7 -> all train
     assert split_ids(m, "train") == ["s0", "s1", "s2", "s3"]

@@ -1,15 +1,24 @@
 """forward_pass(keep=...), boundary and the chunked infer: the same bits as a
 full forward, and fewer activations alive at once."""
 
+import functools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from branchnet import multihead
 from branchnet.engine import CHUNK, boundary, forward_pass, infer
-from branchnet.graph import BRANCH_POINT_NAMES, GraphSpec, LayerNode
+from branchnet.graph import (BRANCH_POINT_NAMES, NODE_KINDS, ArchConfig,
+                             GraphSpec, LayerNode, build_trunk)
+from branchnet.multihead import (HeadSpec, MultiHeadModel, predict_all,
+                                 run_head_standalone)
 from branchnet.params import ParamStore, param_shapes
-from branchnet.train import make_branch
+from branchnet.train import (Dataset, TrainConfig, evaluate_accuracy,
+                             init_params, make_branch, train)
 from conftest import desk_inputs, to_checkpoint_weights, to_nchw, to_nhwc
 from gradsuites import residual_instance
 from oracles import forward_loops
@@ -250,3 +259,170 @@ def test_keeping_only_the_logits_halves_the_traced_peak(desk_graph,
     live = _traced_peak(lambda: forward_pass(graph, store, desk_batch,
                                              mode="infer", keep={"fc"}))
     assert live < full / 2, (live, full)
+
+
+# buffer reuse: under keep, relu, add and inference batchnorm write into an
+# input that dies at them; no caller array is ever written
+
+
+def warm_store(graph, seed):
+    store = init_params(graph, TrainConfig.desk(seed=seed))
+    x = np.random.default_rng(seed).standard_normal(
+        (4,) + graph.input_shape).astype(np.float32)
+    store.running.update(forward_pass(graph, store, x, mode="train")[1])
+    return store
+
+
+@functools.cache
+def donation_case(channels):
+    """(graph, warm store, 3 inputs, keep=None inference pass) of the desk
+    trunk over a `channels`-channel input, built once."""
+    graph = build_trunk(ArchConfig.desk(in_channels=channels))
+    store = warm_store(graph, 40 + channels)
+    x = np.random.default_rng(channels).standard_normal(
+        (3,) + graph.input_shape).astype(np.float32)
+    return graph, store, x, forward_pass(graph, store, x, mode="infer")[0]
+
+
+DESK_NAMES = [node.name for node in build_trunk(ArchConfig.desk()).nodes]
+
+
+@settings(max_examples=30, deadline=None)
+@given(channels=st.sampled_from([1, 3]),
+       keep=st.sets(st.sampled_from(DESK_NAMES + ["input"]), min_size=1,
+                    max_size=5),
+       start=st.sampled_from(BRANCH_POINT_NAMES))
+def test_passes_that_reuse_buffers_give_the_keep_none_bits(channels, keep, start):
+    graph, store, x, full = donation_case(channels)
+    acts, _ = forward_pass(graph, store, x, mode="infer", keep=keep)
+    assert acts.keys() == keep
+    assert_same(acts, full)
+    assert_same(infer(graph, store, {"input": x}, keep), full)
+    # resumed at a branch point over its boundary, keeping what lies after
+    index = graph.index(start)
+    after = {n for n in keep if n != "input" and graph.index(n) >= index} or {"fc"}
+    sources = {name: full[name] for name in boundary(graph, index)}
+    assert_same(infer(graph, store, sources, after, start=index), full)
+
+
+def test_an_input_is_free_only_if_the_pass_made_it_and_drops_it_here(
+        desk_graph, warm_desk_store, desk_batch, monkeypatch):
+    frees = {}
+    for name, kind in dict(NODE_KINDS).items():
+        def spy(a, p, ins, running, mode, free, forward=kind.forward):
+            frees[names[id(a)]] = free
+            return forward(a, p, ins, running, mode, free)
+        monkeypatch.setitem(NODE_KINDS, name, replace(kind, forward=spy))
+    names = {id(node.attrs): node.name for node in desk_graph.nodes}
+
+    forward_pass(desk_graph, warm_desk_store, desk_batch, mode="infer")
+    assert set(frees.values()) == {(False,), (False, False)}  # keep=None
+    frees.clear()
+    forward_pass(desk_graph, warm_desk_store, desk_batch, mode="infer",
+                 keep={"bn1", "fc"})
+    assert frees["conv1"] == (False,)  # the network input is the caller's
+    assert frees["bn1"] == (True,) and frees["relu1"] == (False,)  # bn1 kept
+    assert frees["add1"] == frees["add9"] == (True, True)
+    assert frees["fc"] == (True,) and "softmax" not in frees
+    # resumed at conv19: relu17, which add9 reads, is a cached source
+    index = desk_graph.index("conv19")
+    sources = infer(desk_graph, warm_desk_store, {"input": desk_batch},
+                    boundary(desk_graph, index))
+    assert "relu17" in sources
+    infer(desk_graph, warm_desk_store, sources, {"fc"}, start=index)
+    assert frees["add9"] == (True, False) and frees["conv19"] == (False,)
+
+
+def test_an_activation_read_twice_is_not_written_into(monkeypatch):
+    # r = relu(bn(conv(x))) dies at add(r, r): the add must not be told it
+    # may write into r, and gives the out-of-place bits
+    nodes = (LayerNode("c", "conv", {"in": 2, "out": 3, "k": 3, "stride": 1,
+                                     "pad": 1}, ("input",)),
+             LayerNode("bn", "batchnorm", {"ch": 3}, ("c",)),
+             LayerNode("r", "relu", {}, ("bn",)),
+             LayerNode("twice", "add", {}, ("r", "r")),
+             LayerNode("fc", "fc", {"in": 48, "out": 2}, ("twice",)),
+             LayerNode("softmax", "softmax-head", {}, ("fc",)))
+    graph = GraphSpec(nodes, input_shape=(2, 4, 4), branch_points=())
+    store = warm_store(graph, 3)
+    x = np.random.default_rng(1).standard_normal((3, 2, 4, 4)).astype(np.float32)
+    full, _ = forward_pass(graph, store, x, mode="infer")
+    frees = []
+    add = NODE_KINDS["add"]
+    monkeypatch.setitem(NODE_KINDS, "add", replace(
+        add, forward=lambda *args: frees.append(args[-1]) or add.forward(*args)))
+    acts, _ = forward_pass(graph, store, x, mode="infer", keep={"twice", "fc"})
+    assert frees == [(False, False)]
+    assert_same(acts, full)
+    assert same_bits(acts["twice"], full["r"] + full["r"])
+
+
+def snapshot(arrays):
+    return {name: a.copy() for name, a in arrays.items()}
+
+
+def assert_untouched(arrays, before):
+    assert arrays.keys() == before.keys()
+    for name, a in arrays.items():
+        assert same_bits(a, before[name]), name
+
+
+def test_no_pass_writes_into_an_array_its_caller_holds(desk_graph,
+                                                       warm_desk_store):
+    graph, store = desk_graph, warm_desk_store
+    x = desk_inputs(np.random.default_rng(8), 5)
+    x_before = x.copy()
+    # on a 1-channel input the engine-layout "input" is a view of x itself
+    acts, _ = forward_pass(graph, store, x, mode="infer", keep={"input", "fc"})
+    assert np.shares_memory(acts["input"], x)
+    # resumed at relu1 or add9, a relu and an add read only cached sources
+    for index in map(graph.index, ("conv1", "relu1", "conv17", "add9", "fc")):
+        keep = boundary(graph, index) | {"fc"}
+        sources = {"input": x} if index == 0 else infer(
+            graph, store, {"input": x}, boundary(graph, index))
+        before = snapshot(sources)
+        infer(graph, store, sources, {"fc"}, start=index)
+        forward_pass(graph, store, None, mode="infer", start=index,
+                     cache=sources, keep=keep)
+        assert_untouched(sources, before)
+    assert same_bits(x, x_before)
+
+    # a dataset's cached prefix, through train and evaluate_accuracy
+    branch = make_branch(graph, store, "conv19", 4, warm=True, seed=2)
+    acts = infer(graph, store, {"input": x}, boundary(graph, branch.branch_index))
+    data = Dataset(x, np.arange(5) % 4, acts)
+    before = snapshot(data.activations)
+    train(branch.graph, branch.store, data,
+          TrainConfig.desk(batch_size=4, max_minibatches=2))
+    evaluate_accuracy(branch.graph, branch.store, data)
+    assert_untouched(data.activations, before)
+    assert same_bits(x, x_before)
+
+
+def test_predict_all_writes_into_neither_the_request_nor_a_boundary(
+        desk_graph, warm_desk_store, monkeypatch):
+    graph, store = desk_graph, warm_desk_store
+    model = MultiHeadModel(graph, store)
+    for i, (task, layer, k) in enumerate((("nuisance", "conv19", 7),
+                                          ("stage", "conv22", 14),
+                                          ("binary", "fc", 2))):
+        br = make_branch(graph, store, layer, k, warm=True, seed=i)
+        model.add_head(HeadSpec(task, layer, k, "softmax"), br.graph, br.store)
+    calls = []
+    real = multihead.infer
+
+    def spied(g, s, sources, keep, start=0):
+        before = snapshot(sources)
+        out = real(g, s, sources, keep, start)
+        calls.append((sources, before))
+        return out
+    monkeypatch.setattr(multihead, "infer", spied)
+    x = desk_inputs(np.random.default_rng(9), 3)
+    x_before = x.copy()
+    pred = predict_all(model, x)
+    assert len(calls) == 1 + len(model.heads)
+    for sources, before in calls:  # the request, then each head's boundary
+        assert_untouched(sources, before)
+    assert same_bits(x, x_before)
+    for h in model.heads:
+        assert same_bits(pred.tasks[h.spec.task].scores, run_head_standalone(h, x))

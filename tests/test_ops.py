@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchnet import ops
+from branchnet.engine import forward_pass
 from branchnet.graph import ArchConfig, build_trunk, compute_shapes
 from conftest import to_checkpoint_weights, to_nchw, to_nhwc, to_store_weights
 from oracles import (avgpool_scan, batchnorm_train_loops,
@@ -402,6 +403,86 @@ def test_batchnorm_infer_requires_initialized_stats():
         ops.batchnorm(np.zeros((1, 2, 2, 2)), np.ones(2), np.zeros(2),
                       running=ops.RunningStats(np.zeros(2), np.ones(2), 0),
                       mode="infer")
+
+
+def batchnorm_infer_case(rng, dtypes, shape=(2, 5, 4, 3)):
+    """x and (gamma, beta, RunningStats), each of its own dtype in dtypes
+    (x, gamma, beta, mean, var)."""
+    c = shape[3]
+    x_t, gamma_t, beta_t, mean_t, var_t = dtypes
+    stats = ops.RunningStats(rng.standard_normal(c).astype(mean_t),
+                             rng.uniform(0.1, 3.0, c).astype(var_t), 2)
+    return (rng.standard_normal(shape).astype(x_t),
+            rng.standard_normal(c).astype(gamma_t),
+            rng.standard_normal(c).astype(beta_t), stats)
+
+
+F32, F64 = np.float32, np.float64
+
+
+@pytest.mark.parametrize("dtypes", [(F32,) * 5, (F64,) * 5,
+                                    (F32, F32, F32, F64, F64),
+                                    (F32, F64, F32, F32, F32),
+                                    (F32, F32, F64, F32, F32),
+                                    (F32, F32, F32, F32, F64)])
+def test_batchnorm_infer_is_bitwise_the_expression_it_replaced(dtypes):
+    # the ufuncs of gamma * (x - mean) * inv + beta, in that order, over
+    # one temporary, whichever operand is widest
+    x, gamma, beta, stats = batchnorm_infer_case(np.random.default_rng(4), dtypes)
+    inv = 1.0 / np.sqrt(stats.var + ops.BN_EPS)
+    want = gamma * (x - stats.mean) * inv + beta
+    got, _ = ops.batchnorm(x, gamma, beta, running=stats, mode="infer")
+    assert bitwise_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inference_kernels_written_into_their_input_are_the_new_array_bits(dtype):
+    rng = np.random.default_rng(6)
+    x, gamma, beta, stats = batchnorm_infer_case(rng, (dtype,) * 5)
+    b = rng.standard_normal(x.shape).astype(dtype)
+    cases = {  # relu's and add's out= also works positionally
+        "relu": lambda a, out: ops.relu(a, out),
+        "add": lambda a, out: ops.elementwise_add(a, b, out),
+        "add into b": lambda a, out: ops.elementwise_add(b, a, out),
+        "batchnorm": lambda a, out: ops.batchnorm(
+            a, gamma, beta, running=stats, mode="infer", out=out)[0],
+    }
+    for name, fn in cases.items():
+        want = fn(x, None)
+        assert want.dtype == dtype and not np.shares_memory(want, x), name
+        donor = x.copy()
+        got = fn(donor, donor)
+        assert got is donor and bitwise_equal(got, want), name
+
+
+def test_batchnorm_written_into_its_input_keeps_its_checks():
+    x = np.ones((1, 2, 2, 2), np.float32)
+    for running in (None, ops.RunningStats(np.zeros(2), np.ones(2), 0)):
+        with pytest.raises(ValueError, match="uninitialized running statistics"):
+            ops.batchnorm(x, np.ones(2, np.float32), np.zeros(2, np.float32),
+                          running=running, mode="infer", out=x)
+    with pytest.raises(ValueError, match="gamma/beta shapes"):
+        ops.batchnorm(x, np.ones(3, np.float32), np.zeros(3, np.float32),
+                      running=ops.RunningStats(np.zeros(3), np.ones(3), 1),
+                      mode="infer", out=x)
+    assert np.all(x == 1)
+
+
+def test_wider_running_statistics_are_not_cast_into_a_donated_input(
+        desk_graph, warm_desk_store):
+    # float32 activations over float64 running statistics: each batchnorm's
+    # output is float64, so none is written into its dying float32 input
+    store = warm_desk_store
+    store.running.update({name: ops.RunningStats(s.mean.astype(np.float64),
+                                                 s.var.astype(np.float64), s.count)
+                          for name, s in store.running.items()})
+    x = np.random.default_rng(2).standard_normal((3, 1, 56, 56)).astype(np.float32)
+    full, _ = forward_pass(desk_graph, store, x, mode="infer")
+    assert full["bn1"].dtype == np.float64 and full["conv1"].dtype == np.float32
+    keep = {"bn1", "relu5", "fc"}
+    kept, _ = forward_pass(desk_graph, store, x, mode="infer", keep=keep)
+    for name in keep:
+        assert bitwise_equal(kept[name], full[name]), name
 
 
 def test_batchnorm_rejects_unknown_mode():
