@@ -32,9 +32,10 @@ It records:
     BUNDLE_REPS save_bundle and load_bundle calls, and the peak tracemalloc
     sees during one more load_bundle;
   - under `serve`, SERVE_REQUESTS seeded batch-1 predict_all requests to
-    the model that last load_bundle read: the median ms of a request, the
-    forward ms per request of each node kind, from timed_kinds around real
-    predict_all calls over the trunk's and every head's graph, and the peak
+    the model that last load_bundle read: the median ms of a request; the
+    forward ms per request of each node kind, and of each node under the
+    graph that ran it (the trunk, or a head's suffix from its branch
+    point), from timed_kinds around real predict_all calls; and the peak
     tracemalloc sees during one more request.
 
 Compare two files only when both were measured on one host. The machine
@@ -59,9 +60,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from branchnet import experiments  # noqa: E402
+from branchnet import experiments, multihead  # noqa: E402
 from branchnet.accounting import count_flops  # noqa: E402
-from branchnet.engine import forward_pass  # noqa: E402
+from branchnet.engine import forward_pass, infer  # noqa: E402
 from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk, head  # noqa: E402
 from branchnet.multihead import load_bundle, predict_all, save_bundle  # noqa: E402
 from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
@@ -107,9 +108,9 @@ def timed_kinds(*graphs, key=lambda node: node.name):
     found by the id of the attrs dict the engine passes, and puts the
     originals back on exit, also on an error. Yields (seconds, need): (node,
     "fwd" or "bwd") -> seconds of each call; node -> its backward's need.
-    Each node of the graphs enters these under key(node), its name unless
-    key says otherwise."""
-    names = {id(node.attrs): key(node) for graph in graphs for node in graph.nodes}
+    Each call of a node of the graphs enters these under key(node), its
+    name unless key says otherwise; key is called as each call ends."""
+    nodes = {id(node.attrs): node for graph in graphs for node in graph.nodes}
     seconds, need = {}, {}
 
     def timed(fn, direction):
@@ -117,9 +118,10 @@ def timed_kinds(*graphs, key=lambda node: node.name):
             t0 = time.perf_counter()
             out = fn(a, *rest)
             dt = time.perf_counter() - t0
-            seconds.setdefault((names[id(a)], direction), []).append(dt)
+            name = key(nodes[id(a)])
+            seconds.setdefault((name, direction), []).append(dt)
             if direction == "bwd":
-                need[names[id(a)]] = rest[-1]
+                need[name] = rest[-1]
             return out
         return call
 
@@ -238,9 +240,11 @@ def bundle_io(arch):
 
 
 def serve_times(model):
-    """The serve block: per-request wall ms and per-kind forward ms of
-    SERVE_REQUESTS seeded batch-1 predict_all calls, and one more call's
-    traced peak."""
+    """The serve block: per-request wall ms of SERVE_REQUESTS seeded
+    batch-1 predict_all calls; the forward ms per request of each node
+    kind, and of each node under the graph that ran it ("trunk" or the
+    head's task), over as many more calls; and one more call's traced
+    peak."""
     rng = np.random.default_rng(SEED)
     shape = (1,) + tuple(model.trunk_graph.input_shape)
     requests = [rng.standard_normal(shape).astype(np.float32)
@@ -251,16 +255,34 @@ def serve_times(model):
         t0 = time.perf_counter()
         predict_all(model, x)
         wall.append(time.perf_counter() - t0)
+    # a head graph holds the trunk's node records, so the graph that runs
+    # a node is told by the infer call running it
+    labels = {id(model.trunk_graph): "trunk",
+              **{id(h.graph): h.spec.task for h in model.heads}}
+    running = [None]
+
+    def labelled(graph, *rest):
+        running[0] = labels[id(graph)]
+        return infer(graph, *rest)
+
     graphs = [model.trunk_graph] + [h.graph for h in model.heads]
-    with timed_kinds(*graphs, key=lambda node: node.kind) as (seconds, _):
+    with mock.patch.object(multihead, "infer", labelled), timed_kinds(
+            *graphs, key=lambda node: (running[0], node.name, node.kind)
+    ) as (seconds, _):
         for x in requests[:-1]:
             predict_all(model, x)
     _, peak = traced_peak(predict_all, model, requests[-1])
+    per_request = {key: sum(calls) / SERVE_REQUESTS * 1e3
+                   for (key, _), calls in seconds.items()}
+    kinds, nodes = {}, {}
+    for (graph, name, kind), ms in per_request.items():
+        kinds[kind] = kinds.get(kind, 0.0) + ms
+        nodes.setdefault(graph, {})[name] = ms
     return {
         "requests": SERVE_REQUESTS,
         "request_ms_p50": float(np.median(wall)) * 1e3,
-        "kind_fwd_ms": {kind: sum(calls) / SERVE_REQUESTS * 1e3
-                        for (kind, _), calls in sorted(seconds.items())},
+        "kind_fwd_ms": dict(sorted(kinds.items())),
+        "node_fwd_ms": nodes,
         "peak_mib": peak / MiB,
     }
 

@@ -71,14 +71,18 @@ order in place over one centred temporary:
 over m = n*h*w values a channel, with dbeta = sum(gy) and dgamma =
 sum(gy * (x - mean)) / std standing in for the two batch means.
 
-Inference-mode batchnorm, with inv = 1 / sqrt(running var + eps), is
+Inference-mode batchnorm is a fixed per-channel linear map (Ioffe &
+Szegedy 2015, section 3.1). It folds gamma, beta and the running
+statistics into two vectors of c floats,
 
-    y = x - mean;  y = gamma * y;  y *= inv;  y += beta
+    scale = gamma / sqrt(running var + eps);  shift = beta - running mean * scale
 
-the ufuncs of gamma * (x - mean) * inv + beta in that order, over one
-array: out when given, else a new one. A step whose operand is wider than
-y (float64 statistics over a float32 input, say) takes a new array of the
-wider dtype instead, as the expression would, so no result is cast.
+and makes two passes over the activation: x * scale into out when given,
+else into a new array, then shift added in place. A shift wider than that
+product (float64 statistics over a float32 input, say) takes a new array
+of the wider dtype instead, as x * scale + shift would, so no result is
+cast. The fold rounds differently from gamma * (x - mean) * inv + beta,
+most where mean * scale is large beside the output and the shift cancels.
 """
 
 from dataclasses import dataclass
@@ -292,11 +296,15 @@ def _batch_moments(x, eps):
     return mean, var, np.sqrt(var + eps), d
 
 
-def _check_batchnorm(x, gamma, beta):
+def _check_batchnorm(x, gamma, beta, running):
     _check_nhwc(x)
     c = x.shape[3]
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match {c} channels")
+    if running is not None:
+        _require(running.mean.shape == running.var.shape == (c,),
+                 f"running mean/var shapes {running.mean.shape}/"
+                 f"{running.var.shape} do not match {c} channels")
 
 
 def batchnorm_train(x, gamma, beta, running=None, eps=BN_EPS):
@@ -306,7 +314,7 @@ def batchnorm_train(x, gamma, beta, running=None, eps=BN_EPS):
     statistics are an EMA, the first batch seeding them directly; the
     BatchStats are what batchnorm_backward needs to skip its reductions.
     """
-    _check_batchnorm(x, gamma, beta)
+    _check_batchnorm(x, gamma, beta, running)
     mean, var, std, y = _batch_moments(x, eps)
     y *= gamma / std
     y += beta
@@ -324,22 +332,22 @@ def batchnorm(x, gamma, beta, running=None, mode="train", eps=BN_EPS,
     """Per-channel batch normalization over the (n, h, w) axes.
 
     Train mode is batchnorm_train. Inference mode uses the running
-    statistics and requires count > 0; it writes its output into out when
-    one is given (x itself may be), and into a new array otherwise.
-    Returns (output, RunningStats).
+    statistics and requires count > 0; it computes x * scale + shift (see
+    above), writing into out when one is given (x itself may be), and into
+    a new array otherwise. Both modes require gamma, beta and any running
+    mean and var to hold one value a channel. Returns (output,
+    RunningStats).
     """
     if mode == "train":
         return batchnorm_train(x, gamma, beta, running, eps)[:2]
     if mode == "infer":
-        _check_batchnorm(x, gamma, beta)
+        _check_batchnorm(x, gamma, beta, running)
         _require(running is not None and running.count > 0,
                  "inference-mode batchnorm with uninitialized running statistics")
-        inv = 1.0 / np.sqrt(running.var + eps)
-        # gamma * (x - mean) * inv + beta, one ufunc at a time over y
-        y = np.subtract(x, running.mean, out=out)
-        y = _into(np.multiply, gamma, y, y)
-        y = _into(np.multiply, y, inv, y)
-        return _into(np.add, y, beta, y), running
+        scale = gamma / np.sqrt(running.var + eps)
+        shift = beta - running.mean * scale
+        y = np.multiply(x, scale, out=out)
+        return _into(np.add, y, shift, y), running
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 

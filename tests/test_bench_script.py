@@ -92,10 +92,11 @@ def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
     # batch-1 predict_all over the bundle just loaded, every kind it runs
     serve = bench["serve"]
     assert serve.keys() == {"requests", "request_ms_p50", "kind_fwd_ms",
-                            "peak_mib"}
+                            "node_fwd_ms", "peak_mib"}
     assert serve["requests"] == 50 and serve["request_ms_p50"] > 0
     assert set(serve["kind_fwd_ms"]) == SERVED_KINDS
     assert all(ms > 0 for ms in serve["kind_fwd_ms"].values())
+    assert_served_nodes(serve, bundle["heads"])
     # one request's activations, far below the bundle's weights
     assert 0 < serve["peak_mib"] < bundle["total_mib"]
 
@@ -114,6 +115,30 @@ SERVED_KINDS = {"conv", "batchnorm", "relu", "maxpool", "avgpool", "add", "fc",
                 "softmax-head", "sigmoid-head"}
 
 
+def assert_served_nodes(serve, heads):
+    """node_fwd_ms holds, in the order they ran, the trunk's nodes up to its
+    logits and each head's nodes from its branch layer to its node "head",
+    and each kind's ms is the sum of its nodes' ms (the softmax and sigmoid
+    heads' together)."""
+    trunk = build_trunk(ArchConfig.desk())
+    names = [n.name for n in trunk.nodes[:-1]]
+    nodes = serve["node_fwd_ms"]
+    assert list(nodes)[0] == "trunk"
+    assert sorted(nodes) == sorted(["trunk"] + [task for task, _ in heads])
+    assert list(nodes["trunk"]) == names
+    for task, branch in heads:
+        assert list(nodes[task]) == names[names.index(branch):] + ["head"]
+    assert all(ms > 0 for graph in nodes.values() for ms in graph.values())
+    kinds = {n.name: n.kind for n in trunk.nodes[:-1]} | {"head": "head"}
+    summed = {}
+    for graph in nodes.values():
+        for name, ms in graph.items():
+            summed[kinds[name]] = summed.get(kinds[name], 0.0) + ms
+    by_kind = dict(serve["kind_fwd_ms"])
+    by_kind["head"] = by_kind.pop("softmax-head") + by_kind.pop("sigmoid-head")
+    assert summed == pytest.approx(by_kind)
+
+
 def test_serve_times_time_every_kind_of_real_requests(monkeypatch):
     bench = load_bench()
     before = dict(NODE_KINDS)
@@ -126,6 +151,9 @@ def test_serve_times_time_every_kind_of_real_requests(monkeypatch):
     # a warm request, the wall-timed and the kind-timed ones, a traced one
     assert calls == [(1, 1, 56, 56)] * (2 * bench.SERVE_REQUESTS + 2)
     assert set(serve["kind_fwd_ms"]) == SERVED_KINDS
+    assert_served_nodes(serve, [(h.spec.task, h.spec.branch_layer)
+                                for h in model.heads])
+    assert bench.multihead.infer is bench.infer
     assert NODE_KINDS.keys() == before.keys()
     assert all(NODE_KINDS[k] is kind for k, kind in before.items())
 

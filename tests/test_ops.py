@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from branchnet import ops
 from branchnet.engine import forward_pass
-from branchnet.graph import ArchConfig, build_trunk, compute_shapes
+from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk, compute_shapes
 from conftest import to_checkpoint_weights, to_nchw, to_nhwc, to_store_weights
 from oracles import (avgpool_scan, batchnorm_train_loops,
                      conv2d_backward_batch_gemm, conv2d_backward_per_sample,
@@ -425,14 +426,69 @@ F32, F64 = np.float32, np.float64
                                     (F32, F64, F32, F32, F32),
                                     (F32, F32, F64, F32, F32),
                                     (F32, F32, F32, F32, F64)])
-def test_batchnorm_infer_is_bitwise_the_expression_it_replaced(dtypes):
-    # the ufuncs of gamma * (x - mean) * inv + beta, in that order, over
-    # one temporary, whichever operand is widest
+def test_batchnorm_infer_is_bitwise_one_scale_and_shift(dtypes):
+    # x * scale + shift over the per-channel fold, in the dtype of all five
+    # operands; through the node kind, which donates x only when the result
+    # has x's dtype, the bits are the same and nothing is cast into x
     x, gamma, beta, stats = batchnorm_infer_case(np.random.default_rng(4), dtypes)
-    inv = 1.0 / np.sqrt(stats.var + ops.BN_EPS)
-    want = gamma * (x - stats.mean) * inv + beta
+    scale = gamma / np.sqrt(stats.var + ops.BN_EPS)
+    want = x * scale + (beta - stats.mean * scale)
+    assert want.dtype == np.result_type(*dtypes)
     got, _ = ops.batchnorm(x, gamma, beta, running=stats, mode="infer")
+    assert bitwise_equal(got, want) and not np.shares_memory(got, x)
+    donor = x.copy()
+    got, _, _ = NODE_KINDS["batchnorm"].forward(
+        {"ch": x.shape[3]}, {"gamma": gamma, "beta": beta}, [donor], stats,
+        "infer", (True,))
     assert bitwise_equal(got, want)
+    assert (got is donor) == (want.dtype == x.dtype)
+    assert bitwise_equal(donor, want) if got is donor else bitwise_equal(donor, x)
+
+
+def test_batchnorm_infer_is_within_float32_rounding_of_float64():
+    # float32 operands against gamma * (x - mean) * inv + beta evaluated in
+    # float64 over the same values. Folding rounds scale, shift, the product
+    # and the sum, each within 2**-24 relatively of its own magnitude; so an
+    # element's error is bounded by 4 * eps32 * (|x * scale| + |mean * scale|
+    # + |beta|), not by its output: channel 2's mean * scale is over 100
+    # times its largest output, and there the shift cancels
+    rng = np.random.default_rng(12)
+    c = 5
+    x = rng.standard_normal((4, 6, 6, c)).astype(np.float32)
+    mean = rng.standard_normal(c).astype(np.float32)
+    var = rng.uniform(0.1, 3.0, c).astype(np.float32)
+    mean[2], var[2] = 1000.0, 1.0
+    x[..., 2] += mean[2]
+    gamma = rng.standard_normal(c).astype(np.float32)
+    beta = rng.standard_normal(c).astype(np.float32)
+    got, _ = ops.batchnorm(x, gamma, beta, mode="infer",
+                           running=ops.RunningStats(mean, var, 3))
+    assert got.dtype == np.float32
+    x64, g64, b64, m64, v64 = (a.astype(np.float64) for a in (x, gamma, beta, mean, var))
+    scale = g64 / np.sqrt(v64 + ops.BN_EPS)
+    want = g64 * (x64 - m64) / np.sqrt(v64 + ops.BN_EPS) + b64
+    bound = 4 * np.finfo(np.float32).eps * (
+        np.abs(x64 * scale) + np.abs(m64 * scale) + np.abs(b64))
+    assert np.all(np.abs(got - want) <= bound)
+    assert abs(m64[2] * scale[2]) > 100 * np.abs(want[..., 2]).max()
+    # a bound on the output alone would not hold there
+    assert np.any(np.abs(got - want)[..., 2] > 4 * np.finfo(np.float32).eps
+                  * np.abs(want[..., 2]))
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("count", [0, 1])
+def test_batchnorm_rejects_running_statistics_of_another_width(mode, count):
+    x = np.ones((1, 2, 2, 3), np.float32)
+    gamma, beta = np.ones(3, np.float32), np.zeros(3, np.float32)
+    for mean, var in [(np.zeros(1), np.ones(1)), (np.zeros(3), np.ones(1)),
+                      (np.zeros(1), np.ones(3)), (np.zeros((3, 1)), np.ones((3, 1)))]:
+        running = ops.RunningStats(mean, var, count)
+        with pytest.raises(ValueError, match=re.escape(
+                f"running mean/var shapes {mean.shape}/{var.shape} do not "
+                "match 3 channels")):
+            ops.batchnorm(x, gamma, beta, running=running, mode=mode, out=x)
+    assert np.all(x == 1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
