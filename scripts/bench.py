@@ -36,10 +36,17 @@ It records:
     forward ms per request of each node kind, and of each node under the
     graph that ran it (the trunk, or a head's suffix from its branch
     point), from timed_kinds around real predict_all calls; and the peak
-    tracemalloc sees during one more request.
+    tracemalloc sees during one more request;
+  - under `reference_ms`, for each of the blocks above that this script
+    times itself (`steps`, the train-step rows under `nodes` and `kinds`;
+    `study`; `bundle`; `serve`), perfbench's settled reference timing
+    (harness.Reference().settled()) in ms, taken just before and just
+    after the block.
 
 Compare two files only when both were measured on one host. The machine
-block says which host that was.
+block says which host that was. A host's speed drifts between runs, so
+scale a block's ms by its reference ms before comparing it with the same
+block of another file.
 """
 
 import argparse
@@ -66,7 +73,8 @@ from branchnet.engine import forward_pass, infer  # noqa: E402
 from branchnet.graph import NODE_KINDS, ArchConfig, build_trunk, head  # noqa: E402
 from branchnet.multihead import load_bundle, predict_all, save_bundle  # noqa: E402
 from branchnet.train import Dataset, TrainConfig, init_params, train  # noqa: E402
-from harness import code_digest, fingerprint, gemm_ceiling_gmacs  # noqa: E402
+from harness import (Reference, code_digest, fingerprint,  # noqa: E402
+                     gemm_ceiling_gmacs)
 from workloads import head_model  # noqa: E402
 
 SEED = 1501  # weights, inputs and labels of the steps, and perfbench's seed
@@ -292,11 +300,23 @@ def run(args):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
     runs = {w: perfbench(w, size_args) for w in workloads}
+    ref, reference = Reference(), {}
+
+    def referenced(block, fn, *fn_args):
+        """fn(*fn_args), its block's reference ms taken on either side."""
+        before = ref.settled() * 1e3
+        out = fn(*fn_args)
+        reference[block] = [before, ref.settled() * 1e3]
+        return out
+
     graph = build_trunk(ArchConfig.desk())
-    rows = step_rows(graph, *timed_steps(graph, batch), batch)
-    study = study_times(STUDY_TINY if args.size == "tiny" else {})
-    model, bundle = bundle_io(ArchConfig.desk() if args.size == "tiny"
-                              else ArchConfig())
+    rows = step_rows(graph, *referenced("steps", timed_steps, graph, batch),
+                     batch)
+    study = referenced("study", study_times,
+                       STUDY_TINY if args.size == "tiny" else {})
+    model, bundle = referenced("bundle", bundle_io, ArchConfig.desk()
+                               if args.size == "tiny" else ArchConfig())
+    serve = referenced("serve", serve_times, model)
     return {
         "label": args.label,
         "code_digest": code_digest(os.path.join(ROOT, "src"))[:16],
@@ -309,7 +329,8 @@ def run(args):
         "nodes": rows,
         "study": study,
         "bundle": bundle,
-        "serve": serve_times(model),
+        "serve": serve,
+        "reference_ms": reference,
         "perfbench": runs,
     }
 

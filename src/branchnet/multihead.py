@@ -5,16 +5,17 @@ the cached activation at its branch point. Because a head's frozen prefix
 holds the very same arrays as the trunk and both run in inference mode,
 the cached resume is bitwise identical to running the head standalone.
 
-add_head enforces that sharing. The branch layer must be one of the
-trunk's branch points; the head's graph must be graph.head_graph of the
-trunk for its spec's class count and loss, and so holds the trunk's input
-shape and every node but its classifier; the two stores' prefix_records,
-momentum and trainable flags aside, must match name for name and bit for
-bit, unless the head's store holds no prefix record (a suffix-only head);
-and the task must be new to the model. A mismatch raises ValueError
-naming the record. Once every check passes, params.share_prefix points
-the head at the trunk's objects, so a model holds every prefix byte once,
+add_head enforces that sharing. The head's graph must be
+graph.head_graph of the trunk for its spec's class count and loss, and so
+holds the trunk's input shape and every node but its classifier; the task
+must be new to the model; and the branch layer must be one of the trunk's
+branch points (GraphSpec.branch_index). params.share_prefix then checks
+the head's store against the trunk's prefix (a suffix-only head holds no
+prefix record, so there is nothing to compare) and only then points the
+head at the trunk's objects, so a model holds every prefix byte once,
 whether its heads came from make_branch or from separate checkpoint files.
+This module names, hashes and compares no prefix record itself: params
+does all three.
 
 Bundle layout on disk: a directory with trunk.ckpt, one <task>.ckpt per
 head, and heads.txt carrying one HeadSpec record per line (see
@@ -22,8 +23,8 @@ config.parse_records):
     task branch_layer num_classes loss prefix_sha256
 The trunk is stored once. A head file holds only the head's records from
 its branch layer on (a partial record set, params.read_checkpoint's
-start), and prefix_sha256 is prefix_digests' sha256 of the trunk's
-served records before that layer. load_bundle checks the digest against
+start), and prefix_sha256 is params.prefix_digests' sha256 of the trunk's
+served_records before that layer. load_bundle checks the digest against
 trunk.ckpt and loads the suffix; the head then holds no prefix record, so
 add_head has nothing to compare and shares the trunk's prefix once. A
 4-field line, as bundles written before suffix-only head files hold,
@@ -40,7 +41,6 @@ leaves them), or a head that add_head rejects is a ValueError naming the
 file, line, node or record, so a bundle that loads serves every request.
 """
 
-import hashlib
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -52,9 +52,9 @@ from .accounting import count_flops, suffix_macs
 from .config import format_records, load_records
 from .engine import boundary, forward_pass, infer
 from .graph import INPUT_NAME, GraphSpec, check_task, head, head_graph
-from .params import (RECORD_TABLE, ParamStore, batchnorm_nodes,
-                     load_checkpoint, prefix_records, record_owner,
-                     save_checkpoint, share_prefix, store_records)
+from .params import (ParamStore, batchnorm_nodes, load_checkpoint,
+                     prefix_digests, save_checkpoint, served_records,
+                     share_prefix)
 
 HEADS_FILE = "heads.txt"
 TRUNK_FILE = "trunk.ckpt"
@@ -67,10 +67,10 @@ class HeadSpec:
     "..", and not the trunk's. It is also one whitespace-separated field of
     its line, so it holds no whitespace and no "#", which starts a comment.
 
-    prefix_sha256 is the trunk's prefix digest at the branch layer
-    (prefix_digests) for a head whose file holds only its suffix, or "" for
-    a head file that holds its whole prefix, as a bundle written before
-    suffix-only head files does (a 4-field line)."""
+    prefix_sha256 is the trunk's served prefix digest at the branch layer
+    (params.prefix_digests) for a head whose file holds only its suffix,
+    or "" for a head file that holds its whole prefix, as a bundle written
+    before suffix-only head files does (a 4-field line)."""
 
     task: str
     branch_layer: str
@@ -108,52 +108,25 @@ class MultiHeadModel:
     trunk_store: ParamStore
     heads: list = field(default_factory=list)
 
-    def branch_index(self, spec: HeadSpec) -> int:
-        """The trunk's index of the head's branch layer; ValueError unless
-        it is one of the trunk's branch points."""
-        if spec.branch_layer not in self.trunk_graph.branch_points:
-            raise ValueError(f"head {spec.task!r} branches at "
-                             f"{spec.branch_layer!r}, which the trunk lacks "
-                             f"as a branch point")
-        return self.trunk_graph.index(spec.branch_layer)
-
     def add_head(self, spec: HeadSpec, graph: GraphSpec, store: ParamStore):
-        """Validate the head against the trunk and attach it; on success
-        the head's store shares the trunk's prefix (params.share_prefix).
-        A store with no record before the branch layer, as a suffix-only
-        head file loads (load_checkpoint's start), has nothing to compare."""
-        bidx = self.branch_index(spec)
+        """Attach the head once its graph is the trunk's head graph for its
+        spec, its task is new to the model, and params.share_prefix, at
+        the trunk's index of its branch layer (GraphSpec.branch_index), has
+        checked its store and pointed it at the trunk's prefix. A refusal
+        is a ValueError naming the head, but for a branch layer that is no
+        branch point, and leaves the store as it was."""
         if graph != head_graph(self.trunk_graph, spec.num_classes, spec.loss):
             raise ValueError(f"head {spec.task!r} is not the trunk's head for "
                              f"{spec.num_classes} classes and loss "
                              f"{spec.loss!r}")
-        mine = prefix_records(graph, store, bidx)
-        theirs = (prefix_records(self.trunk_graph, self.trunk_store, bidx)
-                  if mine else {})
-        for rname in sorted(mine.keys() | theirs.keys()):
-            if (RECORD_TABLE[rname.partition("/")[0]].served
-                    and not _same_bits(mine.get(rname), theirs.get(rname))):
-                raise ValueError(f"head {spec.task!r} record {rname!r} does "
-                                 f"not match the trunk's bit for bit")
         if any(head.spec.task == spec.task for head in self.heads):
             raise ValueError(f"head {spec.task!r} is already in the model")
-        share_prefix(graph, store, self.trunk_store, bidx)
+        bidx = self.trunk_graph.branch_index(spec.branch_layer)
+        try:
+            share_prefix(graph, store, self.trunk_store, bidx)
+        except ValueError as exc:
+            raise ValueError(f"head {spec.task!r} {exc}") from None
         self.heads.append(Head(spec, graph, store))
-
-
-def _same_bits(a, b):
-    """Arrays of one shape and dtype that view the same memory, or whose
-    bits, read as unsigned integers of the element width, are equal (so
-    NaN payloads and -0.0 count)."""
-    if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
-        return False
-    if a.shape != b.shape or a.dtype != b.dtype:
-        return False
-    if a.ctypes.data == b.ctypes.data and a.strides == b.strides:
-        return True
-    uint = f"u{a.dtype.itemsize}"
-    return np.array_equal(np.ascontiguousarray(a).reshape(-1).view(uint),
-                          np.ascontiguousarray(b).reshape(-1).view(uint))
 
 
 @dataclass
@@ -221,25 +194,9 @@ def _weights_only(store: ParamStore) -> ParamStore:
     return ParamStore(store.arrays, {}, store.trainable, store.running)
 
 
-def prefix_digests(graph: GraphSpec, store: ParamStore) -> dict:
-    """Branch point -> sha256 hex digest of the store's served records
-    (RECORD_TABLE kinds marked served) owned by the nodes before it: each
-    record's name, then its bytes in store order, node by node in graph
-    order and by name within a node. One pass over the store: each branch
-    point reads the running hash as it stands when the pass reaches it."""
-    records = store_records(store)
-    owned = {}
-    for rname in sorted(records):
-        if RECORD_TABLE[rname.partition("/")[0]].served:
-            owned.setdefault(record_owner(rname), []).append(rname)
-    digest, digests = hashlib.sha256(), {}
-    for node in graph.nodes:
-        if node.name in graph.branch_points:
-            digests[node.name] = digest.hexdigest()
-        for rname in owned.get(node.name, ()):
-            digest.update(rname.encode())
-            digest.update(records[rname])
-    return digests
+def _served_digests(model: MultiHeadModel) -> list:
+    """The trunk's served prefix digest at each node index."""
+    return prefix_digests(model.trunk_graph, served_records(model.trunk_store))
 
 
 def save_bundle(dirpath, model: MultiHeadModel):
@@ -248,13 +205,14 @@ def save_bundle(dirpath, model: MultiHeadModel):
     os.makedirs(dirpath, exist_ok=True)
     save_checkpoint(os.path.join(dirpath, TRUNK_FILE),
                     model.trunk_graph, _weights_only(model.trunk_store))
-    digests = prefix_digests(model.trunk_graph, model.trunk_store)
+    digests = _served_digests(model)
     specs = []
     for head in sorted(model.heads, key=lambda h: h.spec.task):
         layer = head.spec.branch_layer
         save_checkpoint(os.path.join(dirpath, f"{head.spec.task}.ckpt"),
                         head.graph, _weights_only(head.store), start=layer)
-        specs.append(replace(head.spec, prefix_sha256=digests[layer]))
+        specs.append(replace(head.spec, prefix_sha256=digests[
+            model.trunk_graph.index(layer)]))
     with open(os.path.join(dirpath, HEADS_FILE), "w") as f:
         f.write(format_records(specs))
 
@@ -265,13 +223,13 @@ def load_bundle(dirpath) -> MultiHeadModel:
     without one loads its whole file and is compared record by record."""
     model = MultiHeadModel(*_load_servable(dirpath, TRUNK_FILE))
     specs = load_records(HeadSpec, _bundle_file(dirpath, HEADS_FILE))
-    digests = (prefix_digests(model.trunk_graph, model.trunk_store)
-               if any(spec.prefix_sha256 for spec in specs) else {})
+    digests = (_served_digests(model)
+               if any(spec.prefix_sha256 for spec in specs) else [])
     for spec in specs:
         start = None
         if spec.prefix_sha256:
-            model.branch_index(spec)
-            if digests[spec.branch_layer] != spec.prefix_sha256:
+            bidx = model.trunk_graph.branch_index(spec.branch_layer)
+            if digests[bidx] != spec.prefix_sha256:
                 raise ValueError(f"head {spec.task!r}: the served records of "
                                  f"{os.path.join(dirpath, TRUNK_FILE)!r} before "
                                  f"{spec.branch_layer!r} do not match the "

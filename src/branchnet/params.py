@@ -56,6 +56,16 @@ is allocated), or a value outside its kind's rule is a ValueError naming
 the record or its offset. The graph text is read by GraphSpec.parse, so a
 graph that breaks a graph rule (see GraphSpec) is a ValueError naming its
 node before any record is read.
+
+A store's prefix, its records owned by the nodes before a branch index,
+is named, hashed and compared here and nowhere else. prefix_records names
+it. prefix_digests is the one sha256 walk over records, node by node in
+graph order, and gives both digests: frozen_checksum is the walk over
+every record of a prefix, and a bundle's prefix digest (multihead) the
+walk over the trunk's served_records. share_prefix makes every check (a
+prefix the store already holds must be the trunk's bit for bit, and the
+trunk must hold each frozen batchnorm's running statistics) before it
+points the store at the trunk's objects.
 """
 
 import hashlib
@@ -212,24 +222,78 @@ def prefix_records(graph: GraphSpec, store: ParamStore, index: int) -> dict:
             if graph.index(record_owner(rname)) < index}
 
 
+def served_records(store: ParamStore) -> dict:
+    """store_records of the kinds inference reads (RecordKind.served)."""
+    return {rname: flat for rname, flat in store_records(store).items()
+            if RECORD_TABLE[rname.partition("/")[0]].served}
+
+
+def prefix_digests(graph: GraphSpec, records: dict) -> list:
+    """Index i -> sha256 hex digest of the given records owned by nodes
+    before index i, for every i up to len(graph.nodes): each record's
+    name, then its bytes in store order, node by node in graph order and
+    by name within a node. One pass over the records: index i reads the
+    running hash as it stands when the pass reaches node i. Over a store's
+    prefix_records it is frozen_checksum; over its served_records, a
+    bundle's prefix digests."""
+    owned = {}
+    for rname in sorted(records):
+        owned.setdefault(record_owner(rname), []).append(rname)
+    digest, digests = hashlib.sha256(), []
+    for node in graph.nodes:
+        digests.append(digest.hexdigest())
+        for rname in owned.get(node.name, ()):
+            digest.update(rname.encode())
+            digest.update(records[rname])
+    return digests + [digest.hexdigest()]
+
+
+def _same_bits(a, b):
+    """Arrays of one shape and dtype that view the same memory, or whose
+    bits, read as unsigned integers of the element width, are equal (so
+    NaN payloads and -0.0 count)."""
+    if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
+        return False
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.ctypes.data == b.ctypes.data and a.strides == b.strides:
+        return True
+    uint = f"u{a.dtype.itemsize}"
+    return np.array_equal(np.ascontiguousarray(a).reshape(-1).view(uint),
+                          np.ascontiguousarray(b).reshape(-1).view(uint))
+
+
 def share_prefix(graph: GraphSpec, store: ParamStore, trunk: ParamStore,
                  index: int):
     """Point store's state for nodes before index at trunk's own objects:
     arrays (flagged frozen), momentum where trunk has it, running statistics.
-    A frozen batchnorm runs in inference mode, so a trunk without running
-    statistics for one is a ValueError naming it."""
+    Every check comes before the first write, so a refused store is left
+    as it was. A store that already holds a record before index (a head
+    file loaded with its whole prefix) must hold every served one of
+    trunk's there bit for bit (_same_bits), and no other; and a frozen
+    batchnorm runs in inference mode, so trunk must hold its running
+    statistics. A failed check is a ValueError naming the record or the
+    batchnorm."""
+    mine = prefix_records(graph, store, index)
+    theirs = prefix_records(graph, trunk, index) if mine else {}
+    for rname in sorted(mine.keys() | theirs.keys()):
+        if (RECORD_TABLE[rname.partition("/")[0]].served
+                and not _same_bits(mine.get(rname), theirs.get(rname))):
+            raise ValueError(f"record {rname!r} does not match the trunk's "
+                             f"bit for bit")
+    frozen = [bn for bn in batchnorm_nodes(graph) if graph.index(bn) < index]
+    for bn in frozen:
+        if bn not in trunk.running:
+            raise ValueError(f"trunk batchnorm {bn!r} has no running "
+                             f"statistics: they are missing, so the "
+                             f"frozen prefix cannot run in inference mode")
     for name in frozen_names(graph, index):
         store.arrays[name] = trunk.arrays[name]
         store.trainable[name] = False
         if name in trunk.momentum:
             store.momentum[name] = trunk.momentum[name]
-    for bn in batchnorm_nodes(graph):
-        if graph.index(bn) < index:
-            if bn not in trunk.running:
-                raise ValueError(f"trunk batchnorm {bn!r} has no running "
-                                 f"statistics: they are missing, so the "
-                                 f"frozen prefix cannot run in inference mode")
-            store.running[bn] = trunk.running[bn]
+    for bn in frozen:
+        store.running[bn] = trunk.running[bn]
 
 
 def fill(graph: GraphSpec, store: ParamStore, init_std: float, seed: int,
@@ -271,14 +335,11 @@ def fill(graph: GraphSpec, store: ParamStore, init_std: float, seed: int,
 
 
 def frozen_checksum(graph: GraphSpec, store: ParamStore, branch_index: int) -> str:
-    """sha256 over the frozen region's records, each as its name then its
-    bytes, in name order. Unchanged digest before and after fine-tuning
-    certifies the freeze."""
-    digest = hashlib.sha256()
-    for rname, flat in sorted(prefix_records(graph, store, branch_index).items()):
-        digest.update(rname.encode())
-        digest.update(flat.tobytes())
-    return digest.hexdigest()
+    """prefix_digests over every record of the frozen region, taken at the
+    branch index. Unchanged digest before and after fine-tuning certifies
+    the freeze."""
+    prefix = prefix_records(graph, store, branch_index)
+    return prefix_digests(graph, prefix)[branch_index]
 
 
 def _start_index(graph: GraphSpec, start) -> int:

@@ -12,7 +12,8 @@ from branchnet.dataio import TENSOR_MAGIC, TENSOR_VERSION
 from branchnet.engine import forward_pass
 from branchnet.config import format_records
 from branchnet.graph import ArchConfig, GraphSpec, build_trunk
-from branchnet.params import ParamStore, save_checkpoint
+from branchnet.params import (ParamStore, prefix_digests, save_checkpoint,
+                              served_records)
 from branchnet.train import TrainConfig, init_params
 
 
@@ -220,6 +221,13 @@ def with_graph_text(data, text):
     head, records = split_records(data)
     head = head[:8] + struct.pack("<Q", len(text)) + text.encode()
     return seal(head, [r for r in records if not r[0].startswith("m/")])
+
+
+def branch_digests(graph, store):
+    """The store's served prefix digest at each branch point, by name: the
+    digest save_bundle writes on a head's heads.txt line."""
+    digests = prefix_digests(graph, served_records(store))
+    return {layer: digests[graph.index(layer)] for layer in graph.branch_points}
 
 
 def save_full_prefix_bundle(dirpath, model):

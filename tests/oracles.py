@@ -5,6 +5,8 @@ brute-force sweeps) so that a disagreement points at the production code
 rather than at a shared helper.
 """
 
+import hashlib
+
 import numpy as np
 
 
@@ -268,3 +270,33 @@ def compositions(total, parts, lo, hi):
         for rest in compositions(total - first, parts - 1, lo, hi):
             out.append((first,) + rest)
     return out
+
+
+RECORD_KINDS = ("a", "m", "t", "rm", "rv", "rc")
+SERVED_KINDS = ("a", "rm", "rv", "rc")  # the record kinds inference reads
+
+
+def prefix_digest(graph, store, index, kinds=RECORD_KINDS):
+    """sha256 hex of the store's records of the given kinds owned by the
+    nodes before index, node by node in graph order and by record name
+    within a node, each as its name then its bytes: arrays and momentum as
+    their float32 bytes in store order, a trainable flag as one float32 0
+    or 1, running mean and variance as float32 and a count as one int64."""
+    digest = hashlib.sha256()
+    for node in graph.nodes[:index]:
+        records = {}
+        for prefix, values in (("a", store.arrays), ("m", store.momentum),
+                               ("t", store.trainable)):
+            for name, value in values.items():
+                if name.rpartition("/")[0] == node.name:
+                    records[f"{prefix}/{name}"] = np.float32(value).tobytes() \
+                        if prefix == "t" else value.tobytes()
+        if node.name in store.running:
+            rs = store.running[node.name]
+            records[f"rm/{node.name}"] = rs.mean.tobytes()
+            records[f"rv/{node.name}"] = rs.var.tobytes()
+            records[f"rc/{node.name}"] = np.int64(rs.count).tobytes()
+        for rname in sorted(records):
+            if rname.partition("/")[0] in kinds:
+                digest.update(rname.encode() + records[rname])
+    return digest.hexdigest()

@@ -1,7 +1,7 @@
 """scripts/bench.py at its tiny size: it must run against the library and
 the benchmark as they stand and write a complete BENCH_<label>.json, its
-bundle block included, and leave graph.NODE_KINDS and the experiments
-module's budgets as it found them."""
+bundle block and reference timings included, and leave graph.NODE_KINDS
+and the experiments module's budgets as it found them."""
 
 import importlib.util
 import json
@@ -99,6 +99,11 @@ def test_bench_writes_every_conv_and_batchnorm_row(tmp_path):
     assert_served_nodes(serve, bundle["heads"])
     # one request's activations, far below the bundle's weights
     assert 0 < serve["peak_mib"] < bundle["total_mib"]
+
+    # perfbench's reference ms on either side of each block timed here
+    reference = bench["reference_ms"]
+    assert reference.keys() == {"steps", "study", "bundle", "serve"}
+    assert all(len(ms) == 2 and min(ms) > 0 for ms in reference.values())
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         declared = json.load(f)

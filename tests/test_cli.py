@@ -19,11 +19,12 @@ from branchnet.experiments import GridTask, load_tasks
 from branchnet.graph import ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel,
                                  format_prediction_lines, load_bundle,
-                                 predict_all, prefix_digests,
-                                 run_head_standalone, save_bundle)
+                                 predict_all, run_head_standalone,
+                                 save_bundle)
 from branchnet.params import checkpoint_bytes, load_checkpoint, save_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
-from conftest import (checksum64, head_on_relu320, head_on_relu_over_fc,
+from conftest import (branch_digests, checksum64, head_on_relu320,
+                      head_on_relu_over_fc,
                       named_cls, save_full_prefix_bundle, with_graph_text,
                       write_unchecked_tensor)
 
@@ -154,7 +155,7 @@ def test_finetune_writes_bundle(bundle_dir):
     names = sorted(os.listdir(bundle_dir))
     assert names == ["binary.ckpt", "binary.log.tsv", "heads.txt",
                      "trunk.ckpt"]
-    digest = prefix_digests(*load_checkpoint(
+    digest = branch_digests(*load_checkpoint(
         os.path.join(bundle_dir, "trunk.ckpt")))["conv22"]
     with open(os.path.join(bundle_dir, "heads.txt")) as f:
         assert f.read().splitlines() == [f"binary conv22 2 softmax {digest}"]

@@ -211,7 +211,7 @@ def test_header_token_without_equals_is_a_value_error():
                         "r relu inputs=input\n")
 
 
-def test_branch_index_is_the_one_branch_point_check():
+def test_branch_index_is_the_one_branch_point_check(tmp_path, warm_desk_store):
     graph = build_trunk(ArchConfig.desk())
     for name in graph.branch_points:
         assert graph.branch_index(name) == graph.index(name)
@@ -219,6 +219,20 @@ def test_branch_index_is_the_one_branch_point_check():
         with pytest.raises(ValueError, match=f"^'{name}' is not a branch "
                                              f"point; valid points: conv17, "):
             graph.branch_index(name)
+
+    # add_head and a bundle's 5-field heads.txt line refuse with its message
+    model = MultiHeadModel(graph, warm_desk_store)
+    br = make_branch(graph, warm_desk_store, "conv22", 7, seed=1)
+    with pytest.raises(ValueError, match="^'relu5' is not a branch point; "
+                                         "valid points: conv17, "):
+        model.add_head(HeadSpec("t", "relu5", 7, "softmax"), br.graph,
+                       br.store)
+    assert model.heads == []
+    save_bundle(tmp_path, model)
+    (tmp_path / "heads.txt").write_text(f"t relu5 7 softmax {'0' * 64}\n")
+    with pytest.raises(ValueError, match="^'relu5' is not a branch point; "
+                                         "valid points: conv17, "):
+        load_bundle(tmp_path)
 
 
 def test_graph_lookup_errors():

@@ -1,4 +1,3 @@
-import hashlib
 import re
 
 import numpy as np
@@ -9,12 +8,14 @@ from branchnet.engine import forward_pass
 from branchnet.graph import ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel, combined_flops,
                                  format_prediction_lines, load_bundle,
-                                 predict_all, prefix_digests,
-                                 run_head_standalone, save_bundle)
-from branchnet.params import (BATCHNORM, RECORD_TABLE, frozen_names, load_checkpoint,
-                              param_owner, prefix_records, save_checkpoint)
+                                 predict_all, run_head_standalone,
+                                 save_bundle)
+from branchnet.params import (ParamStore, frozen_names, load_checkpoint,
+                              param_owner, prefix_digests, prefix_records,
+                              save_checkpoint, served_records)
 from branchnet.train import TrainConfig, init_params, make_branch
-from conftest import named_cls, save_full_prefix_bundle
+from conftest import branch_digests, named_cls, save_full_prefix_bundle
+from oracles import SERVED_KINDS, prefix_digest
 
 DESK_HEADS = (("nuisance", "conv19", 7, "softmax"),
               ("stage", "conv22", 14, "softmax"),
@@ -120,19 +121,9 @@ def test_adding_heads_never_decreases_cost(model):
 
 
 def served_prefix_digest(graph, store, layer):
-    """sha256 hex of the store's served records owned by nodes before
-    layer, each as its name then its bytes, by owner index, then name."""
-    records = prefix_records(graph, store, graph.index(layer))
-
-    def owner(rname):
-        prefix, _, name = rname.partition("/")
-        return (name if RECORD_TABLE[prefix].owner == BATCHNORM
-                else param_owner(name))
-    digest = hashlib.sha256()
-    for rname in sorted(records, key=lambda r: (graph.index(owner(r)), r)):
-        if RECORD_TABLE[rname.partition("/")[0]].served:
-            digest.update(rname.encode() + records[rname].tobytes())
-    return digest.hexdigest()
+    """The oracle's sha256 hex of the store's served records owned by the
+    nodes before layer."""
+    return prefix_digest(graph, store, graph.index(layer), SERVED_KINDS)
 
 
 def test_bundle_round_trip(tmp_path, model):
@@ -201,7 +192,8 @@ def test_load_bundle_requires_heads_file(tmp_path, model):
      "'nuisance' is already in the model"),
     ("nuisance conv19 0 softmax {conv19}",
      "heads.txt:1: a task needs at least 2 classes, got 0"),
-    ("nuisance relu5 7 softmax {conv19}", "lacks as a branch point"),
+    ("nuisance relu5 7 softmax {conv19}",
+     "'relu5' is not a branch point; valid points: conv17, "),
     ("nuisance conv19 7 softmax {conv19}\nmissing fc 2 softmax {fc}",
      "lacks missing.ckpt"),
     # a 4-field line names a full-prefix head file, which this one is not
@@ -216,7 +208,7 @@ def test_load_bundle_rejects_a_heads_line_that_does_not_match_its_head(
         tmp_path, model, heads, message):
     out = tmp_path / "bundle"
     save_bundle(out, model)
-    digests = prefix_digests(model.trunk_graph, model.trunk_store)
+    digests = branch_digests(model.trunk_graph, model.trunk_store)
     (out / "heads.txt").write_text(heads.format(**digests) + "\n")
     with pytest.raises(ValueError) as exc:
         load_bundle(out)
@@ -247,7 +239,8 @@ def test_prediction_line_format(model):
 def test_add_head_validation(model):
     bare = MultiHeadModel(model.trunk_graph, model.trunk_store)
     head = model.heads[0]
-    with pytest.raises(ValueError, match="which the trunk lacks"):
+    with pytest.raises(ValueError, match="^'conv99' is not a branch point; "
+                                         "valid points: conv17, "):
         bare.add_head(HeadSpec("t", "conv99", 7, "softmax"),
                       head.graph, head.store)
     # another input shape, then a prefix that differs below the branch
@@ -410,19 +403,21 @@ def test_prefix_digests_are_pinned_and_follow_the_served_records():
     # seeded float32 draws and no BLAS call: the same digests on any host
     graph = build_trunk(ArchConfig.desk())
     store = init_params(graph, TrainConfig.desk(seed=3))
-    digests = prefix_digests(graph, store)
-    assert list(digests) == list(graph.branch_points)
-    for layer, digest in digests.items():
-        assert digest == served_prefix_digest(graph, store, layer), layer
-    assert digests["conv22"][:16] == "ea3390c534acb148"
-    assert digests["fc"][:16] == "39de0259fccf0ee6"
+    digests = prefix_digests(graph, served_records(store))
+    assert len(digests) == len(graph.nodes) + 1
+    for index, digest in enumerate(digests):
+        assert digest == prefix_digest(graph, store, index, SERVED_KINDS), index
+    assert digests[graph.index("conv22")][:16] == "ea3390c534acb148"
+    assert digests[graph.index("fc")][:16] == "39de0259fccf0ee6"
     # momentum and trainable flags are not served: the digests stay
     store.momentum["conv1/w"][0] = 1.0
     store.trainable["conv1/w"] = False
-    assert prefix_digests(graph, store) == digests
+    assert prefix_digests(graph, served_records(store)) == digests
     bump_first(store.running["bn1"].var)
-    moved = prefix_digests(graph, store)
-    assert all(moved[layer] != digests[layer] for layer in digests)
+    moved = prefix_digests(graph, served_records(store))
+    bn1 = graph.index("bn1")
+    assert moved[:bn1 + 1] == digests[:bn1 + 1]
+    assert all(a != b for a, b in zip(moved[bn1 + 1:], digests[bn1 + 1:]))
 
 
 def test_head_suffix_may_differ_from_the_trunk(tmp_path, model):
@@ -450,10 +445,11 @@ def test_add_head_shares_a_bitwise_equal_prefix(model):
     # a missing prefix record is a mismatch, and a failed add changes nothing
     partial = head.store.copy()
     del partial.running["bn2"]
-    with pytest.raises(ValueError, match="record 'rc/bn2'"):
-        bare.add_head(head.spec, head.graph, partial)
+    fresh = MultiHeadModel(model.trunk_graph, model.trunk_store)
+    with pytest.raises(ValueError, match="head 'nuisance' record 'rc/bn2'"):
+        fresh.add_head(head.spec, head.graph, partial)
     assert partial.arrays["conv1/w"] is not model.trunk_store.arrays["conv1/w"]
-    assert len(bare.heads) == 1
+    assert fresh.heads == [] and len(bare.heads) == 1
 
 
 def suffix_store(tmp_path, head):
@@ -490,6 +486,24 @@ def test_a_refused_head_leaves_its_store_unchanged(tmp_path, model):
         with pytest.raises(ValueError, match="is not the trunk's head"):
             model.add_head(HeadSpec("t", "conv19", 7, "softmax"), other, store)
         assert [{k: id(v) for k, v in t.items()} for t in tables] == before
+
+
+def test_a_trunk_without_running_statistics_leaves_a_refused_head_as_it_was(
+        tmp_path, model):
+    # every check comes before share_prefix writes: a suffix-only conv22
+    # head over a trunk with no running statistics keeps its own arrays
+    head = next(h for h in model.heads if h.spec.task == "stage")
+    trunk = model.trunk_store
+    bare = MultiHeadModel(model.trunk_graph,
+                          ParamStore(trunk.arrays, {}, trunk.trainable, {}))
+    store = suffix_store(tmp_path, head)
+    arrays, trainable = dict(store.arrays), dict(store.trainable)
+    with pytest.raises(ValueError, match="^head 'stage' trunk batchnorm 'bn1' "
+                                         "has no running statistics"):
+        bare.add_head(head.spec, head.graph, store)
+    assert store.arrays.keys() == arrays.keys()
+    assert all(store.arrays[k] is v for k, v in arrays.items())
+    assert store.trainable == trainable and bare.heads == []
 
 
 def test_bundle_written_with_momentum_loads_without_it(tmp_path, model):

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from conftest import (apply_token_edits, checksum64, edited_text,
                       graph_token_edits, seal, split_records, traced_peak,
                       with_graph_text)
+from oracles import prefix_digest
 
 from branchnet.engine import forward_pass
 from branchnet.graph import NODE_KINDS, ArchConfig, GraphSpec, build_trunk
@@ -74,6 +75,18 @@ def test_frozen_checksum_tracks_only_the_frozen_region():
     store = fresh_store()
     store.trainable["conv1/w"] = False  # frozen trainable flag
     assert frozen_checksum(GRAPH, store, bidx) != base
+
+
+def test_frozen_checksum_is_pinned_and_walks_every_record_in_node_order():
+    # seeded float32 draws and no BLAS call: the same digests on any host
+    graph = build_trunk(ArchConfig.desk())
+    store = init_params(graph, TrainConfig.desk(seed=3))
+    pins = {graph.index("conv22"): "57d3b691980f3f7b",
+            len(graph.nodes): "16748d2193694a22"}
+    for index, pin in pins.items():
+        digest = frozen_checksum(graph, store, index)
+        assert digest == prefix_digest(graph, store, index), index
+        assert digest[:16] == pin, index
 
 
 def test_checkpoint_bytes_are_pinned():

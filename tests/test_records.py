@@ -21,10 +21,10 @@ from branchnet.experiments import (STUDY_SEED, TRUNK_MINIBATCHES, GridTask,
 from branchnet.graph import LOSS_KINDS, ArchConfig, build_trunk
 from branchnet.multihead import (HeadSpec, MultiHeadModel, combined_flops,
                                  format_prediction_lines, load_bundle,
-                                 predict_all, prefix_digests, save_bundle)
+                                 predict_all, save_bundle)
 from branchnet.params import load_checkpoint
 from branchnet.train import TrainConfig, init_params, make_branch
-from conftest import save_full_prefix_bundle
+from conftest import branch_digests, save_full_prefix_bundle
 
 RECORD_KINDS = (GridTask, HeadSpec, PairRecord)
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
@@ -239,7 +239,7 @@ def desk_model():
 def desk_bundle(tmp_path_factory, desk_model):
     out = tmp_path_factory.mktemp("fuzz") / "bundle"
     save_bundle(out, desk_model)
-    digests = prefix_digests(desk_model.trunk_graph, desk_model.trunk_store)
+    digests = branch_digests(desk_model.trunk_graph, desk_model.trunk_store)
     assert (out / "heads.txt").read_text() == "".join(
         f"{' '.join(map(str, head[:4]))} {digests[head[1]]}\n"
         for head in DESK_BUNDLE_HEADS)
@@ -281,7 +281,7 @@ def heads_text(draw):
 @functools.cache
 def bundle_digests(bundle):
     """The prefix digests of the bundle's trunk.ckpt, by branch point."""
-    return prefix_digests(*load_checkpoint(bundle / "trunk.ckpt"))
+    return branch_digests(*load_checkpoint(bundle / "trunk.ckpt"))
 
 
 def check_heads_file(bundle, text):
